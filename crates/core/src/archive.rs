@@ -32,6 +32,7 @@ use crate::error::{ArchiveSection, CuszpError};
 use crate::workflow::{decode_codes_checked_into, CodesPayload};
 use crate::{CodecPlan, LosslessStage, Predictor};
 use cuszp_analysis::WorkflowChoice;
+use cuszp_checksum::fnv1a;
 use cuszp_huffman::HuffmanEncoded;
 use cuszp_predictor::{Dims, OutlierList, QuantField};
 use cuszp_rle::{RleEncoded, RleVleEncoded};
@@ -578,16 +579,6 @@ pub(crate) fn peek_v1_header(bytes: &[u8]) -> Option<(Dims, Dtype)> {
     Some((dims, dtype))
 }
 
-/// FNV-1a 64-bit hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,13 +642,6 @@ mod tests {
                 "flip at payload offset -{off} must be caught"
             );
         }
-    }
-
-    #[test]
-    fn fnv_known_vector() {
-        // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! hard instead of fabricating a field — this is also what keeps a
 //! corrupted header from driving a giant output allocation.
 
-use crate::archive::{fnv1a, peek_v1_header};
+use crate::archive::peek_v1_header;
 use crate::chunked::{parse_chunked_header, read_length_table_lenient, ChunkedHeader};
 use crate::engine::PipelineEngine;
 use crate::error::{ArchiveSection, CuszpError, ParseFault};
@@ -31,6 +31,7 @@ use crate::parity::{
 };
 use crate::range::{chunk_span, gather_chunk, resolve, slice_field, RangeSpec};
 use crate::{is_chunked_archive, Archive, CodecPlan, Dims, Dtype, ReconstructEngine};
+use cuszp_checksum::fnv1a;
 use cuszp_ecc::ReedSolomon;
 use cuszp_parallel::{plan_chunk_spec, plan_len, ChunkSpec, WorkerPool};
 use cuszp_predictor::Scalar;

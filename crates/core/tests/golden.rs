@@ -8,19 +8,10 @@
 //! intentionally or not — trips these before it trips a downstream
 //! consumer.
 
+use cuszp_checksum::fnv1a;
 use cuszp_core::{Compressor, Config, ErrorBound, Snapshot, WorkflowMode};
 use cuszp_parallel::WorkerPool;
 use cuszp_predictor::Dims;
-
-/// FNV-1a 64-bit, the same hash the archive checksum uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Deterministic mixed-character field: smooth waves, a hash ripple, a
 /// flat stretch (RLE territory), and sparse spikes (outlier territory).

@@ -18,19 +18,21 @@
 //! a typed `Busy` error frame instead of queueing unboundedly — and a
 //! malformed frame is answered with a typed error and at worst a closed
 //! connection, never a dead process. Shutdown is cooperative: the
-//! `shutdown` op (or [`ServerHandle::shutdown`]) flips a flag, the
-//! acceptor stops accepting, and workers drain queued + in-flight
-//! connections until a drain deadline.
+//! `shutdown` op (or [`ServerHandle::shutdown`]) flips a flag and wakes
+//! the acceptor out of its blocking `accept()` with a loopback
+//! connection to itself; the acceptor stops accepting, and workers
+//! drain queued + in-flight connections until a drain deadline.
 
 use crate::cache::SlabCache;
 use crate::metrics::ServiceMetrics;
 use crate::ring::Ring;
 use crate::store::{ShardBackend, StoreBackendConfig};
 use crate::wire::{
-    fnv1a, read_frame, write_frame, ClusterIdentity, CompressRequest, DecompressMode,
-    DecompressRequest, DecompressResponse, ErrorCode, ErrorResponse, GetRangeRequest,
-    GetShardRequest, GetShardResponse, Op, PutShardRequest, RemoteInfo, ShardListResponse,
-    WireError, FLAG_ERROR, FLAG_RESPONSE, MAX_FRAME_PAYLOAD, PUT_FLAG_REPAIR,
+    parse_header, read_frame, wordsum64, write_frame, ClusterIdentity, CompressRequest,
+    DecompressMode, DecompressRequest, DecompressResponse, ErrorCode, ErrorResponse,
+    GetRangeRequest, GetShardRequest, GetShardResponse, Op, PutShardRequest, RemoteInfo,
+    ShardListResponse, WireError, FLAG_ERROR, FLAG_RESPONSE, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD,
+    PUT_FLAG_REPAIR,
 };
 use cuszp_core::{
     is_chunked_archive, Archive, ChunkedArchive, Compressor, Config, CuszpError, Dims, Dtype,
@@ -39,13 +41,14 @@ use cuszp_core::{
 };
 use cuszp_parallel::{WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::Read;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often blocked workers and the acceptor re-check the shutdown
-/// flag. Also the idle-poll granularity on open connections.
+/// How often blocked workers re-check the shutdown flag. Also the
+/// idle-poll granularity on open connections.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Server tuning knobs.
@@ -113,6 +116,9 @@ struct Shared {
     config: ServerConfig,
     metrics: ServiceMetrics,
     shutdown: AtomicBool,
+    /// Where a connection reaches this server's own listener: the
+    /// acceptor blocks in `accept()`, and shutdown wakes it by connecting.
+    wake_addr: SocketAddr,
     /// Set when shutdown begins: the instant the drain window closes.
     drain_until: Mutex<Option<Instant>>,
     queue: Mutex<VecDeque<TcpStream>>,
@@ -126,17 +132,27 @@ struct Shared {
 
 impl Shared {
     fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     fn begin_shutdown(&self) {
         let mut until = self.drain_until.lock().expect("drain lock poisoned");
-        if until.is_none() {
+        let first = until.is_none();
+        if first {
             *until = Some(Instant::now() + self.config.drain_deadline);
         }
         drop(until);
-        self.shutdown.store(true, Ordering::Relaxed);
+        // SeqCst (load side too): the acceptor learns of shutdown through
+        // the socket below and must then observe the flag.
+        self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
+        if first {
+            // The acceptor is parked in `accept()`: hand it one
+            // connection so it returns and sees the flag. A failed
+            // connect means the listener is already gone (or its backlog
+            // is full, in which case `accept()` is not parked at all).
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     fn drain_expired(&self) -> bool {
@@ -268,6 +284,14 @@ impl Server {
             });
         }
         let listener = TcpListener::bind(addr)?;
+        // A wildcard bind is reached through loopback of the same family.
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let config = ServerConfig {
             workers: config.workers.max(1),
             max_frame_payload: config.max_frame_payload.min(MAX_FRAME_PAYLOAD),
@@ -279,6 +303,7 @@ impl Server {
                 config,
                 metrics: ServiceMetrics::new(),
                 shutdown: AtomicBool::new(false),
+                wake_addr,
                 drain_until: Mutex::new(None),
                 queue: Mutex::new(VecDeque::new()),
                 queue_cv: Condvar::new(),
@@ -302,7 +327,6 @@ impl Server {
     /// runs on the calling thread's scope; request workers run as pool
     /// jobs, each owning one reusable [`PipelineEngine`].
     pub fn serve(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let shared = &self.shared;
         let listener = &self.listener;
         std::thread::scope(|s| {
@@ -319,22 +343,22 @@ impl Server {
 
 /// Accepts connections until shutdown, enqueueing each for a worker —
 /// or rejecting with a typed `Busy` frame when the queue is at
-/// capacity (the explicit-backpressure contract).
+/// capacity (the explicit-backpressure contract). Blocks in `accept()`,
+/// so a new connection is queued the moment the kernel hands it over;
+/// [`Shared::begin_shutdown`] connects to the listener to end the wait.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     loop {
+        let accepted = listener.accept();
         if shared.is_shutting_down() {
-            // Wake any workers parked on an empty queue.
+            // Whatever `accept()` returned — the wake-up connection or
+            // a client that raced it — is dropped unserved. Wake any
+            // workers parked on an empty queue.
             shared.queue_cv.notify_all();
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.metrics.connections_total.incr();
-                // Accepted sockets must block again regardless of what
-                // they inherited from the nonblocking listener.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
                 let mut queue = shared.queue.lock().expect("queue lock poisoned");
                 if queue.len() >= shared.config.queue_capacity {
                     drop(queue);
@@ -346,10 +370,8 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     shared.queue_cv.notify_one();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL.min(Duration::from_millis(20)));
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Out of descriptors and the like: back off, don't spin.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
@@ -361,7 +383,6 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 /// within the (short) budget; pipelining clients then correlate the
 /// rejection with the request that caused it.
 fn peek_rejected_header(stream: &TcpStream, budget: Duration) -> Option<(u8, u64)> {
-    use crate::wire::{FRAME_HEADER_BYTES, WIRE_MAGIC, WIRE_VERSION, WIRE_VERSION_MIN};
     stream.set_read_timeout(Some(budget)).ok()?;
     let mut header = [0u8; FRAME_HEADER_BYTES];
     // Peek (never consume): the client's frame stays intact on the
@@ -377,17 +398,12 @@ fn peek_rejected_header(stream: &TcpStream, budget: Duration) -> Option<(u8, u64
             _ => return None,
         }
     }
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if magic != WIRE_MAGIC {
-        return None;
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
-        return None;
-    }
-    let req_id = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    Some((header[6], req_id))
+    parse_header(&header).ok().map(|h| (h.op, h.req_id))
 }
+
+/// How long a rejected connection may hold the acceptor: once waiting
+/// for its header to arrive, once for the rest of its request.
+const REJECT_BUDGET: Duration = Duration::from_millis(50);
 
 /// Answers one `Busy` error frame and drops the connection. When the
 /// client's first frame header is already readable, its request id and
@@ -395,8 +411,7 @@ fn peek_rejected_header(stream: &TcpStream, budget: Duration) -> Option<(u8, u64
 /// id 0 only when nothing parsed.
 fn reject_busy(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let (op, req_id) =
-        peek_rejected_header(&stream, Duration::from_millis(50)).unwrap_or((Op::Ping as u8, 0));
+    let (op, req_id) = peek_rejected_header(&stream, REJECT_BUDGET).unwrap_or((Op::Ping as u8, 0));
     let busy = ErrorResponse::new(
         ErrorCode::Busy,
         format!(
@@ -413,6 +428,15 @@ fn reject_busy(stream: TcpStream, shared: &Shared) {
         req_id,
         &busy.encode(),
     );
+    // Closing with request bytes still unread resets the connection,
+    // which fails a client mid-write and can discard the `Busy` frame
+    // before it is read. Say we are done, then let the client finish:
+    // it reads the answer and closes, or the budget runs out.
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(REJECT_BUDGET));
+    let deadline = Instant::now() + REJECT_BUDGET;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
 /// One worker: pull connections off the queue and serve each until the
@@ -779,17 +803,53 @@ fn handle_list_shards(shared: &Shared) -> Result<Vec<u8>, ErrorResponse> {
     Ok(ShardListResponse { records }.encode())
 }
 
-fn alloc_scalars<T: Copy + Default>(
-    bytes: &[u8],
-    width: usize,
-    from_le: impl FnMut(&[u8]) -> T,
-) -> Result<Vec<T>, ErrorResponse> {
-    let n = bytes.len() / width;
+/// Scalars → their little-endian wire bytes.
+fn scalars_to_le<T: Scalar>(data: &[T]) -> Vec<u8> {
+    let mut out = vec![0u8; data.len() * T::BYTES];
+    for (dst, x) in out.chunks_exact_mut(T::BYTES).zip(data) {
+        x.write_le(dst);
+    }
+    out
+}
+
+/// Little-endian wire bytes → scalars (a trailing partial element is
+/// ignored). The length comes from a peer, so the allocation is fallible.
+fn scalars_from_le<T: Scalar>(bytes: &[u8]) -> Result<Vec<T>, ErrorResponse> {
     let mut out: Vec<T> = Vec::new();
-    out.try_reserve_exact(n)
+    out.try_reserve_exact(bytes.len() / T::BYTES)
         .map_err(|_| ErrorResponse::new(ErrorCode::Pipeline, "field allocation refused"))?;
-    out.extend(bytes.chunks_exact(width).map(from_le));
+    out.extend(bytes.chunks_exact(T::BYTES).map(T::read_le));
     Ok(out)
+}
+
+fn dtype_of<T: Scalar>() -> Dtype {
+    if T::BYTES == 4 {
+        Dtype::F32
+    } else {
+        Dtype::F64
+    }
+}
+
+/// The response payload for a decoded field of either precision.
+fn field_response<T: Scalar>(
+    dims: Dims,
+    report: Option<PortableScanReport>,
+    data: &[T],
+) -> Vec<u8> {
+    DecompressResponse {
+        dtype: dtype_of::<T>(),
+        dims,
+        report,
+        data: scalars_to_le(data),
+    }
+    .encode()
+}
+
+/// The response payload for a resilient decode: the field plus its
+/// per-chunk recovery report.
+fn recovered_response<T: Scalar>(rf: RecoveredField<T>) -> Vec<u8> {
+    let report = PortableScanReport::from_recovered(&rf, dtype_of::<T>());
+    field_response(rf.dims, Some(report), &rf.data)
 }
 
 fn handle_compress(
@@ -817,13 +877,13 @@ fn handle_compress(
     };
     let mut arc = match req.dtype {
         Dtype::F32 => {
-            let data = alloc_scalars(req.data, 4, |c| f32::from_le_bytes(c.try_into().unwrap()))?;
+            let data = scalars_from_le::<f32>(req.data)?;
             compressor
                 .compress_chunked_with_engine(&data, req.dims, target, engine)
                 .map_err(pipeline_error)?
         }
         Dtype::F64 => {
-            let data = alloc_scalars(req.data, 8, |c| f64::from_le_bytes(c.try_into().unwrap()))?;
+            let data = scalars_from_le::<f64>(req.data)?;
             compressor
                 .compress_chunked_f64_with_engine(&data, req.dims, target, engine)
                 .map_err(pipeline_error)?
@@ -849,67 +909,28 @@ fn handle_compress(
 
 fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
     let req = DecompressRequest::decode(payload).map_err(wire_error)?;
+    // Each entry point is tried as f32 first; an archive of doubles
+    // answers `DtypeMismatch` from its header and is re-run as f64.
     match req.mode {
-        DecompressMode::Strict => {
-            let (dtype, dims, data) = match cuszp_core::decompress(req.archive) {
-                Ok((data, dims)) => (
-                    Dtype::F32,
-                    dims,
-                    data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                ),
-                Err(CuszpError::DtypeMismatch { .. }) => {
-                    let (data, dims) =
-                        cuszp_core::decompress_f64(req.archive).map_err(pipeline_error)?;
-                    (
-                        Dtype::F64,
-                        dims,
-                        data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    )
-                }
-                Err(e) => return Err(pipeline_error(e)),
-            };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: None,
-                data,
+        DecompressMode::Strict => match cuszp_core::decompress(req.archive) {
+            Ok((data, dims)) => Ok(field_response(dims, None, &data)),
+            Err(CuszpError::DtypeMismatch { .. }) => {
+                let (data, dims) =
+                    cuszp_core::decompress_f64(req.archive).map_err(pipeline_error)?;
+                Ok(field_response(dims, None, &data))
             }
-            .encode())
-        }
+            Err(e) => Err(pipeline_error(e)),
+        },
         DecompressMode::Recover(fill) => {
-            let (dtype, dims, report, data): (_, _, _, Vec<u8>) =
-                match cuszp_core::decompress_resilient(req.archive, fill) {
-                    Ok(rf) => {
-                        let report = PortableScanReport::from_recovered(&rf, Dtype::F32);
-                        let RecoveredField { data, dims, .. } = rf;
-                        (
-                            Dtype::F32,
-                            dims,
-                            report,
-                            data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        )
-                    }
-                    Err(CuszpError::DtypeMismatch { .. }) => {
-                        let rf = cuszp_core::decompress_resilient_f64(req.archive, fill)
-                            .map_err(pipeline_error)?;
-                        let report = PortableScanReport::from_recovered(&rf, Dtype::F64);
-                        let RecoveredField { data, dims, .. } = rf;
-                        (
-                            Dtype::F64,
-                            dims,
-                            report,
-                            data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        )
-                    }
-                    Err(e) => return Err(pipeline_error(e)),
-                };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: Some(report),
-                data,
+            match cuszp_core::decompress_resilient(req.archive, fill) {
+                Ok(rf) => Ok(recovered_response(rf)),
+                Err(CuszpError::DtypeMismatch { .. }) => {
+                    cuszp_core::decompress_resilient_f64(req.archive, fill)
+                        .map(recovered_response)
+                        .map_err(pipeline_error)
+                }
+                Err(e) => Err(pipeline_error(e)),
             }
-            .encode())
         }
     }
 }
@@ -928,9 +949,7 @@ fn serve_cached_range<T: Scalar>(
     key_hash: u64,
     shared: &Shared,
     engine: &mut PipelineEngine,
-    to_le: impl Fn(&[T]) -> Vec<u8>,
-    from_le: impl Fn(&[u8]) -> Vec<T>,
-) -> Result<(Dims, Vec<u8>), CuszpError> {
+) -> Result<Vec<u8>, CuszpError> {
     let caching = shared.config.cache_bytes > 0;
     let mut fetch = |i: usize| -> Option<Vec<T>> {
         if !caching {
@@ -941,10 +960,12 @@ fn serve_cached_range<T: Scalar>(
             .lock()
             .expect("cache lock poisoned")
             .get((key_hash, i as u32));
-        match hit {
-            Some(bytes) => {
+        // If the copy out of the cache cannot be allocated, treat it as
+        // a miss and decode the chunk afresh.
+        match hit.and_then(|bytes| scalars_from_le(&bytes).ok()) {
+            Some(slab) => {
                 shared.metrics.cache_hits.incr();
-                Some(from_le(&bytes))
+                Some(slab)
             }
             None => {
                 shared.metrics.cache_misses.incr();
@@ -960,7 +981,7 @@ fn serve_cached_range<T: Scalar>(
             .cache
             .lock()
             .expect("cache lock poisoned")
-            .insert((key_hash, i as u32), Arc::new(to_le(slab)));
+            .insert((key_hash, i as u32), Arc::new(scalars_to_le(slab)));
         shared.metrics.cache_evictions.add(evicted);
     };
     let (data, dims) = cuszp_core::decompress_range_with_fetch(
@@ -971,7 +992,7 @@ fn serve_cached_range<T: Scalar>(
         &mut fetch,
         &mut store,
     )?;
-    Ok((dims, to_le(&data)))
+    Ok(field_response(dims, None, &data))
 }
 
 fn handle_get_range(
@@ -983,119 +1004,38 @@ fn handle_get_range(
     match req.mode {
         DecompressMode::Strict if is_chunked_archive(req.archive) => {
             let arc = ChunkedArchive::from_bytes(req.archive).map_err(pipeline_error)?;
-            let key_hash = fnv1a(req.archive);
-            let (dtype, dims, data) = match arc.dtype {
-                Dtype::F32 => {
-                    let (dims, data) = serve_cached_range::<f32>(
-                        &arc,
-                        &req.spec,
-                        key_hash,
-                        shared,
-                        engine,
-                        |s| s.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        |b| {
-                            b.chunks_exact(4)
-                                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                                .collect()
-                        },
-                    )
-                    .map_err(pipeline_error)?;
-                    (Dtype::F32, dims, data)
-                }
-                Dtype::F64 => {
-                    let (dims, data) = serve_cached_range::<f64>(
-                        &arc,
-                        &req.spec,
-                        key_hash,
-                        shared,
-                        engine,
-                        |s| s.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        |b| {
-                            b.chunks_exact(8)
-                                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                                .collect()
-                        },
-                    )
-                    .map_err(pipeline_error)?;
-                    (Dtype::F64, dims, data)
-                }
-            };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: None,
-                data,
+            // Never stored, only compared within this process: the fast
+            // checksum, not the persisted-format FNV-1a.
+            let key_hash = wordsum64(req.archive);
+            match arc.dtype {
+                Dtype::F32 => serve_cached_range::<f32>(&arc, &req.spec, key_hash, shared, engine),
+                Dtype::F64 => serve_cached_range::<f64>(&arc, &req.spec, key_hash, shared, engine),
             }
-            .encode())
+            .map_err(pipeline_error)
         }
-        DecompressMode::Strict => {
-            // v1 single-chunk archives: a range read is a full decode
-            // plus a slice — nothing chunk-grained to cache.
-            let (dtype, dims, data) = match cuszp_core::decompress_range(req.archive, &req.spec) {
-                Ok((data, dims)) => (
-                    Dtype::F32,
-                    dims,
-                    data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                ),
-                Err(CuszpError::DtypeMismatch { .. }) => {
-                    let (data, dims) = cuszp_core::decompress_range_f64(req.archive, &req.spec)
-                        .map_err(pipeline_error)?;
-                    (
-                        Dtype::F64,
-                        dims,
-                        data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    )
-                }
-                Err(e) => return Err(pipeline_error(e)),
-            };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: None,
-                data,
+        // v1 single-chunk archives: a range read is a full decode plus
+        // a slice — nothing chunk-grained to cache.
+        DecompressMode::Strict => match cuszp_core::decompress_range(req.archive, &req.spec) {
+            Ok((data, dims)) => Ok(field_response(dims, None, &data)),
+            Err(CuszpError::DtypeMismatch { .. }) => {
+                let (data, dims) = cuszp_core::decompress_range_f64(req.archive, &req.spec)
+                    .map_err(pipeline_error)?;
+                Ok(field_response(dims, None, &data))
             }
-            .encode())
-        }
+            Err(e) => Err(pipeline_error(e)),
+        },
+        // Damaged archives must never seed the cache: the resilient
+        // path decodes uncached and reports per-chunk outcomes.
         DecompressMode::Recover(fill) => {
-            // Damaged archives must never seed the cache: the resilient
-            // path decodes uncached and reports per-chunk outcomes.
-            let (dtype, dims, report, data): (_, _, _, Vec<u8>) =
-                match cuszp_core::decompress_range_resilient(req.archive, &req.spec, fill) {
-                    Ok(rf) => {
-                        let report = PortableScanReport::from_recovered(&rf, Dtype::F32);
-                        let RecoveredField { data, dims, .. } = rf;
-                        (
-                            Dtype::F32,
-                            dims,
-                            report,
-                            data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        )
-                    }
-                    Err(CuszpError::DtypeMismatch { .. }) => {
-                        let rf = cuszp_core::decompress_range_resilient_f64(
-                            req.archive,
-                            &req.spec,
-                            fill,
-                        )
-                        .map_err(pipeline_error)?;
-                        let report = PortableScanReport::from_recovered(&rf, Dtype::F64);
-                        let RecoveredField { data, dims, .. } = rf;
-                        (
-                            Dtype::F64,
-                            dims,
-                            report,
-                            data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        )
-                    }
-                    Err(e) => return Err(pipeline_error(e)),
-                };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: Some(report),
-                data,
+            match cuszp_core::decompress_range_resilient(req.archive, &req.spec, fill) {
+                Ok(rf) => Ok(recovered_response(rf)),
+                Err(CuszpError::DtypeMismatch { .. }) => {
+                    cuszp_core::decompress_range_resilient_f64(req.archive, &req.spec, fill)
+                        .map(recovered_response)
+                        .map_err(pipeline_error)
+                }
+                Err(e) => Err(pipeline_error(e)),
             }
-            .encode())
         }
     }
 }

@@ -4,13 +4,13 @@
 //! ```text
 //! offset size  field
 //! 0      4     magic "CSRP"
-//! 4      2     protocol version (= 1)
+//! 4      2     protocol version (= 4)
 //! 6      1     op (see [`Op`])
 //! 7      1     flags (bit 0: response, bit 1: error response)
 //! 8      8     request id (echoed verbatim in the response)
 //! 16     4     payload length n
 //! 20     n     payload
-//! 20+n   8     FNV-1a checksum of the payload
+//! 20+n   8     wordsum64 of the payload ([`cuszp_checksum::wordsum64`])
 //! ```
 //!
 //! Framing is defensive on both sides: the payload length is capped
@@ -31,16 +31,17 @@ use std::io::{Read, Write};
 
 /// Frame magic: "CSRP" little-endian.
 pub const WIRE_MAGIC: u32 = 0x5052_5343;
-/// Protocol version this build speaks (minor bump 3: the cluster tier —
-/// `ring`/`put`/`get`/`list_shards` ops, `Redirect`/`NotMine`/`NotFound`
-/// error codes, the additive redirect tail on error responses, and the
-/// additive node-id/ring-epoch fields on `health` — all strictly
-/// additive, so version-1 and version-2 peers are still accepted).
-pub const WIRE_VERSION: u16 = 3;
-/// Oldest protocol version this build still accepts. Versions in
-/// `WIRE_VERSION_MIN..=WIRE_VERSION` differ only by additive payload
-/// fields that old decoders skip, so the whole range interoperates.
-pub const WIRE_VERSION_MIN: u16 = 1;
+/// Protocol version this build speaks — and the only one. Version 4
+/// replaced the frame trailer (byte-serial FNV-1a → word-parallel
+/// `wordsum64`), which no older reader can verify; payloads are those
+/// of version 3 (cluster ops, redirect tails, `health` identity).
+pub const WIRE_VERSION: u16 = 4;
+/// Oldest protocol version this build accepts: the same one. Versions
+/// 1–3 differed only by additive payload fields and used to be let in,
+/// but that tolerance only ever ran one way — an older build rejects
+/// every reply whose version exceeds its own `WIRE_VERSION` — so mixed
+/// versions never completed a round trip. One version in, one out.
+pub const WIRE_VERSION_MIN: u16 = 4;
 /// Fixed frame header bytes (before the payload).
 pub const FRAME_HEADER_BYTES: usize = 20;
 /// Hard cap on a frame payload (1 GiB). Server configs may lower it.
@@ -54,17 +55,10 @@ pub const FLAG_RESPONSE: u8 = 0x01;
 /// Error-response flag bit (implies [`FLAG_RESPONSE`]).
 pub const FLAG_ERROR: u8 = 0x02;
 
-/// FNV-1a over a byte slice (the workspace's checksum of record).
-/// Must agree with `cuszp_store::fnv1a` and the core archive checksum:
-/// shard checksums cross the backend boundary, so one convention rules.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The two checksums of `cuszp-checksum`: `wordsum64` is the frame
+/// trailer; exact `fnv1a` stays on every field that lands on disk
+/// (`archive_fnv`, shard `checksum`) and on ring placement.
+pub use cuszp_checksum::{fnv1a, wordsum64};
 
 /// Request/response operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -276,6 +270,40 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, WireError> {
     Ok(true)
 }
 
+/// The fixed fields of a frame header that passed the magic and version
+/// checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Raw op tag.
+    pub op: u8,
+    /// Flag bits.
+    pub flags: u8,
+    /// Request id.
+    pub req_id: u64,
+    /// Declared payload length (not yet checked against any cap).
+    pub len: usize,
+}
+
+/// Parses the 20 header bytes: magic first, then version. The one
+/// parser behind [`read_frame`] and the acceptor's `Busy` peek, so a
+/// rejection can never echo a header the reader would refuse.
+pub fn parse_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<Header, WireError> {
+    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    if magic != WIRE_MAGIC {
+        return Err(WireError::BadMagic(magic));
+    }
+    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
+        return Err(WireError::UnsupportedVersion(version));
+    }
+    Ok(Header {
+        op: header[6],
+        flags: header[7],
+        req_id: u64::from_le_bytes(header[8..16].try_into().unwrap()),
+        len: u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize,
+    })
+}
+
 /// Reads one frame. The declared payload length is validated against
 /// `max_payload` before any allocation, and the buffer grows slab by
 /// slab under `try_reserve`, so untrusted headers cannot
@@ -285,18 +313,12 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Frame, WireEr
     if !read_full(r, &mut header)? {
         return Err(WireError::Closed);
     }
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if magic != WIRE_MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let op = header[6];
-    let flags = header[7];
-    let req_id = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let len = u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize;
+    let Header {
+        op,
+        flags,
+        req_id,
+        len,
+    } = parse_header(&header)?;
     if len > max_payload {
         return Err(WireError::FrameTooLarge {
             len: len as u64,
@@ -318,7 +340,7 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Frame, WireEr
         return Err(WireError::Truncated);
     }
     let expected = u64::from_le_bytes(sum);
-    let actual = fnv1a(&payload);
+    let actual = wordsum64(&payload);
     if expected != actual {
         return Err(WireError::ChecksumMismatch { expected, actual });
     }
@@ -347,7 +369,7 @@ pub fn write_frame(
     header[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     w.write_all(&header)?;
     w.write_all(payload)?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
+    w.write_all(&wordsum64(payload).to_le_bytes())?;
     w.flush()
 }
 
@@ -1383,15 +1405,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a_is_the_standard_64_bit_variant() {
-        // Pinned reference values: the same convention as cuszp-core and
-        // cuszp-store, so checksums computed on either side of the
-        // ShardBackend trait compare equal.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
     fn frame_roundtrip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, Op::Compress as u8, FLAG_RESPONSE, 42, b"hello").unwrap();
@@ -1660,14 +1673,16 @@ mod tests {
     }
 
     #[test]
-    fn version_window_accepts_v1_frames() {
+    fn exactly_one_version_is_spoken_and_accepted() {
+        assert_eq!((WIRE_VERSION_MIN, WIRE_VERSION), (4, 4));
         let mut buf = Vec::new();
         write_frame(&mut buf, Op::Ping as u8, 0, 3, b"").unwrap();
-        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(buf[4..6], 4u16.to_le_bytes());
         let frame = read_frame(&mut buf.as_slice(), MAX_FRAME_PAYLOAD).unwrap();
         assert_eq!(frame.req_id, 3);
-        // Below the window and above it are both rejected.
-        for v in [0u16, WIRE_VERSION + 1] {
+        // Every FNV-trailer generation (1–3) and anything newer is
+        // refused at the header, before the trailer is looked at.
+        for v in [0u16, 1, 2, 3, WIRE_VERSION + 1] {
             let mut bad = buf.clone();
             bad[4..6].copy_from_slice(&v.to_le_bytes());
             assert_eq!(

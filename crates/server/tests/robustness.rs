@@ -3,8 +3,8 @@
 //! cleanly — and keep serving. Zero panics, ever.
 
 use cuszp_server::{
-    fnv1a, Client, ClientError, ErrorCode, ErrorResponse, Op, Server, ServerConfig, ServerHandle,
-    FLAG_ERROR, FRAME_HEADER_BYTES, WIRE_MAGIC, WIRE_VERSION,
+    wordsum64, Client, ClientError, ErrorCode, ErrorResponse, Op, Server, ServerConfig,
+    ServerHandle, FLAG_ERROR, FRAME_HEADER_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -24,8 +24,27 @@ fn start_server(
     (addr, handle, join)
 }
 
+/// Connects and pings until a worker answers. A connection made the
+/// instant another one frees the only worker can still find the queue
+/// full, and `Busy` then is the correct answer — to be retried.
+fn connect_served(addr: SocketAddr) -> Client {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let mut client = Client::connect(addr).expect("connect");
+        match client.ping() {
+            Ok(_) => return client,
+            Err(ClientError::Server(e))
+                if e.code == ErrorCode::Busy && std::time::Instant::now() < deadline =>
+            {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("ping: {e:?}"),
+        }
+    }
+}
+
 fn stop_server(addr: SocketAddr, join: std::thread::JoinHandle<std::io::Result<()>>) {
-    let mut client = Client::connect(addr).expect("connect for shutdown");
+    let mut client = connect_served(addr);
     client.shutdown_server().expect("shutdown ack");
     join.join().expect("serve thread panicked").expect("serve");
 }
@@ -40,7 +59,7 @@ fn raw_frame(op: u8, flags: u8, req_id: u64, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&req_id.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&wordsum64(payload).to_le_bytes());
     out
 }
 
@@ -245,11 +264,10 @@ fn full_queue_answers_busy_and_it_shows_in_stats() {
 
     // Freeing the worker drains the queue; service resumes for everyone.
     drop(parked);
-    let mut client = Client::connect(addr).expect("connect after drain");
-    client.ping().expect("service resumed");
+    let mut client = connect_served(addr);
     let snap = client.stats().expect("stats");
-    assert_eq!(
-        snap.rejected_busy, 1,
+    assert!(
+        snap.rejected_busy >= 1,
         "busy rejection visible over the wire"
     );
 

@@ -7,8 +7,7 @@
 //! panic-freedom.
 
 use cuszp_server::wire::{
-    fnv1a, read_frame, write_frame, Frame, WireError, FRAME_HEADER_BYTES, WIRE_MAGIC, WIRE_VERSION,
-    WIRE_VERSION_MIN,
+    read_frame, wordsum64, write_frame, Frame, WireError, FRAME_HEADER_BYTES, WIRE_MAGIC,
 };
 use proptest::prelude::*;
 
@@ -30,7 +29,9 @@ fn oracle(bytes: &[u8], cap: usize) -> Result<Frame, WireError> {
         return Err(WireError::BadMagic(magic));
     }
     let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
+    // CSRP v4 is the only version on the wire: a v1–v3 frame (FNV
+    // trailer) is refused here, whatever its trailer holds.
+    if version != 4 {
         return Err(WireError::UnsupportedVersion(version));
     }
     let len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
@@ -46,7 +47,7 @@ fn oracle(bytes: &[u8], cap: usize) -> Result<Frame, WireError> {
     }
     let payload = &rest[..len];
     let expected = u64::from_le_bytes(rest[len..len + 8].try_into().unwrap());
-    let actual = fnv1a(payload);
+    let actual = wordsum64(payload);
     if expected != actual {
         return Err(WireError::ChecksumMismatch { expected, actual });
     }
@@ -81,7 +82,7 @@ proptest! {
     /// random magic can.
     #[test]
     fn structured_headers_classify_exactly(
-        version in 0u16..5,
+        version in 0u16..7,
         op in any::<u8>(),
         flags in any::<u8>(),
         req_id in any::<u64>(),

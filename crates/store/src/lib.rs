@@ -48,16 +48,9 @@ pub use record::{Record, RecordFault, RecordKind, FLAG_REPAIR};
 
 use std::path::PathBuf;
 
-/// FNV-1a over a byte slice — the workspace's checksum of record, same
-/// constants as `cuszp-core` and the CSRP wire layer.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// Exact FNV-1a — the record trailer, `payload_fnv` and every shard
+/// checksum on disk (defined once, in `cuszp-checksum`).
+pub use cuszp_checksum::fnv1a;
 
 /// When appended records are flushed to stable storage.
 ///
@@ -181,13 +174,5 @@ mod tests {
         );
         assert_eq!(FsyncPolicy::parse("0"), Ok(FsyncPolicy::Always));
         assert!(FsyncPolicy::parse("sometimes").is_err());
-    }
-
-    #[test]
-    fn fnv_matches_workspace_constants() {
-        // Pinned against the wire layer's own test vector convention:
-        // the empty string hashes to the FNV-1a offset basis.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 }

@@ -73,4 +73,7 @@ scripts/chaos_smoke.sh
 echo "==> cluster smoke (kill -9 a node: memory heals by scrub, durable by its data dir)"
 scripts/cluster_smoke.sh
 
+echo "==> benchmark smoke (every correctness gate of benchmark/ at Scale::Tiny + its arithmetic self-test)"
+benchmark/run.sh --smoke
+
 echo "CI green."
