@@ -15,10 +15,6 @@ pub trait Scalar: Copy + Default + Send + Sync + PartialOrd + std::fmt::Debug + 
     fn from_f64(v: f64) -> Self;
     /// True for normal/subnormal/zero values.
     fn is_finite_scalar(self) -> bool;
-    /// Writes the little-endian bytes into `out` (`out.len() == BYTES`).
-    fn write_le(self, out: &mut [u8]);
-    /// Reads a value from its `BYTES` little-endian bytes.
-    fn read_le(bytes: &[u8]) -> Self;
 }
 
 impl Scalar for f32 {
@@ -38,16 +34,6 @@ impl Scalar for f32 {
     fn is_finite_scalar(self) -> bool {
         self.is_finite()
     }
-
-    #[inline(always)]
-    fn write_le(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_le_bytes());
-    }
-
-    #[inline(always)]
-    fn read_le(bytes: &[u8]) -> Self {
-        f32::from_le_bytes(bytes.try_into().expect("BYTES little-endian bytes"))
-    }
 }
 
 impl Scalar for f64 {
@@ -66,16 +52,6 @@ impl Scalar for f64 {
     #[inline(always)]
     fn is_finite_scalar(self) -> bool {
         self.is_finite()
-    }
-
-    #[inline(always)]
-    fn write_le(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_le_bytes());
-    }
-
-    #[inline(always)]
-    fn read_le(bytes: &[u8]) -> Self {
-        f64::from_le_bytes(bytes.try_into().expect("BYTES little-endian bytes"))
     }
 }
 

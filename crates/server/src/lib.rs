@@ -51,8 +51,8 @@ pub use store::{
     DurableShardStore, ShardBackend, ShardStore, StoreBackendConfig, StoreOpError, StoredShard,
 };
 pub use wire::{
-    fnv1a, wordsum64, CompressRequest, DecompressMode, DecompressRequest, DecompressResponse,
-    ErrorCode, ErrorResponse, Frame, GetRangeRequest, HealthResponse, Op, RemoteInfo, WireError,
-    FLAG_ERROR, FLAG_RESPONSE, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
+    fnv1a, CompressRequest, DecompressMode, DecompressRequest, DecompressResponse, ErrorCode,
+    ErrorResponse, Frame, GetRangeRequest, HealthResponse, Op, RemoteInfo, WireError, FLAG_ERROR,
+    FLAG_RESPONSE, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
     WIRE_VERSION_MIN,
 };

@@ -30,7 +30,7 @@ use crate::store::{ShardBackend, StoreBackendConfig};
 use crate::wire::{
     parse_header, read_frame, wordsum64, write_frame, ClusterIdentity, CompressRequest,
     DecompressMode, DecompressRequest, DecompressResponse, ErrorCode, ErrorResponse,
-    GetRangeRequest, GetShardRequest, GetShardResponse, Op, PutShardRequest, RemoteInfo,
+    GetRangeRequest, GetShardRequest, GetShardResponse, Header, Op, PutShardRequest, RemoteInfo,
     ShardListResponse, WireError, FLAG_ERROR, FLAG_RESPONSE, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD,
     PUT_FLAG_REPAIR,
 };
@@ -50,6 +50,9 @@ use std::time::{Duration, Instant};
 /// How often blocked workers re-check the shutdown flag. Also the
 /// idle-poll granularity on open connections.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Self-connects tried before shutdown gives up waking the acceptor.
+const WAKE_ATTEMPTS: usize = 3;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -123,6 +126,8 @@ struct Shared {
     drain_until: Mutex<Option<Instant>>,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
+    /// Signalled when a worker takes a connection off a full queue.
+    slot_cv: Condvar,
     /// Hot-slab cache for `get_range`. Locked only for lookup/insert;
     /// chunk decoding always happens outside the critical section.
     cache: Mutex<SlabCache>,
@@ -135,7 +140,11 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    fn begin_shutdown(&self) {
+    /// Flips the shutdown flag and opens the drain window. Returns true
+    /// for the call that began the shutdown: the acceptor is still
+    /// parked in `accept()`, and that caller follows with
+    /// [`Shared::wake_acceptor`].
+    fn begin_shutdown(&self) -> bool {
         let mut until = self.drain_until.lock().expect("drain lock poisoned");
         let first = until.is_none();
         if first {
@@ -143,15 +152,29 @@ impl Shared {
         }
         drop(until);
         // SeqCst (load side too): the acceptor learns of shutdown through
-        // the socket below and must then observe the flag.
+        // the wake-up socket and must then observe the flag.
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
-        if first {
-            // The acceptor is parked in `accept()`: hand it one
-            // connection so it returns and sees the flag. A failed
-            // connect means the listener is already gone (or its backlog
-            // is full, in which case `accept()` is not parked at all).
-            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        first
+    }
+
+    /// Hands the acceptor, parked in `accept()`, one connection so it
+    /// returns and sees the shutdown flag. `serve()` returning depends on
+    /// this connect (or any later client's) reaching the listener, so it
+    /// is retried, and a failure is reported rather than swallowed. (A
+    /// full backlog also refuses the connect, but then `accept()` is not
+    /// parked.)
+    fn wake_acceptor(&self) {
+        for attempt in 1..=WAKE_ATTEMPTS {
+            match TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1)) {
+                Ok(_) => return,
+                Err(e) if attempt == WAKE_ATTEMPTS => eprintln!(
+                    "cuszp-server: could not wake the acceptor at {} ({e}); \
+                     shutdown completes on the next incoming connection",
+                    self.wake_addr
+                ),
+                Err(_) => std::thread::sleep(POLL_INTERVAL),
+            }
         }
     }
 
@@ -187,7 +210,9 @@ pub struct ServerHandle(Arc<Shared>);
 impl ServerHandle {
     /// Begins graceful shutdown: stop accepting, drain, return.
     pub fn shutdown(&self) {
-        self.0.begin_shutdown();
+        if self.0.begin_shutdown() {
+            self.0.wake_acceptor();
+        }
     }
 
     /// True once shutdown has begun.
@@ -307,6 +332,7 @@ impl Server {
                 drain_until: Mutex::new(None),
                 queue: Mutex::new(VecDeque::new()),
                 queue_cv: Condvar::new(),
+                slot_cv: Condvar::new(),
                 cache: Mutex::new(SlabCache::new(config.cache_bytes)),
                 cluster: cluster_ctx,
             }),
@@ -341,11 +367,20 @@ impl Server {
     }
 }
 
+/// How long a full queue may keep the acceptor waiting for a slot
+/// before the new connection is rejected.
+const ADMIT_GRACE: Duration = Duration::from_millis(10);
+
+/// The most one rejected connection may hold the acceptor, from
+/// `accept()` to close: slot wait, header wait, `Busy` frame and reading
+/// off the rest of its request all share this one deadline.
+const REJECT_BUDGET: Duration = Duration::from_millis(50);
+
 /// Accepts connections until shutdown, enqueueing each for a worker —
 /// or rejecting with a typed `Busy` frame when the queue is at
 /// capacity (the explicit-backpressure contract). Blocks in `accept()`,
 /// so a new connection is queued the moment the kernel hands it over;
-/// [`Shared::begin_shutdown`] connects to the listener to end the wait.
+/// [`Shared::wake_acceptor`] connects to the listener to end the wait.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     loop {
         let accepted = listener.accept();
@@ -359,11 +394,23 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         match accepted {
             Ok((stream, _peer)) => {
                 shared.metrics.connections_total.incr();
-                let mut queue = shared.queue.lock().expect("queue lock poisoned");
+                let accepted_at = Instant::now();
+                // A full queue gets a moment to free a slot before the
+                // connection is turned away: a worker that has just
+                // finished pops the queue within microseconds, and its
+                // successor must not be shed for arriving first.
+                let (mut queue, _) = shared
+                    .slot_cv
+                    .wait_timeout_while(
+                        shared.queue.lock().expect("queue lock poisoned"),
+                        ADMIT_GRACE,
+                        |q| q.len() >= shared.config.queue_capacity,
+                    )
+                    .expect("queue lock poisoned");
                 if queue.len() >= shared.config.queue_capacity {
                     drop(queue);
                     shared.metrics.rejected_busy.incr();
-                    reject_busy(stream, shared);
+                    reject_busy(stream, shared, accepted_at + REJECT_BUDGET);
                 } else {
                     queue.push_back(stream);
                     drop(queue);
@@ -378,40 +425,38 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 }
 
 /// Best-effort peek at the first frame header of a rejected connection
-/// so the `Busy` answer can echo the request's id and op. Returns
-/// `(op, req_id)` when a structurally valid header was already readable
-/// within the (short) budget; pipelining clients then correlate the
-/// rejection with the request that caused it.
-fn peek_rejected_header(stream: &TcpStream, budget: Duration) -> Option<(u8, u64)> {
-    stream.set_read_timeout(Some(budget)).ok()?;
+/// so the `Busy` answer can echo the request's id and op. Returns the
+/// header when a structurally valid one was readable before `deadline`;
+/// pipelining clients then correlate the rejection with the request
+/// that caused it.
+fn peek_rejected_header(stream: &TcpStream, deadline: Instant) -> Option<Header> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     // Peek (never consume): the client's frame stays intact on the
-    // socket, and a header that doesn't fully arrive within the budget
+    // socket, and a header that doesn't fully arrive before the deadline
     // just means we answer with id 0 as before.
-    let deadline = Instant::now() + budget;
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return None;
+        }
+        stream.set_read_timeout(Some(left)).ok()?;
         match stream.peek(&mut header) {
             Ok(got) if got >= FRAME_HEADER_BYTES => break,
-            Ok(_) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Ok(got) if got > 0 => std::thread::sleep(Duration::from_millis(2)),
             _ => return None,
         }
     }
-    parse_header(&header).ok().map(|h| (h.op, h.req_id))
+    parse_header(&header).ok()
 }
 
-/// How long a rejected connection may hold the acceptor: once waiting
-/// for its header to arrive, once for the rest of its request.
-const REJECT_BUDGET: Duration = Duration::from_millis(50);
-
-/// Answers one `Busy` error frame and drops the connection. When the
-/// client's first frame header is already readable, its request id and
-/// op are echoed so pipelining clients can correlate the rejection;
-/// id 0 only when nothing parsed.
-fn reject_busy(stream: TcpStream, shared: &Shared) {
+/// Answers one `Busy` error frame and drops the connection, all before
+/// `deadline`. When the client's first frame header is already
+/// readable, its request id and op are echoed so pipelining clients can
+/// correlate the rejection; id 0 only when nothing parsed.
+fn reject_busy(mut stream: TcpStream, shared: &Shared, deadline: Instant) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let (op, req_id) = peek_rejected_header(&stream, REJECT_BUDGET).unwrap_or((Op::Ping as u8, 0));
+    let header = peek_rejected_header(&stream, deadline);
+    let (op, req_id) = header.map_or((Op::Ping as u8, 0), |h| (h.op, h.req_id));
     let busy = ErrorResponse::new(
         ErrorCode::Busy,
         format!(
@@ -420,7 +465,6 @@ fn reject_busy(stream: TcpStream, shared: &Shared) {
         ),
     )
     .with_retry_after(shared.retry_after_hint());
-    let mut stream = stream;
     let _ = write_frame(
         &mut stream,
         op,
@@ -430,13 +474,21 @@ fn reject_busy(stream: TcpStream, shared: &Shared) {
     );
     // Closing with request bytes still unread resets the connection,
     // which fails a client mid-write and can discard the `Busy` frame
-    // before it is read. Say we are done, then let the client finish:
-    // it reads the answer and closes, or the budget runs out.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(REJECT_BUDGET));
-    let deadline = Instant::now() + REJECT_BUDGET;
-    let mut sink = [0u8; 4096];
-    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    // before it is read. Read off exactly the frame the header declared:
+    // a client that then keeps its socket open costs nothing more.
+    let mut unread = header.map_or(0, |h| FRAME_HEADER_BYTES + h.len + 8);
+    let mut sink = [0u8; 16 << 10];
+    while unread > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        let want = unread.min(sink.len());
+        match stream.read(&mut sink[..want]) {
+            Ok(n) if n > 0 => unread -= n,
+            _ => return,
+        }
+    }
 }
 
 /// One worker: pull connections off the queue and serve each until the
@@ -449,6 +501,7 @@ fn worker_loop(shared: &Shared, engine: &mut PipelineEngine) {
             let mut queue = shared.queue.lock().expect("queue lock poisoned");
             loop {
                 if let Some(c) = queue.pop_front() {
+                    shared.slot_cv.notify_one();
                     break Some(c);
                 }
                 if shared.is_shutting_down() {
@@ -602,12 +655,15 @@ fn handle_frame(
         t0.elapsed(),
         errored,
     );
-    if op == Op::Shutdown && !errored {
-        // Flip the flag before the ack goes out: once the client sees
-        // the response, the server is observably draining.
-        shared.begin_shutdown();
+    // Flip the flag before the ack goes out: once the client sees the
+    // response, the server is observably draining.
+    let wake = op == Op::Shutdown && !errored && shared.begin_shutdown();
+    let written = write_frame(stream, frame.op, flags, frame.req_id, &payload).is_ok();
+    if wake {
+        // After the ack, so a slow self-connect never delays it.
+        shared.wake_acceptor();
     }
-    write_frame(stream, frame.op, flags, frame.req_id, &payload).is_ok()
+    written
 }
 
 /// True for ops a draining server sheds with `Unavailable`: the heavy
@@ -803,8 +859,32 @@ fn handle_list_shards(shared: &Shared) -> Result<Vec<u8>, ErrorResponse> {
     Ok(ShardListResponse { records }.encode())
 }
 
+/// A scalar as the wire carries it: its dtype tag and its
+/// little-endian bytes.
+trait WireScalar: Scalar {
+    const DTYPE: Dtype;
+    fn write_le(self, out: &mut [u8]);
+    fn read_le(bytes: &[u8]) -> Self;
+}
+
+macro_rules! wire_scalar {
+    ($t:ty, $dtype:expr) => {
+        impl WireScalar for $t {
+            const DTYPE: Dtype = $dtype;
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+            fn read_le(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("BYTES-long chunk"))
+            }
+        }
+    };
+}
+wire_scalar!(f32, Dtype::F32);
+wire_scalar!(f64, Dtype::F64);
+
 /// Scalars → their little-endian wire bytes.
-fn scalars_to_le<T: Scalar>(data: &[T]) -> Vec<u8> {
+fn scalars_to_le<T: WireScalar>(data: &[T]) -> Vec<u8> {
     let mut out = vec![0u8; data.len() * T::BYTES];
     for (dst, x) in out.chunks_exact_mut(T::BYTES).zip(data) {
         x.write_le(dst);
@@ -814,7 +894,7 @@ fn scalars_to_le<T: Scalar>(data: &[T]) -> Vec<u8> {
 
 /// Little-endian wire bytes → scalars (a trailing partial element is
 /// ignored). The length comes from a peer, so the allocation is fallible.
-fn scalars_from_le<T: Scalar>(bytes: &[u8]) -> Result<Vec<T>, ErrorResponse> {
+fn scalars_from_le<T: WireScalar>(bytes: &[u8]) -> Result<Vec<T>, ErrorResponse> {
     let mut out: Vec<T> = Vec::new();
     out.try_reserve_exact(bytes.len() / T::BYTES)
         .map_err(|_| ErrorResponse::new(ErrorCode::Pipeline, "field allocation refused"))?;
@@ -822,22 +902,14 @@ fn scalars_from_le<T: Scalar>(bytes: &[u8]) -> Result<Vec<T>, ErrorResponse> {
     Ok(out)
 }
 
-fn dtype_of<T: Scalar>() -> Dtype {
-    if T::BYTES == 4 {
-        Dtype::F32
-    } else {
-        Dtype::F64
-    }
-}
-
 /// The response payload for a decoded field of either precision.
-fn field_response<T: Scalar>(
+fn field_response<T: WireScalar>(
     dims: Dims,
     report: Option<PortableScanReport>,
     data: &[T],
 ) -> Vec<u8> {
     DecompressResponse {
-        dtype: dtype_of::<T>(),
+        dtype: T::DTYPE,
         dims,
         report,
         data: scalars_to_le(data),
@@ -847,8 +919,8 @@ fn field_response<T: Scalar>(
 
 /// The response payload for a resilient decode: the field plus its
 /// per-chunk recovery report.
-fn recovered_response<T: Scalar>(rf: RecoveredField<T>) -> Vec<u8> {
-    let report = PortableScanReport::from_recovered(&rf, dtype_of::<T>());
+fn recovered_response<T: WireScalar>(rf: RecoveredField<T>) -> Vec<u8> {
+    let report = PortableScanReport::from_recovered(&rf, T::DTYPE);
     field_response(rf.dims, Some(report), &rf.data)
 }
 
@@ -943,7 +1015,7 @@ fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
 /// never blocks other workers' hits. Slabs are stored as little-endian
 /// scalar bytes (the wire encoding), making cached and fresh responses
 /// byte-identical by construction.
-fn serve_cached_range<T: Scalar>(
+fn serve_cached_range<T: WireScalar>(
     arc: &ChunkedArchive,
     spec: &RangeSpec,
     key_hash: u64,

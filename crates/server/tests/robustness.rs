@@ -2,9 +2,10 @@
 //! hostile frames must answer with typed errors or close the connection
 //! cleanly — and keep serving. Zero panics, ever.
 
+use cuszp_server::wire::wordsum64;
 use cuszp_server::{
-    wordsum64, Client, ClientError, ErrorCode, ErrorResponse, Op, Server, ServerConfig,
-    ServerHandle, FLAG_ERROR, FRAME_HEADER_BYTES, WIRE_MAGIC, WIRE_VERSION,
+    Client, ClientError, ErrorCode, ErrorResponse, Op, Server, ServerConfig, ServerHandle,
+    FLAG_ERROR, FRAME_HEADER_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -24,27 +25,8 @@ fn start_server(
     (addr, handle, join)
 }
 
-/// Connects and pings until a worker answers. A connection made the
-/// instant another one frees the only worker can still find the queue
-/// full, and `Busy` then is the correct answer — to be retried.
-fn connect_served(addr: SocketAddr) -> Client {
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    loop {
-        let mut client = Client::connect(addr).expect("connect");
-        match client.ping() {
-            Ok(_) => return client,
-            Err(ClientError::Server(e))
-                if e.code == ErrorCode::Busy && std::time::Instant::now() < deadline =>
-            {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => panic!("ping: {e:?}"),
-        }
-    }
-}
-
 fn stop_server(addr: SocketAddr, join: std::thread::JoinHandle<std::io::Result<()>>) {
-    let mut client = connect_served(addr);
+    let mut client = Client::connect(addr).expect("connect for shutdown");
     client.shutdown_server().expect("shutdown ack");
     join.join().expect("serve thread panicked").expect("serve");
 }
@@ -264,10 +246,11 @@ fn full_queue_answers_busy_and_it_shows_in_stats() {
 
     // Freeing the worker drains the queue; service resumes for everyone.
     drop(parked);
-    let mut client = connect_served(addr);
+    let mut client = Client::connect(addr).expect("connect after drain");
+    client.ping().expect("service resumed");
     let snap = client.stats().expect("stats");
-    assert!(
-        snap.rejected_busy >= 1,
+    assert_eq!(
+        snap.rejected_busy, 1,
         "busy rejection visible over the wire"
     );
 

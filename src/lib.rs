@@ -46,7 +46,6 @@
 //! ```
 
 pub use cuszp_analysis as analysis;
-pub use cuszp_checksum as checksum;
 pub use cuszp_core as core;
 pub use cuszp_datagen as datagen;
 pub use cuszp_faultsim as faultsim;
