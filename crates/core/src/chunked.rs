@@ -27,7 +27,7 @@ use crate::error::{ArchiveSection, CuszpError};
 use crate::parity::{ParityConfig, ParitySection, PARITY_MAGIC};
 use crate::stats::ChunkedStats;
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
-use cuszp_parallel::{plan_chunks, WorkerPool, DEFAULT_CHUNK_ELEMS};
+use cuszp_parallel::{plan_chunk_spec, plan_chunks, plan_len, WorkerPool, DEFAULT_CHUNK_ELEMS};
 use cuszp_predictor::Scalar;
 
 pub(crate) const CHUNKED_MAGIC: u32 = 0x325A_5343; // "CSZ2"
@@ -404,11 +404,10 @@ impl ChunkedArchive {
     /// otherwise reconstruct silently with slabs in the wrong places.
     pub(crate) fn validate_chunk_geometry(&self) -> Result<(), CuszpError> {
         let target = usize::try_from(self.chunk_target).unwrap_or(usize::MAX);
-        let plan = plan_chunks(
-            &[self.dims.slow_extent(), self.dims.elems_per_slow()],
-            target,
-        );
-        if self.chunks.len() != plan.len() {
+        let extents = [self.dims.slow_extent(), self.dims.elems_per_slow()];
+        // Count first, specs lazily: a corrupted extent can claim billions
+        // of chunks, and materializing that plan would abort on allocation.
+        if self.chunks.len() != plan_len(&extents, target) {
             return Err(CuszpError::malformed(
                 "chunk count disagrees with plan",
                 ArchiveSection::ContainerHeader,
@@ -424,7 +423,11 @@ impl ChunkedArchive {
                 )
                 .in_chunk(i, 0));
             }
-            if chunk.dims != self.dims.slab(plan.chunks[i].slow_len()) {
+            if chunk.dims
+                != self
+                    .dims
+                    .slab(plan_chunk_spec(&extents, target, i).slow_len())
+            {
                 return Err(CuszpError::malformed(
                     "chunk shape mismatches plan",
                     ArchiveSection::ChunkBody,
@@ -851,6 +854,14 @@ mod tests {
         let mut bad = bytes.clone();
         bad.push(0);
         assert!(ChunkedArchive::from_bytes(&bad).is_err(), "trailing bytes");
+        // A flipped high extent byte claims ~2^54 chunks: a typed error,
+        // not a plan-sized allocation.
+        let mut bad = bytes.clone();
+        bad[8 + 16 + 6] ^= 0x41;
+        assert!(matches!(
+            ChunkedArchive::from_bytes(&bad),
+            Err(CuszpError::MalformedArchive(f)) if f.what == "chunk count disagrees with plan"
+        ));
     }
 
     #[test]
