@@ -151,11 +151,11 @@ fn bench_chunked(c: &mut Criterion) {
          {MAX_ALLOCS_PER_CHUNK} budget"
     );
     let _ = interp_archive
-        .decompress_with(ReconstructEngine::FinePartialSum, &pool)
+        .decompress::<f32>(ReconstructEngine::FinePartialSum, &pool)
         .unwrap();
     let (allocs, _) = allocs_during(|| {
         interp_archive
-            .decompress_with(ReconstructEngine::FinePartialSum, &pool)
+            .decompress::<f32>(ReconstructEngine::FinePartialSum, &pool)
             .unwrap()
     });
     let per_chunk = allocs / n_chunks;
@@ -183,7 +183,7 @@ fn bench_chunked(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("decompress", workers), &pool, |b, pool| {
             b.iter(|| {
                 archive
-                    .decompress_with(ReconstructEngine::FinePartialSum, pool)
+                    .decompress::<f32>(ReconstructEngine::FinePartialSum, pool)
                     .unwrap()
             });
         });

@@ -263,27 +263,14 @@ impl Archive {
     /// allocate more memory than the input buffer itself justifies.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CuszpError> {
         use ArchiveSection::Header;
-        if bytes.len() < HEADER_BYTES {
-            return Err(CuszpError::malformed(
-                "shorter than header",
-                Header,
-                bytes.len(),
-            ));
-        }
-        let mut pos = 0usize;
+        // Length, magic, version and the dtype byte, in that order.
+        let dtype = v1_dtype(bytes)?;
+        let mut pos = 6usize;
         let rd = |pos: &mut usize, n: usize| -> &[u8] {
             let s = &bytes[*pos..*pos + n];
             *pos += n;
             s
         };
-        let magic = u32::from_le_bytes(rd(&mut pos, 4).try_into().unwrap());
-        if magic != MAGIC {
-            return Err(CuszpError::malformed("bad magic", Header, 0));
-        }
-        let version = u16::from_le_bytes(rd(&mut pos, 2).try_into().unwrap());
-        if version != VERSION {
-            return Err(CuszpError::UnsupportedVersion(version));
-        }
         let workflow = rd(&mut pos, 1)[0];
         let rank = rd(&mut pos, 1)[0];
         let ez = u64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap()) as usize;
@@ -291,11 +278,7 @@ impl Archive {
         let ex = u64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap()) as usize;
         let eb = f64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap());
         let cap = u16::from_le_bytes(rd(&mut pos, 2).try_into().unwrap());
-        let dtype = match rd(&mut pos, 1)[0] {
-            0 => Dtype::F32,
-            1 => Dtype::F64,
-            _ => return Err(CuszpError::malformed("bad dtype", Header, 42)),
-        };
+        pos += 1; // dtype, read above
         let predictor = match rd(&mut pos, 1)[0] {
             0 => Predictor::Lorenzo,
             1 => Predictor::Interpolation,
@@ -548,16 +531,37 @@ fn read_codes_section(
     }
 }
 
+/// Reads the element type from the fixed v1 header: length, magic,
+/// version and the dtype byte — the first four checks of
+/// [`Archive::from_bytes`], with its errors, and nothing of the payload.
+pub(crate) fn v1_dtype(bytes: &[u8]) -> Result<Dtype, CuszpError> {
+    use ArchiveSection::Header;
+    if bytes.len() < HEADER_BYTES {
+        return Err(CuszpError::malformed(
+            "shorter than header",
+            Header,
+            bytes.len(),
+        ));
+    }
+    if u32::from_le_bytes(bytes[0..4].try_into().unwrap()) != MAGIC {
+        return Err(CuszpError::malformed("bad magic", Header, 0));
+    }
+    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
+    if version != VERSION {
+        return Err(CuszpError::UnsupportedVersion(version));
+    }
+    match bytes[42] {
+        0 => Ok(Dtype::F32),
+        1 => Ok(Dtype::F64),
+        _ => Err(CuszpError::malformed("bad dtype", Header, 42)),
+    }
+}
+
 /// Reads dims and dtype from a v1 header without validating the payload.
 /// The scanner uses this to keep reporting the field's shape when only
 /// the payload is damaged; `None` means the header itself is unusable.
 pub(crate) fn peek_v1_header(bytes: &[u8]) -> Option<(Dims, Dtype)> {
-    if bytes.len() < HEADER_BYTES
-        || u32::from_le_bytes(bytes[0..4].try_into().unwrap()) != MAGIC
-        || u16::from_le_bytes(bytes[4..6].try_into().unwrap()) != VERSION
-    {
-        return None;
-    }
+    let dtype = v1_dtype(bytes).ok()?;
     let ez = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
     let ey = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
     let ex = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
@@ -569,11 +573,6 @@ pub(crate) fn peek_v1_header(bytes: &[u8]) -> Option<(Dims, Dtype)> {
             ny: ey,
             nx: ex,
         },
-        _ => return None,
-    };
-    let dtype = match bytes[42] {
-        0 => Dtype::F32,
-        1 => Dtype::F64,
         _ => return None,
     };
     Some((dims, dtype))

@@ -22,13 +22,13 @@
 //!   come from the identical code path under any pool width;
 //! * the merge is ordered by chunk index, not completion order.
 
+use crate::element::{check_dtype, Element};
 use crate::engine::{resolve_bound, validate_and_range, PipelineEngine};
 use crate::error::{ArchiveSection, CuszpError};
 use crate::parity::{ParityConfig, ParitySection, PARITY_MAGIC};
 use crate::stats::ChunkedStats;
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
 use cuszp_parallel::{plan_chunk_spec, plan_chunks, plan_len, WorkerPool, DEFAULT_CHUNK_ELEMS};
-use cuszp_predictor::Scalar;
 
 pub(crate) const CHUNKED_MAGIC: u32 = 0x325A_5343; // "CSZ2"
 const CHUNKED_VERSION: u16 = 2;
@@ -59,9 +59,14 @@ pub struct ChunkedArchive {
 }
 
 impl Compressor {
-    /// Chunk-parallel compression of an `f32` field with the default
-    /// chunk granularity and the global worker policy.
-    pub fn compress_chunked(&self, data: &[f32], dims: Dims) -> Result<ChunkedArchive, CuszpError> {
+    /// Chunk-parallel compression of an `f32` or `f64` field (inferred
+    /// from `data`) with the default chunk granularity and the global
+    /// worker policy.
+    pub fn compress_chunked<T: Element>(
+        &self,
+        data: &[T],
+        dims: Dims,
+    ) -> Result<ChunkedArchive, CuszpError> {
         self.compress_chunked_with(
             data,
             dims,
@@ -70,72 +75,23 @@ impl Compressor {
         )
     }
 
-    /// Chunk-parallel compression of an `f64` field.
-    pub fn compress_chunked_f64(
+    /// Chunk-parallel compression with explicit chunk target and pool.
+    /// The archive bytes depend on `target_elems` (it shapes the plan)
+    /// but **never** on the pool width.
+    pub fn compress_chunked_with<T: Element>(
         &self,
-        data: &[f64],
-        dims: Dims,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_f64_with(
-            data,
-            dims,
-            DEFAULT_CHUNK_ELEMS,
-            &WorkerPool::with_default_workers(),
-        )
-    }
-
-    /// Chunk-parallel `f32` compression with explicit chunk target and
-    /// pool. The archive bytes depend on `target_elems` (it shapes the
-    /// plan) but **never** on the pool width.
-    pub fn compress_chunked_with(
-        &self,
-        data: &[f32],
+        data: &[T],
         dims: Dims,
         target_elems: usize,
         pool: &WorkerPool,
     ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_impl(data, dims, target_elems, pool)
-            .map(|(a, _)| a)
-    }
-
-    /// Chunk-parallel `f64` compression with explicit chunk target and
-    /// pool.
-    pub fn compress_chunked_f64_with(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        target_elems: usize,
-        pool: &WorkerPool,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_impl(data, dims, target_elems, pool)
+        self.compress_chunked_with_stats(data, dims, target_elems, pool)
             .map(|(a, _)| a)
     }
 
     /// [`Compressor::compress_chunked_with`] also returning the
     /// aggregated per-chunk statistics ([`ChunkedStats`]).
-    pub fn compress_chunked_with_stats(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        target_elems: usize,
-        pool: &WorkerPool,
-    ) -> Result<(ChunkedArchive, ChunkedStats), CuszpError> {
-        self.compress_chunked_impl(data, dims, target_elems, pool)
-    }
-
-    /// [`Compressor::compress_chunked_f64_with`] also returning the
-    /// aggregated per-chunk statistics.
-    pub fn compress_chunked_f64_with_stats(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        target_elems: usize,
-        pool: &WorkerPool,
-    ) -> Result<(ChunkedArchive, ChunkedStats), CuszpError> {
-        self.compress_chunked_impl(data, dims, target_elems, pool)
-    }
-
-    fn compress_chunked_impl<T: Scalar>(
+    pub fn compress_chunked_with_stats<T: Element>(
         &self,
         data: &[T],
         dims: Dims,
@@ -149,11 +105,6 @@ impl Compressor {
         // quality and for plan-independent bytes.
         let range = validate_and_range(data, dims)?;
         let eb = resolve_bound(self.config().error_bound, range)?;
-        let dtype = if T::BYTES == 4 {
-            Dtype::F32
-        } else {
-            Dtype::F64
-        };
         let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
         let config = self.config();
         // Each pool worker keeps ONE engine and reuses its scratch arenas
@@ -173,7 +124,7 @@ impl Compressor {
         Ok((
             ChunkedArchive {
                 dims,
-                dtype,
+                dtype: T::DTYPE,
                 eb,
                 chunk_target: target_elems as u64,
                 chunks,
@@ -189,9 +140,9 @@ impl Compressor {
     /// `parity.data_shards` data shards) is appended. Parity encoding
     /// fans stripes across the same pool; bytes stay independent of the
     /// pool width.
-    pub fn compress_chunked_with_parity(
+    pub fn compress_chunked_with_parity<T: Element>(
         &self,
-        data: &[f32],
+        data: &[T],
         dims: Dims,
         target_elems: usize,
         pool: &WorkerPool,
@@ -199,21 +150,6 @@ impl Compressor {
     ) -> Result<ChunkedArchive, CuszpError> {
         parity.validate()?;
         let mut arc = self.compress_chunked_with(data, dims, target_elems, pool)?;
-        arc.add_parity(parity, pool);
-        Ok(arc)
-    }
-
-    /// `f64` variant of [`Compressor::compress_chunked_with_parity`].
-    pub fn compress_chunked_f64_with_parity(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        target_elems: usize,
-        pool: &WorkerPool,
-        parity: ParityConfig,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        parity.validate()?;
-        let mut arc = self.compress_chunked_f64_with(data, dims, target_elems, pool)?;
         arc.add_parity(parity, pool);
         Ok(arc)
     }
@@ -227,28 +163,7 @@ impl Compressor {
     /// [`cuszp_parallel::with_serial_inner`], the same code path pool
     /// jobs take, so the bytes are identical to the pooled drivers at
     /// any worker count.
-    pub fn compress_chunked_with_engine(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        target_elems: usize,
-        engine: &mut PipelineEngine,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_engine_impl(data, dims, target_elems, engine)
-    }
-
-    /// `f64` variant of [`Compressor::compress_chunked_with_engine`].
-    pub fn compress_chunked_f64_with_engine(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        target_elems: usize,
-        engine: &mut PipelineEngine,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_engine_impl(data, dims, target_elems, engine)
-    }
-
-    fn compress_chunked_engine_impl<T: Scalar>(
+    pub fn compress_chunked_with_engine<T: Element>(
         &self,
         data: &[T],
         dims: Dims,
@@ -257,11 +172,6 @@ impl Compressor {
     ) -> Result<ChunkedArchive, CuszpError> {
         let range = validate_and_range(data, dims)?;
         let eb = resolve_bound(self.config().error_bound, range)?;
-        let dtype = if T::BYTES == 4 {
-            Dtype::F32
-        } else {
-            Dtype::F64
-        };
         let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
         let config = self.config();
         let mut chunks = Vec::with_capacity(plan.len());
@@ -274,7 +184,7 @@ impl Compressor {
         }
         Ok(ChunkedArchive {
             dims,
-            dtype,
+            dtype: T::DTYPE,
             eb,
             chunk_target: target_elems as u64,
             chunks,
@@ -319,54 +229,14 @@ impl ChunkedArchive {
         self.parity = ParitySection::build(&region, &cfg, pool);
     }
 
-    /// Parallel decompression into `f32` with the global worker policy.
-    pub fn decompress(&self, engine: ReconstructEngine) -> Result<(Vec<f32>, Dims), CuszpError> {
-        self.decompress_with(engine, &WorkerPool::with_default_workers())
-    }
-
-    /// Parallel decompression into `f64`.
-    pub fn decompress_f64(
-        &self,
-        engine: ReconstructEngine,
-    ) -> Result<(Vec<f64>, Dims), CuszpError> {
-        self.decompress_f64_with(engine, &WorkerPool::with_default_workers())
-    }
-
-    /// `f32` decompression with an explicit pool.
-    pub fn decompress_with(
-        &self,
-        engine: ReconstructEngine,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<f32>, Dims), CuszpError> {
-        if self.dtype != Dtype::F32 {
-            return Err(CuszpError::DtypeMismatch {
-                stored: self.dtype.name(),
-                requested: "f32",
-            });
-        }
-        self.decompress_impl::<f32>(engine, pool)
-    }
-
-    /// `f64` decompression with an explicit pool.
-    pub fn decompress_f64_with(
-        &self,
-        engine: ReconstructEngine,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<f64>, Dims), CuszpError> {
-        if self.dtype != Dtype::F64 {
-            return Err(CuszpError::DtypeMismatch {
-                stored: self.dtype.name(),
-                requested: "f64",
-            });
-        }
-        self.decompress_impl::<f64>(engine, pool)
-    }
-
-    fn decompress_impl<T: Scalar>(
+    /// Parallel decompression into `T` on `pool`; `T` must be the stored
+    /// element type ([`CuszpError::DtypeMismatch`] otherwise).
+    pub fn decompress<T: Element>(
         &self,
         engine: ReconstructEngine,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
+        check_dtype::<T>(self.dtype)?;
         self.validate_chunk_geometry()?;
         let mut out = vec![T::from_f64(0.0); self.dims.len()];
         // Carve the output into one mutable slab per chunk; each job owns
@@ -722,7 +592,7 @@ mod tests {
             let parsed = ChunkedArchive::from_bytes(&bytes).unwrap();
             assert_eq!(parsed, arc);
             let (recon, got) = parsed
-                .decompress_with(ReconstructEngine::FinePartialSum, &pool)
+                .decompress::<f32>(ReconstructEngine::FinePartialSum, &pool)
                 .unwrap();
             assert_eq!(got, dims);
             let eb = arc.eb;
@@ -741,18 +611,18 @@ mod tests {
         let c = Compressor::default();
         let pool = WorkerPool::new(2);
         let arc = c
-            .compress_chunked_f64_with(&data, Dims::D1(30_000), 7_000, &pool)
+            .compress_chunked_with(&data, Dims::D1(30_000), 7_000, &pool)
             .unwrap();
         let parsed = ChunkedArchive::from_bytes(&arc.to_bytes()).unwrap();
         let (recon, _) = parsed
-            .decompress_f64_with(ReconstructEngine::FinePartialSum, &pool)
+            .decompress::<f64>(ReconstructEngine::FinePartialSum, &pool)
             .unwrap();
         for (o, r) in data.iter().zip(&recon) {
             assert!((o - r).abs() <= arc.eb * (1.0 + 1e-12), "{o} vs {r}");
         }
         // Wrong-dtype request is refused.
         assert!(matches!(
-            parsed.decompress(ReconstructEngine::FinePartialSum),
+            parsed.decompress::<f32>(ReconstructEngine::FinePartialSum, &pool),
             Err(CuszpError::DtypeMismatch { .. })
         ));
     }
@@ -813,11 +683,14 @@ mod tests {
     #[test]
     fn empty_field_chunked() {
         let c = Compressor::default();
-        let arc = c.compress_chunked(&[], Dims::D1(0)).unwrap();
+        let arc = c.compress_chunked::<f32>(&[], Dims::D1(0)).unwrap();
         assert_eq!(arc.n_chunks(), 0);
         let parsed = ChunkedArchive::from_bytes(&arc.to_bytes()).unwrap();
         let (recon, dims) = parsed
-            .decompress(ReconstructEngine::FinePartialSum)
+            .decompress::<f32>(
+                ReconstructEngine::FinePartialSum,
+                &WorkerPool::with_default_workers(),
+            )
             .unwrap();
         assert!(recon.is_empty());
         assert_eq!(dims, Dims::D1(0));
@@ -894,7 +767,7 @@ mod tests {
         let parsed = ChunkedArchive::from_bytes(&parity_bytes).unwrap();
         assert_eq!(parsed, with_parity);
         let (recon, dims) = parsed
-            .decompress_with(ReconstructEngine::FinePartialSum, &pool)
+            .decompress::<f32>(ReconstructEngine::FinePartialSum, &pool)
             .unwrap();
         assert_eq!(dims, Dims::D1(50_000));
         for (o, r) in data.iter().zip(&recon) {

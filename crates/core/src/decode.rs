@@ -1,0 +1,213 @@
+//! Archive bytes → field: the one decode request.
+//!
+//! [`Decode`] names everything a decode can vary — an optional
+//! [`RangeSpec`] and the reconstruction engine — and ends
+//! in one of two typed finishers: [`Decode::strict`] (all-or-nothing,
+//! `(Vec<T>, Dims)`) or [`Decode::resilient`] (fault-isolated,
+//! [`RecoveredField<T>`]). The element type is the finisher's type
+//! parameter; asking for the wrong one is [`CuszpError::DtypeMismatch`].
+//! Callers that must serve either precision ask [`stored_dtype`] first
+//! and dispatch once.
+
+use crate::archive::{v1_dtype, Archive, Dtype};
+use crate::chunked::{is_chunked_archive, parse_chunked_header, ChunkedArchive};
+use crate::element::{check_dtype, Element};
+use crate::engine::PipelineEngine;
+use crate::error::CuszpError;
+use crate::range::{slice_field, RangeSpec};
+use crate::recovery::{recover_field, recover_range, FillPolicy, RecoveredField};
+use cuszp_parallel::WorkerPool;
+use cuszp_predictor::{Dims, ReconstructEngine};
+
+/// A decode request over serialized archive bytes (v1 or chunked CSZ2,
+/// dispatched on the magic).
+#[derive(Debug, Clone, Copy)]
+pub struct Decode<'a> {
+    bytes: &'a [u8],
+    range: Option<&'a RangeSpec>,
+    engine: ReconstructEngine,
+}
+
+impl<'a> Decode<'a> {
+    /// The whole field, fine partial-sum engine, global worker policy.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            range: None,
+            engine: ReconstructEngine::FinePartialSum,
+        }
+    }
+
+    /// Decode only the sub-volume `spec`. Chunked containers decode only
+    /// the intersecting chunks; a v1 archive is one checksummed unit, so
+    /// the whole field is decoded and sliced.
+    pub fn range(mut self, spec: &'a RangeSpec) -> Self {
+        self.range = Some(spec);
+        self
+    }
+
+    /// Reconstruct with an explicit engine (engine-comparison runs).
+    pub fn engine(mut self, engine: ReconstructEngine) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// All-or-nothing decode: any damage anywhere in the archive is an
+    /// error. Returns the field (or sub-volume) and its shape.
+    pub fn strict<T: Element>(self) -> Result<(Vec<T>, Dims), CuszpError> {
+        if is_chunked_archive(self.bytes) {
+            let arc = ChunkedArchive::from_bytes(self.bytes)?;
+            let pool = WorkerPool::with_default_workers();
+            return match self.range {
+                Some(spec) => arc.decompress_range(self.engine, spec, &pool),
+                None => arc.decompress(self.engine, &pool),
+            };
+        }
+        let archive = Archive::from_bytes(self.bytes)?;
+        let (data, dims) = decompress_archive(&archive, self.engine)?;
+        match self.range {
+            Some(spec) => slice_field(&data, dims, spec),
+            None => Ok((data, dims)),
+        }
+    }
+
+    /// Fault-isolated decode: undamaged chunks reconstruct bit-identically
+    /// to [`Decode::strict`], shards covered by parity are healed first,
+    /// lost slabs hold `fill`, and every (in-range) chunk is reported.
+    /// Fails hard only when the container header is unusable or — for a
+    /// whole-field decode — no chunk is recoverable.
+    pub fn resilient<T: Element>(self, fill: FillPolicy) -> Result<RecoveredField<T>, CuszpError> {
+        let pool = WorkerPool::with_default_workers();
+        match self.range {
+            Some(spec) => recover_range(self.bytes, spec, fill, self.engine, &pool),
+            None => recover_field(self.bytes, fill, self.engine, &pool),
+        }
+    }
+}
+
+/// The `f32` shorthand: `Decode::new(bytes).strict::<f32>()`.
+pub fn decompress(bytes: &[u8]) -> Result<(Vec<f32>, Dims), CuszpError> {
+    Decode::new(bytes).strict()
+}
+
+/// The `f32` range shorthand: `Decode::new(bytes).range(spec).strict::<f32>()`.
+pub fn decompress_range(bytes: &[u8], spec: &RangeSpec) -> Result<(Vec<f32>, Dims), CuszpError> {
+    Decode::new(bytes).range(spec).strict()
+}
+
+/// Decompresses an already-parsed v1 archive.
+pub fn decompress_archive<T: Element>(
+    archive: &Archive,
+    engine: ReconstructEngine,
+) -> Result<(Vec<T>, Dims), CuszpError> {
+    check_dtype::<T>(archive.dtype)?;
+    let out = PipelineEngine::new().decompress(archive, engine)?;
+    Ok((out, archive.dims))
+}
+
+/// The element type an archive stores, read from its fixed header only
+/// (v1 or CSZ2) — no chunk is parsed or checksummed. Truncated or
+/// bad-magic input is the same typed error the full parsers give.
+pub fn stored_dtype(bytes: &[u8]) -> Result<Dtype, CuszpError> {
+    if is_chunked_archive(bytes) {
+        parse_chunked_header(bytes).map(|hdr| hdr.dtype)
+    } else {
+        v1_dtype(bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Compressor;
+
+    fn archives() -> [(Vec<u8>, Dtype); 4] {
+        let f: Vec<f32> = (0..6000).map(|i| (i as f32 * 0.01).sin()).collect();
+        let d: Vec<f64> = f.iter().map(|&x| x as f64).collect();
+        let (c, dims, pool) = (Compressor::default(), Dims::D1(6000), WorkerPool::new(2));
+        [
+            (c.compress(&f, dims).unwrap().to_bytes(), Dtype::F32),
+            (c.compress(&d, dims).unwrap().to_bytes(), Dtype::F64),
+            (
+                c.compress_chunked_with(&f, dims, 2000, &pool)
+                    .unwrap()
+                    .to_bytes(),
+                Dtype::F32,
+            ),
+            (
+                c.compress_chunked_with(&d, dims, 2000, &pool)
+                    .unwrap()
+                    .to_bytes(),
+                Dtype::F64,
+            ),
+        ]
+    }
+
+    #[test]
+    fn stored_dtype_reads_both_formats_and_precisions() {
+        for (bytes, dtype) in archives() {
+            assert_eq!(stored_dtype(&bytes), Ok(dtype));
+            // Header only: a destroyed body does not change the answer.
+            let mut bad = bytes.clone();
+            for b in bad[80..].iter_mut() {
+                *b = 0xAA;
+            }
+            assert_eq!(stored_dtype(&bad), Ok(dtype));
+        }
+    }
+
+    #[test]
+    fn stored_dtype_damage_is_typed_never_a_panic() {
+        for (bytes, _) in archives() {
+            let header = if is_chunked_archive(&bytes) { 52 } else { 72 };
+            for cut in 0..header {
+                assert!(
+                    matches!(
+                        stored_dtype(&bytes[..cut]),
+                        Err(CuszpError::MalformedArchive(_))
+                    ),
+                    "cut {cut}"
+                );
+            }
+            assert!(stored_dtype(&bytes[..header]).is_ok());
+            let mut bad = bytes.clone();
+            bad[0] ^= 0xFF;
+            assert!(matches!(
+                stored_dtype(&bad),
+                Err(CuszpError::MalformedArchive(f)) if f.what == "bad magic"
+            ));
+            // It is the strict parsers' own error, not a lookalike.
+            assert_eq!(
+                stored_dtype(&bad).unwrap_err(),
+                decompress(&bad).unwrap_err()
+            );
+        }
+    }
+
+    fn assert_every_finisher_refuses<T: Element>(bytes: &[u8]) {
+        let spec = RangeSpec::parse("100:200").unwrap();
+        let d = Decode::new(bytes);
+        let want = CuszpError::DtypeMismatch {
+            stored: stored_dtype(bytes).unwrap().name(),
+            requested: T::DTYPE.name(),
+        };
+        for e in [
+            d.strict::<T>().err(),
+            d.range(&spec).strict::<T>().err(),
+            d.resilient::<T>(FillPolicy::Nan).err(),
+            d.range(&spec).resilient::<T>(FillPolicy::Nan).err(),
+        ] {
+            assert_eq!(e.as_ref(), Some(&want));
+        }
+    }
+
+    #[test]
+    fn the_wrong_type_parameter_is_a_dtype_mismatch() {
+        for (bytes, dtype) in archives() {
+            match dtype {
+                Dtype::F32 => assert_every_finisher_refuses::<f64>(&bytes),
+                Dtype::F64 => assert_every_finisher_refuses::<f32>(&bytes),
+            }
+        }
+    }
+}

@@ -18,10 +18,11 @@
 //! outputs that outlive the call (outlier list, coded payload, archive
 //! bytes), not for the per-chunk working set.
 //!
-//! The engine is generic over [`Scalar`], collapsing the former f32/f64
-//! duplication: the dtype tag is derived from `T::BYTES`.
+//! The engine is generic over the element type: encode takes an
+//! [`Element`] (it records `T::DTYPE`), decode any [`Scalar`].
 
-use crate::archive::{Archive, Dtype};
+use crate::archive::Archive;
+use crate::element::Element;
 use crate::error::CuszpError;
 use crate::stats::CompressionStats;
 use crate::workflow::{encode_codes_from, WorkflowMode};
@@ -69,7 +70,7 @@ impl PipelineEngine {
     /// [`validate_and_range`] / [`resolve_bound`]), because bound
     /// resolution is container policy: v1 and CSZ2 resolve globally,
     /// streams per slab.
-    pub fn compress<T: Scalar>(
+    pub fn compress<T: Element>(
         &mut self,
         config: &Config,
         data: &[T],
@@ -83,12 +84,6 @@ impl PipelineEngine {
             "cap must be even and ≥ 4"
         );
         let radius = cap / 2;
-        let dtype = if T::BYTES == 4 {
-            Dtype::F32
-        } else {
-            Dtype::F64
-        };
-
         // Prequantize once into the arena; every later plan decision
         // (predictor probe, stage construct) reads the same buffer.
         self.dq.resize(data.len(), 0);
@@ -113,11 +108,11 @@ impl PipelineEngine {
         };
         let payload = encode_codes_from(&self.codes, cap, &self.hist, choice);
         let mut archive =
-            Archive::assemble(dims, eb, radius * 2, outliers, payload, dtype, predictor);
+            Archive::assemble(dims, eb, radius * 2, outliers, payload, T::DTYPE, predictor);
         if config.lossless == LosslessMode::Auto {
             maybe_wrap_lossless(&mut archive);
         }
-        let stats = CompressionStats::new(data.len(), dtype.bytes(), &archive, report);
+        let stats = CompressionStats::new(data.len(), T::BYTES, &archive, report);
         Ok((archive, stats))
     }
 

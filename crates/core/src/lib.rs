@@ -36,6 +36,8 @@
 
 mod archive;
 mod chunked;
+mod decode;
+mod element;
 mod engine;
 mod error;
 mod parity;
@@ -49,17 +51,14 @@ mod workflow;
 
 pub use archive::{Archive, Dtype};
 pub use chunked::{is_chunked_archive, ChunkedArchive};
+pub use decode::{decompress, decompress_archive, decompress_range, stored_dtype, Decode};
+pub use element::{read_raw, scalars_from_le, scalars_to_le, write_raw, Element};
 pub use engine::PipelineEngine;
 pub use error::{ArchiveSection, CuszpError, ParseFault};
 pub use parity::{ParityConfig, ParitySection};
-pub use range::{
-    decompress_range, decompress_range_f64, decompress_range_with_fetch, slice_field, RangeSpec,
-};
+pub use range::{decompress_range_with_fetch, slice_field, RangeSpec};
 pub use recovery::{
-    decompress_range_resilient, decompress_range_resilient_f64,
-    decompress_range_resilient_f64_with, decompress_range_resilient_with, decompress_resilient,
-    decompress_resilient_f64, decompress_resilient_f64_with, decompress_resilient_with, repair,
-    repair_with, scan, scan_with, ChunkReport, ChunkStatus, FillPolicy, ParityReport,
+    repair, repair_with, scan, scan_with, ChunkReport, ChunkStatus, FillPolicy, ParityReport,
     RecoveredField, RepairOutcome, ScanReport, StripeStatus,
 };
 pub use report::{
@@ -201,16 +200,11 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
-    /// Resolves to an absolute bound given the data.
+    /// Resolves to an absolute bound given the (`f32` or `f64`) data.
     ///
     /// A constant field has zero range; the relative mode falls back to a
     /// tiny absolute bound so the pipeline stays well-defined.
-    pub fn absolute(&self, data: &[f32]) -> f64 {
-        self.absolute_scalar(data)
-    }
-
-    /// Generic resolution over `f32`/`f64` fields.
-    pub fn absolute_scalar<T: cuszp_predictor::Scalar>(&self, data: &[T]) -> f64 {
+    pub fn absolute<T: Scalar>(&self, data: &[T]) -> f64 {
         match *self {
             ErrorBound::Absolute(eb) => eb,
             ErrorBound::Relative(_) => {
@@ -298,36 +292,15 @@ impl Compressor {
         &self.config
     }
 
-    /// Compresses an `f32` field, returning the archive.
-    pub fn compress(&self, data: &[f32], dims: Dims) -> Result<Archive, CuszpError> {
+    /// Compresses a field of `f32` or `f64` (inferred from `data`),
+    /// returning the v1 archive. Doubles raise the Huffman-cap ratio to
+    /// 64× (the paper's double-precision note).
+    pub fn compress<T: Element>(&self, data: &[T], dims: Dims) -> Result<Archive, CuszpError> {
         self.compress_with_stats(data, dims).map(|(a, _)| a)
     }
 
-    /// Compresses an `f32` field and reports per-stage statistics.
-    pub fn compress_with_stats(
-        &self,
-        data: &[f32],
-        dims: Dims,
-    ) -> Result<(Archive, CompressionStats), CuszpError> {
-        self.compress_impl(data, dims)
-    }
-
-    /// Compresses an `f64` (double-precision) field. Doubles raise the
-    /// Huffman-cap ratio to 64× (the paper's double-precision note).
-    pub fn compress_f64(&self, data: &[f64], dims: Dims) -> Result<Archive, CuszpError> {
-        self.compress_f64_with_stats(data, dims).map(|(a, _)| a)
-    }
-
-    /// Compresses an `f64` field and reports per-stage statistics.
-    pub fn compress_f64_with_stats(
-        &self,
-        data: &[f64],
-        dims: Dims,
-    ) -> Result<(Archive, CompressionStats), CuszpError> {
-        self.compress_impl(data, dims)
-    }
-
-    fn compress_impl<T: cuszp_predictor::Scalar>(
+    /// [`Compressor::compress`] also reporting per-stage statistics.
+    pub fn compress_with_stats<T: Element>(
         &self,
         data: &[T],
         dims: Dims,
@@ -336,68 +309,6 @@ impl Compressor {
         let eb = engine::resolve_bound(self.config.error_bound, range)?;
         PipelineEngine::new().compress(&self.config, data, dims, eb)
     }
-}
-
-/// Decompresses archive bytes back into a field.
-///
-/// Accepts both v1 single-chunk archives and v2 chunked containers
-/// (dispatched on the magic); chunked containers reconstruct in
-/// parallel, one worker per chunk.
-pub fn decompress(bytes: &[u8]) -> Result<(Vec<f32>, Dims), CuszpError> {
-    decompress_with_engine(bytes, ReconstructEngine::FinePartialSum)
-}
-
-/// Decompression with an explicit reconstruction engine (for the
-/// engine-comparison experiments). Accepts v1 and chunked v2 bytes.
-pub fn decompress_with_engine(
-    bytes: &[u8],
-    engine: ReconstructEngine,
-) -> Result<(Vec<f32>, Dims), CuszpError> {
-    if is_chunked_archive(bytes) {
-        return ChunkedArchive::from_bytes(bytes)?.decompress(engine);
-    }
-    let archive = Archive::from_bytes(bytes)?;
-    decompress_archive(&archive, engine)
-}
-
-/// Decompresses an already-parsed archive into `f32`.
-pub fn decompress_archive(
-    archive: &Archive,
-    engine: ReconstructEngine,
-) -> Result<(Vec<f32>, Dims), CuszpError> {
-    if archive.dtype != Dtype::F32 {
-        return Err(CuszpError::DtypeMismatch {
-            stored: archive.dtype.name(),
-            requested: "f32",
-        });
-    }
-    let out = PipelineEngine::new().decompress(archive, engine)?;
-    Ok((out, archive.dims))
-}
-
-/// Decompresses archive bytes into an `f64` field. Accepts v1 and
-/// chunked v2 bytes.
-pub fn decompress_f64(bytes: &[u8]) -> Result<(Vec<f64>, Dims), CuszpError> {
-    decompress_f64_with_engine(bytes, ReconstructEngine::FinePartialSum)
-}
-
-/// `f64` decompression with an explicit engine.
-pub fn decompress_f64_with_engine(
-    bytes: &[u8],
-    engine: ReconstructEngine,
-) -> Result<(Vec<f64>, Dims), CuszpError> {
-    if is_chunked_archive(bytes) {
-        return ChunkedArchive::from_bytes(bytes)?.decompress_f64(engine);
-    }
-    let archive = Archive::from_bytes(bytes)?;
-    if archive.dtype != Dtype::F64 {
-        return Err(CuszpError::DtypeMismatch {
-            stored: archive.dtype.name(),
-            requested: "f64",
-        });
-    }
-    let out = PipelineEngine::new().decompress(&archive, engine)?;
-    Ok((out, archive.dims))
 }
 
 #[cfg(test)]
@@ -417,7 +328,7 @@ mod tests {
         let bytes = archive.to_bytes();
         assert!(stats.compressed_bytes > 0);
         for engine in ReconstructEngine::ALL {
-            let (recon, got_dims) = decompress_with_engine(&bytes, engine).unwrap();
+            let (recon, got_dims) = Decode::new(&bytes).engine(engine).strict::<f32>().unwrap();
             assert_eq!(got_dims, dims);
             cuszp_metrics::verify_error_bound(data, &recon, eb)
                 .unwrap_or_else(|(i, e)| panic!("bound violated at {i}: {e} > {eb}"));
@@ -536,7 +447,9 @@ mod tests {
 
     #[test]
     fn empty_field_roundtrips() {
-        let archive = Compressor::default().compress(&[], Dims::D1(0)).unwrap();
+        let archive = Compressor::default()
+            .compress::<f32>(&[], Dims::D1(0))
+            .unwrap();
         let (recon, dims) = decompress(&archive.to_bytes()).unwrap();
         assert!(recon.is_empty());
         assert_eq!(dims, Dims::D1(0));
@@ -566,13 +479,13 @@ mod tests {
     fn relative_bound_empty_slice_resolves_positive() {
         // An empty field has no range at all; resolution must still give
         // a positive finite bound so compression of Dims::D1(0) succeeds.
-        let eb = ErrorBound::Relative(1e-4).absolute(&[]);
+        let eb = ErrorBound::Relative(1e-4).absolute::<f32>(&[]);
         assert!(eb.is_finite() && eb > 0.0, "eb = {eb}");
         let c = Compressor::new(Config {
             error_bound: ErrorBound::Relative(1e-4),
             ..Config::default()
         });
-        let archive = c.compress(&[], Dims::D1(0)).unwrap();
+        let archive = c.compress::<f32>(&[], Dims::D1(0)).unwrap();
         let (recon, dims) = decompress(&archive.to_bytes()).unwrap();
         assert!(recon.is_empty());
         assert_eq!(dims, Dims::D1(0));

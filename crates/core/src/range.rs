@@ -19,10 +19,11 @@
 //! no partial output.
 
 use crate::chunked::ChunkedArchive;
+use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
 use cuszp_parallel::{plan_chunk_spec, plan_len, WorkerPool};
-use cuszp_predictor::{Dims, ReconstructEngine, Scalar};
+use cuszp_predictor::{Dims, ReconstructEngine};
 use std::ops::Range;
 
 /// A sub-volume request: one `start..end` interval per dimension of the
@@ -268,63 +269,16 @@ pub(crate) fn gather_chunk<T: Copy>(
 }
 
 impl ChunkedArchive {
-    /// Decodes only the chunks intersecting `spec` and assembles the
-    /// requested `f32` sub-volume, with the global worker policy.
-    pub fn decompress_range(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-    ) -> Result<(Vec<f32>, Dims), CuszpError> {
-        self.decompress_range_with(engine, spec, &WorkerPool::with_default_workers())
-    }
-
-    /// [`ChunkedArchive::decompress_range`] for `f64` archives.
-    pub fn decompress_range_f64(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-    ) -> Result<(Vec<f64>, Dims), CuszpError> {
-        self.decompress_range_f64_with(engine, spec, &WorkerPool::with_default_workers())
-    }
-
-    /// Range decompression into `f32` with an explicit pool.
-    pub fn decompress_range_with(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<f32>, Dims), CuszpError> {
-        if self.dtype != crate::Dtype::F32 {
-            return Err(CuszpError::DtypeMismatch {
-                stored: self.dtype.name(),
-                requested: "f32",
-            });
-        }
-        self.decompress_range_impl::<f32>(engine, spec, pool)
-    }
-
-    /// Range decompression into `f64` with an explicit pool.
-    pub fn decompress_range_f64_with(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<f64>, Dims), CuszpError> {
-        if self.dtype != crate::Dtype::F64 {
-            return Err(CuszpError::DtypeMismatch {
-                stored: self.dtype.name(),
-                requested: "f64",
-            });
-        }
-        self.decompress_range_impl::<f64>(engine, spec, pool)
-    }
-
-    fn decompress_range_impl<T: Scalar>(
+    /// Decodes only the chunks intersecting `spec` on `pool` and
+    /// assembles the requested sub-volume; `T` must be the stored
+    /// element type ([`CuszpError::DtypeMismatch`] otherwise).
+    pub fn decompress_range<T: Element>(
         &self,
         engine: ReconstructEngine,
         spec: &RangeSpec,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
+        check_dtype::<T>(self.dtype)?;
         self.validate_chunk_geometry()?;
         let r = resolve(spec, self.dims)?;
         let target = usize::try_from(self.chunk_target).unwrap_or(usize::MAX);
@@ -373,7 +327,7 @@ impl ChunkedArchive {
 /// index makes repeated range reads skip the decoder entirely. Decoding
 /// runs serially on `eng` (the caller's reusable engine); cache hits
 /// cost only the gather copy.
-pub fn decompress_range_with_fetch<T: Scalar>(
+pub fn decompress_range_with_fetch<T: Element>(
     arc: &ChunkedArchive,
     engine: ReconstructEngine,
     spec: &RangeSpec,
@@ -381,12 +335,7 @@ pub fn decompress_range_with_fetch<T: Scalar>(
     fetch: &mut dyn FnMut(usize) -> Option<Vec<T>>,
     store: &mut dyn FnMut(usize, &[T]),
 ) -> Result<(Vec<T>, Dims), CuszpError> {
-    if arc.dtype.bytes() != T::BYTES {
-        return Err(CuszpError::DtypeMismatch {
-            stored: arc.dtype.name(),
-            requested: if T::BYTES == 4 { "f32" } else { "f64" },
-        });
-    }
+    check_dtype::<T>(arc.dtype)?;
     arc.validate_chunk_geometry()?;
     let r = resolve(spec, arc.dims)?;
     let target = usize::try_from(arc.chunk_target).unwrap_or(usize::MAX);
@@ -416,34 +365,8 @@ pub fn decompress_range_with_fetch<T: Scalar>(
     Ok((out, r.sub_dims(arc.dims)))
 }
 
-/// Decodes the sub-volume named by `spec` from serialized archive bytes
-/// (v1 or chunked), as `f32`. Chunked containers decode only the
-/// intersecting chunks; v1 archives are one checksummed unit, so the
-/// whole field is decoded and sliced.
-pub fn decompress_range(bytes: &[u8], spec: &RangeSpec) -> Result<(Vec<f32>, Dims), CuszpError> {
-    if crate::is_chunked_archive(bytes) {
-        let arc = ChunkedArchive::from_bytes(bytes)?;
-        return arc.decompress_range(ReconstructEngine::FinePartialSum, spec);
-    }
-    let (data, dims) = crate::decompress(bytes)?;
-    slice_field(&data, dims, spec)
-}
-
-/// [`decompress_range`] for `f64` archives.
-pub fn decompress_range_f64(
-    bytes: &[u8],
-    spec: &RangeSpec,
-) -> Result<(Vec<f64>, Dims), CuszpError> {
-    if crate::is_chunked_archive(bytes) {
-        let arc = ChunkedArchive::from_bytes(bytes)?;
-        return arc.decompress_range_f64(ReconstructEngine::FinePartialSum, spec);
-    }
-    let (data, dims) = crate::decompress_f64(bytes)?;
-    slice_field(&data, dims, spec)
-}
-
-/// Slices a fully decoded field to `spec` (the v1 fallback and the
-/// reference the range tests compare against).
+/// Slices a fully decoded field to `spec` (the v1 archive fallback and
+/// the reference the range tests compare against).
 pub fn slice_field<T: Copy + Default>(
     data: &[T],
     dims: Dims,

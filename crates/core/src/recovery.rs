@@ -4,11 +4,11 @@
 //! header, codebook, and FNV-1a checksum — so corruption in one chunk
 //! says nothing about the others. This module exploits that: instead of
 //! the all-or-nothing [`ChunkedArchive::from_bytes`](crate::ChunkedArchive)
-//! path, [`decompress_resilient`] validates and decodes every chunk
-//! independently, reconstructs the undamaged slabs bit-exactly, fills
-//! damaged slabs per a caller-chosen [`FillPolicy`], and reports a
-//! [`ChunkReport`] per chunk. [`scan`] runs the same diagnosis without
-//! producing output (the engine behind `cuszp fsck`).
+//! path, [`Decode::resilient`](crate::Decode::resilient) validates and
+//! decodes every chunk independently, reconstructs the undamaged slabs
+//! bit-exactly, fills damaged slabs per a caller-chosen [`FillPolicy`],
+//! and reports a [`ChunkReport`] per chunk. [`scan`] runs the same
+//! diagnosis without producing output (the engine behind `cuszp fsck`).
 //!
 //! # Geometry recovery
 //!
@@ -24,6 +24,7 @@
 
 use crate::archive::peek_v1_header;
 use crate::chunked::{parse_chunked_header, read_length_table_lenient, ChunkedHeader};
+use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::{ArchiveSection, CuszpError, ParseFault};
 use crate::parity::{
@@ -834,72 +835,22 @@ fn scan_v1(bytes: &[u8]) -> ScanReport {
     }
 }
 
-/// Resilient decompression into `f32`: undamaged chunks reconstruct
-/// bit-identically to [`crate::decompress`]; damaged slabs are filled
-/// per `fill` and reported. Fails hard only when the container header is
-/// unusable or **no** chunk is recoverable.
-pub fn decompress_resilient(
-    bytes: &[u8],
-    fill: FillPolicy,
-) -> Result<RecoveredField<f32>, CuszpError> {
-    decompress_resilient_with(
-        bytes,
-        fill,
-        ReconstructEngine::FinePartialSum,
-        &WorkerPool::with_default_workers(),
-    )
-}
-
-/// [`decompress_resilient`] with explicit engine and pool.
-pub fn decompress_resilient_with(
+/// Resilient whole-field decode (the engine behind
+/// [`Decode::resilient`](crate::Decode::resilient) without a range):
+/// undamaged chunks reconstruct bit-identically to the strict path;
+/// damaged slabs are filled per `fill` and reported. Fails hard only
+/// when the container header is unusable or **no** chunk is recoverable.
+pub(crate) fn recover_field<T: Element>(
     bytes: &[u8],
     fill: FillPolicy,
     engine: ReconstructEngine,
     pool: &WorkerPool,
-) -> Result<RecoveredField<f32>, CuszpError> {
-    decompress_resilient_impl::<f32>(bytes, fill, engine, pool, Dtype::F32)
-}
-
-/// Resilient decompression into `f64`.
-pub fn decompress_resilient_f64(
-    bytes: &[u8],
-    fill: FillPolicy,
-) -> Result<RecoveredField<f64>, CuszpError> {
-    decompress_resilient_f64_with(
-        bytes,
-        fill,
-        ReconstructEngine::FinePartialSum,
-        &WorkerPool::with_default_workers(),
-    )
-}
-
-/// [`decompress_resilient_f64`] with explicit engine and pool.
-pub fn decompress_resilient_f64_with(
-    bytes: &[u8],
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-) -> Result<RecoveredField<f64>, CuszpError> {
-    decompress_resilient_impl::<f64>(bytes, fill, engine, pool, Dtype::F64)
-}
-
-fn decompress_resilient_impl<T: Scalar>(
-    bytes: &[u8],
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-    want: Dtype,
 ) -> Result<RecoveredField<T>, CuszpError> {
     if !is_chunked_archive(bytes) {
-        return recover_v1::<T>(bytes, engine, want);
+        return recover_v1::<T>(bytes, engine);
     }
     let hdr = parse_chunked_header(bytes)?;
-    if hdr.dtype != want {
-        return Err(CuszpError::DtypeMismatch {
-            stored: hdr.dtype.name(),
-            requested: want.name(),
-        });
-    }
+    check_dtype::<T>(hdr.dtype)?;
     // Repair before fill: shards the parity section can reconstruct are
     // healed before any chunk is parsed, so slabs whose damage fits the
     // erasure budget decode bit-exactly instead of taking the fill value.
@@ -993,18 +944,12 @@ fn decompress_resilient_impl<T: Scalar>(
 
 /// v1 recovery is all-or-nothing: the archive is one checksummed unit,
 /// so any damage fails hard (there is no independent chunk to salvage).
-fn recover_v1<T: Scalar>(
+fn recover_v1<T: Element>(
     bytes: &[u8],
     engine: ReconstructEngine,
-    want: Dtype,
 ) -> Result<RecoveredField<T>, CuszpError> {
     let archive = Archive::from_bytes(bytes)?;
-    if archive.dtype != want {
-        return Err(CuszpError::DtypeMismatch {
-            stored: archive.dtype.name(),
-            requested: want.name(),
-        });
-    }
+    check_dtype::<T>(archive.dtype)?;
     let plan = archive.plan();
     let data: Vec<T> = PipelineEngine::new().decompress(&archive, engine)?;
     let n = data.len();
@@ -1022,96 +967,29 @@ fn recover_v1<T: Scalar>(
     })
 }
 
-/// Resilient range read into `f32`: decodes only the chunks whose slabs
-/// intersect `spec`, fills the in-range rows of damaged slabs per
-/// `fill`, and reports one [`ChunkReport`] per **intersecting** chunk
-/// (global chunk indices and field-global element ranges). Out-of-range
-/// chunks are neither decoded nor reported, whatever their state.
-pub fn decompress_range_resilient(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-) -> Result<RecoveredField<f32>, CuszpError> {
-    decompress_range_resilient_with(
-        bytes,
-        spec,
-        fill,
-        ReconstructEngine::FinePartialSum,
-        &WorkerPool::with_default_workers(),
-    )
-}
-
-/// [`decompress_range_resilient`] with explicit engine and pool.
-pub fn decompress_range_resilient_with(
+/// Resilient range read (the engine behind
+/// [`Decode::resilient`](crate::Decode::resilient) with a range):
+/// decodes only the chunks whose slabs intersect `spec`, fills the
+/// in-range rows of damaged slabs per `fill`, and reports one
+/// [`ChunkReport`] per **intersecting** chunk (global chunk indices and
+/// field-global element ranges). Out-of-range chunks are neither
+/// decoded nor reported, whatever their state.
+pub(crate) fn recover_range<T: Element>(
     bytes: &[u8],
     spec: &RangeSpec,
     fill: FillPolicy,
     engine: ReconstructEngine,
     pool: &WorkerPool,
-) -> Result<RecoveredField<f32>, CuszpError> {
-    decompress_range_resilient_impl::<f32>(bytes, spec, fill, engine, pool, Dtype::F32)
-}
-
-/// Resilient range read into `f64`.
-pub fn decompress_range_resilient_f64(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-) -> Result<RecoveredField<f64>, CuszpError> {
-    decompress_range_resilient_f64_with(
-        bytes,
-        spec,
-        fill,
-        ReconstructEngine::FinePartialSum,
-        &WorkerPool::with_default_workers(),
-    )
-}
-
-/// [`decompress_range_resilient_f64`] with explicit engine and pool.
-pub fn decompress_range_resilient_f64_with(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-) -> Result<RecoveredField<f64>, CuszpError> {
-    decompress_range_resilient_impl::<f64>(bytes, spec, fill, engine, pool, Dtype::F64)
-}
-
-fn decompress_range_resilient_impl<T: Scalar>(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-    want: Dtype,
 ) -> Result<RecoveredField<T>, CuszpError> {
     if !is_chunked_archive(bytes) {
         // v1 is one checksummed unit: recover it whole, slice after.
-        let rv = recover_v1::<T>(bytes, engine, want)?;
-        let plan = rv.reports.first().and_then(|r| r.plan);
-        let (data, dims) = slice_field(&rv.data, rv.dims, spec)?;
-        let n = data.len();
-        return Ok(RecoveredField {
-            data,
-            dims,
-            reports: vec![ChunkReport {
-                index: 0,
-                status: ChunkStatus::Ok,
-                byte_range: Some(0..bytes.len()),
-                elem_range: 0..n,
-                plan,
-            }],
-            parity: None,
-        });
+        let mut rv = recover_v1::<T>(bytes, engine)?;
+        (rv.data, rv.dims) = slice_field(&rv.data, rv.dims, spec)?;
+        rv.reports[0].elem_range = 0..rv.data.len();
+        return Ok(rv);
     }
     let hdr = parse_chunked_header(bytes)?;
-    if hdr.dtype != want {
-        return Err(CuszpError::DtypeMismatch {
-            stored: hdr.dtype.name(),
-            requested: want.name(),
-        });
-    }
+    check_dtype::<T>(hdr.dtype)?;
     // The spec is validated against the header's dims before anything is
     // allocated or decoded: a bad spec is a typed `InvalidRange`, and a
     // valid spec bounds the output by what the *caller* asked for — so
@@ -1276,12 +1154,16 @@ pub fn repair_with(bytes: &[u8], pool: &WorkerPool) -> Result<RepairOutcome, Cus
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Compressor, Config, ErrorBound};
+    use crate::{Compressor, Config, Decode, ErrorBound};
 
     fn field(n: usize) -> Vec<f32> {
         (0..n)
             .map(|i| (i as f32 * 0.0017).sin() * 4.0 + (i as f32 * 0.00031).cos())
             .collect()
+    }
+
+    fn resilient(bytes: &[u8], fill: FillPolicy) -> Result<RecoveredField<f32>, CuszpError> {
+        Decode::new(bytes).resilient(fill)
     }
 
     fn chunked_bytes(n: usize, target: usize) -> (Vec<f32>, Vec<u8>) {
@@ -1303,7 +1185,7 @@ mod tests {
         assert_eq!(report.format, "csz2");
         assert_eq!(report.reports.len(), 5);
         let strict = crate::decompress(&bytes).unwrap().0;
-        let recovered = decompress_resilient(&bytes, FillPolicy::Nan).unwrap();
+        let recovered = resilient(&bytes, FillPolicy::Nan).unwrap();
         assert!(recovered.is_clean());
         assert_eq!(recovered.data, strict, "resilient path must be bit-exact");
     }
@@ -1318,7 +1200,7 @@ mod tests {
         let mut bad = bytes.clone();
         bad[r.start + r.len() / 2] ^= 0x01;
 
-        let rec = decompress_resilient(&bad, FillPolicy::Nan).unwrap();
+        let rec = resilient(&bad, FillPolicy::Nan).unwrap();
         assert_eq!(rec.n_damaged(), 1);
         assert!(matches!(
             rec.reports[2].status,
@@ -1333,7 +1215,7 @@ mod tests {
             }
         }
 
-        let rec0 = decompress_resilient(&bad, FillPolicy::Zero).unwrap();
+        let rec0 = resilient(&bad, FillPolicy::Zero).unwrap();
         for i in er {
             assert_eq!(rec0.data[i], 0.0);
         }
@@ -1345,7 +1227,7 @@ mod tests {
         let report = scan(&bytes).unwrap();
         let cut = report.reports[3].byte_range.clone().unwrap().start + 5;
         let trunc = &bytes[..cut];
-        let rec = decompress_resilient(trunc, FillPolicy::Nan).unwrap();
+        let rec = resilient(trunc, FillPolicy::Nan).unwrap();
         assert_eq!(rec.n_damaged(), 2);
         assert_eq!(rec.reports[3].status, ChunkStatus::Truncated);
         assert_eq!(rec.reports[4].status, ChunkStatus::Truncated);
@@ -1362,7 +1244,7 @@ mod tests {
         for b in bad[hdr.body_offset()..].iter_mut() {
             *b = 0xAA;
         }
-        assert!(decompress_resilient(&bad, FillPolicy::Nan).is_err());
+        assert!(resilient(&bad, FillPolicy::Nan).is_err());
         // scan still works — it never allocates output.
         let report = scan(&bad).unwrap();
         assert_eq!(report.n_damaged(), report.reports.len());
@@ -1396,13 +1278,13 @@ mod tests {
         let report = scan(&bytes).unwrap();
         assert_eq!(report.format, "v1");
         assert!(report.is_clean());
-        let rec = decompress_resilient(&bytes, FillPolicy::Nan).unwrap();
+        let rec = resilient(&bytes, FillPolicy::Nan).unwrap();
         assert!(rec.is_clean());
         // Damage anywhere fails hard — v1 has no chunk isolation.
         let mut bad = bytes.clone();
         let n = bad.len();
         bad[n - 3] ^= 0x08;
-        assert!(decompress_resilient(&bad, FillPolicy::Nan).is_err());
+        assert!(resilient(&bad, FillPolicy::Nan).is_err());
         let report = scan(&bad).unwrap();
         assert_eq!(report.n_damaged(), 1);
     }
@@ -1448,7 +1330,7 @@ mod tests {
         let parity = report.parity.expect("parity section must be diagnosed");
         assert_eq!(parity.n_repaired(), 1);
         assert_eq!(parity.n_unrepairable(), 0);
-        let rec = decompress_resilient(&bad, FillPolicy::Nan).unwrap();
+        let rec = resilient(&bad, FillPolicy::Nan).unwrap();
         assert_eq!(rec.n_damaged(), 0);
         assert!(rec.n_repaired() >= 1);
         assert_eq!(rec.data, strict, "healed decode must be bit-exact");
@@ -1470,7 +1352,7 @@ mod tests {
         let parity = report.parity.clone().unwrap();
         assert_eq!(parity.n_unrepairable(), 1);
         assert!(!report.is_clean());
-        let rec = decompress_resilient(&bad, FillPolicy::Nan).unwrap();
+        let rec = resilient(&bad, FillPolicy::Nan).unwrap();
         assert!(rec.n_damaged() >= 1);
         // Unrecovered slabs are filled; everything else stays bit-exact.
         for r in &rec.reports {
@@ -1551,14 +1433,16 @@ mod tests {
     fn f64_recovery_round_trips() {
         let data: Vec<f64> = (0..20_000).map(|i| (i as f64 * 0.001).sin()).collect();
         let arc = Compressor::default()
-            .compress_chunked_f64_with(&data, Dims::D1(20_000), 5_000, &WorkerPool::new(2))
+            .compress_chunked_with(&data, Dims::D1(20_000), 5_000, &WorkerPool::new(2))
             .unwrap();
         let bytes = arc.to_bytes();
-        let rec = decompress_resilient_f64(&bytes, FillPolicy::Nan).unwrap();
+        let rec = Decode::new(&bytes)
+            .resilient::<f64>(FillPolicy::Nan)
+            .unwrap();
         assert!(rec.is_clean());
         // Wrong-dtype request is refused.
         assert!(matches!(
-            decompress_resilient(&bytes, FillPolicy::Nan),
+            resilient(&bytes, FillPolicy::Nan),
             Err(CuszpError::DtypeMismatch { .. })
         ));
     }

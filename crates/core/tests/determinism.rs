@@ -69,7 +69,7 @@ fn archives_are_byte_identical_across_thread_counts() {
         let eb = archive.eb;
         for workers in [1usize, 2, 8] {
             let (recon, got_dims) = archive
-                .decompress_with(ReconstructEngine::FinePartialSum, &WorkerPool::new(workers))
+                .decompress::<f32>(ReconstructEngine::FinePartialSum, &WorkerPool::new(workers))
                 .unwrap();
             assert_eq!(got_dims, dims);
             for (i, (o, r)) in data.iter().zip(&recon).enumerate() {

@@ -79,7 +79,7 @@ fn v1_archive_bytes_are_pinned_per_workflow() {
 fn v1_f64_archive_bytes_are_pinned() {
     let data = field_f64(30_000);
     let bytes = abs_compressor(1e-3)
-        .compress_f64(&data, Dims::D1(30_000))
+        .compress(&data, Dims::D1(30_000))
         .unwrap()
         .to_bytes();
     let got = fnv1a(&bytes);
@@ -157,7 +157,7 @@ fn parity_extends_pinned_chunked_bytes_without_perturbing_them() {
 fn chunked_f64_archive_bytes_are_pinned() {
     let data = field_f64(60_000);
     let bytes = abs_compressor(5e-4)
-        .compress_chunked_f64_with(&data, Dims::D1(60_000), 16_000, &WorkerPool::new(2))
+        .compress_chunked_with(&data, Dims::D1(60_000), 16_000, &WorkerPool::new(2))
         .unwrap()
         .to_bytes();
     let got = fnv1a(&bytes);
@@ -210,7 +210,9 @@ fn recovery_of_pinned_archive_is_bit_exact() {
         .unwrap()
         .to_bytes();
     let strict = cuszp_core::decompress(&bytes).unwrap().0;
-    let rec = cuszp_core::decompress_resilient(&bytes, cuszp_core::FillPolicy::Nan).unwrap();
+    let rec = cuszp_core::Decode::new(&bytes)
+        .resilient::<f32>(cuszp_core::FillPolicy::Nan)
+        .unwrap();
     assert!(rec.is_clean());
     assert_eq!(rec.data, strict);
     let raw: Vec<u8> = strict.iter().flat_map(|x| x.to_le_bytes()).collect();

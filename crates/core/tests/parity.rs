@@ -10,8 +10,8 @@
 //! exactly on undamaged archives.
 
 use cuszp_core::{
-    decompress, decompress_f64, decompress_resilient, decompress_resilient_f64, Compressor, Config,
-    ErrorBound, FillPolicy, ReconstructEngine, WorkflowChoice, WorkflowMode,
+    decompress, Compressor, Config, Decode, ErrorBound, FillPolicy, ReconstructEngine,
+    WorkflowChoice, WorkflowMode,
 };
 use cuszp_parallel::WorkerPool;
 use cuszp_predictor::Dims;
@@ -97,12 +97,12 @@ proptest! {
         // bound's resolution) is computed in f64, so both dtypes resolve
         // the exact same absolute bound and quant codes.
         let a32 = c.compress(&data32, dims).unwrap();
-        let a64 = c.compress_f64(&data64, dims).unwrap();
+        let a64 = c.compress(&data64, dims).unwrap();
         prop_assert_eq!(a32.payload.choice(), a64.payload.choice());
         prop_assert_eq!(a32.outliers.len(), a64.outliers.len());
         prop_assert_eq!(a32.eb.to_bits(), a64.eb.to_bits());
         let (r32, d32) = decompress(&a32.to_bytes()).unwrap();
-        let (r64, _) = decompress_f64(&a64.to_bytes()).unwrap();
+        let (r64, _) = Decode::new(&a64.to_bytes()).strict::<f64>().unwrap();
         prop_assert_eq!(d32, dims);
         assert_bits_eq_after_narrowing(&r32, &r64, "v1")?;
         let abs_eb = a32.eb;
@@ -129,7 +129,7 @@ proptest! {
         prop_assert_eq!(stats.n_elements(), n);
         prop_assert_eq!(stats.per_chunk.len(), ca32.n_chunks());
         let ca64 = c
-            .compress_chunked_f64_with(&data64, dims, target, &WorkerPool::new(3))
+            .compress_chunked_with(&data64, dims, target, &WorkerPool::new(3))
             .unwrap();
         prop_assert_eq!(ca32.n_chunks(), ca64.n_chunks());
         for (c32, c64) in ca32.chunks.iter().zip(&ca64.chunks) {
@@ -137,7 +137,7 @@ proptest! {
             prop_assert_eq!(c32.outliers.len(), c64.outliers.len());
         }
         let (cr32, _) = decompress(&bytes3).unwrap();
-        let (cr64, _) = decompress_f64(&ca64.to_bytes()).unwrap();
+        let (cr64, _) = Decode::new(&ca64.to_bytes()).strict::<f64>().unwrap();
         assert_bits_eq_after_narrowing(&cr32, &cr64, "chunked")?;
 
         // Driver 3: streaming slabs (f32-only API). Relative bounds
@@ -160,12 +160,12 @@ proptest! {
 
         // Driver 4: recovery. On undamaged archives (v1 and chunked) the
         // resilient decoder must reproduce the plain decoder bit-for-bit.
-        let rv32 = decompress_resilient(&a32.to_bytes(), FillPolicy::Nan).unwrap();
+        let rv32 = Decode::new(&a32.to_bytes()).resilient::<f32>(FillPolicy::Nan).unwrap();
         prop_assert_eq!(rv32.n_damaged(), 0);
         assert_bits_eq_after_narrowing(&rv32.data, &r64, "recovery v1")?;
-        let rc32 = decompress_resilient(&bytes3, FillPolicy::Nan).unwrap();
+        let rc32 = Decode::new(&bytes3).resilient::<f32>(FillPolicy::Nan).unwrap();
         prop_assert_eq!(rc32.n_damaged(), 0);
-        let rc64 = decompress_resilient_f64(&ca64.to_bytes(), FillPolicy::Nan).unwrap();
+        let rc64 = Decode::new(&ca64.to_bytes()).resilient::<f64>(FillPolicy::Nan).unwrap();
         prop_assert_eq!(rc64.n_damaged(), 0);
         assert_bits_eq_after_narrowing(&rc32.data, &rc64.data, "recovery chunked")?;
         for (a, b) in rc32.data.iter().zip(&cr32) {

@@ -4,9 +4,8 @@
 //! reject bad specs with typed errors instead of panicking.
 
 use cuszp_core::{
-    decompress_range, decompress_range_f64, decompress_range_resilient,
-    decompress_range_with_fetch, slice_field, ChunkStatus, Compressor, Config, CuszpError, Dims,
-    ErrorBound, FillPolicy, PipelineEngine, RangeSpec, ReconstructEngine,
+    decompress_range, decompress_range_with_fetch, slice_field, ChunkStatus, Compressor, Config,
+    CuszpError, Decode, Dims, ErrorBound, FillPolicy, PipelineEngine, RangeSpec, ReconstructEngine,
 };
 use cuszp_parallel::WorkerPool;
 use proptest::prelude::*;
@@ -95,11 +94,11 @@ proptest! {
             .compress_chunked_with(&field_f32(dims.len()), dims, CHUNK_TARGET, &pool)
             .unwrap();
         let (full, _) = arc
-            .decompress_with(ReconstructEngine::FinePartialSum, &pool)
+            .decompress::<f32>(ReconstructEngine::FinePartialSum, &pool)
             .unwrap();
         let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
         let (got, got_dims) = arc
-            .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+            .decompress_range::<f32>(ReconstructEngine::FinePartialSum, &spec, &pool)
             .unwrap();
         prop_assert_eq!(got_dims, want_dims);
         prop_assert_eq!(
@@ -119,14 +118,14 @@ proptest! {
         let spec = spec_for(dims, &seeds);
         let pool = WorkerPool::new(workers);
         let arc = compressor()
-            .compress_chunked_f64_with(&field_f64(dims.len()), dims, CHUNK_TARGET, &pool)
+            .compress_chunked_with(&field_f64(dims.len()), dims, CHUNK_TARGET, &pool)
             .unwrap();
         let (full, _) = arc
-            .decompress_f64_with(ReconstructEngine::FinePartialSum, &pool)
+            .decompress::<f64>(ReconstructEngine::FinePartialSum, &pool)
             .unwrap();
         let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
         let (got, got_dims) = arc
-            .decompress_range_f64_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+            .decompress_range::<f64>(ReconstructEngine::FinePartialSum, &spec, &pool)
             .unwrap();
         prop_assert_eq!(got_dims, want_dims);
         prop_assert_eq!(
@@ -152,12 +151,14 @@ proptest! {
             .unwrap();
         let bytes = arc.to_bytes();
         let (want, want_dims) = arc
-            .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+            .decompress_range::<f32>(ReconstructEngine::FinePartialSum, &spec, &pool)
             .unwrap();
         let (got, got_dims) = decompress_range(&bytes, &spec).unwrap();
         prop_assert_eq!(got_dims, want_dims);
         prop_assert_eq!(bits_f32(&got), bits_f32(&want));
-        let rf = decompress_range_resilient(&bytes, &spec, FillPolicy::Nan).unwrap();
+        let rf = Decode::new(&bytes)
+            .range(&spec)
+            .resilient::<f32>(FillPolicy::Nan).unwrap();
         prop_assert_eq!(rf.dims, want_dims);
         prop_assert_eq!(bits_f32(&rf.data), bits_f32(&want));
         prop_assert!(!rf.reports.is_empty());
@@ -176,7 +177,7 @@ fn edge_ranges_single_element_full_field_and_chunk_straddling() {
         .unwrap();
     assert!(arc.n_chunks() > 2, "fixture must split into several chunks");
     let (full, _) = arc
-        .decompress_with(ReconstructEngine::FinePartialSum, &pool)
+        .decompress::<f32>(ReconstructEngine::FinePartialSum, &pool)
         .unwrap();
     // CHUNK_TARGET=1000 over nx=100 gives 10-row slabs: row ranges below
     // straddle the first chunk boundary.
@@ -190,7 +191,7 @@ fn edge_ranges_single_element_full_field_and_chunk_straddling() {
     ] {
         let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
         let (got, got_dims) = arc
-            .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+            .decompress_range::<f32>(ReconstructEngine::FinePartialSum, &spec, &pool)
             .unwrap();
         assert_eq!(got_dims, want_dims, "{spec}");
         assert_eq!(bits_f32(&got), bits_f32(&want), "{spec}");
@@ -219,7 +220,7 @@ fn bad_specs_are_typed_errors_not_panics() {
     for spec in &bad {
         assert!(
             matches!(
-                arc.decompress_range(ReconstructEngine::FinePartialSum, spec),
+                arc.decompress_range::<f32>(ReconstructEngine::FinePartialSum, spec, &pool),
                 Err(CuszpError::InvalidRange { .. })
             ),
             "method path accepted {spec}"
@@ -233,7 +234,9 @@ fn bad_specs_are_typed_errors_not_panics() {
         );
         assert!(
             matches!(
-                decompress_range_resilient(&bytes, spec, FillPolicy::Nan),
+                Decode::new(&bytes)
+                    .range(spec)
+                    .resilient::<f32>(FillPolicy::Nan),
                 Err(CuszpError::InvalidRange { .. })
             ),
             "resilient path accepted {spec}"
@@ -241,9 +244,10 @@ fn bad_specs_are_typed_errors_not_panics() {
     }
     // Wrong dtype is the usual typed mismatch, not a range error.
     assert!(matches!(
-        arc.decompress_range_f64(
+        arc.decompress_range::<f64>(
             ReconstructEngine::FinePartialSum,
-            &RangeSpec::new(vec![0..1, 0..1])
+            &RangeSpec::new(vec![0..1, 0..1]),
+            &pool
         ),
         Err(CuszpError::DtypeMismatch { .. })
     ));
@@ -291,7 +295,7 @@ fn degenerate_dims_round_trip_through_the_range_path() {
             .compress_chunked_with(&data, dims, target, &pool)
             .unwrap();
         let (full, _) = arc
-            .decompress_with(ReconstructEngine::FinePartialSum, &pool)
+            .decompress::<f32>(ReconstructEngine::FinePartialSum, &pool)
             .unwrap();
         let rank = dims.rank();
         let extents = &dims.extents()[3 - rank..];
@@ -307,7 +311,7 @@ fn degenerate_dims_round_trip_through_the_range_path() {
         for spec in [full_spec, mid_spec] {
             let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
             let (got, got_dims) = arc
-                .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+                .decompress_range::<f32>(ReconstructEngine::FinePartialSum, &spec, &pool)
                 .unwrap();
             assert_eq!(got_dims, want_dims, "{dims:?} target {target} {spec}");
             assert_eq!(
@@ -336,13 +340,11 @@ fn v1_archives_serve_ranges_via_full_decode() {
     assert_eq!(got_dims, want_dims);
     assert_eq!(bits_f32(&got), bits_f32(&want));
     // f64 flavor too.
-    let arc64 = compressor()
-        .compress_f64(&field_f64(dims.len()), dims)
-        .unwrap();
+    let arc64 = compressor().compress(&field_f64(dims.len()), dims).unwrap();
     let bytes64 = arc64.to_bytes();
-    let (full64, _) = cuszp_core::decompress_f64(&bytes64).unwrap();
+    let (full64, _) = Decode::new(&bytes64).strict::<f64>().unwrap();
     let (want64, _) = slice_field(&full64, dims, &spec).unwrap();
-    let (got64, _) = decompress_range_f64(&bytes64, &spec).unwrap();
+    let (got64, _) = Decode::new(&bytes64).range(&spec).strict::<f64>().unwrap();
     assert_eq!(bits_f64(&got64), bits_f64(&want64));
 }
 
@@ -391,7 +393,7 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
     assert_eq!(bits_f32(&cold), bits_f32(&warm));
     // And both agree with the uncached path.
     let (want, _) = arc
-        .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+        .decompress_range::<f32>(ReconstructEngine::FinePartialSum, &spec, &pool)
         .unwrap();
     assert_eq!(bits_f32(&cold), bits_f32(&want));
     // A cached slab of the wrong length is ignored, not trusted.

@@ -16,8 +16,7 @@
 //! Every case replays exactly from `(base, CAMPAIGN_SEED, case id)`.
 
 use cuszp_core::{
-    decompress_resilient, repair, scan, Compressor, Config, Dims, ErrorBound, FillPolicy,
-    ParityConfig,
+    repair, scan, Compressor, Config, Decode, Dims, ErrorBound, FillPolicy, ParityConfig,
 };
 use cuszp_faultsim::{parity_campaign, parse_parity, ParityExpect};
 use cuszp_parallel::WorkerPool;
@@ -57,7 +56,9 @@ fn campaign_base() -> (Vec<u8>, Vec<f32>) {
     )
     .unwrap()
     .to_bytes();
-    let clean = decompress_resilient(&bytes, FillPolicy::Nan).unwrap();
+    let clean = Decode::new(&bytes)
+        .resilient::<f32>(FillPolicy::Nan)
+        .unwrap();
     assert!(clean.is_clean(), "pristine container must scan clean");
     let geo = parse_parity(&bytes).expect("container must carry parity");
     assert!(geo.n_stripes >= 2, "campaign needs several stripes");
@@ -79,7 +80,8 @@ fn seeded_parity_campaign_holds_the_repair_contract() {
     for case in &cases {
         let ctx = |what: &str| format!("case {} ({}): {what}", case.id, case.description);
 
-        let rf = decompress_resilient(&case.bytes, FillPolicy::Nan)
+        let rf = Decode::new(&case.bytes)
+            .resilient::<f32>(FillPolicy::Nan)
             .unwrap_or_else(|e| panic!("{}", ctx(&format!("resilient decode refused: {e}"))));
         assert_eq!(rf.data.len(), reference.len(), "{}", ctx("field length"));
 

@@ -10,8 +10,6 @@
 //! See DESIGN.md §2 for the substitution table.
 
 mod fields;
-mod io;
 pub mod noise;
 
 pub use fields::{dataset_fields, generate, DatasetKind, Field, FieldClass, FieldSpec, Scale};
-pub use io::{read_f32_raw, write_f32_raw};

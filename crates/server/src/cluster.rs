@@ -574,7 +574,9 @@ impl ClusterClient {
 
     /// Range-reads an `f32` archive stored under `key`: fetches the
     /// stripe (degraded if needed) and decodes only the requested
-    /// sub-volume locally.
+    /// sub-volume locally. For an archive of either precision, fetch
+    /// with [`ClusterClient::get`] and dispatch on
+    /// [`cuszp_core::stored_dtype`] into [`cuszp_core::Decode`].
     pub fn get_range(
         &mut self,
         key: &str,
@@ -582,17 +584,6 @@ impl ClusterClient {
     ) -> Result<(Vec<f32>, cuszp_core::Dims, bool), ClusterError> {
         let got = self.get(key)?;
         let (samples, dims) = cuszp_core::decompress_range(&got.bytes, spec)?;
-        Ok((samples, dims, got.degraded))
-    }
-
-    /// [`ClusterClient::get_range`] for `f64` archives.
-    pub fn get_range_f64(
-        &mut self,
-        key: &str,
-        spec: &cuszp_core::RangeSpec,
-    ) -> Result<(Vec<f64>, cuszp_core::Dims, bool), ClusterError> {
-        let got = self.get(key)?;
-        let (samples, dims) = cuszp_core::decompress_range_f64(&got.bytes, spec)?;
         Ok((samples, dims, got.degraded))
     }
 

@@ -35,9 +35,9 @@ use crate::wire::{
     PUT_FLAG_REPAIR,
 };
 use cuszp_core::{
-    is_chunked_archive, Archive, ChunkedArchive, Compressor, Config, CuszpError, Dims, Dtype,
-    LosslessStage, PipelineEngine, PortableScanReport, Predictor, RangeSpec, ReconstructEngine,
-    RecoveredField, Scalar,
+    is_chunked_archive, scalars_from_le, scalars_to_le, stored_dtype, Archive, ChunkedArchive,
+    Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, LosslessStage, PipelineEngine,
+    PortableScanReport, Predictor, RangeSpec, ReconstructEngine, RecoveredField,
 };
 use cuszp_parallel::{WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
@@ -859,51 +859,8 @@ fn handle_list_shards(shared: &Shared) -> Result<Vec<u8>, ErrorResponse> {
     Ok(ShardListResponse { records }.encode())
 }
 
-/// A scalar as the wire carries it: its dtype tag and its
-/// little-endian bytes.
-trait WireScalar: Scalar {
-    const DTYPE: Dtype;
-    fn write_le(self, out: &mut [u8]);
-    fn read_le(bytes: &[u8]) -> Self;
-}
-
-macro_rules! wire_scalar {
-    ($t:ty, $dtype:expr) => {
-        impl WireScalar for $t {
-            const DTYPE: Dtype = $dtype;
-            fn write_le(self, out: &mut [u8]) {
-                out.copy_from_slice(&self.to_le_bytes());
-            }
-            fn read_le(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes.try_into().expect("BYTES-long chunk"))
-            }
-        }
-    };
-}
-wire_scalar!(f32, Dtype::F32);
-wire_scalar!(f64, Dtype::F64);
-
-/// Scalars → their little-endian wire bytes.
-fn scalars_to_le<T: WireScalar>(data: &[T]) -> Vec<u8> {
-    let mut out = vec![0u8; data.len() * T::BYTES];
-    for (dst, x) in out.chunks_exact_mut(T::BYTES).zip(data) {
-        x.write_le(dst);
-    }
-    out
-}
-
-/// Little-endian wire bytes → scalars (a trailing partial element is
-/// ignored). The length comes from a peer, so the allocation is fallible.
-fn scalars_from_le<T: WireScalar>(bytes: &[u8]) -> Result<Vec<T>, ErrorResponse> {
-    let mut out: Vec<T> = Vec::new();
-    out.try_reserve_exact(bytes.len() / T::BYTES)
-        .map_err(|_| ErrorResponse::new(ErrorCode::Pipeline, "field allocation refused"))?;
-    out.extend(bytes.chunks_exact(T::BYTES).map(T::read_le));
-    Ok(out)
-}
-
 /// The response payload for a decoded field of either precision.
-fn field_response<T: WireScalar>(
+fn field_response<T: Element>(
     dims: Dims,
     report: Option<PortableScanReport>,
     data: &[T],
@@ -919,9 +876,25 @@ fn field_response<T: WireScalar>(
 
 /// The response payload for a resilient decode: the field plus its
 /// per-chunk recovery report.
-fn recovered_response<T: WireScalar>(rf: RecoveredField<T>) -> Vec<u8> {
-    let report = PortableScanReport::from_recovered(&rf, T::DTYPE);
+fn recovered_response<T: Element>(rf: RecoveredField<T>) -> Vec<u8> {
+    let report = PortableScanReport::from_recovered(&rf);
     field_response(rf.dims, Some(report), &rf.data)
+}
+
+/// Decodes the request's raw field as `T` and compresses it on the
+/// worker's engine.
+fn compress_field<T: Element>(
+    compressor: &Compressor,
+    req: &CompressRequest<'_>,
+    target: usize,
+    engine: &mut PipelineEngine,
+) -> Result<ChunkedArchive, ErrorResponse> {
+    // The length comes from a peer: a refused allocation is a typed error.
+    let data = scalars_from_le::<T>(req.data)
+        .map_err(|_| ErrorResponse::new(ErrorCode::Pipeline, "field allocation refused"))?;
+    compressor
+        .compress_chunked_with_engine(&data, req.dims, target, engine)
+        .map_err(pipeline_error)
 }
 
 fn handle_compress(
@@ -948,19 +921,9 @@ fn handle_compress(
             .map_err(|_| ErrorResponse::new(ErrorCode::BadRequest, "chunk target too large"))?
     };
     let mut arc = match req.dtype {
-        Dtype::F32 => {
-            let data = scalars_from_le::<f32>(req.data)?;
-            compressor
-                .compress_chunked_with_engine(&data, req.dims, target, engine)
-                .map_err(pipeline_error)?
-        }
-        Dtype::F64 => {
-            let data = scalars_from_le::<f64>(req.data)?;
-            compressor
-                .compress_chunked_f64_with_engine(&data, req.dims, target, engine)
-                .map_err(pipeline_error)?
-        }
-    };
+        Dtype::F32 => compress_field::<f32>(&compressor, &req, target, engine),
+        Dtype::F64 => compress_field::<f64>(&compressor, &req, target, engine),
+    }?;
     for chunk in &arc.chunks {
         let plan = chunk.plan();
         match plan.predictor {
@@ -979,32 +942,34 @@ fn handle_compress(
     Ok(arc.to_bytes())
 }
 
-fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
-    let req = DecompressRequest::decode(payload).map_err(wire_error)?;
-    // Each entry point is tried as f32 first; an archive of doubles
-    // answers `DtypeMismatch` from its header and is re-run as f64.
-    match req.mode {
-        DecompressMode::Strict => match cuszp_core::decompress(req.archive) {
-            Ok((data, dims)) => Ok(field_response(dims, None, &data)),
-            Err(CuszpError::DtypeMismatch { .. }) => {
-                let (data, dims) =
-                    cuszp_core::decompress_f64(req.archive).map_err(pipeline_error)?;
-                Ok(field_response(dims, None, &data))
-            }
-            Err(e) => Err(pipeline_error(e)),
-        },
-        DecompressMode::Recover(fill) => {
-            match cuszp_core::decompress_resilient(req.archive, fill) {
-                Ok(rf) => Ok(recovered_response(rf)),
-                Err(CuszpError::DtypeMismatch { .. }) => {
-                    cuszp_core::decompress_resilient_f64(req.archive, fill)
-                        .map(recovered_response)
-                        .map_err(pipeline_error)
-                }
-                Err(e) => Err(pipeline_error(e)),
-            }
+/// Decodes `archive` (or its `range`) in the archive's own element type
+/// — read from the fixed header, so the archive itself is parsed and
+/// checksummed once — and encodes the response.
+fn decode_response(
+    archive: &[u8],
+    range: Option<&RangeSpec>,
+    mode: DecompressMode,
+) -> Result<Vec<u8>, ErrorResponse> {
+    fn run<T: Element>(decode: Decode<'_>, mode: DecompressMode) -> Result<Vec<u8>, CuszpError> {
+        match mode {
+            DecompressMode::Strict => decode
+                .strict::<T>()
+                .map(|(data, dims)| field_response(dims, None, &data)),
+            DecompressMode::Recover(fill) => decode.resilient::<T>(fill).map(recovered_response),
         }
     }
+    let decode = Decode::new(archive);
+    let decode = range.map_or(decode, |spec| decode.range(spec));
+    match stored_dtype(archive).map_err(pipeline_error)? {
+        Dtype::F32 => run::<f32>(decode, mode),
+        Dtype::F64 => run::<f64>(decode, mode),
+    }
+    .map_err(pipeline_error)
+}
+
+fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
+    let req = DecompressRequest::decode(payload).map_err(wire_error)?;
+    decode_response(req.archive, None, req.mode)
 }
 
 /// Serves a chunked-archive range read through the hot-slab cache.
@@ -1015,7 +980,7 @@ fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
 /// never blocks other workers' hits. Slabs are stored as little-endian
 /// scalar bytes (the wire encoding), making cached and fresh responses
 /// byte-identical by construction.
-fn serve_cached_range<T: WireScalar>(
+fn serve_cached_range<T: Element>(
     arc: &ChunkedArchive,
     spec: &RangeSpec,
     key_hash: u64,
@@ -1086,29 +1051,10 @@ fn handle_get_range(
             .map_err(pipeline_error)
         }
         // v1 single-chunk archives: a range read is a full decode plus
-        // a slice — nothing chunk-grained to cache.
-        DecompressMode::Strict => match cuszp_core::decompress_range(req.archive, &req.spec) {
-            Ok((data, dims)) => Ok(field_response(dims, None, &data)),
-            Err(CuszpError::DtypeMismatch { .. }) => {
-                let (data, dims) = cuszp_core::decompress_range_f64(req.archive, &req.spec)
-                    .map_err(pipeline_error)?;
-                Ok(field_response(dims, None, &data))
-            }
-            Err(e) => Err(pipeline_error(e)),
-        },
-        // Damaged archives must never seed the cache: the resilient
-        // path decodes uncached and reports per-chunk outcomes.
-        DecompressMode::Recover(fill) => {
-            match cuszp_core::decompress_range_resilient(req.archive, &req.spec, fill) {
-                Ok(rf) => Ok(recovered_response(rf)),
-                Err(CuszpError::DtypeMismatch { .. }) => {
-                    cuszp_core::decompress_range_resilient_f64(req.archive, &req.spec, fill)
-                        .map(recovered_response)
-                        .map_err(pipeline_error)
-                }
-                Err(e) => Err(pipeline_error(e)),
-            }
-        }
+        // a slice — nothing chunk-grained to cache. Damaged archives must
+        // never seed the cache: the resilient path decodes uncached and
+        // reports per-chunk outcomes.
+        mode => decode_response(req.archive, Some(&req.spec), mode),
     }
 }
 

@@ -70,7 +70,11 @@ fn archive(parity: Option<ParityConfig>) -> Vec<u8> {
 fn reference_slice(bytes: &[u8], spec: &RangeSpec) -> Vec<u8> {
     let arc = cuszp_core::ChunkedArchive::from_bytes(bytes).expect("parse clean");
     let (data, _) = arc
-        .decompress_range(ReconstructEngine::FinePartialSum, spec)
+        .decompress_range::<f32>(
+            ReconstructEngine::FinePartialSum,
+            spec,
+            &WorkerPool::with_default_workers(),
+        )
         .expect("clean range");
     data.iter().flat_map(|x| x.to_le_bytes()).collect()
 }

@@ -38,11 +38,13 @@ fn main() {
         let base = generate(spec, Scale::Small);
         let data64: Vec<f64> = base.data.iter().map(|&x| x as f64).collect();
         let (archive, stats) = compressor
-            .compress_f64_with_stats(&data64, base.dims)
+            .compress_with_stats(&data64, base.dims)
             .expect("f64 compression");
         let bytes = archive.to_bytes();
-        let (recon, _) = cuszp::decompress_f64(&bytes).expect("f64 decompression");
-        let eb = compressor.config().error_bound.absolute_scalar(&data64);
+        let (recon, _) = cuszp::Decode::new(&bytes)
+            .strict::<f64>()
+            .expect("f64 decompression");
+        let eb = compressor.config().error_bound.absolute(&data64);
         let max_err = data64
             .iter()
             .zip(&recon)
@@ -80,9 +82,11 @@ fn main() {
         ..Config::default()
     });
     let (archive, stats) = tight
-        .compress_f64_with_stats(&signal, cuszp::Dims::D1(n))
+        .compress_with_stats(&signal, cuszp::Dims::D1(n))
         .expect("tight f64 compression");
-    let (recon, _) = cuszp::decompress_f64(&archive.to_bytes()).unwrap();
+    let (recon, _) = cuszp::Decode::new(&archive.to_bytes())
+        .strict::<f64>()
+        .unwrap();
     let max_err = signal
         .iter()
         .zip(&recon)

@@ -11,7 +11,7 @@ use cuszp::{Compressor, Config, ErrorBound};
 
 fn main() {
     // 1. Get a field. Real deployments read raw f32 from disk
-    //    (`cuszp::datagen::read_f32_raw`); here we synthesize a CESM-like
+    //    (`cuszp::read_raw::<f32>`); here we synthesize a CESM-like
     //    2-D climate field.
     let spec = dataset_fields(DatasetKind::CesmAtm)
         .into_iter()

@@ -7,6 +7,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> API-surface guard (the element type is a type parameter, not a name suffix)"
+if grep -rnE "pub fn \w+_f64" crates/core/src crates/server/src ||
+    grep -rn "T::BYTES == 4" crates ||
+    grep -rnE "DtypeMismatch \{ \.\. \}\) =>" crates/server/src src/bin; then
+    echo "error: an _f64 twin, a size-heuristic dtype or a try-f32-then-f64 retry arm grew back" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

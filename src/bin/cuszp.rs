@@ -26,12 +26,13 @@ use cuszp::server::{
 };
 use cuszp::store::{FsyncPolicy, StoreConfig};
 use cuszp::{
-    json_escape, Archive, ChunkStatus, ChunkedArchive, Compressor, Config, CuszpError, Dims, Dtype,
-    ErrorBound, FillPolicy, LosslessMode, ParityConfig, PortableScanReport, Predictor,
-    PredictorMode, RangeSpec, RecoveredField, ScanReport, WorkflowChoice, WorkflowMode,
+    json_escape, scalars_to_le, stored_dtype, Archive, ChunkReport, ChunkStatus, ChunkedArchive,
+    Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, ErrorBound, FillPolicy,
+    LosslessMode, ParityConfig, PortableScanReport, Predictor, PredictorMode, RangeSpec,
+    ReconstructEngine, ScanReport, WorkflowChoice, WorkflowMode,
 };
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -149,8 +150,7 @@ USAGE:
   cuszp store-fsck <data-dir> [--json]
   cuszp cluster put       <key> -i <archive> --seeds <addr,addr,...>
   cuszp cluster get       <key> -o <archive> --seeds <addr,addr,...>
-  cuszp cluster get-range <key> -o <raw> --range <spec> [--double]
-                          --seeds <addr,addr,...>
+  cuszp cluster get-range <key> -o <raw> --range <spec> --seeds <addr,addr,...>
   cuszp cluster ring|scrub --seeds <addr,addr,...>
   cuszp cluster-scrub      --seeds <addr,addr,...>   (alias of cluster scrub)
   cuszp remote compress   -s <addr> -i <raw> -o <archive> -d <dims> [-e] [-m]
@@ -285,7 +285,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         // Boolean flags.
         if matches!(
             key.as_str(),
-            "double" | "verify-none" | "recover" | "stats" | "repair" | "json" | "lossless"
+            "double" | "recover" | "stats" | "repair" | "json" | "lossless"
         ) {
             map.insert(key, String::new());
             continue;
@@ -352,22 +352,52 @@ fn parse_config(opts: &Opts) -> Result<Config, String> {
     })
 }
 
-fn read_raw_f32(path: &str) -> Result<Vec<f32>, String> {
-    cuszp::datagen::read_f32_raw(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+fn read_raw<T: Element>(path: &str) -> Result<Vec<T>, String> {
+    cuszp::read_raw(Path::new(path)).map_err(|e| format!("{path}: {e}"))
 }
 
-fn read_raw_f64(path: &str) -> Result<Vec<f64>, String> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| format!("{path}: {e}"))?;
-    if bytes.len() % 8 != 0 {
-        return Err(format!("{path}: size not a multiple of 8"));
+/// Parses `--recover [--fill nan|zero]` into the resilient decode's fill
+/// policy; `None` without `--recover`.
+fn parse_recover(opts: &Opts) -> Result<Option<FillPolicy>, String> {
+    if !opts.has_flag("recover") {
+        return Ok(None);
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
+    let fill = opts.get("fill").unwrap_or("nan");
+    FillPolicy::parse(fill)
+        .map(Some)
+        .ok_or_else(|| format!("bad --fill '{fill}' (nan|zero)"))
+}
+
+/// A decoded field as raw little-endian bytes, its shape, and (resilient
+/// decodes only) the per-chunk reports.
+type DecodedRaster = (Vec<u8>, Dims, Vec<ChunkReport>);
+
+/// Decodes `bytes` (or the sub-volume `range`) in the archive's own
+/// element type: strict without `fill`, fault-isolated with it.
+fn decode_raster(
+    bytes: &[u8],
+    range: Option<&RangeSpec>,
+    fill: Option<FillPolicy>,
+) -> Result<DecodedRaster, CuszpError> {
+    fn run<T: Element>(
+        decode: Decode<'_>,
+        fill: Option<FillPolicy>,
+    ) -> Result<DecodedRaster, CuszpError> {
+        match fill {
+            Some(fill) => decode
+                .resilient::<T>(fill)
+                .map(|rf| (scalars_to_le(&rf.data), rf.dims, rf.reports)),
+            None => decode
+                .strict::<T>()
+                .map(|(data, dims)| (scalars_to_le(&data), dims, Vec::new())),
+        }
+    }
+    let decode = Decode::new(bytes);
+    let decode = range.map_or(decode, |spec| decode.range(spec));
+    match stored_dtype(bytes)? {
+        Dtype::F32 => run::<f32>(decode, fill),
+        Dtype::F64 => run::<f64>(decode, fill),
+    }
 }
 
 fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), String> {
@@ -387,22 +417,32 @@ fn parse_threads(opts: &Opts) -> Result<Option<usize>, String> {
 }
 
 fn cmd_compress(opts: &Opts) -> Result<(), String> {
+    if opts.has_flag("double") {
+        compress_raw::<f64>(opts)
+    } else {
+        compress_raw::<f32>(opts)
+    }
+}
+
+/// `compress` over a raw raster of `T`: the chunked (v2) container when
+/// `--threads` or `--parity` asks for it, v1 otherwise.
+fn compress_raw<T: Element>(opts: &Opts) -> Result<(), String> {
     let input = opts.require("i")?;
     let output = opts.require("o")?;
     let dims = parse_dims(opts.require("d")?)?;
-    let config = parse_config(opts)?;
+    let compressor = Compressor::new(parse_config(opts)?);
     let threads = parse_threads(opts)?;
     let parity = opts
         .get("parity")
         .map(ParityConfig::parse)
         .transpose()
         .map_err(|e| e.to_string())?;
-    let compressor = Compressor::new(config);
 
     let t0 = std::time::Instant::now();
+    let data = read_raw::<T>(input)?;
     // Parity stripes live in the chunked (v2) container, so --parity
     // selects it even without --threads.
-    let (bytes, original_bytes) = if threads.is_some() || parity.is_some() {
+    let bytes = if threads.is_some() || parity.is_some() {
         // Chunk-parallel engine: multi-chunk (v2) archive, byte-identical
         // for any worker count.
         let pool = match threads {
@@ -410,64 +450,37 @@ fn cmd_compress(opts: &Opts) -> Result<(), String> {
             None => WorkerPool::with_default_workers(),
         };
         let target = cuszp::parallel::DEFAULT_CHUNK_ELEMS;
-        let want_stats = opts.has_flag("stats");
-        let report = |arc: &ChunkedArchive| {
-            eprintln!(
-                "chunked: {} chunks, {} workers{}",
-                arc.n_chunks(),
-                pool.workers(),
-                match &arc.parity {
-                    Some(p) => format!(
-                        ", parity {}/{} ({} stripes)",
-                        p.parity_shards, p.data_shards, p.n_stripes
-                    ),
-                    None => String::new(),
-                }
-            );
-        };
-        if opts.has_flag("double") {
-            let data = read_raw_f64(input)?;
-            let (mut arc, stats) = compressor
-                .compress_chunked_f64_with_stats(&data, dims, target, &pool)
-                .map_err(|e| e.to_string())?;
-            if let Some(cfg) = parity {
-                arc.add_parity(cfg, &pool);
-            }
-            report(&arc);
-            if want_stats {
-                eprintln!("{stats}");
-            }
-            (arc.to_bytes(), data.len() * 8)
-        } else {
-            let data = read_raw_f32(input)?;
-            let (mut arc, stats) = compressor
-                .compress_chunked_with_stats(&data, dims, target, &pool)
-                .map_err(|e| e.to_string())?;
-            if let Some(cfg) = parity {
-                arc.add_parity(cfg, &pool);
-            }
-            report(&arc);
-            if want_stats {
-                eprintln!("{stats}");
-            }
-            (arc.to_bytes(), data.len() * 4)
-        }
-    } else if opts.has_flag("double") {
-        let data = read_raw_f64(input)?;
-        let (archive, stats) = compressor
-            .compress_f64_with_stats(&data, dims)
+        let (mut arc, stats) = compressor
+            .compress_chunked_with_stats(&data, dims, target, &pool)
             .map_err(|e| e.to_string())?;
-        eprintln!("{stats}");
-        (archive.to_bytes(), stats.original_bytes)
+        if let Some(cfg) = parity {
+            arc.add_parity(cfg, &pool);
+        }
+        eprintln!(
+            "chunked: {} chunks, {} workers{}",
+            arc.n_chunks(),
+            pool.workers(),
+            match &arc.parity {
+                Some(p) => format!(
+                    ", parity {}/{} ({} stripes)",
+                    p.parity_shards, p.data_shards, p.n_stripes
+                ),
+                None => String::new(),
+            }
+        );
+        if opts.has_flag("stats") {
+            eprintln!("{stats}");
+        }
+        arc.to_bytes()
     } else {
-        let data = read_raw_f32(input)?;
         let (archive, stats) = compressor
             .compress_with_stats(&data, dims)
             .map_err(|e| e.to_string())?;
         eprintln!("{stats}");
-        (archive.to_bytes(), stats.original_bytes)
+        archive.to_bytes()
     };
     write_bytes(output, &bytes)?;
+    let original_bytes = data.len() * T::BYTES;
     eprintln!(
         "wrote {} bytes to {output} in {:.2}s ({:.1} MB/s, ratio {:.2}x)",
         bytes.len(),
@@ -486,43 +499,16 @@ fn cmd_decompress(opts: &Opts) -> Result<(), String> {
         // Pool width for chunk fan-out (v1 archives reconstruct whole).
         cuszp::parallel::set_workers(n);
     }
-    if opts.has_flag("recover") {
-        return cmd_decompress_recover(opts, input, output, &bytes);
+    if let Some(fill) = parse_recover(opts)? {
+        return cmd_decompress_recover(opts, input, output, &bytes, fill);
     }
-    let chunked = cuszp::is_chunked_archive(&bytes)
-        .then(|| ChunkedArchive::from_bytes(&bytes))
-        .transpose()
-        .map_err(|e| e.to_string())?;
-    let (dtype, eb) = match &chunked {
-        Some(arc) => (arc.dtype, arc.eb),
-        None => {
-            let archive = Archive::from_bytes(&bytes).map_err(|e| e.to_string())?;
-            (archive.dtype, archive.eb)
-        }
-    };
     let t0 = std::time::Instant::now();
-    let out_bytes: Vec<u8> = match dtype {
-        Dtype::F32 => {
-            let (data, _) = cuszp::decompress(&bytes).map_err(|e| e.to_string())?;
-            if let Some(orig_path) = opts.get("verify") {
-                let orig = read_raw_f32(orig_path)?;
-                verify_error_bound(&orig, &data, eb)
-                    .map_err(|(i, e)| format!("bound violated at {i}: {e} > {eb}"))?;
-                eprintln!("verified against {orig_path}: max|err| <= {eb}");
-            }
-            data.iter().flat_map(|x| x.to_le_bytes()).collect()
-        }
-        Dtype::F64 => {
-            let (data, _) = cuszp::decompress_f64(&bytes).map_err(|e| e.to_string())?;
-            if let Some(orig_path) = opts.get("verify") {
-                let orig = read_raw_f64(orig_path)?;
-                verify_error_bound_f64(&orig, &data, eb)
-                    .map_err(|(i, e)| format!("bound violated at {i}: {e} > {eb}"))?;
-                eprintln!("verified against {orig_path}: max|err| <= {eb}");
-            }
-            data.iter().flat_map(|x| x.to_le_bytes()).collect()
-        }
-    };
+    let out_bytes = match stored_dtype(&bytes).map_err(|e| e.to_string())? {
+        Dtype::F32 => decompress_verified::<f32>(opts, &bytes, |o, r, eb| {
+            verify_error_bound(o, r, eb).map(drop)
+        }),
+        Dtype::F64 => decompress_verified::<f64>(opts, &bytes, verify_error_bound_f64),
+    }?;
     write_bytes(output, &out_bytes)?;
     eprintln!(
         "wrote {} bytes to {output} in {:.2}s",
@@ -532,117 +518,101 @@ fn cmd_decompress(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// Strict decode of a parsed-once archive as `T`, checked against the
+/// `--verify` original when one is given; returns the raw raster bytes.
+fn decompress_verified<T: Element>(
+    opts: &Opts,
+    bytes: &[u8],
+    verify: impl Fn(&[T], &[T], f64) -> Result<(), (usize, f64)>,
+) -> Result<Vec<u8>, String> {
+    let engine = ReconstructEngine::FinePartialSum;
+    let (data, eb) = if cuszp::is_chunked_archive(bytes) {
+        let arc = ChunkedArchive::from_bytes(bytes).map_err(|e| e.to_string())?;
+        let pool = WorkerPool::with_default_workers();
+        let (data, _) = arc
+            .decompress::<T>(engine, &pool)
+            .map_err(|e| e.to_string())?;
+        (data, arc.eb)
+    } else {
+        let archive = Archive::from_bytes(bytes).map_err(|e| e.to_string())?;
+        let (data, _) =
+            cuszp::decompress_archive::<T>(&archive, engine).map_err(|e| e.to_string())?;
+        (data, archive.eb)
+    };
+    if let Some(orig_path) = opts.get("verify") {
+        let orig = read_raw::<T>(orig_path)?;
+        verify(&orig, &data, eb).map_err(|(i, e)| format!("bound violated at {i}: {e} > {eb}"))?;
+        eprintln!("verified against {orig_path}: max|err| <= {eb}");
+    }
+    Ok(scalars_to_le(&data))
+}
+
 /// `extract --range`: decode only the chunks a sub-volume touches and
-/// write that sub-volume as a raw row-major raster. The element type is
-/// sniffed by attempting `f32` first, same as the recover path.
+/// write that sub-volume as a raw row-major raster in the archive's own
+/// element type.
 fn cmd_extract(opts: &Opts) -> Result<(), String> {
     let input = opts.require("i")?;
     let output = opts.require("o")?;
     let spec = RangeSpec::parse(opts.require("range")?).map_err(|e| e.to_string())?;
     let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+    let fill = parse_recover(opts)?;
     let t0 = std::time::Instant::now();
-    if opts.has_flag("recover") {
-        let fill = FillPolicy::parse(opts.get("fill").unwrap_or("nan"))
-            .ok_or_else(|| format!("bad --fill '{}' (nan|zero)", opts.get("fill").unwrap_or("")))?;
-        let (out_bytes, dims, reports) =
-            match cuszp::decompress_range_resilient(&bytes, &spec, fill) {
-                Ok(rf) => {
-                    let out: Vec<u8> = rf.data.iter().flat_map(|x| x.to_le_bytes()).collect();
-                    (out, rf.dims, rf.reports)
-                }
-                Err(CuszpError::DtypeMismatch { .. }) => {
-                    let rf = cuszp::decompress_range_resilient_f64(&bytes, &spec, fill)
-                        .map_err(|e| e.to_string())?;
-                    let out: Vec<u8> = rf.data.iter().flat_map(|x| x.to_le_bytes()).collect();
-                    (out, rf.dims, rf.reports)
-                }
-                Err(e) => return Err(format!("{input}: {e}")),
-            };
-        for r in reports.iter().filter(|r| !r.status.is_recovered()) {
-            eprintln!(
-                "  chunk {}: {} (elements {}..{})",
-                r.index, r.status, r.elem_range.start, r.elem_range.end
-            );
-        }
-        write_bytes(output, &out_bytes)?;
-        eprintln!(
-            "extracted {spec} -> {output} ({:?}, {} bytes, {}/{} in-range chunks ok) in {:.2}s",
-            dims,
-            out_bytes.len(),
-            reports.iter().filter(|r| r.status.is_recovered()).count(),
-            reports.len(),
-            t0.elapsed().as_secs_f64()
-        );
-        return Ok(());
-    }
-    let (out_bytes, dims): (Vec<u8>, Dims) = match cuszp::decompress_range(&bytes, &spec) {
-        Ok((data, dims)) => (data.iter().flat_map(|x| x.to_le_bytes()).collect(), dims),
-        Err(CuszpError::DtypeMismatch { .. }) => {
-            let (data, dims) =
-                cuszp::decompress_range_f64(&bytes, &spec).map_err(|e| e.to_string())?;
-            (data.iter().flat_map(|x| x.to_le_bytes()).collect(), dims)
-        }
-        Err(e) => return Err(format!("{input}: {e}")),
-    };
+    let (out_bytes, dims, reports) =
+        decode_raster(&bytes, Some(&spec), fill).map_err(|e| format!("{input}: {e}"))?;
     write_bytes(output, &out_bytes)?;
+    let recovered = if fill.is_some() {
+        let ok = reports.len() - list_damaged(&reports);
+        format!(", {ok}/{} in-range chunks ok", reports.len())
+    } else {
+        String::new()
+    };
     eprintln!(
-        "extracted {spec} -> {output} ({dims:?}, {} bytes) in {:.2}s",
+        "extracted {spec} -> {output} ({dims:?}, {} bytes{recovered}) in {:.2}s",
         out_bytes.len(),
         t0.elapsed().as_secs_f64()
     );
     Ok(())
 }
 
+/// Lists the chunks whose data is lost on stderr; returns how many.
+fn list_damaged(reports: &[ChunkReport]) -> usize {
+    let damaged = reports.iter().filter(|r| !r.status.is_recovered());
+    for r in damaged.clone() {
+        eprintln!(
+            "  chunk {}: {} (elements {}..{})",
+            r.index, r.status, r.elem_range.start, r.elem_range.end
+        );
+    }
+    damaged.count()
+}
+
 /// `decompress --recover`: fault-isolated decompression. The strict
 /// metadata parse is skipped on purpose — the archive may be damaged —
-/// and the element type is discovered by attempting `f32` first (the
-/// recovery core rejects a wrong dtype before doing any work).
+/// and the element type comes from the fixed header alone.
 fn cmd_decompress_recover(
     opts: &Opts,
     input: &str,
     output: &str,
     bytes: &[u8],
+    fill: FillPolicy,
 ) -> Result<(), String> {
     if opts.get("verify").is_some() {
         return Err(
             "--verify cannot be combined with --recover (damaged slabs hold fill values)".into(),
         );
     }
-    let fill = FillPolicy::parse(opts.get("fill").unwrap_or("nan"))
-        .ok_or_else(|| format!("bad --fill '{}' (nan|zero)", opts.get("fill").unwrap_or("")))?;
     let t0 = std::time::Instant::now();
-    let (out_bytes, reports) = match cuszp::decompress_resilient(bytes, fill) {
-        Ok(rf) => {
-            let RecoveredField { data, reports, .. } = rf;
-            let out: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
-            (out, reports)
-        }
-        Err(CuszpError::DtypeMismatch { .. }) => {
-            let rf = cuszp::decompress_resilient_f64(bytes, fill).map_err(|e| e.to_string())?;
-            let RecoveredField { data, reports, .. } = rf;
-            let out: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
-            (out, reports)
-        }
-        Err(e) => return Err(format!("{input}: unrecoverable: {e}")),
-    };
-    let damaged: Vec<_> = reports
-        .iter()
-        .filter(|r| !r.status.is_recovered())
-        .collect();
+    let (out_bytes, _, reports) = decode_raster(bytes, None, Some(fill))
+        .map_err(|e| format!("{input}: unrecoverable: {e}"))?;
     let repaired = reports
         .iter()
         .filter(|r| matches!(r.status, ChunkStatus::Repaired { .. }))
         .count();
-    for r in &damaged {
-        eprintln!(
-            "  chunk {}: {} (elements {}..{})",
-            r.index, r.status, r.elem_range.start, r.elem_range.end
-        );
-    }
+    let damaged = list_damaged(&reports);
     write_bytes(output, &out_bytes)?;
     eprintln!(
         "recovered {}/{} chunks to {output} in {:.2}s{}{}",
-        reports.len() - damaged.len(),
+        reports.len() - damaged,
         reports.len(),
         t0.elapsed().as_secs_f64(),
         if repaired > 0 {
@@ -650,10 +620,10 @@ fn cmd_decompress_recover(
         } else {
             String::new()
         },
-        if damaged.is_empty() {
+        if damaged == 0 {
             String::new()
         } else {
-            format!(" ({} damaged slab(s) filled)", damaged.len())
+            format!(" ({damaged} damaged slab(s) filled)")
         }
     );
     Ok(())
@@ -912,7 +882,7 @@ fn cmd_analyze(opts: &Opts) -> Result<(), String> {
     let input = opts.require("i")?;
     let dims = parse_dims(opts.require("d")?)?;
     let config = parse_config(opts)?;
-    let data = read_raw_f32(input)?;
+    let data = read_raw::<f32>(input)?;
     if data.len() != dims.len() {
         return Err(format!(
             "{input} has {} elements, dims say {}",
@@ -968,8 +938,7 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
             )
         })?;
     let field = generate(&spec, scale);
-    cuszp::datagen::write_f32_raw(Path::new(output), &field.data)
-        .map_err(|e| format!("{output}: {e}"))?;
+    cuszp::write_raw(Path::new(output), &field.data).map_err(|e| format!("{output}: {e}"))?;
     eprintln!(
         "generated {}/{} {:?} -> {output} ({} bytes); compress with: cuszp compress -i {output} -o {output}.csz -d {}",
         dataset.name(),
@@ -1479,24 +1448,12 @@ fn cmd_cluster(sub: &str, opts: &Opts) -> Result<ExitCode, String> {
             let output = opts.require("o")?;
             let spec = RangeSpec::parse(opts.require("range")?).map_err(|e| e.to_string())?;
             let mut client = cluster_client(opts)?;
-            let (out_bytes, dims, degraded): (Vec<u8>, Dims, bool) = if opts.has_flag("double") {
-                let (data, dims, degraded) = client
-                    .get_range_f64(key, &spec)
-                    .map_err(|e| e.to_string())?;
-                (
-                    data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    dims,
-                    degraded,
-                )
-            } else {
-                let (data, dims, degraded) =
-                    client.get_range(key, &spec).map_err(|e| e.to_string())?;
-                (
-                    data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    dims,
-                    degraded,
-                )
-            };
+            // Fetch the stripe (degraded if needed), then decode only the
+            // requested sub-volume locally, in the archive's own dtype.
+            let got = client.get(key).map_err(|e| e.to_string())?;
+            let degraded = got.degraded;
+            let (out_bytes, dims, _) =
+                decode_raster(&got.bytes, Some(&spec), None).map_err(|e| e.to_string())?;
             write_bytes(output, &out_bytes)?;
             eprintln!(
                 "extracted {spec} of '{key}' -> {output} ({dims:?}, {} bytes{})",
@@ -1659,13 +1616,7 @@ fn remote_decompress(opts: &Opts) -> Result<(), String> {
     let input = opts.require("i")?;
     let output = opts.require("o")?;
     let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let mode = if opts.has_flag("recover") {
-        let fill = FillPolicy::parse(opts.get("fill").unwrap_or("nan"))
-            .ok_or_else(|| format!("bad --fill '{}' (nan|zero)", opts.get("fill").unwrap_or("")))?;
-        DecompressMode::Recover(fill)
-    } else {
-        DecompressMode::Strict
-    };
+    let mode = parse_recover(opts)?.map_or(DecompressMode::Strict, DecompressMode::Recover);
     let mut client = remote_client(opts)?;
     let t0 = std::time::Instant::now();
     let result = client.decompress(&bytes, mode);
@@ -1709,13 +1660,7 @@ fn remote_get_range(opts: &Opts) -> Result<(), String> {
     let output = opts.require("o")?;
     let spec = RangeSpec::parse(opts.require("range")?).map_err(|e| e.to_string())?;
     let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let mode = if opts.has_flag("recover") {
-        let fill = FillPolicy::parse(opts.get("fill").unwrap_or("nan"))
-            .ok_or_else(|| format!("bad --fill '{}' (nan|zero)", opts.get("fill").unwrap_or("")))?;
-        DecompressMode::Recover(fill)
-    } else {
-        DecompressMode::Strict
-    };
+    let mode = parse_recover(opts)?.map_or(DecompressMode::Strict, DecompressMode::Recover);
     let mut client = remote_client(opts)?;
     let t0 = std::time::Instant::now();
     let result = client.get_range(&bytes, &spec, mode);

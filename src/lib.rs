@@ -62,14 +62,12 @@ pub use cuszp_zfp as zfp;
 
 // The everyday API, flattened.
 pub use cuszp_core::{
-    decompress, decompress_archive, decompress_f64, decompress_f64_with_engine, decompress_range,
-    decompress_range_f64, decompress_range_resilient, decompress_range_resilient_f64,
-    decompress_resilient, decompress_resilient_f64, decompress_resilient_f64_with,
-    decompress_resilient_with, decompress_with_engine, is_chunked_archive, json_escape, repair,
-    repair_with, scan, scan_with, Archive, ArchiveSection, ChunkReport, ChunkStatus,
-    ChunkedArchive, CodecPlan, CompressionStats, Compressor, Config, CuszpError, Dims, Dtype,
-    ErrorBound, FillPolicy, LosslessMode, LosslessStage, ParityConfig, ParityReport, ParitySection,
-    ParseFault, PortableChunkReport, PortableChunkStatus, PortableParityReport, PortableScanReport,
+    decompress, decompress_archive, decompress_range, is_chunked_archive, json_escape, read_raw,
+    repair, repair_with, scalars_from_le, scalars_to_le, scan, scan_with, stored_dtype, write_raw,
+    Archive, ArchiveSection, ChunkReport, ChunkStatus, ChunkedArchive, CodecPlan, CompressionStats,
+    Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, ErrorBound, FillPolicy,
+    LosslessMode, LosslessStage, ParityConfig, ParityReport, ParitySection, ParseFault,
+    PortableChunkReport, PortableChunkStatus, PortableParityReport, PortableScanReport,
     PortableStripeStatus, Predictor, PredictorMode, RangeSpec, ReconstructEngine, RecoveredField,
     RepairOutcome, ScanReport, Snapshot, SnapshotEntry, StripeStatus, WorkflowChoice, WorkflowMode,
 };

@@ -5,8 +5,7 @@
 //! data — while the resilient path recovers what it can.
 
 use cuszp::{
-    decompress_resilient, scan, ChunkStatus, Compressor, Config, CuszpError, Dims, ErrorBound,
-    FillPolicy,
+    scan, ChunkStatus, Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy,
 };
 use cuszp_faultsim as faultsim;
 
@@ -77,7 +76,7 @@ fn length_table_bit_flips_are_detected() {
             // The resilient path still recovers the chunks the flip did
             // not unframe (at minimum it must not panic and must report
             // the damage if it returns).
-            if let Ok(rf) = decompress_resilient(&corrupt, FillPolicy::Nan) {
+            if let Ok(rf) = Decode::new(&corrupt).resilient::<f32>(FillPolicy::Nan) {
                 assert!(
                     rf.n_damaged() > 0,
                     "entry {entry} bit {bit}: damage unreported"
@@ -121,7 +120,7 @@ fn inflated_length_entry_fails_without_overallocation() {
         );
         // Chunks after the inflated entry are unframed (no resync), so
         // the resilient path reports them rather than guessing.
-        if let Ok(rf) = decompress_resilient(&corrupt, FillPolicy::Nan) {
+        if let Ok(rf) = Decode::new(&corrupt).resilient::<f32>(FillPolicy::Nan) {
             assert!(rf.n_damaged() > 0, "length {value:#x}: damage unreported");
         }
     }
@@ -155,7 +154,7 @@ fn chunk_surgery_is_rejected_by_the_strict_path() {
     );
 
     // The resilient path names the out-of-plan chunk on duplication.
-    let rf = decompress_resilient(&duped, FillPolicy::Nan);
+    let rf = Decode::new(&duped).resilient::<f32>(FillPolicy::Nan);
     if let Ok(rf) = rf {
         assert!(
             rf.reports
@@ -179,7 +178,9 @@ fn chunk_body_bit_flips_are_detected_per_chunk() {
         );
         // The resilient path pinpoints exactly this chunk and recovers
         // the others.
-        let rf = decompress_resilient(&corrupt, FillPolicy::Nan).unwrap();
+        let rf = Decode::new(&corrupt)
+            .resilient::<f32>(FillPolicy::Nan)
+            .unwrap();
         assert_eq!(rf.n_damaged(), 1, "chunk {i}: wrong damage count");
         let damaged = rf.reports.iter().find(|r| !r.status.is_ok()).unwrap();
         assert_eq!(damaged.index, i, "damage attributed to the wrong chunk");

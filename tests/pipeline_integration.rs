@@ -58,13 +58,18 @@ fn all_engines_reconstruct_identically_from_the_same_archive() {
         .compress(&field.data, field.dims)
         .unwrap()
         .to_bytes();
-    let (reference, _) =
-        cuszp::decompress_with_engine(&bytes, ReconstructEngine::CoarseSerial).unwrap();
+    let (reference, _) = cuszp::Decode::new(&bytes)
+        .engine(ReconstructEngine::CoarseSerial)
+        .strict::<f32>()
+        .unwrap();
     for engine in [
         ReconstructEngine::FinePartialSumNaive,
         ReconstructEngine::FinePartialSum,
     ] {
-        let (out, _) = cuszp::decompress_with_engine(&bytes, engine).unwrap();
+        let (out, _) = cuszp::Decode::new(&bytes)
+            .engine(engine)
+            .strict::<f32>()
+            .unwrap();
         assert_eq!(out, reference, "engine {} diverged bitwise", engine.name());
     }
 }

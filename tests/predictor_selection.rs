@@ -80,9 +80,11 @@ fn f64_supports_both_predictors() {
             ..Config::default()
         };
         let archive = Compressor::new(config)
-            .compress_f64(&data, Dims::D1(4096))
+            .compress(&data, Dims::D1(4096))
             .unwrap();
-        let (recon, _) = cuszp::decompress_f64(&archive.to_bytes()).unwrap();
+        let (recon, _) = cuszp::Decode::new(&archive.to_bytes())
+            .strict::<f64>()
+            .unwrap();
         for (o, r) in data.iter().zip(&recon) {
             assert!(
                 (o - r).abs() <= 1e-8 * 1.001,

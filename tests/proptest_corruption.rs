@@ -4,7 +4,7 @@
 //! memory stays proportional to the input (length fields are
 //! bounds-checked against the buffer before any allocation).
 
-use cuszp::{decompress_resilient, scan, Compressor, Config, Dims, ErrorBound, FillPolicy};
+use cuszp::{scan, Compressor, Config, Decode, Dims, ErrorBound, FillPolicy};
 use proptest::prelude::*;
 
 fn v1_archive() -> Vec<u8> {
@@ -37,7 +37,7 @@ fn exercise_all_entry_points(bytes: &[u8]) -> Result<(), TestCaseError> {
     if let Ok((data, dims)) = cuszp::decompress(bytes) {
         prop_assert_eq!(data.len(), dims.len());
     }
-    if let Ok(rf) = decompress_resilient(bytes, FillPolicy::Nan) {
+    if let Ok(rf) = Decode::new(bytes).resilient::<f32>(FillPolicy::Nan) {
         prop_assert_eq!(rf.data.len(), rf.dims.len());
         // Report lists are paid for by the input, never by a header claim.
         prop_assert!(rf.reports.len() <= bytes.len() / 8 + 8);
