@@ -21,11 +21,8 @@ use crate::{Dims, OutlierList, QuantField, Scalar};
 #[inline(always)]
 fn lerp2(a: i64, b: i64) -> i64 {
     let s = a + b;
-    if s >= 0 {
-        (s + 1) / 2
-    } else {
-        -((-s + 1) / 2)
-    }
+    // Branch-free: +1 then floor for s ≥ 0, plain floor for s < 0.
+    (s + 1 + (s >> 63)) >> 1
 }
 
 /// 4-point cubic interpolation of the midpoint between `b` and `c`, with
@@ -33,11 +30,116 @@ fn lerp2(a: i64, b: i64) -> i64 {
 /// `p = (−a + 9b + 9c − d) / 16`, rounded half away from zero.
 #[inline(always)]
 fn cubic4(a: i64, b: i64, c: i64, d: i64) -> i64 {
-    let num = -a + 9 * (b + c) - d;
-    if num >= 0 {
-        (num + 8) / 16
+    let num = 9 * (b + c) - a - d;
+    // Branch-free: +8 then floor for num ≥ 0, +7 then floor for num < 0.
+    (num + 8 + (num >> 63)) >> 4
+}
+
+/// How a point is predicted along the axis being refined: cubic when both
+/// outer neighbors exist on the coarser grid, linear at interior edges,
+/// copy at the boundary. It depends only on the point's position `m` on
+/// that axis, the stride and the extent — never on the other two axes.
+#[derive(Clone, Copy)]
+enum Stencil {
+    Copy,
+    Linear,
+    Cubic,
+}
+
+fn stencil_at(m: usize, s: usize, extent: usize) -> Stencil {
+    if m + s >= extent {
+        Stencil::Copy
+    } else if m >= 3 * s && m + 3 * s < extent {
+        Stencil::Cubic
     } else {
-        -((-num + 8) / 16)
+        Stencil::Linear
+    }
+}
+
+/// Refines the row `known[at..at + nx]` along an outer axis: every
+/// `step`-th point is predicted from the same column of the rows `d` and
+/// `3d` elements before and after it (which of them is `stencil`'s call,
+/// made once per row). The row is borrowed apart from its neighbors, so
+/// the inner loops run over equal-length slices with no index arithmetic.
+#[inline(always)]
+fn refine_row_across<F>(
+    known: &mut [i64],
+    at: usize,
+    nx: usize,
+    d: usize,
+    step: usize,
+    stencil: Stencil,
+    visit: &mut F,
+) where
+    F: FnMut(usize, i64, i64) -> i64,
+{
+    let (before, rest) = known.split_at_mut(at);
+    let (row, after) = rest.split_at_mut(nx);
+    let prev = &before[at - d..][..nx];
+    let mut i = 0;
+    match stencil {
+        Stencil::Copy => {
+            while i < nx {
+                row[i] = visit(at + i, prev[i], row[i]);
+                i += step;
+            }
+        }
+        Stencil::Linear => {
+            let next = &after[d - nx..][..nx];
+            while i < nx {
+                row[i] = visit(at + i, lerp2(prev[i], next[i]), row[i]);
+                i += step;
+            }
+        }
+        Stencil::Cubic => {
+            let first = &before[at - 3 * d..][..nx];
+            let next = &after[d - nx..][..nx];
+            let last = &after[3 * d - nx..][..nx];
+            while i < nx {
+                let p = cubic4(first[i], prev[i], next[i], last[i]);
+                row[i] = visit(at + i, p, row[i]);
+                i += step;
+            }
+        }
+    }
+}
+
+/// Refines one row along x at stride `s`: the left edge point, the cubic
+/// interior with no boundary test, then the right edge. The interior
+/// carries its three inner neighbors from point to point (they sit on
+/// x ≡ 0 mod 2s, which this pass never writes), so each point costs one
+/// new neighbor load, bounded by the loop condition itself. `base` is the
+/// row's flat offset.
+#[inline(always)]
+fn refine_row_along<F>(row: &mut [i64], s: usize, base: usize, visit: &mut F)
+where
+    F: FnMut(usize, i64, i64) -> i64,
+{
+    let nx = row.len();
+    let edge = |row: &mut [i64], i: usize, visit: &mut F| {
+        let p = if i + s < nx {
+            lerp2(row[i - s], row[i + s])
+        } else {
+            row[i - s]
+        };
+        row[i] = visit(base + i, p, row[i]);
+    };
+    if s < nx {
+        edge(row, s, visit);
+    }
+    let mut i = 3 * s;
+    if i + 3 * s < nx {
+        let (mut a, mut b, mut c) = (row[0], row[2 * s], row[4 * s]);
+        while i + 3 * s < nx {
+            let d = row[i + 3 * s];
+            row[i] = visit(base + i, cubic4(a, b, c, d), row[i]);
+            (a, b, c) = (b, c, d);
+            i += 2 * s;
+        }
+    }
+    while i < nx {
+        edge(row, i, visit);
+        i += 2 * s;
     }
 }
 
@@ -54,6 +156,15 @@ fn cubic4(a: i64, b: i64, c: i64, d: i64) -> i64 {
 /// reconstruction runs over the fused-delta buffer (the visit returns
 /// `predicted + current`, overwriting each delta with its final value
 /// exactly when it is visited).
+///
+/// Within a level the axes go z, then y, then x (as SZ3 orders them), a
+/// row of `nx` contiguous elements at a time (the sweep cuSZ-i
+/// restructures the traversal into): along z and y a row is computed from
+/// the rows `s` and `3s` away on that axis, along x it is refined in
+/// place. A row takes its refinements back to back, while it is in cache,
+/// instead of in three sweeps over the field: an outer-axis refinement
+/// reads and writes only columns x ≡ 0 mod 2s, which no x-refinement of
+/// this level writes, so rows need not wait for each other's x-pass.
 fn traverse<F>(known: &mut [i64], dims: Dims, mut visit: F)
 where
     F: FnMut(usize, i64, i64) -> i64,
@@ -69,62 +180,29 @@ where
         top <<= 1;
     }
     // The root point (0,0,0) is predicted as 0.
-    let root = visit(0, 0, known[0]);
-    known[0] = root;
+    known[0] = visit(0, 0, known[0]);
 
-    let idx = |k: usize, j: usize, i: usize| (k * ny + j) * nx + i;
     let mut s2 = top; // parent stride
     while s2 >= 2 {
         let s = s2 / 2;
-        // Per-axis predictor: cubic when both outer neighbors exist on the
-        // coarser grid, linear at interior edges, copy at the boundary.
-        macro_rules! axis_predict {
-            ($pos:expr, $extent:expr, $at:expr) => {{
-                let m = $pos;
-                let prev = $at(m - s);
-                if m + s < $extent {
-                    if m >= 3 * s && m + 3 * s < $extent {
-                        cubic4($at(m - 3 * s), prev, $at(m + s), $at(m + 3 * s))
-                    } else {
-                        lerp2(prev, $at(m + s))
-                    }
-                } else {
-                    prev
-                }
-            }};
-        }
-        // Pass 1: refine along z at (z ≡ s mod 2s, y ≡ 0 mod 2s, x ≡ 0 mod 2s).
-        if nz > 1 {
-            for k in (s..nz).step_by(s2) {
-                for j in (0..ny).step_by(s2) {
-                    for i in (0..nx).step_by(s2) {
-                        let p = axis_predict!(k, nz, |z| known[idx(z, j, i)]);
-                        let v = visit(idx(k, j, i), p, known[idx(k, j, i)]);
-                        known[idx(k, j, i)] = v;
-                    }
-                }
-            }
-        }
-        // Pass 2: refine along y at (z ≡ 0 mod s, y ≡ s mod 2s, x ≡ 0 mod 2s).
-        if ny > 1 {
-            for k in (0..nz).step_by(s) {
-                for j in (s..ny).step_by(s2) {
-                    for i in (0..nx).step_by(s2) {
-                        let p = axis_predict!(j, ny, |y| known[idx(k, y, i)]);
-                        let v = visit(idx(k, j, i), p, known[idx(k, j, i)]);
-                        known[idx(k, j, i)] = v;
-                    }
-                }
-            }
-        }
-        // Pass 3: refine along x at (z, y ≡ 0 mod s, x ≡ s mod 2s).
+        let (dz, dy) = (s * ny * nx, s * nx);
         for k in (0..nz).step_by(s) {
-            for j in (0..ny).step_by(s) {
-                for i in (s..nx).step_by(s2) {
-                    let p = axis_predict!(i, nx, |x| known[idx(k, j, x)]);
-                    let v = visit(idx(k, j, i), p, known[idx(k, j, i)]);
-                    known[idx(k, j, i)] = v;
+            // Along z: a plane at z ≡ s mod 2s, its rows at y ≡ 0 mod 2s.
+            if k % s2 == s {
+                let stencil = stencil_at(k, s, nz);
+                for j in (0..ny).step_by(s2) {
+                    refine_row_across(known, (k * ny + j) * nx, nx, dz, s2, stencil, &mut visit);
                 }
+            }
+            for j in (0..ny).step_by(s) {
+                let base = (k * ny + j) * nx;
+                // Along y: a row at y ≡ s mod 2s.
+                if j % s2 == s {
+                    let stencil = stencil_at(j, s, ny);
+                    refine_row_across(known, base, nx, dy, s2, stencil, &mut visit);
+                }
+                // Along x: every row of the level, x ≡ s mod 2s.
+                refine_row_along(&mut known[base..base + nx], s, base, &mut visit);
             }
         }
         s2 = s;
@@ -249,6 +327,262 @@ pub fn interpolation_residuals(dq: &[i64], dims: Dims, mut f: impl FnMut(i64)) {
 mod tests {
     use super::*;
     use crate::{prequantize, DEFAULT_CAP};
+
+    /// Round half away from zero, spelled out.
+    fn lerp2_reference(a: i64, b: i64) -> i64 {
+        let s = a + b;
+        if s >= 0 {
+            (s + 1) / 2
+        } else {
+            -((-s + 1) / 2)
+        }
+    }
+
+    /// Round half away from zero, spelled out.
+    fn cubic4_reference(a: i64, b: i64, c: i64, d: i64) -> i64 {
+        let num = -a + 9 * (b + c) - d;
+        if num >= 0 {
+            (num + 8) / 16
+        } else {
+            -((-num + 8) / 16)
+        }
+    }
+
+    /// The traversal as it was first written — one point at a time, flat
+    /// index and boundary tests recomputed per point, three sweeps per
+    /// level. Obviously correct and slow: the oracle [`traverse`] is held
+    /// to.
+    fn traverse_reference<F>(known: &mut [i64], dims: Dims, mut visit: F)
+    where
+        F: FnMut(usize, i64, i64) -> i64,
+    {
+        let [nz, ny, nx] = dims.extents();
+        let max_extent = nx.max(ny).max(nz);
+        if max_extent == 0 {
+            return;
+        }
+        // Top stride: smallest power of two ≥ max extent.
+        let mut top = 1usize;
+        while top < max_extent {
+            top <<= 1;
+        }
+        // The root point (0,0,0) is predicted as 0.
+        let root = visit(0, 0, known[0]);
+        known[0] = root;
+
+        let idx = |k: usize, j: usize, i: usize| (k * ny + j) * nx + i;
+        let mut s2 = top; // parent stride
+        while s2 >= 2 {
+            let s = s2 / 2;
+            // Per-axis predictor: cubic when both outer neighbors exist on the
+            // coarser grid, linear at interior edges, copy at the boundary.
+            macro_rules! axis_predict {
+                ($pos:expr, $extent:expr, $at:expr) => {{
+                    let m = $pos;
+                    let prev = $at(m - s);
+                    if m + s < $extent {
+                        if m >= 3 * s && m + 3 * s < $extent {
+                            cubic4_reference($at(m - 3 * s), prev, $at(m + s), $at(m + 3 * s))
+                        } else {
+                            lerp2_reference(prev, $at(m + s))
+                        }
+                    } else {
+                        prev
+                    }
+                }};
+            }
+            // Pass 1: refine along z at (z ≡ s mod 2s, y ≡ 0 mod 2s, x ≡ 0 mod 2s).
+            if nz > 1 {
+                for k in (s..nz).step_by(s2) {
+                    for j in (0..ny).step_by(s2) {
+                        for i in (0..nx).step_by(s2) {
+                            let p = axis_predict!(k, nz, |z| known[idx(z, j, i)]);
+                            let v = visit(idx(k, j, i), p, known[idx(k, j, i)]);
+                            known[idx(k, j, i)] = v;
+                        }
+                    }
+                }
+            }
+            // Pass 2: refine along y at (z ≡ 0 mod s, y ≡ s mod 2s, x ≡ 0 mod 2s).
+            if ny > 1 {
+                for k in (0..nz).step_by(s) {
+                    for j in (s..ny).step_by(s2) {
+                        for i in (0..nx).step_by(s2) {
+                            let p = axis_predict!(j, ny, |y| known[idx(k, y, i)]);
+                            let v = visit(idx(k, j, i), p, known[idx(k, j, i)]);
+                            known[idx(k, j, i)] = v;
+                        }
+                    }
+                }
+            }
+            // Pass 3: refine along x at (z, y ≡ 0 mod s, x ≡ s mod 2s).
+            for k in (0..nz).step_by(s) {
+                for j in (0..ny).step_by(s) {
+                    for i in (s..nx).step_by(s2) {
+                        let p = axis_predict!(i, nx, |x| known[idx(k, j, x)]);
+                        let v = visit(idx(k, j, i), p, known[idx(k, j, i)]);
+                        known[idx(k, j, i)] = v;
+                    }
+                }
+            }
+            s2 = s;
+        }
+    }
+
+    /// Small extents exhaustively, plus ragged large shapes, in each rank.
+    fn sweep_dims() -> Vec<Dims> {
+        let mut all = Vec::new();
+        for nx in 1..=9 {
+            all.push(Dims::D1(nx));
+            for ny in 1..=9 {
+                all.push(Dims::D2 { ny, nx });
+                for nz in 1..=9 {
+                    all.push(Dims::D3 { nz, ny, nx });
+                }
+            }
+        }
+        all.extend([
+            Dims::D1(1000),
+            Dims::D1(1025),
+            Dims::D2 { ny: 33, nx: 47 },
+            Dims::D2 { ny: 1, nx: 61 },
+            Dims::D2 { ny: 61, nx: 1 },
+            Dims::D3 {
+                nz: 12,
+                ny: 20,
+                nx: 28,
+            },
+            Dims::D3 {
+                nz: 1,
+                ny: 1,
+                nx: 77,
+            },
+            Dims::D3 {
+                nz: 77,
+                ny: 1,
+                nx: 1,
+            },
+            Dims::D3 {
+                nz: 5,
+                ny: 37,
+                nx: 3,
+            },
+        ]);
+        all
+    }
+
+    /// Rough integers (both signs, odd sums) so that rounding direction,
+    /// the cubic/linear/copy choice and the outlier range all matter.
+    fn rough_field(n: usize, seed: u64) -> Vec<i64> {
+        (0..n as u64)
+            .map(|i| {
+                let h = (i + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                (h % 1501) as i64 - 750 + (i as i64 % 7) * 31
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rowwise_traversal_visits_what_the_reference_visits() {
+        for dims in sweep_dims() {
+            let field = rough_field(dims.len(), 3);
+            // Construction mode (values stay) and reconstruction mode
+            // (each visit overwrites what later predictions read).
+            for settle in [|_p: i64, cur: i64| cur, |p: i64, cur: i64| p + cur] {
+                let mut want = Vec::with_capacity(dims.len());
+                let mut known_ref = field.clone();
+                traverse_reference(&mut known_ref, dims, |flat, p, cur| {
+                    want.push((flat, p, cur));
+                    settle(p, cur)
+                });
+                let mut got = Vec::with_capacity(dims.len());
+                let mut known = field.clone();
+                traverse(&mut known, dims, |flat, p, cur| {
+                    got.push((flat, p, cur));
+                    settle(p, cur)
+                });
+                // Within a level the order is free (points are independent).
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "visits diverged on {dims:?}");
+                assert_eq!(known, known_ref, "known array diverged on {dims:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn construct_and_reconstruct_are_bit_identical_to_the_reference() {
+        // A radius small enough that the rough field produces outliers.
+        let radius = 256u16;
+        let r = radius as i64;
+        for dims in sweep_dims() {
+            let field = rough_field(dims.len(), 11);
+
+            let mut want_codes = vec![0u16; dims.len()];
+            let mut want_outliers = Vec::new();
+            traverse_reference(&mut field.clone(), dims, |flat, p, cur| {
+                let delta = cur - p;
+                if delta > -r && delta < r {
+                    want_codes[flat] = (delta + r) as u16;
+                } else {
+                    want_outliers.push((flat as u64, delta + r));
+                }
+                cur
+            });
+            want_outliers.sort_unstable();
+
+            let mut dq = field.clone();
+            let mut codes = Vec::new();
+            let outliers = construct_interpolation_codes(&mut dq, dims, radius, &mut codes);
+            assert_eq!(dq, field, "construction must leave the field as it was");
+            assert_eq!(codes, want_codes, "codes diverged on {dims:?}");
+            let got_outliers: Vec<(u64, i64)> = outliers
+                .indices
+                .iter()
+                .copied()
+                .zip(outliers.values.iter().copied())
+                .collect();
+            assert_eq!(got_outliers, want_outliers, "outliers diverged on {dims:?}");
+
+            let mut want_prequant = crate::fuse_codes_and_outliers(&QuantField {
+                codes: codes.clone(),
+                outliers: outliers.clone(),
+                radius,
+                dims,
+                eb: 1.0,
+            });
+            traverse_reference(&mut want_prequant, dims, |_flat, p, cur| p + cur);
+            // A dirty, over-long arena: the fuse must not rely on what the
+            // buffer held or how long it was.
+            let mut prequant = vec![i64::MIN; dims.len() + 5];
+            reconstruct_interpolation_prequant_into(&codes, &outliers, radius, dims, &mut prequant);
+            assert_eq!(prequant, want_prequant, "prequant diverged on {dims:?}");
+            assert_eq!(prequant, field, "round trip must be lossless on {dims:?}");
+        }
+    }
+
+    #[test]
+    fn rounding_is_half_away_from_zero() {
+        assert_eq!(lerp2(1, 2), 2);
+        assert_eq!(lerp2(-1, -2), -2);
+        assert_eq!(lerp2(3, -3), 0);
+        // num = 9·(b + c) − a − d over 16; ±8 is the half-way case.
+        assert_eq!(cubic4(1, 1, 0, 0), 1);
+        assert_eq!(cubic4(-1, -1, 0, 0), -1);
+        assert_eq!(cubic4(2, 1, 0, 0), 0);
+        assert_eq!(cubic4(-2, -1, 0, 0), 0);
+        // Every residue of the sum mod 2 and of the numerator mod 16, both
+        // signs, against the spelled-out rule.
+        for a in -40..=40 {
+            for b in [-1_000_003, -17, -1, 0, 1, 16, 999_983] {
+                assert_eq!(lerp2(a, b), lerp2_reference(a, b), "lerp2({a}, {b})");
+                for (c, d) in [(0, 0), (5, -3), (-7, 2)] {
+                    let (got, want) = (cubic4(a, b, c, d), cubic4_reference(a, b, c, d));
+                    assert_eq!(got, want, "cubic4({a}, {b}, {c}, {d})");
+                }
+            }
+        }
+    }
 
     fn check_round_trip(data: &[f32], dims: Dims, eb: f64) {
         let qf = construct_interpolation(data, dims, eb, DEFAULT_CAP);

@@ -21,7 +21,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
+# One run of every test binary in the workspace. What it covers, by the
+# names the suites used to be re-run under:
+#   golden compatibility    -p cuszp-core --test golden (parity-less bytes pinned, parity strictly additive)
+#   range battery           -p cuszp-core --test range (ranges bit-equal full-decompress slices at any worker count)
+#   ratio regression        --test ratio_regression (auto codec plan vs forced lorenzo+huffman)
+#   lossless stage props    -p cuszp-lossless --test lz77_props --test proptests (round-trip, bounded decode)
+#   hot-slab cache          -p cuszp-server --test cache (hits, eviction, invalidation, concurrency)
+#   targeted range damage   -p cuszp-server --test range_damage (heal/report/ignore through get-range)
+#   wire-header fuzzing     -p cuszp-server --test wire_fuzz (arbitrary frames classify as exactly one WireError)
+#   chaos soak battery      -p cuszp-server --test chaos (proxied faults: retries, deadlines, load shedding)
+#   retry deadline clamps   -p cuszp-server --test retry_deadline (reconnect churn bounded by the per-call deadline)
+#   placement ring props    -p cuszp-server --test ring_props (purity, distinctness, bounded remap)
+#   durable store engine    -p cuszp-store (codec props, model tests, crash-point campaign)
+#   cluster tier            -p cuszp-server --test cluster (failover, degraded reads, redirects, anti-entropy repair)
+#   durable cluster         -p cuszp-server --test durable_cluster (full restart from disk, damaged-segment scrub heal)
+#   node-death campaign     -p cuszp-server --test cluster_death (64 seeded kills, bit-identity under every one)
+echo "==> cargo test (every suite above, once)"
 cargo test --workspace
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
@@ -29,48 +45,6 @@ cargo bench --workspace --no-run
 
 echo "==> corruption campaign (seeded fault injection)"
 scripts/corruption_campaign.sh
-
-echo "==> golden compatibility (parity-less bytes pinned, parity strictly additive)"
-cargo test -q -p cuszp-core --test golden
-
-echo "==> range battery (ranges bit-equal full-decompress slices at any worker count)"
-cargo test -q -p cuszp-core --test range
-
-echo "==> ratio regression (auto codec plan vs forced lorenzo+huffman)"
-cargo test -q --test ratio_regression
-
-echo "==> lossless stage property tests (LZ77 + bitshuffle round-trip, bounded decode)"
-cargo test -q -p cuszp-lossless --test lz77_props --test proptests
-
-echo "==> hot-slab cache behavior (hits, eviction, invalidation, concurrency)"
-cargo test -q -p cuszp-server --test cache
-
-echo "==> targeted fault injection through get-range (heal/report/ignore)"
-cargo test -q -p cuszp-server --test range_damage
-
-echo "==> wire-header fuzzing (arbitrary frames classify as exactly one WireError)"
-cargo test -q -p cuszp-server --test wire_fuzz
-
-echo "==> chaos soak battery (proxied faults: retries, deadlines, load shedding)"
-cargo test -q -p cuszp-server --test chaos
-
-echo "==> retry deadline clamps (reconnect churn bounded by the per-call deadline)"
-cargo test -q -p cuszp-server --test retry_deadline
-
-echo "==> placement ring properties (purity, distinctness, bounded remap)"
-cargo test -q -p cuszp-server --test ring_props
-
-echo "==> durable store engine (codec props, model tests, crash-point campaign)"
-cargo test -q -p cuszp-store
-
-echo "==> cluster tier (failover, degraded reads, redirects, anti-entropy repair)"
-cargo test -q -p cuszp-server --test cluster
-
-echo "==> durable cluster (full restart from disk, damaged-segment scrub heal)"
-cargo test -q -p cuszp-server --test durable_cluster
-
-echo "==> node-death campaign (64 seeded kills, bit-identity under every one)"
-cargo test -q -p cuszp-server --test cluster_death
 
 echo "==> server smoke (ephemeral port, remote round trip, graceful shutdown)"
 scripts/server_smoke.sh
