@@ -15,8 +15,7 @@
 //! * the chunk plan is a pure function of the field shape and chunk
 //!   target — the worker count never enters it;
 //! * a relative error bound is resolved to an absolute one **once, over
-//!   the whole field**, before chunking (unlike the streaming path,
-//!   which resolves per slab);
+//!   the whole field**, before chunking;
 //! * every chunk job runs with nested parallelism forced serial
 //!   ([`WorkerPool`] does this even for one worker), so a chunk's bytes
 //!   come from the identical code path under any pool width;
@@ -26,9 +25,11 @@ use crate::element::{check_dtype, Element};
 use crate::engine::{resolve_bound, validate_and_range, PipelineEngine};
 use crate::error::{ArchiveSection, CuszpError};
 use crate::parity::{ParityConfig, ParitySection, PARITY_MAGIC};
+use crate::range::{resolve, RangeSpec, ResolvedRange};
 use crate::stats::ChunkedStats;
+use crate::walk::PlanView;
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
-use cuszp_parallel::{plan_chunk_spec, plan_chunks, plan_len, WorkerPool, DEFAULT_CHUNK_ELEMS};
+use cuszp_parallel::{plan_chunks, WorkerPool, DEFAULT_CHUNK_ELEMS};
 
 pub(crate) const CHUNKED_MAGIC: u32 = 0x325A_5343; // "CSZ2"
 const CHUNKED_VERSION: u16 = 2;
@@ -236,77 +237,65 @@ impl ChunkedArchive {
         engine: ReconstructEngine,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
-        check_dtype::<T>(self.dtype)?;
-        self.validate_chunk_geometry()?;
-        let mut out = vec![T::from_f64(0.0); self.dims.len()];
-        // Carve the output into one mutable slab per chunk; each job owns
-        // its slab, so chunks reconstruct concurrently without copies.
-        let mut slabs: Vec<&mut [T]> = Vec::with_capacity(self.chunks.len());
-        let mut rest: &mut [T] = &mut out;
-        for chunk in &self.chunks {
-            let (head, tail) = rest.split_at_mut(chunk.dims.len());
-            slabs.push(head);
-            rest = tail;
-        }
-        // One engine per worker: the decode/fuse scratch survives across
-        // all the chunks a worker reconstructs.
-        let results = pool.run_parts_with_state(
-            slabs,
-            PipelineEngine::new,
-            |i, slab, eng| -> Result<(), CuszpError> {
-                eng.decompress_into(&self.chunks[i], engine, slab)
-            },
-        );
-        for r in results {
-            r?;
-        }
-        Ok((out, self.dims))
+        self.decode(engine, None, pool)
     }
 
-    /// Checks that the chunks match the plan implied by the container
-    /// header, slab by slab.
-    ///
-    /// The plan is a pure function of `(dims, chunk_target)`, so the
-    /// header fully determines where every chunk must sit and what shape
-    /// it must have. Enforcing exact per-slab equality (not merely that
-    /// slow extents sum up) is what rejects a container whose chunks
-    /// were reordered self-consistently — same-sum transpositions would
-    /// otherwise reconstruct silently with slabs in the wrong places.
-    pub(crate) fn validate_chunk_geometry(&self) -> Result<(), CuszpError> {
-        let target = usize::try_from(self.chunk_target).unwrap_or(usize::MAX);
-        let extents = [self.dims.slow_extent(), self.dims.elems_per_slow()];
-        // Count first, specs lazily: a corrupted extent can claim billions
-        // of chunks, and materializing that plan would abort on allocation.
-        if self.chunks.len() != plan_len(&extents, target) {
+    /// Decodes only the chunks intersecting `spec` on `pool` and
+    /// assembles the requested sub-volume; `T` must be the stored
+    /// element type ([`CuszpError::DtypeMismatch`] otherwise).
+    pub fn decompress_range<T: Element>(
+        &self,
+        engine: ReconstructEngine,
+        spec: &RangeSpec,
+        pool: &WorkerPool,
+    ) -> Result<(Vec<T>, Dims), CuszpError> {
+        self.decode(engine, Some(spec), pool)
+    }
+
+    /// The strict policy over the chunk walk: feed the parsed chunks,
+    /// return the first error.
+    fn decode<T: Element>(
+        &self,
+        engine: ReconstructEngine,
+        spec: Option<&RangeSpec>,
+        pool: &WorkerPool,
+    ) -> Result<(Vec<T>, Dims), CuszpError> {
+        check_dtype::<T>(self.dtype)?;
+        let plan = self.plan()?;
+        let r = match spec {
+            Some(spec) => resolve(spec, self.dims)?,
+            None => ResolvedRange::full(self.dims),
+        };
+        let mut out = vec![T::default(); r.len()];
+        let results = plan.walk(plan.span(&r), &r, &mut out, pool, |i, seg, eng, scratch| {
+            plan.reconstruct(i, &self.chunks[i], &r, engine, eng, scratch, seg)
+                .map(drop)
+                .map_err(|e| self.place(i, e))
+        });
+        results.into_iter().collect::<Result<(), _>>()?;
+        Ok((out, r.sub_dims(self.dims)))
+    }
+
+    /// The plan the container header implies, once the chunk count is
+    /// known to agree with it. Count first, specs lazily: a corrupted
+    /// extent can claim billions of chunks, and materializing that plan
+    /// would abort on allocation.
+    pub(crate) fn plan(&self) -> Result<PlanView, CuszpError> {
+        let plan = PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target);
+        if self.chunks.len() != plan.n {
             return Err(CuszpError::malformed(
                 "chunk count disagrees with plan",
                 ArchiveSection::ContainerHeader,
                 CHUNKED_HEADER_BYTES - 4,
             ));
         }
-        for (i, chunk) in self.chunks.iter().enumerate() {
-            if chunk.dtype != self.dtype {
-                return Err(CuszpError::malformed(
-                    "chunk dtype mismatches container",
-                    ArchiveSection::ChunkBody,
-                    0,
-                )
-                .in_chunk(i, 0));
-            }
-            if chunk.dims
-                != self
-                    .dims
-                    .slab(plan_chunk_spec(&extents, target, i).slow_len())
-            {
-                return Err(CuszpError::malformed(
-                    "chunk shape mismatches plan",
-                    ArchiveSection::ChunkBody,
-                    0,
-                )
-                .in_chunk(i, 0));
-            }
-        }
-        Ok(())
+        Ok(plan)
+    }
+
+    /// Rebases chunk `i`'s chunk-local error to container coordinates.
+    pub(crate) fn place(&self, i: usize, e: CuszpError) -> CuszpError {
+        let before: usize = self.chunks[..i].iter().map(Archive::serialized_bytes).sum();
+        e.in_chunk(i, CHUNKED_HEADER_BYTES + self.chunks.len() * 8 + before)
     }
 
     /// Serializes the container:
@@ -396,7 +385,15 @@ impl ChunkedArchive {
             chunks,
             parity,
         };
-        archive.validate_chunk_geometry()?;
+        // The strict parse is up front and total: every chunk is checked
+        // against the plan here — exact per-slab equality, not merely
+        // slow extents that sum up, so a container whose chunks were
+        // reordered self-consistently is rejected — and damage outside a
+        // later range read still fails it.
+        let plan = archive.plan()?;
+        for (i, chunk) in archive.chunks.iter().enumerate() {
+            plan.check(i, chunk).map_err(|e| archive.place(i, e))?;
+        }
         Ok(archive)
     }
 }
@@ -417,6 +414,11 @@ pub(crate) struct ChunkedHeader {
 }
 
 impl ChunkedHeader {
+    /// The chunk plan this header implies.
+    pub fn plan(&self) -> PlanView {
+        PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target)
+    }
+
     /// Byte offset of the first chunk body (end of a complete table).
     /// Saturates on inflated chunk counts so lenient scanners can call
     /// it before any bounds validation.
@@ -630,8 +632,8 @@ mod tests {
     #[test]
     fn global_bound_resolution_differs_from_per_slab() {
         // First half is flat, second half spans a large range: per-slab
-        // relative resolution (the streaming path) would give the flat
-        // half a much tighter bound than the global one.
+        // relative resolution would give the flat half a much tighter
+        // bound than the global one.
         let mut data = vec![1.0f32; 20_000];
         for (i, x) in data[10_000..].iter_mut().enumerate() {
             *x = (i as f32) * 0.01;

@@ -15,7 +15,7 @@ use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
 use crate::range::{slice_field, RangeSpec};
-use crate::recovery::{recover_field, recover_range, FillPolicy, RecoveredField};
+use crate::recovery::{recover, FillPolicy, RecoveredField};
 use cuszp_parallel::WorkerPool;
 use cuszp_predictor::{Dims, ReconstructEngine};
 
@@ -78,10 +78,7 @@ impl<'a> Decode<'a> {
     /// whole-field decode — no chunk is recoverable.
     pub fn resilient<T: Element>(self, fill: FillPolicy) -> Result<RecoveredField<T>, CuszpError> {
         let pool = WorkerPool::with_default_workers();
-        match self.range {
-            Some(spec) => recover_range(self.bytes, spec, fill, self.engine, &pool),
-            None => recover_field(self.bytes, fill, self.engine, &pool),
-        }
+        recover(self.bytes, self.range, fill, self.engine, &pool)
     }
 }
 

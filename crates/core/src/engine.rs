@@ -1,10 +1,10 @@
 //! The unified pipeline engine: one scratch-reusing driver behind every
 //! compress/decompress entry point.
 //!
-//! Four call sites used to each re-allocate the full working set per
+//! Three call sites used to each re-allocate the full working set per
 //! field — the v1 [`crate::Compressor`], the chunked (CSZ2) worker pool,
-//! [`crate::StreamArchive`], and the fault-isolated recovery decoder. A
-//! [`PipelineEngine`] owns that working set instead:
+//! and the fault-isolated recovery decoder. A [`PipelineEngine`] owns
+//! that working set instead:
 //!
 //! * `dq` — the prequant/fused-delta buffer (`i64` per element),
 //! * `codes` — the quant-code buffer (`u16` per element),
@@ -67,9 +67,8 @@ impl PipelineEngine {
     ///
     /// `eb` is the already-resolved *absolute* error bound — callers
     /// validate input and resolve relative bounds first (see
-    /// [`validate_and_range`] / [`resolve_bound`]), because bound
-    /// resolution is container policy: v1 and CSZ2 resolve globally,
-    /// streams per slab.
+    /// [`validate_and_range`] / [`resolve_bound`]): v1 and CSZ2 both
+    /// resolve once, over the whole field.
     pub fn compress<T: Element>(
         &mut self,
         config: &Config,

@@ -17,7 +17,7 @@ pub enum ArchiveSection {
     CodesSection,
     /// The checksummed payload region as a whole.
     Payload,
-    /// A container header (CSZ2 chunked / CSZS stream / CSSN snapshot).
+    /// A container header (CSZ2 chunked / CSSN snapshot).
     ContainerHeader,
     /// The per-chunk length table of a container.
     LengthTable,

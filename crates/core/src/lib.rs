@@ -46,7 +46,7 @@ mod recovery;
 mod report;
 mod snapshot;
 mod stats;
-mod stream;
+mod walk;
 mod workflow;
 
 pub use archive::{Archive, Dtype};
@@ -67,7 +67,6 @@ pub use report::{
 };
 pub use snapshot::{Snapshot, SnapshotEntry};
 pub use stats::{ChunkedStats, CompressionStats};
-pub use stream::StreamArchive;
 pub use workflow::{CodesPayload, WorkflowMode};
 
 pub use cuszp_analysis::{CompressibilityReport, WorkflowChoice};

@@ -22,7 +22,7 @@ use crate::chunked::ChunkedArchive;
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
-use cuszp_parallel::{plan_chunk_spec, plan_len, WorkerPool};
+use cuszp_parallel::plan_len;
 use cuszp_predictor::{Dims, ReconstructEngine};
 use std::ops::Range;
 
@@ -127,6 +127,33 @@ pub(crate) struct ResolvedRange {
 }
 
 impl ResolvedRange {
+    /// Assigns rank-ordered `axes` (over rank-ordered `extents`) to the
+    /// slow/middle/fast roles.
+    fn from_axes(axes: &[Range<usize>], extents: &[usize]) -> Self {
+        let axis = |i: usize| (axes[i].clone(), extents[i]);
+        let unit = || (0..1, 1);
+        let ((mid, mid_extent), (fast, fast_extent)) = match axes.len() {
+            1 => (unit(), unit()),
+            2 => (unit(), axis(1)),
+            _ => (axis(1), axis(2)),
+        };
+        Self {
+            slow: axes[0].clone(),
+            mid,
+            fast,
+            mid_extent,
+            fast_extent,
+        }
+    }
+
+    /// The range "everything" — what a whole-field decode asks for.
+    /// Unlike a caller's spec it may be empty (an empty field).
+    pub fn full(dims: Dims) -> Self {
+        let extents = &dims.extents()[3 - dims.rank()..];
+        let axes: Vec<Range<usize>> = extents.iter().map(|&e| 0..e).collect();
+        Self::from_axes(&axes, extents)
+    }
+
     /// Elements of the sub-volume per slow-axis unit.
     pub fn sub_elems_per_slow(&self) -> usize {
         self.mid.len() * self.fast.len()
@@ -190,30 +217,7 @@ pub(crate) fn resolve(spec: &RangeSpec, dims: Dims) -> Result<ResolvedRange, Cus
             });
         }
     }
-    let a = &spec.axes;
-    Ok(match rank {
-        1 => ResolvedRange {
-            slow: a[0].clone(),
-            mid: 0..1,
-            fast: 0..1,
-            mid_extent: 1,
-            fast_extent: 1,
-        },
-        2 => ResolvedRange {
-            slow: a[0].clone(),
-            mid: 0..1,
-            fast: a[1].clone(),
-            mid_extent: 1,
-            fast_extent: extents[1],
-        },
-        _ => ResolvedRange {
-            slow: a[0].clone(),
-            mid: a[1].clone(),
-            fast: a[2].clone(),
-            mid_extent: extents[1],
-            fast_extent: extents[2],
-        },
-    })
+    Ok(ResolvedRange::from_axes(&spec.axes, extents))
 }
 
 /// The chunk index that contains slow-axis unit `s`, inverting the
@@ -268,58 +272,6 @@ pub(crate) fn gather_chunk<T: Copy>(
     }
 }
 
-impl ChunkedArchive {
-    /// Decodes only the chunks intersecting `spec` on `pool` and
-    /// assembles the requested sub-volume; `T` must be the stored
-    /// element type ([`CuszpError::DtypeMismatch`] otherwise).
-    pub fn decompress_range<T: Element>(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<T>, Dims), CuszpError> {
-        check_dtype::<T>(self.dtype)?;
-        self.validate_chunk_geometry()?;
-        let r = resolve(spec, self.dims)?;
-        let target = usize::try_from(self.chunk_target).unwrap_or(usize::MAX);
-        let extents = [self.dims.slow_extent(), self.dims.elems_per_slow()];
-        let span = chunk_span(&extents, target, &r.slow);
-        let seps = r.sub_elems_per_slow();
-        let mut out = vec![T::default(); r.len()];
-        // Carve the sub-volume into one contiguous segment per
-        // intersecting chunk: chunks tile the slow axis in order, so a
-        // chunk's overlap rows are consecutive in the output.
-        let mut parts: Vec<(usize, Range<usize>, &mut [T])> = Vec::with_capacity(span.len());
-        let mut rest: &mut [T] = &mut out;
-        for i in span {
-            let slab = plan_chunk_spec(&extents, target, i).slow;
-            let rows = slab.end.min(r.slow.end) - slab.start.max(r.slow.start);
-            let (head, tail) = rest.split_at_mut(rows * seps);
-            parts.push((i, slab, head));
-            rest = tail;
-        }
-        // One engine and one slab scratch per worker: a full chunk is
-        // decoded into the scratch, then only the requested sub-rows are
-        // copied out.
-        let results = pool.run_parts_with_state(
-            parts,
-            || (PipelineEngine::new(), Vec::<T>::new()),
-            |_, (i, slab, part), (eng, scratch)| -> Result<(), CuszpError> {
-                let n = self.chunks[i].dims.len();
-                scratch.clear();
-                scratch.resize(n, T::default());
-                eng.decompress_into(&self.chunks[i], engine, &mut scratch[..n])?;
-                gather_chunk(&scratch[..n], &slab, &r, part);
-                Ok(())
-            },
-        );
-        for res in results {
-            res?;
-        }
-        Ok((out, r.sub_dims(self.dims)))
-    }
-}
-
 /// Range decompression with caller-provided slab caching: `fetch(i)`
 /// may return chunk `i`'s previously decoded slab, `store(i, slab)` is
 /// called for every slab decoded fresh. This is the serving tier's
@@ -336,29 +288,21 @@ pub fn decompress_range_with_fetch<T: Element>(
     store: &mut dyn FnMut(usize, &[T]),
 ) -> Result<(Vec<T>, Dims), CuszpError> {
     check_dtype::<T>(arc.dtype)?;
-    arc.validate_chunk_geometry()?;
+    let plan = arc.plan()?;
     let r = resolve(spec, arc.dims)?;
-    let target = usize::try_from(arc.chunk_target).unwrap_or(usize::MAX);
-    let extents = [arc.dims.slow_extent(), arc.dims.elems_per_slow()];
-    let span = chunk_span(&extents, target, &r.slow);
-    let seps = r.sub_elems_per_slow();
     let mut out = vec![T::default(); r.len()];
-    let mut dst = 0;
-    for i in span {
-        let slab = plan_chunk_spec(&extents, target, i).slow;
-        let n = arc.chunks[i].dims.len();
-        let rows = slab.end.min(r.slow.end) - slab.start.max(r.slow.start);
-        let part = &mut out[dst..dst + rows * seps];
-        dst += rows * seps;
+    let mut scratch = Vec::new();
+    for (i, seg) in plan.carve(plan.span(&r), &r, &mut out) {
+        let slab = plan.spec(i);
         // A cached slab of the wrong length is stale garbage; decode
         // fresh rather than trusting it.
-        match fetch(i).filter(|s| s.len() == n) {
-            Some(slab_data) => gather_chunk(&slab_data, &slab, &r, part),
+        match fetch(i).filter(|s| s.len() == slab.len()) {
+            Some(cached) => gather_chunk(&cached, &slab.slow, &r, seg),
             None => {
-                let mut fresh = vec![T::default(); n];
-                eng.decompress_into(&arc.chunks[i], engine, &mut fresh)?;
-                store(i, &fresh);
-                gather_chunk(&fresh, &slab, &r, part);
+                let fresh = plan
+                    .reconstruct(i, &arc.chunks[i], &r, engine, eng, &mut scratch, seg)
+                    .map_err(|e| arc.place(i, e))?;
+                store(i, fresh);
             }
         }
     }

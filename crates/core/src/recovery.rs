@@ -10,17 +10,19 @@
 //! and reports a [`ChunkReport`] per chunk. [`scan`] runs the same
 //! diagnosis without producing output (the engine behind `cuszp fsck`).
 //!
-//! # Geometry recovery
+//! # The container header is the authority
 //!
 //! The chunk plan is a pure function of the container header's shape and
 //! chunk target ([`cuszp_parallel::plan_chunks`]), so slab extents can be
-//! recomputed even for chunks whose own headers are destroyed. The plan
-//! is the geometry authority: a chunk whose embedded dims disagree with
-//! its planned slab is reported [`ChunkStatus::Malformed`] rather than
-//! trusted. When **no** chunk is recoverable the container header itself
-//! is suspect (its dims would mis-plan every chunk), and recovery fails
-//! hard instead of fabricating a field — this is also what keeps a
-//! corrupted header from driving a giant output allocation.
+//! recomputed even for chunks whose own headers are destroyed. Strict and
+//! resilient decoding are two policies over one chunk walk
+//! (`crate::walk`) and share its one check: a chunk whose embedded
+//! dtype, dims or error bound disagree with the container's is reported
+//! [`ChunkStatus::Malformed`] rather than trusted. When **no** chunk is
+//! recoverable the container header itself is suspect (its dims would
+//! mis-plan every chunk), and whole-field recovery fails hard instead of
+//! fabricating a field — this is also what keeps a corrupted header from
+//! driving a giant output allocation.
 
 use crate::archive::peek_v1_header;
 use crate::chunked::{parse_chunked_header, read_length_table_lenient, ChunkedHeader};
@@ -30,11 +32,12 @@ use crate::error::{ArchiveSection, CuszpError, ParseFault};
 use crate::parity::{
     parse_parity_layout, ParityConfig, ParitySection, PARITY_HEADER_BYTES, PARITY_MAGIC,
 };
-use crate::range::{chunk_span, gather_chunk, resolve, slice_field, RangeSpec};
+use crate::range::{resolve, slice_field, RangeSpec, ResolvedRange};
+use crate::walk::PlanView;
 use crate::{is_chunked_archive, Archive, CodecPlan, Dims, Dtype, ReconstructEngine};
 use cuszp_checksum::fnv1a;
 use cuszp_ecc::ReedSolomon;
-use cuszp_parallel::{plan_chunk_spec, plan_len, ChunkSpec, WorkerPool};
+use cuszp_parallel::WorkerPool;
 use cuszp_predictor::Scalar;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -348,15 +351,6 @@ fn status_from_error(e: CuszpError, chunk: usize, base: usize) -> ChunkStatus {
     }
 }
 
-fn geometry_fault(chunk: usize, base: usize) -> ChunkStatus {
-    ChunkStatus::Malformed(ParseFault {
-        what: "chunk geometry mismatches plan",
-        section: ArchiveSection::ChunkBody,
-        offset: base,
-        chunk: Some(chunk),
-    })
-}
-
 /// The container's chunk layout: one entry per *planned* chunk, holding
 /// the declared byte range (when locatable) and the in-bounds body slice
 /// (when fully present).
@@ -397,50 +391,69 @@ fn layout_chunks<'a>(bytes: &'a [u8], hdr: &ChunkedHeader, n_geo: usize) -> Vec<
     out
 }
 
-/// Parses one chunk and cross-checks its geometry against the plan.
-fn parse_chunk(
-    layout: &ChunkLayout<'_>,
+/// Where a framed chunk's bytes start in the container (0 when the
+/// length table no longer locates it).
+fn chunk_base(layout: Option<&ChunkLayout<'_>>) -> usize {
+    layout
+        .and_then(|l| l.byte_range.as_ref())
+        .map_or(0, |r| r.start)
+}
+
+/// Frames chunk `i`: parses its bytes and checks the result against the
+/// container ([`PlanView::check`]). A chunk the buffer does not fully
+/// hold — or has no layout for — is `Truncated`.
+fn frame_chunk(
+    layout: Option<&ChunkLayout<'_>>,
     i: usize,
-    slab_dims: Dims,
-    dtype: Dtype,
+    plan: &PlanView,
 ) -> Result<Archive, ChunkStatus> {
-    let Some(body) = layout.body else {
+    let Some(body) = layout.and_then(|l| l.body) else {
         return Err(ChunkStatus::Truncated);
     };
-    let base = layout.byte_range.as_ref().map_or(0, |r| r.start);
-    let archive = Archive::from_bytes(body).map_err(|e| status_from_error(e, i, base))?;
-    if archive.dtype != dtype || archive.dims != slab_dims {
-        return Err(geometry_fault(i, base));
-    }
-    Ok(archive)
+    Archive::from_bytes(body)
+        .and_then(|archive| plan.check(i, &archive).map(|()| archive))
+        .map_err(|e| status_from_error(e, i, chunk_base(layout)))
 }
 
-/// Lazy view of the plan implied by the container header: chunk count
-/// and per-chunk specs in O(1). A corrupted extent or chunk target can
-/// claim billions of chunks; nothing here costs memory until a chunk is
-/// actually evaluated, and evaluation is capped by the input (see
-/// [`evaluable_chunks`]).
-struct PlanView {
-    extents: [usize; 2],
-    target: usize,
-    n: usize,
-}
-
-impl PlanView {
-    fn spec(&self, i: usize) -> ChunkSpec {
-        plan_chunk_spec(&self.extents, self.target, i)
+/// Runs `act` on a framed chunk and folds the result into the chunk's
+/// report fields: its status, and its codec plan whenever its header
+/// parsed (even if `act` then failed). `base` rebases `act`'s error.
+fn evaluate_chunk(
+    framed: Result<&Archive, ChunkStatus>,
+    i: usize,
+    base: usize,
+    act: impl FnOnce(&Archive) -> Result<(), CuszpError>,
+) -> (ChunkStatus, Option<CodecPlan>) {
+    match framed {
+        Err(status) => (status, None),
+        Ok(archive) => {
+            let status = match act(archive) {
+                Ok(()) => ChunkStatus::Ok,
+                Err(e) => status_from_error(e, i, base),
+            };
+            (status, Some(archive.plan()))
+        }
     }
 }
 
-/// Recomputes the chunk plan from the container header.
-fn plan_for(hdr: &ChunkedHeader) -> PlanView {
-    let extents = [hdr.dims.slow_extent(), hdr.dims.elems_per_slow()];
-    let target = usize::try_from(hdr.chunk_target).unwrap_or(usize::MAX);
-    PlanView {
-        extents,
-        target,
-        n: plan_len(&extents, target),
-    }
+/// One [`ChunkReport`] per evaluated chunk of `span`.
+fn chunk_reports(
+    outcomes: Vec<(ChunkStatus, Option<CodecPlan>)>,
+    span: Range<usize>,
+    layouts: &[ChunkLayout<'_>],
+    plan: &PlanView,
+) -> Vec<ChunkReport> {
+    outcomes
+        .into_iter()
+        .zip(span)
+        .map(|((status, chunk_plan), i)| ChunkReport {
+            index: i,
+            status,
+            byte_range: layouts.get(i).and_then(|l| l.byte_range.clone()),
+            elem_range: plan.spec(i).elems,
+            plan: chunk_plan,
+        })
+        .collect()
 }
 
 /// How many planned chunks the input can possibly frame: each needs an
@@ -738,38 +751,22 @@ pub fn scan_with(bytes: &[u8], pool: &WorkerPool) -> Result<ScanReport, CuszpErr
     // striped region and are reused unchanged.
     let (healed, parity, repaired) = pre_heal(bytes, &hdr);
     let bytes = &healed[..];
-    let plan = plan_for(&hdr);
+    let plan = hdr.plan();
     let n_geo = evaluable_chunks(plan.n, &hdr, bytes);
     let layouts = layout_chunks(bytes, &hdr, n_geo);
     // Each scan worker keeps one engine: the decode probe reuses the
     // engine's code arena across every chunk it checks.
-    let statuses = pool.run_with_state(n_geo, PipelineEngine::new, |i, eng| {
-        let slab_dims = hdr.dims.slab(plan.spec(i).slow_len());
-        match parse_chunk(&layouts[i], i, slab_dims, hdr.dtype) {
-            Err(st) => (st, None),
-            Ok(archive) => {
-                let chunk_plan = Some(archive.plan());
-                match eng.validate_codes(&archive) {
-                    Ok(()) => (ChunkStatus::Ok, chunk_plan),
-                    Err(e) => {
-                        let base = layouts[i].byte_range.as_ref().map_or(0, |r| r.start);
-                        (status_from_error(e, i, base), chunk_plan)
-                    }
-                }
-            }
-        }
+    let outcomes = pool.run_with_state(n_geo, PipelineEngine::new, |i, eng| {
+        let layout = layouts.get(i);
+        let framed = frame_chunk(layout, i, &plan);
+        evaluate_chunk(
+            framed.as_ref().map_err(Clone::clone),
+            i,
+            chunk_base(layout),
+            |archive| eng.validate_codes(archive),
+        )
     });
-    let mut reports: Vec<ChunkReport> = statuses
-        .into_iter()
-        .enumerate()
-        .map(|(i, (status, chunk_plan))| ChunkReport {
-            index: i,
-            status,
-            byte_range: layouts[i].byte_range.clone(),
-            elem_range: plan.spec(i).elems,
-            plan: chunk_plan,
-        })
-        .collect();
+    let mut reports = chunk_reports(outcomes, 0..n_geo, &layouts, &plan);
     push_truncated_tail(&mut reports, &plan, n_geo, hdr.dims.len());
     reports.extend(extra_chunk_reports(&hdr, n_geo, bytes, hdr.dims.len()));
     apply_repairs(&mut reports, &repaired);
@@ -835,41 +832,70 @@ fn scan_v1(bytes: &[u8]) -> ScanReport {
     }
 }
 
-/// Resilient whole-field decode (the engine behind
-/// [`Decode::resilient`](crate::Decode::resilient) without a range):
-/// undamaged chunks reconstruct bit-identically to the strict path;
-/// damaged slabs are filled per `fill` and reported. Fails hard only
-/// when the container header is unusable or **no** chunk is recoverable.
-pub(crate) fn recover_field<T: Element>(
+/// Resilient decode (the engine behind
+/// [`Decode::resilient`](crate::Decode::resilient)), the fill-and-report
+/// policy over the chunk walk: undamaged chunks reconstruct
+/// bit-identically to the strict path; the requested rows of damaged
+/// slabs are filled per `fill` and reported.
+///
+/// A whole-field read (`range` is `None`) reports every chunk and fails
+/// hard when the container header is unusable or **no** chunk is
+/// recoverable. A range read decodes and reports only the chunks whose
+/// slabs intersect `range` (global chunk indices, field-global element
+/// ranges) — out-of-range chunks are neither decoded nor reported,
+/// whatever their state — and an all-damaged range fills and reports
+/// instead of failing.
+pub(crate) fn recover<T: Element>(
     bytes: &[u8],
+    range: Option<&RangeSpec>,
     fill: FillPolicy,
     engine: ReconstructEngine,
     pool: &WorkerPool,
 ) -> Result<RecoveredField<T>, CuszpError> {
     if !is_chunked_archive(bytes) {
-        return recover_v1::<T>(bytes, engine);
+        // v1 is one checksummed unit: recover it whole, slice after.
+        let mut rv = recover_v1::<T>(bytes, engine)?;
+        if let Some(spec) = range {
+            (rv.data, rv.dims) = slice_field(&rv.data, rv.dims, spec)?;
+            rv.reports[0].elem_range = 0..rv.data.len();
+        }
+        return Ok(rv);
     }
     let hdr = parse_chunked_header(bytes)?;
     check_dtype::<T>(hdr.dtype)?;
+    // A spec is validated against the header's dims before anything is
+    // allocated or decoded: a bad spec is a typed `InvalidRange`, and a
+    // valid one bounds the output by what the *caller* asked for.
+    let r = match range {
+        Some(spec) => resolve(spec, hdr.dims)?,
+        None => ResolvedRange::full(hdr.dims),
+    };
     // Repair before fill: shards the parity section can reconstruct are
     // healed before any chunk is parsed, so slabs whose damage fits the
     // erasure budget decode bit-exactly instead of taking the fill value.
+    // Parity stripes span the whole chunk region, so healing is global
+    // even for a range read.
     let (healed, parity, repaired) = pre_heal(bytes, &hdr);
     let bytes = &healed[..];
-    let plan = plan_for(&hdr);
+    let plan = hdr.plan();
     let n_geo = evaluable_chunks(plan.n, &hdr, bytes);
-    let layouts = layout_chunks(bytes, &hdr, n_geo);
+    // A whole-field read walks every chunk the buffer can frame (the
+    // rest is the truncated tail); a range read walks its span, and a
+    // chunk of it the buffer cannot frame has no layout: `Truncated`.
+    let whole = range.is_none();
+    let span = if whole { 0..n_geo } else { plan.span(&r) };
+    let layouts = layout_chunks(bytes, &hdr, span.end.min(n_geo));
 
-    // Pass 1: parse + geometry-check every evaluable chunk (in parallel)
-    // BEFORE allocating the output. If nothing is recoverable the
-    // header's own dims are untrustworthy and allocating `dims.len()`
-    // elements from them would let a flipped extent bit demand arbitrary
-    // memory.
-    let parsed: Vec<Result<Archive, ChunkStatus>> = pool.run(n_geo, |i| {
-        let slab_dims = hdr.dims.slab(plan.spec(i).slow_len());
-        parse_chunk(&layouts[i], i, slab_dims, hdr.dtype)
-    });
-    if plan.n > 0 && !parsed.iter().any(|r| r.is_ok()) {
+    // The whole field's size is the header's claim, not the caller's: if
+    // nothing is recoverable the header's own dims are untrustworthy,
+    // and allocating `dims.len()` elements from them would let a flipped
+    // extent bit demand arbitrary memory. Find one good chunk first (and
+    // keep it: the walk below does not parse it again).
+    let frame = |i: usize| frame_chunk(layouts.get(i), i, &plan);
+    let first_good = whole
+        .then(|| span.clone().find_map(|i| Some((i, frame(i).ok()?))))
+        .flatten();
+    if whole && plan.n > 0 && first_good.is_none() {
         return Err(CuszpError::malformed(
             "no recoverable chunks in container",
             ArchiveSection::ChunkBody,
@@ -877,66 +903,48 @@ pub(crate) fn recover_field<T: Element>(
         ));
     }
 
-    // Pass 2: reconstruct recovered chunks into their slabs; damaged
-    // slabs (and any unframeable tail) keep the fill value the buffer
-    // was initialized with. The allocation is a try_reserve: a header
-    // that survives pass 1 is trustworthy, but graceful failure beats an
-    // abort if memory genuinely runs out.
-    // Plans are read off the parsed headers before pass 2 consumes the
-    // archives into the worker parts.
-    let plans: Vec<Option<CodecPlan>> = parsed
-        .iter()
-        .map(|r| r.as_ref().ok().map(|a| a.plan()))
-        .collect();
+    // Damaged segments (and any unframeable tail) keep the fill value
+    // the buffer is initialized with. The allocation is a try_reserve:
+    // graceful failure beats an abort if memory genuinely runs out.
     let fill_value: T = fill.value();
-    let n_elems = hdr.dims.len();
     let mut data: Vec<T> = Vec::new();
-    data.try_reserve_exact(n_elems).map_err(|_| {
+    data.try_reserve_exact(r.len()).map_err(|_| {
         CuszpError::malformed(
-            "field too large for memory",
+            if whole {
+                "field too large for memory"
+            } else {
+                "range too large for memory"
+            },
             ArchiveSection::ContainerHeader,
             8,
         )
     })?;
-    data.resize(n_elems, fill_value);
-    let mut parts: Vec<(&mut [T], Result<Archive, ChunkStatus>)> = Vec::with_capacity(n_geo);
-    let mut rest: &mut [T] = &mut data;
-    for (i, res) in parsed.into_iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(plan.spec(i).elems.len());
-        parts.push((head, res));
-        rest = tail;
-    }
-    let statuses = pool.run_parts_with_state(parts, PipelineEngine::new, |i, (slab, res), eng| {
-        match res {
-            Err(status) => status,
-            Ok(archive) => match eng.decompress_into(&archive, engine, slab) {
-                Ok(()) => ChunkStatus::Ok,
-                Err(e) => {
-                    // Reconstruction may have partially written the slab.
-                    slab.fill(fill_value);
-                    let base = layouts[i].byte_range.as_ref().map_or(0, |r| r.start);
-                    status_from_error(e, i, base)
-                }
-            },
-        }
-    });
-    let mut reports: Vec<ChunkReport> = statuses
-        .into_iter()
-        .enumerate()
-        .map(|(i, status)| ChunkReport {
-            index: i,
-            status,
-            byte_range: layouts[i].byte_range.clone(),
-            elem_range: plan.spec(i).elems,
-            plan: plans[i],
+    data.resize(r.len(), fill_value);
+    let outcomes = plan.walk(span.clone(), &r, &mut data, pool, |i, seg, eng, scratch| {
+        let fresh;
+        let framed = match &first_good {
+            Some((good, archive)) if *good == i => Ok(archive),
+            _ => {
+                fresh = frame(i);
+                fresh.as_ref().map_err(Clone::clone)
+            }
+        };
+        evaluate_chunk(framed, i, chunk_base(layouts.get(i)), |archive| {
+            plan.reconstruct(i, archive, &r, engine, eng, scratch, seg)
+                .map(drop)
+                // Reconstruction may have partially written the segment.
+                .inspect_err(|_| seg.fill(fill_value))
         })
-        .collect();
-    push_truncated_tail(&mut reports, &plan, n_geo, n_elems);
-    reports.extend(extra_chunk_reports(&hdr, n_geo, bytes, n_elems));
+    });
+    let mut reports = chunk_reports(outcomes, span, &layouts, &plan);
+    if whole {
+        push_truncated_tail(&mut reports, &plan, n_geo, r.len());
+        reports.extend(extra_chunk_reports(&hdr, n_geo, bytes, r.len()));
+    }
     apply_repairs(&mut reports, &repaired);
     Ok(RecoveredField {
         data,
-        dims: hdr.dims,
+        dims: r.sub_dims(hdr.dims),
         reports,
         parity,
     })
@@ -964,127 +972,6 @@ fn recover_v1<T: Element>(
             plan: Some(plan),
         }],
         parity: None,
-    })
-}
-
-/// Resilient range read (the engine behind
-/// [`Decode::resilient`](crate::Decode::resilient) with a range):
-/// decodes only the chunks whose slabs intersect `spec`, fills the
-/// in-range rows of damaged slabs per `fill`, and reports one
-/// [`ChunkReport`] per **intersecting** chunk (global chunk indices and
-/// field-global element ranges). Out-of-range chunks are neither
-/// decoded nor reported, whatever their state.
-pub(crate) fn recover_range<T: Element>(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-) -> Result<RecoveredField<T>, CuszpError> {
-    if !is_chunked_archive(bytes) {
-        // v1 is one checksummed unit: recover it whole, slice after.
-        let mut rv = recover_v1::<T>(bytes, engine)?;
-        (rv.data, rv.dims) = slice_field(&rv.data, rv.dims, spec)?;
-        rv.reports[0].elem_range = 0..rv.data.len();
-        return Ok(rv);
-    }
-    let hdr = parse_chunked_header(bytes)?;
-    check_dtype::<T>(hdr.dtype)?;
-    // The spec is validated against the header's dims before anything is
-    // allocated or decoded: a bad spec is a typed `InvalidRange`, and a
-    // valid spec bounds the output by what the *caller* asked for — so
-    // unlike the whole-field path, a range read needs no "any chunk
-    // recoverable?" pre-pass to keep a corrupted header from driving a
-    // giant allocation. All-damaged-in-range therefore fills and reports
-    // instead of failing hard.
-    let r = resolve(spec, hdr.dims)?;
-    // Repair before fill, as in the whole-field path. Parity stripes span
-    // the whole chunk region, so healing is global; the range contract is
-    // about decoding and reporting, which stay confined below.
-    let (healed, parity, repaired) = pre_heal(bytes, &hdr);
-    let bytes = &healed[..];
-    let plan = plan_for(&hdr);
-    let n_geo = evaluable_chunks(plan.n, &hdr, bytes);
-    let span = chunk_span(&plan.extents, plan.target, &r.slow);
-    // Layouts are walked cumulatively from chunk 0, but only up to the
-    // last in-range chunk the buffer can frame; chunks past that report
-    // as truncated via the missing-layout fallback.
-    let layouts = layout_chunks(bytes, &hdr, span.end.min(n_geo));
-    let missing = ChunkLayout {
-        byte_range: None,
-        body: None,
-    };
-
-    let fill_value: T = fill.value();
-    let seps = r.sub_elems_per_slow();
-    let mut data: Vec<T> = Vec::new();
-    data.try_reserve_exact(r.len()).map_err(|_| {
-        CuszpError::malformed(
-            "range too large for memory",
-            ArchiveSection::ContainerHeader,
-            8,
-        )
-    })?;
-    data.resize(r.len(), fill_value);
-
-    // Carve the sub-volume into one contiguous segment per intersecting
-    // chunk (chunks tile the slow axis in order), then parse + decode +
-    // gather each in parallel. A slab that fails to parse or decode
-    // leaves its segment at the fill value.
-    let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(span.len());
-    let mut rest: &mut [T] = &mut data;
-    for i in span.clone() {
-        let slab = plan.spec(i).slow;
-        let rows = slab.end.min(r.slow.end) - slab.start.max(r.slow.start);
-        let (head, tail) = rest.split_at_mut(rows * seps);
-        parts.push((i, head));
-        rest = tail;
-    }
-    let statuses = pool.run_parts_with_state(
-        parts,
-        || (PipelineEngine::new(), Vec::<T>::new()),
-        |_, (i, part), (eng, scratch)| {
-            let spec_i = plan.spec(i);
-            let slab_dims = hdr.dims.slab(spec_i.slow_len());
-            let layout = layouts.get(i).unwrap_or(&missing);
-            match parse_chunk(layout, i, slab_dims, hdr.dtype) {
-                Err(status) => (status, None),
-                Ok(archive) => {
-                    let chunk_plan = Some(archive.plan());
-                    let n = slab_dims.len();
-                    scratch.clear();
-                    scratch.resize(n, fill_value);
-                    match eng.decompress_into(&archive, engine, &mut scratch[..n]) {
-                        Ok(()) => {
-                            gather_chunk(&scratch[..n], &spec_i.slow, &r, part);
-                            (ChunkStatus::Ok, chunk_plan)
-                        }
-                        Err(e) => {
-                            let base = layout.byte_range.as_ref().map_or(0, |r| r.start);
-                            (status_from_error(e, i, base), chunk_plan)
-                        }
-                    }
-                }
-            }
-        },
-    );
-    let mut reports: Vec<ChunkReport> = statuses
-        .into_iter()
-        .zip(span)
-        .map(|((status, chunk_plan), i)| ChunkReport {
-            index: i,
-            status,
-            byte_range: layouts.get(i).and_then(|l| l.byte_range.clone()),
-            elem_range: plan.spec(i).elems,
-            plan: chunk_plan,
-        })
-        .collect();
-    apply_repairs(&mut reports, &repaired);
-    Ok(RecoveredField {
-        data,
-        dims: r.sub_dims(hdr.dims),
-        reports,
-        parity,
     })
 }
 

@@ -168,21 +168,6 @@ fn chunked_f64_archive_bytes_are_pinned() {
 }
 
 #[test]
-fn stream_archive_bytes_are_pinned() {
-    let data = field_f32(50_000);
-    let c = Compressor::new(Config {
-        error_bound: ErrorBound::Relative(1e-3),
-        ..Config::default()
-    });
-    let bytes = c
-        .compress_stream(&data, Dims::D2 { ny: 250, nx: 200 }, 12_000)
-        .unwrap()
-        .to_bytes();
-    let got = fnv1a(&bytes);
-    assert_eq!(got, GOLDEN_CSZS, "stream archive drifted: {got:#018x}");
-}
-
-#[test]
 fn snapshot_bytes_are_pinned() {
     let mut snap = Snapshot::new();
     let c = abs_compressor(1e-3);
@@ -277,6 +262,5 @@ const GOLDEN_V1_RLEVLE: u64 = 0x52cc_bf7c_fcc2_314b;
 const GOLDEN_V1_F64: u64 = 0x0df1_5c34_2bdd_adb3;
 const GOLDEN_CSZ2_F32: u64 = 0x178d_33d0_f8a9_00b4;
 const GOLDEN_CSZ2_F64: u64 = 0x084f_8668_5ca2_fa3b;
-const GOLDEN_CSZS: u64 = 0xa219_994f_dc9c_f6b7;
 const GOLDEN_CSSN: u64 = 0x7bc3_743f_3863_5fa9;
 const GOLDEN_RECON_F32: u64 = 0xef1c_7873_1edc_c786;

@@ -1,4 +1,4 @@
-//! f32/f64 parity properties across the four pipeline drivers.
+//! f32/f64 parity properties across the three pipeline drivers.
 //!
 //! An `f32` widens to `f64` exactly and the unified engine prequantizes
 //! in f64 for both element types, so the same field compressed as f32
@@ -10,8 +10,7 @@
 //! exactly on undamaged archives.
 
 use cuszp_core::{
-    decompress, Compressor, Config, Decode, ErrorBound, FillPolicy, ReconstructEngine,
-    WorkflowChoice, WorkflowMode,
+    decompress, Compressor, Config, Decode, ErrorBound, FillPolicy, WorkflowChoice, WorkflowMode,
 };
 use cuszp_parallel::WorkerPool;
 use cuszp_predictor::Dims;
@@ -66,7 +65,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn all_four_drivers_agree_across_dtypes(
+    fn all_drivers_agree_across_dtypes(
         dims in arb_dims(),
         seed in any::<u64>(),
         eb_exp in -4i32..-1,
@@ -140,25 +139,7 @@ proptest! {
         let (cr64, _) = Decode::new(&ca64.to_bytes()).strict::<f64>().unwrap();
         assert_bits_eq_after_narrowing(&cr32, &cr64, "chunked")?;
 
-        // Driver 3: streaming slabs (f32-only API). Relative bounds
-        // resolve per slab, so verify against each block's own bound.
-        let s32 = c.compress_stream(&data32, dims, target).unwrap();
-        let (sr32, sdims) = s32.decompress(ReconstructEngine::FinePartialSum).unwrap();
-        prop_assert_eq!(sdims, dims);
-        let mut off = 0usize;
-        for b in &s32.blocks {
-            let bn = b.dims.len();
-            for (o, r) in data32[off..off + bn].iter().zip(&sr32[off..off + bn]) {
-                let slack = b.eb * (1.0 + 1e-6) + (o.abs() as f64) * f32::EPSILON as f64;
-                prop_assert!(
-                    ((o - r).abs() as f64) <= slack,
-                    "stream bound {} violated: {} vs {}", b.eb, o, r
-                );
-            }
-            off += bn;
-        }
-
-        // Driver 4: recovery. On undamaged archives (v1 and chunked) the
+        // Driver 3: recovery. On undamaged archives (v1 and chunked) the
         // resilient decoder must reproduce the plain decoder bit-for-bit.
         let rv32 = Decode::new(&a32.to_bytes()).resilient::<f32>(FillPolicy::Nan).unwrap();
         prop_assert_eq!(rv32.n_damaged(), 0);

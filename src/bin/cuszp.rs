@@ -879,10 +879,18 @@ fn cmd_info(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_analyze(opts: &Opts) -> Result<(), String> {
+    if opts.has_flag("double") {
+        analyze_raw::<f64>(opts)
+    } else {
+        analyze_raw::<f32>(opts)
+    }
+}
+
+fn analyze_raw<T: Element>(opts: &Opts) -> Result<(), String> {
     let input = opts.require("i")?;
     let dims = parse_dims(opts.require("d")?)?;
     let config = parse_config(opts)?;
-    let data = read_raw::<f32>(input)?;
+    let data = read_raw::<T>(input)?;
     if data.len() != dims.len() {
         return Err(format!(
             "{input} has {} elements, dims say {}",

@@ -62,9 +62,12 @@ fn single_bit_flips_are_detected() {
                 Ok((data, dims)) => {
                     // A flip in the header's eb field (bytes 32..40)
                     // changes only the dequantization scale, which the
-                    // checksum cannot see (it guards the payload).
-                    // Anything else must at least stay structurally
-                    // consistent.
+                    // checksum cannot see (it guards the payload). A v1
+                    // archive has no second copy of eb to compare with
+                    // (inside CSZ2 the container's is the authority):
+                    // this exemption stands until ROADMAP item 1b puts
+                    // the header under the checksum. Anything else must
+                    // at least stay structurally consistent.
                     assert!(
                         (32..40).contains(&pos) || data.len() == dims.len(),
                         "flip at {pos} silently accepted ({})",
