@@ -104,8 +104,8 @@ impl Compressor {
         // BEFORE chunking matters twice over: a relative bound must scale
         // with the whole field's range, not each slab's, both for uniform
         // quality and for plan-independent bytes.
-        let range = validate_and_range(data, dims)?;
-        let eb = resolve_bound(self.config().error_bound, range)?;
+        let scan = validate_and_range(data, dims)?;
+        let eb = resolve_bound(self.config().error_bound, &scan)?;
         let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
         let config = self.config();
         // Each pool worker keeps ONE engine and reuses its scratch arenas
@@ -171,8 +171,8 @@ impl Compressor {
         target_elems: usize,
         engine: &mut PipelineEngine,
     ) -> Result<ChunkedArchive, CuszpError> {
-        let range = validate_and_range(data, dims)?;
-        let eb = resolve_bound(self.config().error_bound, range)?;
+        let scan = validate_and_range(data, dims)?;
+        let eb = resolve_bound(self.config().error_bound, &scan)?;
         let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
         let config = self.config();
         let mut chunks = Vec::with_capacity(plan.len());

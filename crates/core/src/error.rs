@@ -91,6 +91,15 @@ pub enum CuszpError {
     NonFiniteInput,
     /// The resolved absolute error bound is not positive and finite.
     InvalidErrorBound(f64),
+    /// The field is too large for the error bound: `max_abs / (2·eb)`
+    /// reaches 2⁵³, past which prequantization cannot hold its integers
+    /// exactly.
+    QuantizerRange {
+        /// Largest magnitude in the field.
+        max_abs: f64,
+        /// The resolved absolute error bound.
+        eb: f64,
+    },
     /// Archive bytes are truncated or structurally invalid; the fault
     /// records section, byte offset, and chunk index.
     MalformedArchive(ParseFault),
@@ -196,6 +205,12 @@ impl std::fmt::Display for CuszpError {
             CuszpError::InvalidErrorBound(eb) => {
                 write!(f, "error bound must be positive and finite, got {eb}")
             }
+            CuszpError::QuantizerRange { max_abs, eb } => write!(
+                f,
+                "field magnitude {max_abs:e} at error bound {eb:e} needs {:e} quantization \
+                 steps, the quantizer holds fewer than 2^53; loosen the bound",
+                max_abs / (2.0 * eb)
+            ),
             CuszpError::MalformedArchive(fault) => write!(f, "malformed archive: {fault}"),
             CuszpError::ChecksumMismatch {
                 expected,

@@ -202,25 +202,13 @@ impl ErrorBound {
     /// Resolves to an absolute bound given the (`f32` or `f64`) data.
     ///
     /// A constant field has zero range; the relative mode falls back to a
-    /// tiny absolute bound so the pipeline stays well-defined.
+    /// tiny absolute bound so the pipeline stays well-defined. Nothing is
+    /// validated here: a NaN is ignored wherever it sits (the compression
+    /// drivers refuse it in their own pass over the same scan).
     pub fn absolute<T: Scalar>(&self, data: &[T]) -> f64 {
         match *self {
             ErrorBound::Absolute(eb) => eb,
-            ErrorBound::Relative(_) => {
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for x in data {
-                    let v = x.to_f64();
-                    if v < lo {
-                        lo = v;
-                    }
-                    if v > hi {
-                        hi = v;
-                    }
-                }
-                let range = if data.is_empty() { 0.0 } else { hi - lo };
-                self.absolute_for_range(range)
-            }
+            ErrorBound::Relative(_) => self.absolute_for_range(engine::scan_field(data).range()),
         }
     }
 
@@ -304,8 +292,8 @@ impl Compressor {
         data: &[T],
         dims: Dims,
     ) -> Result<(Archive, CompressionStats), CuszpError> {
-        let range = engine::validate_and_range(data, dims)?;
-        let eb = engine::resolve_bound(self.config.error_bound, range)?;
+        let scan = engine::validate_and_range(data, dims)?;
+        let eb = engine::resolve_bound(self.config.error_bound, &scan)?;
         PipelineEngine::new().compress(&self.config, data, dims, eb)
     }
 }

@@ -7,9 +7,13 @@
 //! per-chunk bit counts are the deflate metadata. Decoding is then
 //! chunk-parallel, exactly like the GPU's per-block Huffman decoder.
 //!
-//! The encoder performs a store only when a full byte is ready — the CPU
-//! rendition of the paper's "DRAM store per output unit, not per symbol"
-//! optimization (§V-C.1).
+//! The encoder queues bits in a 64-bit word and stores four bytes at a
+//! time into one buffer per worker — the CPU rendition of the paper's
+//! "DRAM store per output unit, not per symbol" optimization (§V-C.1).
+//! Only a book with a code past 32 bits — the quant-code books are
+//! capped at 16, and an uncapped one needs a Fibonacci-skewed histogram
+//! of millions of symbols to get there — drains the queue a byte at a
+//! time.
 
 use crate::codebook::{CanonicalDecoder, Codebook};
 
@@ -249,20 +253,72 @@ fn unpack_lengths(packed: &[u8], expected_len: usize) -> Option<Vec<u8>> {
     }
 }
 
+/// Longest code the 64-bit bit queue takes: up to seven bits stay queued
+/// between symbols when it drains by the byte.
+const MAX_QUEUED_CODE: u8 = 56;
+
+/// Longest code the word-at-a-time drain takes: up to 31 bits stay queued
+/// between symbols, and 31 + 32 still fits the queue.
+const MAX_WORD_CODE: u8 = 32;
+
 /// Encodes a symbol stream with the given codebook.
 ///
+/// Every chunk of `chunk` symbols is byte-aligned and chunks are
+/// concatenated in order, so the bytes do not depend on how many workers
+/// shared the stream: each takes one contiguous run of chunks and packs
+/// it into one buffer.
+///
 /// Panics if a symbol has no code (zero length) — the histogram the book
-/// was built from must cover the stream.
+/// was built from must cover the stream — or if the book holds a code
+/// longer than 56 bits, which the bit queue cannot take.
 pub fn encode(symbols: &[u16], book: &Codebook, chunk: usize) -> HuffmanEncoded {
     assert!(chunk > 0, "chunk must be positive");
-    let chunks: Vec<(Vec<u8>, u32)> =
-        cuszp_parallel::par_map_chunks(symbols, chunk, |_ci, syms| encode_chunk(syms, book));
-    let mut payload = Vec::with_capacity(chunks.iter().map(|(b, _)| b.len()).sum());
-    let mut chunk_bits = Vec::with_capacity(chunks.len());
-    for (bytes, bits) in chunks {
-        payload.extend_from_slice(&bytes);
-        chunk_bits.push(bits);
-    }
+    let longest = book.lengths().iter().copied().max().unwrap_or(0);
+    assert!(
+        longest <= MAX_QUEUED_CODE,
+        "code length {longest} overflows the {MAX_QUEUED_CODE}-bit limit of the bit queue"
+    );
+    // One `code << 8 | len` word per symbol: a single load in the hot loop.
+    let table: Vec<u64> = (0..book.n_symbols())
+        .map(|s| {
+            let (code, len) = book.code(s as u16);
+            code << 8 | u64::from(len)
+        })
+        .collect();
+    let pack: fn(&[u16], &[u64], &mut Vec<u8>) -> u32 = if longest <= MAX_WORD_CODE {
+        pack_chunk::<4>
+    } else {
+        pack_chunk::<1>
+    };
+
+    let n_chunks = symbols.len().div_ceil(chunk);
+    let workers = if cuszp_parallel::inner_parallelism_disabled() {
+        1
+    } else {
+        cuszp_parallel::num_workers()
+    };
+    let run = n_chunks.div_ceil(workers).max(1) * chunk;
+    let mut runs = cuszp_parallel::par_map_chunks(symbols, run, |_, syms| {
+        // Half a byte per symbol is what the old per-chunk buffers started
+        // at; a denser stream grows the one buffer a few times instead.
+        let mut bytes = Vec::with_capacity(syms.len() / 2 + 8);
+        let bits: Vec<u32> = syms
+            .chunks(chunk)
+            .map(|c| pack(c, &table, &mut bytes))
+            .collect();
+        (bytes, bits)
+    });
+    let (payload, chunk_bits) = if runs.len() == 1 {
+        runs.pop().expect("one run")
+    } else {
+        let mut payload = Vec::with_capacity(runs.iter().map(|(b, _)| b.len()).sum());
+        let mut chunk_bits = Vec::with_capacity(n_chunks);
+        for (bytes, bits) in runs {
+            payload.extend_from_slice(&bytes);
+            chunk_bits.extend_from_slice(&bits);
+        }
+        (payload, chunk_bits)
+    };
     HuffmanEncoded {
         payload,
         chunk_bits,
@@ -272,21 +328,59 @@ pub fn encode(symbols: &[u16], book: &Codebook, chunk: usize) -> HuffmanEncoded 
     }
 }
 
-/// Encodes one chunk into a byte-aligned bitstream, returning bit count.
+/// Appends one chunk's byte-aligned bitstream to `out`, returning its
+/// bit count.
 ///
-/// Bits queue MSB-first in a `u64` accumulator; a byte is stored only when
-/// complete (the transaction-reduction idea from the paper's Huffman
-/// kernel, transplanted to byte granularity).
-fn encode_chunk(syms: &[u16], book: &Codebook) -> (Vec<u8>, u32) {
+/// Bits queue in the low end of a `u64`, newest lowest, so a symbol costs
+/// one shift-or that does not wait on the fill count; once `8·DRAIN` are
+/// pending the oldest `DRAIN` bytes leave together, MSB first. Bits that
+/// have left are not cleared — later shifts push them off the top.
+/// `DRAIN = 4` needs every code within [`MAX_WORD_CODE`] bits, `DRAIN = 1`
+/// within [`MAX_QUEUED_CODE`] — [`encode`] checks the book and picks.
+fn pack_chunk<const DRAIN: usize>(syms: &[u16], table: &[u64], out: &mut Vec<u8>) -> u32 {
+    let drain_bits = 8 * DRAIN as u32;
+    let mut acc = 0u64;
+    let mut filled = 0u32; // pending bits (< drain_bits between symbols)
+    let mut total_bits = 0u32;
+    let mut all_coded = true;
+    for &s in syms {
+        let entry = table[s as usize];
+        let len = (entry & 0xFF) as u32;
+        all_coded &= len != 0;
+        total_bits += len;
+        acc = acc << len | entry >> 8;
+        filled += len;
+        while filled >= drain_bits {
+            filled -= drain_bits;
+            out.extend_from_slice(&(acc >> filled).to_be_bytes()[8 - DRAIN..]);
+        }
+    }
+    if !all_coded {
+        let s = syms.iter().find(|&&s| table[s as usize] & 0xFF == 0);
+        panic!(
+            "symbol {} has no code",
+            s.expect("a codeless symbol was seen")
+        );
+    }
+    if filled > 0 {
+        let tail = acc << (64 - filled);
+        out.extend_from_slice(&tail.to_be_bytes()[..filled.div_ceil(8) as usize]);
+    }
+    total_bits
+}
+
+/// The byte-at-a-time packer [`pack_chunk`] replaced, kept as the
+/// reference the differential tests compare it with.
+#[cfg(test)]
+fn encode_chunk_reference(syms: &[u16], book: &Codebook) -> (Vec<u8>, u32) {
     let mut out = Vec::with_capacity(syms.len() / 2);
-    let mut acc = 0u64; // pending bits, left-justified
-    let mut filled = 0u32; // number of pending bits (< 8 between symbols)
+    let mut acc = 0u64;
+    let mut filled = 0u32;
     let mut total_bits = 0u32;
     for &s in syms {
         let (code, len) = book.code(s);
         assert!(len > 0, "symbol {s} has no code");
         let len = len as u32;
-        debug_assert!(len <= 56, "code length {len} overflows the bit queue");
         total_bits += len;
         acc |= code << (64 - len - filled);
         filled += len;
@@ -459,5 +553,134 @@ mod tests {
     fn encoding_uncovered_symbol_panics() {
         let book = build_codebook(&[5, 5, 0, 0]);
         encode(&[3u16], &book, 16);
+    }
+
+    /// [`encode`] as it was: one [`encode_chunk_reference`] per chunk,
+    /// concatenated.
+    fn encode_reference(syms: &[u16], book: &Codebook, chunk: usize) -> (Vec<u8>, Vec<u32>) {
+        let mut payload = Vec::new();
+        let mut chunk_bits = Vec::new();
+        for c in syms.chunks(chunk) {
+            let (bytes, bits) = encode_chunk_reference(c, book);
+            payload.extend_from_slice(&bytes);
+            chunk_bits.push(bits);
+        }
+        (payload, chunk_bits)
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Draws `n` symbols with the histogram's own weights (so long codes
+    /// are rare, as in a real stream) plus every used symbol once (so
+    /// the longest code is always packed).
+    fn stream(hist: &[u32], n: usize, next: &mut impl FnMut() -> u64) -> Vec<u16> {
+        let total: u64 = hist.iter().map(|&c| c as u64).sum();
+        let mut syms: Vec<u16> = (0..n)
+            .map(|_| {
+                let mut at = next() % total;
+                hist.iter()
+                    .position(|&c| {
+                        let here = at < c as u64;
+                        at = at.wrapping_sub(c as u64);
+                        here
+                    })
+                    .expect("a draw below the total lands in a bin") as u16
+            })
+            .collect();
+        syms.extend((0..hist.len()).filter(|&s| hist[s] > 0).map(|s| s as u16));
+        syms
+    }
+
+    /// The packer against the byte-at-a-time reference: same payload and
+    /// bit counts at every worker count, and the stream decodes.
+    fn assert_packs_like_reference(book: &Codebook, syms: &[u16], chunks: &[usize]) {
+        for &chunk in chunks {
+            let (payload, chunk_bits) = encode_reference(syms, book, chunk);
+            for workers in [1, 2, 8] {
+                cuszp_parallel::set_workers(workers);
+                let enc = encode(syms, book, chunk);
+                assert_eq!(
+                    enc.chunk_bits, chunk_bits,
+                    "chunk {chunk}, {workers} workers"
+                );
+                assert_eq!(enc.payload, payload, "chunk {chunk}, {workers} workers");
+            }
+            cuszp_parallel::set_workers(0);
+            let enc = encode(syms, book, chunk);
+            assert_eq!(
+                crate::decode_fast_checked(&enc).as_deref(),
+                Some(syms),
+                "chunk {chunk}"
+            );
+        }
+    }
+
+    /// One test, not one per kind of book: the worker count it steps
+    /// through is process-wide.
+    #[test]
+    fn packer_equals_the_bytewise_reference() {
+        let mut next = xorshift(0xC0DE_B00C);
+        let every_chunk: Vec<usize> = (1..=64).chain([4096]).collect();
+        for n_bins in [2usize, 5, 256, 1024] {
+            // A few heavy symbols, a long light tail, some bins unused.
+            let hist: Vec<u32> = (0..n_bins)
+                .map(|_| match next() % 4 {
+                    0 => 0,
+                    _ => 1 + (next() % (1 << (next() % 20))) as u32,
+                })
+                .chain([1]) // never an empty histogram
+                .collect();
+            let book = build_codebook(&hist);
+            let syms = stream(&hist, 3000, &mut next);
+            assert_packs_like_reference(&book, &syms, &every_chunk);
+            // Long enough for the parallel primitives to really fan out.
+            let syms = stream(&hist, 40_000, &mut next);
+            assert_packs_like_reference(&book, &syms, &[61, 4096]);
+        }
+
+        // Fibonacci weights give the deepest tree a histogram can: 40
+        // symbols reach 39 bits, past what the word-at-a-time drain takes.
+        let mut hist = vec![1u32, 1];
+        while hist.len() < 40 {
+            hist.push(hist[hist.len() - 1] + hist[hist.len() - 2]);
+        }
+        let book = build_codebook(&hist);
+        assert_eq!(book.lengths().iter().max(), Some(&39));
+        // Uniform draws: the long codes come up as often as the short.
+        let syms: Vec<u16> = (0..5000).map(|_| (next() % 40) as u16).collect();
+        assert_packs_like_reference(&book, &syms, &every_chunk);
+    }
+
+    /// Lengths 1, 2, …, `longest − 1`, `longest`, `longest`: a complete
+    /// prefix code whose last two symbols carry the longest codes.
+    fn staircase_book(longest: u8) -> Codebook {
+        let lengths: Vec<u8> = (1..=longest).chain([longest]).collect();
+        Codebook::from_lengths(&lengths)
+    }
+
+    #[test]
+    fn a_56_bit_book_still_packs() {
+        let book = staircase_book(56);
+        let syms: Vec<u16> = (0..57).chain((0..57).rev()).collect();
+        let (payload, chunk_bits) = encode_reference(&syms, &book, 7);
+        let enc = encode(&syms, &book, 7);
+        assert_eq!((&enc.payload, &enc.chunk_bits), (&payload, &chunk_bits));
+        assert_eq!(decode(&enc, &book), syms);
+    }
+
+    /// In a release build the old `debug_assert!` let this through and
+    /// the shift amount wrapped: a corrupt stream and no error.
+    #[test]
+    #[should_panic(expected = "overflows the 56-bit limit")]
+    fn a_57_bit_book_is_refused_before_packing() {
+        encode(&[0u16, 56, 57], &staircase_book(57), 16);
     }
 }

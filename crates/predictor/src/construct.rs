@@ -33,13 +33,13 @@ fn predict_2d(dq: &[i64], j: usize, i: usize, nx: usize, ty: usize, tx: usize) -
     let idx = j * nx + i;
     let mut p = 0i64;
     if up {
-        p += dq[idx - nx];
+        p = p.wrapping_add(dq[idx - nx]);
     }
     if left {
-        p += dq[idx - 1];
+        p = p.wrapping_add(dq[idx - 1]);
     }
     if up && left {
-        p -= dq[idx - nx - 1];
+        p = p.wrapping_sub(dq[idx - nx - 1]);
     }
     p
 }
@@ -67,25 +67,25 @@ fn predict_3d(
     let sz = ny * nx; // stride along z
     let mut p = 0i64;
     if up {
-        p += dq[idx - sxy];
+        p = p.wrapping_add(dq[idx - sxy]);
     }
     if left {
-        p += dq[idx - 1];
+        p = p.wrapping_add(dq[idx - 1]);
     }
     if back {
-        p += dq[idx - sz];
+        p = p.wrapping_add(dq[idx - sz]);
     }
     if up && left {
-        p -= dq[idx - sxy - 1];
+        p = p.wrapping_sub(dq[idx - sxy - 1]);
     }
     if back && up {
-        p -= dq[idx - sz - sxy];
+        p = p.wrapping_sub(dq[idx - sz - sxy]);
     }
     if back && left {
-        p -= dq[idx - sz - 1];
+        p = p.wrapping_sub(dq[idx - sz - 1]);
     }
     if back && up && left {
-        p += dq[idx - sz - sxy - 1];
+        p = p.wrapping_add(dq[idx - sz - sxy - 1]);
     }
     p
 }
@@ -191,54 +191,100 @@ pub fn construct_codes(dq: &[i64], dims: Dims, radius: u16) -> Vec<u16> {
 /// [`construct_codes`] writing into a caller-owned buffer (resized to the
 /// field length) so the pipeline engine can reuse one code arena across
 /// chunks instead of allocating per chunk.
+///
+/// The walk is row-wise: a row's y/z tile-edge case is fixed, so it is
+/// chosen once per row ([`row_codes`]) and no element computes its own
+/// coordinates.
 pub fn construct_codes_into(dq: &[i64], dims: Dims, radius: u16, codes: &mut Vec<u16>) {
     let n = dims.len();
     assert_eq!(dq.len(), n, "prequant length must match dims");
     let r = radius as i64;
-    codes.clear();
+    // No zero-fill of what is already there: every position is written.
     codes.resize(n, 0);
-    let [_, ty, tx] = dims.tile();
+    let [tz, ty, tx] = dims.tile();
 
     match dims {
         Dims::D1(_) => {
             cuszp_parallel::par_chunks_mut(codes, tx, |ci, chunk| {
-                let base = ci * tx;
-                for (loc, c) in chunk.iter_mut().enumerate() {
-                    let i = base + loc;
-                    let delta = dq[i] - predict_1d(dq, i, tx);
-                    *c = encode_delta(delta, r);
-                }
+                row_codes(chunk, tx, r, dq, ci * tx, None, None);
             });
         }
         Dims::D2 { nx, .. } => {
-            let band = ty * nx;
-            cuszp_parallel::par_chunks_mut(codes, band, |bi, chunk| {
-                let j0 = bi * ty;
-                for (loc, c) in chunk.iter_mut().enumerate() {
-                    let j = j0 + loc / nx;
-                    let i = loc % nx;
-                    let delta = dq[j * nx + i] - predict_2d(dq, j, i, nx, ty, tx);
-                    *c = encode_delta(delta, r);
+            cuszp_parallel::par_chunks_mut(codes, ty * nx, |bi, band| {
+                for (dj, row) in band.chunks_mut(nx).enumerate() {
+                    let up = (dj != 0).then_some(nx);
+                    row_codes(row, tx, r, dq, (bi * ty + dj) * nx, up, None);
                 }
             });
         }
         Dims::D3 { ny, nx, .. } => {
-            let [tz, ty, tx] = dims.tile();
-            let slab = tz * ny * nx;
-            cuszp_parallel::par_chunks_mut(codes, slab, |si, chunk| {
-                let k0 = si * tz;
-                let plane = ny * nx;
-                for (loc, c) in chunk.iter_mut().enumerate() {
-                    let k = k0 + loc / plane;
-                    let rem = loc % plane;
-                    let j = rem / nx;
-                    let i = rem % nx;
-                    let delta =
-                        dq[(k * ny + j) * nx + i] - predict_3d(dq, k, j, i, ny, nx, tz, ty, tx);
-                    *c = encode_delta(delta, r);
+            let plane = ny * nx;
+            cuszp_parallel::par_chunks_mut(codes, tz * plane, |si, slab| {
+                for (dk, codes_plane) in slab.chunks_mut(plane).enumerate() {
+                    let back = (dk != 0).then_some(plane);
+                    for (j, row) in codes_plane.chunks_mut(nx).enumerate() {
+                        let up = (!j.is_multiple_of(ty)).then_some(nx);
+                        let at = (si * tz + dk) * plane + j * nx;
+                        row_codes(row, tx, r, dq, at, up, back);
+                    }
                 }
             });
         }
+    }
+}
+
+/// One contiguous row of quant-codes, for the row of `dq` starting at
+/// `at`. `up` and `back` are the distances back to the neighbour rows
+/// along y and z, `None` where the row sits on that edge of its tile.
+///
+/// With `v[i] = c[i] − up[i] − back[i] + back_up[i]` (absent rows
+/// dropped), the Lorenzo residual is `δ[i] = v[i] − v[i−1]`, restarting
+/// at every `tx`: the x-differences of the 7-point stencil telescope
+/// into one subtraction. Integer `+`/`−` are reordered against
+/// [`predict_at`], hence wrapping.
+#[inline(always)]
+fn row_codes(
+    out: &mut [u16],
+    tx: usize,
+    r: i64,
+    dq: &[i64],
+    at: usize,
+    up: Option<usize>,
+    back: Option<usize>,
+) {
+    let n = out.len();
+    let row = |start: usize| &dq[start..start + n];
+    let c = row(at);
+    match (up, back) {
+        (None, None) => delta_codes(out, tx, r, |i| c[i]),
+        (Some(stride), None) | (None, Some(stride)) => {
+            let a = row(at - stride);
+            delta_codes(out, tx, r, |i| c[i].wrapping_sub(a[i]))
+        }
+        (Some(sy), Some(sz)) => {
+            let (u, b, bu) = (row(at - sy), row(at - sz), row(at - sz - sy));
+            delta_codes(out, tx, r, |i| {
+                c[i].wrapping_sub(u[i])
+                    .wrapping_sub(b[i])
+                    .wrapping_add(bu[i])
+            })
+        }
+    }
+}
+
+/// `out[i] = encode_delta(v(i) − v(i−1))` with `v(−1) = 0` at every
+/// multiple of `tx`.
+#[inline(always)]
+fn delta_codes(out: &mut [u16], tx: usize, r: i64, v: impl Fn(usize) -> i64) {
+    let mut base = 0usize;
+    for seg in out.chunks_mut(tx) {
+        let mut prev = 0i64;
+        for (i, o) in seg.iter_mut().enumerate() {
+            let cur = v(base + i);
+            *o = encode_delta(cur.wrapping_sub(prev), r);
+            prev = cur;
+        }
+        base += seg.len();
     }
 }
 
@@ -246,8 +292,9 @@ pub fn construct_codes_into(dq: &[i64], dims: Dims, radius: u16, codes: &mut Vec
 /// else the outlier placeholder `0`.
 #[inline(always)]
 fn encode_delta(delta: i64, r: i64) -> u16 {
-    if delta > -r && delta < r {
-        (delta + r) as u16
+    let biased = delta.wrapping_add(r) as u64;
+    if biased.wrapping_sub(1) < (2 * r - 1) as u64 {
+        biased as u16
     } else {
         0
     }
@@ -331,6 +378,116 @@ mod tests {
             .map(|(i, _)| i as u64)
             .collect();
         assert_eq!(zero_positions, qf.outliers.indices);
+    }
+
+    /// The per-element loop the row-wise walk replaced: each code from
+    /// its own [`predict_at`] and the two-compare range test.
+    fn reference_codes(dq: &[i64], dims: Dims, radius: u16) -> Vec<u16> {
+        let r = radius as i64;
+        (0..dq.len())
+            .map(|i| {
+                let delta = dq[i].wrapping_sub(predict_at(dq, dims, i));
+                if delta > -r && delta < r {
+                    (delta + r) as u16
+                } else {
+                    0
+                }
+            })
+            .collect()
+    }
+
+    /// Three kinds of prequantized field over one xorshift stream: smooth
+    /// (every residual in range), outlier-heavy, and values at the ends
+    /// of `i64` (every stencil sum wraps).
+    fn fields(n: usize, seed: u64) -> [Vec<i64>; 3] {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut walk = 0i64;
+        let smooth = (0..n)
+            .map(|_| {
+                walk += (next() % 7) as i64 - 3;
+                walk
+            })
+            .collect();
+        let spiky = (0..n)
+            .map(|_| match next() % 4 {
+                0 => (next() % 2_000_001) as i64 - 1_000_000,
+                _ => (next() % 5) as i64,
+            })
+            .collect();
+        let extreme = (0..n)
+            .map(|_| [i64::MIN, i64::MAX, 0, -1, 1][(next() % 5) as usize])
+            .collect();
+        [smooth, spiky, extreme]
+    }
+
+    fn assert_matches_reference(dims: Dims) {
+        let mut codes = vec![7u16; 3]; // stale contents must not leak
+        for (kind, dq) in fields(dims.len(), dims.len() as u64 * 0x9E37_79B9)
+            .iter()
+            .enumerate()
+        {
+            for radius in [2u16, 512, 32767] {
+                construct_codes_into(dq, dims, radius, &mut codes);
+                assert_eq!(
+                    codes,
+                    reference_codes(dq, dims, radius),
+                    "{dims:?}, field kind {kind}, radius {radius}"
+                );
+            }
+            // `extreme` would overflow the (non-wrapping) outlier gather,
+            // which the core's range guard keeps it from ever seeing.
+            if kind < 2 {
+                use crate::stage::{LorenzoStage, PredictorStage};
+                let mut arena = dq.clone();
+                LorenzoStage.construct(&mut arena, dims, 512, &mut codes);
+                assert_eq!(&arena, dq, "{dims:?}: construct must leave dq untouched");
+            }
+        }
+    }
+
+    #[test]
+    fn row_wise_codes_equal_the_per_element_reference_1d() {
+        for n in (1..=17).chain([255, 256, 257, 511, 513, 1000]) {
+            assert_matches_reference(Dims::D1(n));
+        }
+    }
+
+    #[test]
+    fn row_wise_codes_equal_the_per_element_reference_2d() {
+        for ny in 1..=17 {
+            for nx in 1..=17 {
+                assert_matches_reference(Dims::D2 { ny, nx });
+            }
+        }
+        for (ny, nx) in [(15, 33), (16, 32), (33, 47), (48, 17), (2, 100), (100, 2)] {
+            assert_matches_reference(Dims::D2 { ny, nx });
+        }
+    }
+
+    #[test]
+    fn row_wise_codes_equal_the_per_element_reference_3d() {
+        for nz in 1..=17 {
+            for ny in 1..=17 {
+                for nx in 1..=17 {
+                    assert_matches_reference(Dims::D3 { nz, ny, nx });
+                }
+            }
+        }
+        for (nz, ny, nx) in [
+            (9, 23, 19),
+            (8, 16, 24),
+            (25, 7, 9),
+            (3, 33, 10),
+            (19, 9, 31),
+        ] {
+            assert_matches_reference(Dims::D3 { nz, ny, nx });
+        }
     }
 
     #[test]

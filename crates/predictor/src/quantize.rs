@@ -29,8 +29,24 @@ pub fn prequantize_into<T: Scalar>(data: &[T], eb: f64, out: &mut [i64]) {
     assert_eq!(data.len(), out.len(), "buffer length mismatch");
     let inv = 1.0 / (2.0 * eb);
     cuszp_parallel::par_zip_mut(out, data, |o, &d| {
-        *o = (d.to_f64() * inv).round() as i64;
+        *o = round_half_away(d.to_f64() * inv);
     });
+}
+
+/// The largest `f64` below one half.
+const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+
+/// `y.round() as i64` — nearest integer, ties away from zero, saturating,
+/// NaN to 0 — without the libm call `f64::round` is on a baseline x86-64
+/// target: add the predecessor of ½ toward `y`'s sign, then truncate.
+/// (Adding ½ itself would carry `0.5 − ulp` up to 1.) Below 2⁵² the sum's
+/// own rounding reaches the next integer only from an exact tie; from 2⁵²
+/// on `y` is an integer and the addend is under half its spacing. The
+/// test `rounding_equals_f64_round` checks the agreement rather than
+/// trusting this argument.
+#[inline(always)]
+fn round_half_away(y: f64) -> i64 {
+    (y + BELOW_HALF.copysign(y)) as i64
 }
 
 /// Dequantizes prequantized integers back to floats: `d = d° · 2·eb`.
@@ -78,6 +94,79 @@ mod tests {
         // 2eb = 1.0 — prequant is plain rounding.
         let q = prequantize(&[0.49, 0.51, -0.49, -0.51, 1.5], 0.5);
         assert_eq!(q, vec![0, 1, 0, -1, 2]);
+    }
+
+    /// `round_half_away` against `f64::round` on every class of input
+    /// where adding-then-truncating could plausibly differ from it.
+    #[test]
+    fn rounding_equals_f64_round() {
+        fn check(y: f64) {
+            assert_eq!(
+                round_half_away(y),
+                y.round() as i64,
+                "y = {y:e} ({:#018x})",
+                y.to_bits()
+            );
+        }
+        // Both signs of `y` and of its two neighbours.
+        fn around(y: f64) {
+            for v in [y.next_down(), y, y.next_up()] {
+                check(v);
+                check(-v);
+            }
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        const TWO52: u64 = 1 << 52;
+
+        around(0.0);
+        around(0.5);
+        around(BELOW_HALF);
+        around(f64::MIN_POSITIVE);
+        around(f64::from_bits(1)); // smallest subnormal
+        around(f64::from_bits((1 << 52) - 1)); // largest subnormal
+        around(1e300);
+        around(f64::MAX);
+        around(i64::MAX as f64);
+        around(i64::MIN as f64);
+        for y in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            check(y);
+        }
+        // Ties k + ½ and their neighbours: every small k, every power of
+        // two and its neighbours up to 2⁵², and random k below 2⁵² (at
+        // 2⁵¹ and above `k + 0.5` has no neighbour short of an integer).
+        for k in 0..4096u64 {
+            around(k as f64 + 0.5);
+        }
+        for e in 0..=52 {
+            for k in [(1u64 << e) - 1, 1 << e, (1 << e) + 1] {
+                around(k as f64);
+                around(k as f64 + 0.5);
+            }
+        }
+        for _ in 0..200_000 {
+            let k = next() % TWO52;
+            around(k as f64 + 0.5);
+            around(k as f64);
+        }
+        // [2⁵², 2⁵³]: spacing 1, so odd integers are where an addend of
+        // (almost) ½ sits exactly between two representable sums.
+        for j in 0..4096u64 {
+            around((TWO52 + 2 * j + 1) as f64);
+            around((2 * TWO52 - 2 * j - 1) as f64);
+        }
+        for _ in 0..200_000 {
+            around((TWO52 + ((next() % TWO52) | 1)) as f64);
+        }
+        around((2 * TWO52) as f64);
+        for _ in 0..2_000_000 {
+            check(f64::from_bits(next()));
+        }
     }
 
     #[test]

@@ -23,9 +23,10 @@ pub trait PredictorStage: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Quantizes prediction residuals of the prequantized field `dq`
-    /// into `codes` (cleared and zero-filled first, so outlier positions
-    /// keep the placeholder `0`), returning the out-of-range residuals
-    /// index-sorted. `dq` is preserved — the engine may probe it again.
+    /// into `codes` (resized to the field and written everywhere, outlier
+    /// positions with the placeholder `0`), returning the out-of-range
+    /// residuals index-sorted. `dq` is preserved — the engine may probe
+    /// it again.
     fn construct(
         &self,
         dq: &mut [i64],

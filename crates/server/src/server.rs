@@ -684,6 +684,7 @@ fn pipeline_error(e: CuszpError) -> ErrorResponse {
         CuszpError::DimsMismatch { .. }
         | CuszpError::NonFiniteInput
         | CuszpError::InvalidErrorBound(_)
+        | CuszpError::QuantizerRange { .. }
         | CuszpError::InvalidParityConfig(_)
         | CuszpError::DtypeMismatch { .. }
         | CuszpError::InvalidRange { .. } => ErrorCode::BadRequest,

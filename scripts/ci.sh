@@ -47,6 +47,13 @@ cargo build --release --workspace
 echo "==> cargo test (every suite above, once)"
 cargo test --workspace
 
+# The encode kernels lean on wrapping integer arithmetic and a saturating
+# float->int cast, which the debug profile's overflow checks treat
+# differently from the profile the benchmark measures: their differential
+# suites run in both.
+echo "==> cargo test --release (predictor, huffman, lossless: the kernel suites in the measured profile)"
+cargo test --release -p cuszp-predictor -p cuszp-huffman -p cuszp-lossless
+
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run
 
