@@ -36,6 +36,7 @@
 
 mod archive;
 mod chunked;
+mod cursor;
 mod decode;
 mod element;
 mod engine;
@@ -51,6 +52,7 @@ mod workflow;
 
 pub use archive::{Archive, Dtype};
 pub use chunked::{is_chunked_archive, ChunkedArchive};
+pub use cursor::{put_str, ByteCursor, CursorError};
 pub use decode::{decompress, decompress_archive, decompress_range, stored_dtype, Decode};
 pub use element::{read_raw, scalars_from_le, scalars_to_le, write_raw, Element};
 pub use engine::PipelineEngine;
@@ -61,10 +63,7 @@ pub use recovery::{
     repair, repair_with, scan, scan_with, ChunkReport, ChunkStatus, FillPolicy, ParityReport,
     RecoveredField, RepairOutcome, ScanReport, StripeStatus,
 };
-pub use report::{
-    json_escape, PortableChunkReport, PortableChunkStatus, PortableParityReport,
-    PortableScanReport, PortableStripeStatus, REPORT_VERSION,
-};
+pub use report::{json_escape, REPORT_VERSION};
 pub use snapshot::{Snapshot, SnapshotEntry};
 pub use stats::{ChunkedStats, CompressionStats};
 pub use workflow::{CodesPayload, WorkflowMode};
@@ -186,6 +185,20 @@ impl CodecPlan {
         }
         s
     }
+
+    /// How many of `plans` took each plan, as `(label, count)` pairs in
+    /// first-occurrence order — an archive's plan mix, whether counted at
+    /// compression time, from a parsed archive or from a scan report.
+    pub fn mix(plans: impl IntoIterator<Item = CodecPlan>) -> Vec<(String, usize)> {
+        let mut mix: Vec<(String, usize)> = Vec::new();
+        for label in plans.into_iter().map(|p| p.label()) {
+            match mix.iter_mut().find(|(l, _)| *l == label) {
+                Some((_, n)) => *n += 1,
+                None => mix.push((label, 1)),
+            }
+        }
+        mix
+    }
 }
 
 /// How the error bound is specified.
@@ -244,9 +257,6 @@ pub struct Config {
     pub predictor: PredictorMode,
     /// Optional post-coding lossless stage (default: off).
     pub lossless: LosslessMode,
-    /// Reconstruction engine used by [`decompress_archive`]'s convenience
-    /// path (decompression can also pick per call).
-    pub engine: ReconstructEngine,
 }
 
 impl Default for Config {
@@ -257,7 +267,6 @@ impl Default for Config {
             workflow: WorkflowMode::Auto,
             predictor: PredictorMode::default(),
             lossless: LosslessMode::default(),
-            engine: ReconstructEngine::FinePartialSum,
         }
     }
 }

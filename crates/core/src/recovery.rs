@@ -72,7 +72,7 @@ impl FillPolicy {
 }
 
 /// Outcome of validating (and decoding) one chunk.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChunkStatus {
     /// Parsed, checksum verified, decoded.
     Ok,
@@ -97,12 +97,30 @@ pub enum ChunkStatus {
     /// The container ends before this chunk's declared bytes (or before
     /// its length-table entry).
     Truncated,
-    /// The chunk bytes are structurally invalid; the fault pinpoints
-    /// what and where.
-    Malformed(ParseFault),
+    /// The chunk bytes are structurally invalid. The fields are a
+    /// [`ParseFault`]'s, owned so the status survives a trip over the
+    /// wire (the fault's chunk index is the report's `index`).
+    Malformed {
+        /// What the parser found wrong.
+        what: Cow<'static, str>,
+        /// Name of the layout section being parsed
+        /// ([`ArchiveSection::name`]).
+        section: Cow<'static, str>,
+        /// Byte offset of the fault, in container coordinates.
+        offset: usize,
+    },
 }
 
 impl ChunkStatus {
+    /// The one place a [`ParseFault`] becomes a report entry.
+    fn malformed(what: &'static str, section: ArchiveSection, offset: usize) -> Self {
+        ChunkStatus::Malformed {
+            what: Cow::Borrowed(what),
+            section: Cow::Borrowed(section.name()),
+            offset,
+        }
+    }
+
     /// True for [`ChunkStatus::Ok`] — the chunk was intact as stored.
     pub fn is_ok(&self) -> bool {
         matches!(self, ChunkStatus::Ok)
@@ -123,7 +141,7 @@ impl ChunkStatus {
             ChunkStatus::Repaired { .. } => "repaired",
             ChunkStatus::ChecksumMismatch { .. } => "checksum",
             ChunkStatus::Truncated => "truncated",
-            ChunkStatus::Malformed(_) => "malformed",
+            ChunkStatus::Malformed { .. } => "malformed",
         }
     }
 }
@@ -146,14 +164,18 @@ impl std::fmt::Display for ChunkStatus {
                 )
             }
             ChunkStatus::Truncated => write!(f, "truncated"),
-            ChunkStatus::Malformed(fault) => write!(f, "malformed: {fault}"),
+            ChunkStatus::Malformed {
+                what,
+                section,
+                offset,
+            } => write!(f, "malformed: {what} [{section} @ byte {offset}]"),
         }
     }
 }
 
 /// Per-chunk diagnosis: status, where the chunk lives in the container,
 /// and which slab of the field it covers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkReport {
     /// Chunk index in plan order.
     pub index: usize,
@@ -235,11 +257,14 @@ impl ParityReport {
     }
 }
 
-/// Result of [`scan`]: the per-chunk diagnosis without decompression.
-#[derive(Debug, Clone, PartialEq)]
+/// The per-chunk diagnosis of an archive: what [`scan`] returns, what a
+/// resilient decode reports ([`RecoveredField::into_report`]), and —
+/// through `to_bytes` / `from_bytes` — what the CSRP `scan` and recover
+/// answers carry.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanReport {
     /// Container format ("csz2" or "v1").
-    pub format: &'static str,
+    pub format: Cow<'static, str>,
     /// Field dimensions from the container header, when parseable.
     pub dims: Option<Dims>,
     /// Element type from the container header, when parseable.
@@ -257,22 +282,29 @@ pub struct ScanReport {
     pub parity: Option<ParityReport>,
 }
 
+/// Chunks whose data is lost (neither intact nor healed from parity).
+fn count_damaged(reports: &[ChunkReport]) -> usize {
+    reports.iter().filter(|r| !r.status.is_recovered()).count()
+}
+
+/// Chunks healed from parity.
+fn count_repaired(reports: &[ChunkReport]) -> usize {
+    reports
+        .iter()
+        .filter(|r| matches!(r.status, ChunkStatus::Repaired { .. }))
+        .count()
+}
+
 impl ScanReport {
     /// Number of chunks whose data is lost (neither intact nor healed
     /// from parity).
     pub fn n_damaged(&self) -> usize {
-        self.reports
-            .iter()
-            .filter(|r| !r.status.is_recovered())
-            .count()
+        count_damaged(&self.reports)
     }
 
     /// Number of chunks healed from parity.
     pub fn n_repaired(&self) -> usize {
-        self.reports
-            .iter()
-            .filter(|r| matches!(r.status, ChunkStatus::Repaired { .. }))
-            .count()
+        count_repaired(&self.reports)
     }
 
     /// True when every chunk's data is available bit-exactly (intact or
@@ -300,24 +332,35 @@ impl<T> RecoveredField<T> {
     /// Number of chunks whose data is lost (neither intact nor healed
     /// from parity).
     pub fn n_damaged(&self) -> usize {
-        self.reports
-            .iter()
-            .filter(|r| !r.status.is_recovered())
-            .count()
+        count_damaged(&self.reports)
     }
 
     /// Number of chunks healed from parity.
     pub fn n_repaired(&self) -> usize {
-        self.reports
-            .iter()
-            .filter(|r| matches!(r.status, ChunkStatus::Repaired { .. }))
-            .count()
+        count_repaired(&self.reports)
     }
 
     /// True when every chunk's data is available bit-exactly (intact or
     /// repaired).
     pub fn is_clean(&self) -> bool {
         self.n_damaged() == 0
+    }
+}
+
+impl<T: Element> RecoveredField<T> {
+    /// Splits into the field and the report a resilient-decompression
+    /// answer carries: the per-chunk and parity diagnosis move into a
+    /// [`ScanReport`] whose dims are this (sub-)field's.
+    pub fn into_report(self) -> (Vec<T>, ScanReport) {
+        let report = ScanReport {
+            format: Cow::Borrowed("csz2"),
+            dims: Some(self.dims),
+            dtype: Some(T::DTYPE),
+            declared_chunks: self.reports.len(),
+            reports: self.reports,
+            parity: self.parity,
+        };
+        (self.data, report)
     }
 }
 
@@ -335,19 +378,16 @@ fn status_from_error(e: CuszpError, chunk: usize, base: usize) -> ChunkStatus {
             actual,
             offset,
         },
-        CuszpError::MalformedArchive(fault) => ChunkStatus::Malformed(fault),
-        CuszpError::UnsupportedVersion(_) => ChunkStatus::Malformed(ParseFault {
-            what: "unsupported chunk version",
-            section: ArchiveSection::ChunkBody,
-            offset: base,
-            chunk: Some(chunk),
-        }),
-        _ => ChunkStatus::Malformed(ParseFault {
-            what: "invalid chunk",
-            section: ArchiveSection::ChunkBody,
-            offset: base,
-            chunk: Some(chunk),
-        }),
+        CuszpError::MalformedArchive(ParseFault {
+            what,
+            section,
+            offset,
+            ..
+        }) => ChunkStatus::malformed(what, section, offset),
+        CuszpError::UnsupportedVersion(_) => {
+            ChunkStatus::malformed("unsupported chunk version", ArchiveSection::ChunkBody, base)
+        }
+        _ => ChunkStatus::malformed("invalid chunk", ArchiveSection::ChunkBody, base),
     }
 }
 
@@ -514,12 +554,11 @@ fn extra_chunk_reports(
         };
         out.push(ChunkReport {
             index: i,
-            status: ChunkStatus::Malformed(ParseFault {
-                what: "chunk beyond plan",
-                section: ArchiveSection::LengthTable,
-                offset: hdr.table_offset + i * 8,
-                chunk: Some(i),
-            }),
+            status: ChunkStatus::malformed(
+                "chunk beyond plan",
+                ArchiveSection::LengthTable,
+                hdr.table_offset + i * 8,
+            ),
             byte_range,
             elem_range: n_elems..n_elems,
             plan: None,
@@ -771,7 +810,7 @@ pub fn scan_with(bytes: &[u8], pool: &WorkerPool) -> Result<ScanReport, CuszpErr
     reports.extend(extra_chunk_reports(&hdr, n_geo, bytes, hdr.dims.len()));
     apply_repairs(&mut reports, &repaired);
     Ok(ScanReport {
-        format: "csz2",
+        format: Cow::Borrowed("csz2"),
         dims: Some(hdr.dims),
         dtype: Some(hdr.dtype),
         declared_chunks: hdr.n_chunks,
@@ -817,7 +856,7 @@ fn scan_v1(bytes: &[u8]) -> ScanReport {
     }
     let n_elems = dims.map_or(0, |d| d.len());
     ScanReport {
-        format: "v1",
+        format: Cow::Borrowed("v1"),
         dims,
         dtype,
         declared_chunks: 1,
@@ -1091,7 +1130,7 @@ mod tests {
         assert_eq!(rec.n_damaged(), 1);
         assert!(matches!(
             rec.reports[2].status,
-            ChunkStatus::ChecksumMismatch { .. } | ChunkStatus::Malformed(_)
+            ChunkStatus::ChecksumMismatch { .. } | ChunkStatus::Malformed { .. }
         ));
         let er = rec.reports[2].elem_range.clone();
         for (i, (&got, &want)) in rec.data.iter().zip(&strict).enumerate() {

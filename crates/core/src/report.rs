@@ -1,30 +1,27 @@
-//! Portable diagnosis reports: one serialization of the fsck/recovery
-//! reports shared by every consumer.
+//! The two stable encodings of a diagnosis report.
 //!
-//! [`ScanReport`]/[`ChunkReport`]/[`ParityReport`] carry borrowed
-//! `&'static str` fault text and `usize` ranges — fine in-process,
-//! useless on a wire. [`PortableScanReport`] is their lossless owned
-//! mirror with two stable encodings:
+//! [`ScanReport`] — what `scan`, `fsck`, `decompress --recover` and every
+//! resilient range read produce — is serialized here, and only here:
 //!
-//! * a **versioned binary** form ([`PortableScanReport::to_bytes`] /
-//!   [`from_bytes`](PortableScanReport::from_bytes)) used by the CSRP
-//!   protocol's `scan` and `decompress --recover` responses, parsed with
-//!   the same allocation discipline as archive headers (`try_reserve`,
-//!   counts bounded by bytes actually present);
-//! * a **compact JSON** form ([`PortableScanReport::to_json_fields`])
-//!   with the field names `cuszp fsck --json` committed to in PR 4.
+//! * a **versioned binary** form ([`ScanReport::to_bytes`] /
+//!   [`from_bytes`](ScanReport::from_bytes)) used by the CSRP protocol's
+//!   `scan` and `decompress --recover` responses, parsed with the same
+//!   allocation discipline as archive headers (`try_reserve`, counts
+//!   bounded by bytes actually present, indices converted with
+//!   `usize::try_from`);
+//! * a **compact JSON** form ([`ScanReport::to_json_fields`]) with the
+//!   field names `cuszp fsck --json` committed to in PR 4.
 //!
 //! `cuszp fsck --json` and `cuszp remote scan --json` both render
-//! through this module, so the shell format and the wire format cannot
-//! drift apart.
+//! through this module, and a report that crossed a socket is the same
+//! type as one made in-process, so the shell format and the wire format
+//! cannot drift apart.
 
+use crate::cursor::{put_str, ByteCursor, CursorError};
 use crate::error::{ArchiveSection, CuszpError};
-use crate::recovery::{
-    ChunkReport, ChunkStatus, ParityReport, RecoveredField, ScanReport, StripeStatus,
-};
-use crate::{CodecPlan, Dims, Dtype, Element, LosslessStage, Predictor};
+use crate::recovery::{ChunkReport, ChunkStatus, ParityReport, ScanReport, StripeStatus};
+use crate::{CodecPlan, Dims, Dtype, LosslessStage, Predictor};
 use cuszp_analysis::WorkflowChoice;
-use std::ops::Range;
 
 /// Version tag leading every serialized report blob. Version 2 added the
 /// optional per-chunk codec plan; version-1 blobs still parse (their
@@ -37,282 +34,21 @@ fn err(what: &'static str, offset: usize) -> CuszpError {
     CuszpError::malformed(what, ArchiveSection::Trailer, offset)
 }
 
-/// Owned mirror of [`ChunkStatus`] (fault text as `String`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PortableChunkStatus {
-    /// Chunk parsed, verified, and decoded as stored.
-    Ok,
-    /// Healed from Reed–Solomon parity; the global data-shard indices
-    /// that were rewritten.
-    Repaired {
-        /// Healed global data-shard indices.
-        shards: Vec<u64>,
-    },
-    /// Stored vs recomputed checksum disagreed.
-    ChecksumMismatch {
-        /// Stored checksum.
-        expected: u64,
-        /// Recomputed checksum.
-        actual: u64,
-        /// Container offset of the checksummed payload.
-        offset: u64,
-    },
-    /// The container ends before the chunk's declared bytes.
-    Truncated,
-    /// Structurally invalid chunk bytes.
-    Malformed {
-        /// What the parser found wrong.
-        what: String,
-        /// Section name (see [`ArchiveSection::name`]).
-        section: String,
-        /// Container byte offset of the fault.
-        offset: u64,
-    },
-}
-
-impl PortableChunkStatus {
-    /// Short display label, identical to [`ChunkStatus::label`].
-    pub fn label(&self) -> &'static str {
-        match self {
-            PortableChunkStatus::Ok => "ok",
-            PortableChunkStatus::Repaired { .. } => "repaired",
-            PortableChunkStatus::ChecksumMismatch { .. } => "checksum",
-            PortableChunkStatus::Truncated => "truncated",
-            PortableChunkStatus::Malformed { .. } => "malformed",
-        }
-    }
-
-    /// True when the chunk's data is available bit-exactly.
-    pub fn is_recovered(&self) -> bool {
-        matches!(
-            self,
-            PortableChunkStatus::Ok | PortableChunkStatus::Repaired { .. }
-        )
-    }
-}
-
-impl std::fmt::Display for PortableChunkStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PortableChunkStatus::Ok => write!(f, "ok"),
-            PortableChunkStatus::Repaired { shards } => {
-                write!(f, "repaired from parity (data shards {shards:?})")
-            }
-            PortableChunkStatus::ChecksumMismatch {
-                expected,
-                actual,
-                offset,
-            } => write!(
-                f,
-                "checksum mismatch (stored {expected:#x}, computed {actual:#x}, payload @ byte {offset})"
-            ),
-            PortableChunkStatus::Truncated => write!(f, "truncated"),
-            PortableChunkStatus::Malformed {
-                what,
-                section,
-                offset,
-            } => write!(f, "malformed: {what} [{section} @ byte {offset}]"),
+/// The report blob is the one `CuszpError`-typed format read through a
+/// [`ByteCursor`], so the conversion can name it.
+impl From<CursorError> for CuszpError {
+    fn from(e: CursorError) -> Self {
+        match e {
+            CursorError::Truncated { pos } => err("report blob truncated", pos),
+            CursorError::NotUtf8 { pos } => err("report string not UTF-8", pos),
         }
     }
 }
 
-/// Owned mirror of [`ChunkReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortableChunkReport {
-    /// Chunk index in plan order.
-    pub index: u64,
-    /// Validation/decode outcome.
-    pub status: PortableChunkStatus,
-    /// Byte range of the chunk body inside the container, when locatable.
-    pub byte_range: Option<Range<u64>>,
-    /// Element range of the field slab this chunk covers.
-    pub elem_range: Range<u64>,
-    /// The chunk's recorded codec plan, when its header parsed (absent
-    /// for damaged chunks and for version-1 report blobs).
-    pub plan: Option<CodecPlan>,
-}
-
-/// Owned mirror of [`StripeStatus`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PortableStripeStatus {
-    /// Every shard verified.
-    Intact,
-    /// Healed within the erasure budget.
-    Repaired {
-        /// Global data-shard indices reconstructed from parity.
-        data: Vec<u64>,
-        /// Stripe-local indices of damaged parity shards.
-        parity: Vec<u64>,
-    },
-    /// Damage beyond the erasure budget.
-    Unrepairable {
-        /// Global data-shard indices that failed their checksums.
-        damaged_data: Vec<u64>,
-        /// Surviving parity shards in the stripe.
-        intact_parity: u64,
-    },
-}
-
-/// Owned mirror of [`ParityReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortableParityReport {
-    /// Data shards per stripe (`k`).
-    pub data_shards: u16,
-    /// Parity shards per stripe (`m`).
-    pub parity_shards: u16,
-    /// Bytes per shard.
-    pub shard_size: u32,
-    /// Stripes guarding the chunk region.
-    pub n_stripes: u64,
-    /// Status per stripe, in region order.
-    pub stripes: Vec<PortableStripeStatus>,
-}
-
-/// Owned, serializable mirror of [`ScanReport`] — also the carrier for
-/// `decompress --recover` per-chunk reports on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortableScanReport {
-    /// Container format ("csz2" or "v1").
-    pub format: String,
-    /// Field dimensions, when the header parsed.
-    pub dims: Option<Dims>,
-    /// Element type, when the header parsed.
-    pub dtype: Option<Dtype>,
-    /// Chunk count the container header declares.
-    pub declared_chunks: u64,
-    /// One report per chunk, plan order.
-    pub chunks: Vec<PortableChunkReport>,
-    /// Stripe-level parity diagnosis, when present.
-    pub parity: Option<PortableParityReport>,
-}
-
-fn portable_status(s: &ChunkStatus) -> PortableChunkStatus {
-    match s {
-        ChunkStatus::Ok => PortableChunkStatus::Ok,
-        ChunkStatus::Repaired { shards } => PortableChunkStatus::Repaired {
-            shards: shards.iter().map(|&x| x as u64).collect(),
-        },
-        ChunkStatus::ChecksumMismatch {
-            expected,
-            actual,
-            offset,
-        } => PortableChunkStatus::ChecksumMismatch {
-            expected: *expected,
-            actual: *actual,
-            offset: *offset as u64,
-        },
-        ChunkStatus::Truncated => PortableChunkStatus::Truncated,
-        ChunkStatus::Malformed(fault) => PortableChunkStatus::Malformed {
-            what: fault.what.to_string(),
-            section: fault.section.name().to_string(),
-            offset: fault.offset as u64,
-        },
-    }
-}
-
-fn portable_chunks(reports: &[ChunkReport]) -> Vec<PortableChunkReport> {
-    reports
-        .iter()
-        .map(|r| PortableChunkReport {
-            index: r.index as u64,
-            status: portable_status(&r.status),
-            byte_range: r.byte_range.as_ref().map(|b| b.start as u64..b.end as u64),
-            elem_range: r.elem_range.start as u64..r.elem_range.end as u64,
-            plan: r.plan,
-        })
-        .collect()
-}
-
-fn portable_parity(p: &ParityReport) -> PortableParityReport {
-    PortableParityReport {
-        data_shards: p.data_shards,
-        parity_shards: p.parity_shards,
-        shard_size: p.shard_size,
-        n_stripes: p.n_stripes as u64,
-        stripes: p
-            .stripes
-            .iter()
-            .map(|s| match s {
-                StripeStatus::Intact => PortableStripeStatus::Intact,
-                StripeStatus::Repaired { data, parity } => PortableStripeStatus::Repaired {
-                    data: data.iter().map(|&x| x as u64).collect(),
-                    parity: parity.iter().map(|&x| x as u64).collect(),
-                },
-                StripeStatus::Unrepairable {
-                    damaged_data,
-                    intact_parity,
-                } => PortableStripeStatus::Unrepairable {
-                    damaged_data: damaged_data.iter().map(|&x| x as u64).collect(),
-                    intact_parity: *intact_parity as u64,
-                },
-            })
-            .collect(),
-    }
-}
-
-impl From<&ScanReport> for PortableScanReport {
-    fn from(r: &ScanReport) -> Self {
-        PortableScanReport {
-            format: r.format.to_string(),
-            dims: r.dims,
-            dtype: r.dtype,
-            declared_chunks: r.declared_chunks as u64,
-            chunks: portable_chunks(&r.reports),
-            parity: r.parity.as_ref().map(portable_parity),
-        }
-    }
-}
-
-impl PortableScanReport {
-    /// Builds the report carried by a resilient-decompression response:
-    /// the per-chunk and parity diagnosis of a [`RecoveredField`].
-    pub fn from_recovered<T: Element>(rf: &RecoveredField<T>) -> Self {
-        PortableScanReport {
-            format: "csz2".to_string(),
-            dims: Some(rf.dims),
-            dtype: Some(T::DTYPE),
-            declared_chunks: rf.reports.len() as u64,
-            chunks: portable_chunks(&rf.reports),
-            parity: rf.parity.as_ref().map(portable_parity),
-        }
-    }
-
-    /// Chunks whose data is lost (neither intact nor healed).
-    pub fn n_damaged(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter(|c| !c.status.is_recovered())
-            .count()
-    }
-
-    /// Chunks healed from parity.
-    pub fn n_repaired(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter(|c| matches!(c.status, PortableChunkStatus::Repaired { .. }))
-            .count()
-    }
-
-    /// True when every stripe of the parity section (if any) verified.
-    pub fn parity_intact(&self) -> bool {
-        self.parity
-            .as_ref()
-            .is_none_or(|p| p.stripes.iter().all(|s| *s == PortableStripeStatus::Intact))
-    }
-
-    /// Plan mix across the archive's parseable chunks: `(label, count)`
-    /// in first-occurrence order — the same aggregation
-    /// [`crate::ChunkedStats::plan_mix`] reports at compression time.
+impl ScanReport {
+    /// Plan mix across the archive's parseable chunks ([`CodecPlan::mix`]).
     pub fn plan_mix(&self) -> Vec<(String, usize)> {
-        let mut mix: Vec<(String, usize)> = Vec::new();
-        for p in self.chunks.iter().filter_map(|c| c.plan) {
-            let label = p.label();
-            match mix.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => mix.push((label, 1)),
-            }
-        }
-        mix
+        CodecPlan::mix(self.reports.iter().filter_map(|c| c.plan))
     }
 
     /// The fsck exit-code contract applied to this report: 0 clean,
@@ -320,7 +56,7 @@ impl PortableScanReport {
     pub fn exit_code(&self) -> u8 {
         if self.n_damaged() > 0 {
             2
-        } else if self.n_repaired() > 0 || !self.parity_intact() {
+        } else if self.n_repaired() > 0 || self.parity.as_ref().is_some_and(|p| !p.is_intact()) {
             1
         } else {
             0
@@ -332,17 +68,15 @@ impl PortableScanReport {
 // Versioned binary encoding.
 // ---------------------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
+/// Every index, offset and count is a `u64` on the wire.
+fn put_index(out: &mut Vec<u8>, v: usize) {
+    out.extend_from_slice(&(v as u64).to_le_bytes());
 }
 
-fn put_u64s(out: &mut Vec<u8>, v: &[u64]) {
+fn put_indices(out: &mut Vec<u8>, v: &[usize]) {
     out.extend_from_slice(&(v.len().min(u32::MAX as usize) as u32).to_le_bytes());
     for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
+        put_index(out, x);
     }
 }
 
@@ -351,18 +85,18 @@ fn put_dims(out: &mut Vec<u8>, dims: Option<Dims>) {
         None => out.push(0),
         Some(Dims::D1(n)) => {
             out.push(1);
-            out.extend_from_slice(&(n as u64).to_le_bytes());
+            put_index(out, n);
         }
         Some(Dims::D2 { ny, nx }) => {
             out.push(2);
-            out.extend_from_slice(&(ny as u64).to_le_bytes());
-            out.extend_from_slice(&(nx as u64).to_le_bytes());
+            put_index(out, ny);
+            put_index(out, nx);
         }
         Some(Dims::D3 { nz, ny, nx }) => {
             out.push(3);
-            out.extend_from_slice(&(nz as u64).to_le_bytes());
-            out.extend_from_slice(&(ny as u64).to_le_bytes());
-            out.extend_from_slice(&(nx as u64).to_le_bytes());
+            put_index(out, nz);
+            put_index(out, ny);
+            put_index(out, nx);
         }
     }
 }
@@ -392,115 +126,82 @@ fn put_plan(out: &mut Vec<u8>, plan: Option<CodecPlan>) {
     }
 }
 
-/// Bounded little-endian reader over a report blob. Every accessor
-/// fails with a structured error instead of slicing past the end, and
-/// collection counts are validated against the bytes actually present
-/// before any allocation.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A wire `u64` that indexes memory here. The writer's machine may have
+/// had a wider `usize` than this one: that is a typed error, never a
+/// silent truncation.
+fn read_index(r: &mut ByteCursor<'_>) -> Result<usize, CuszpError> {
+    usize::try_from(r.u64()?).map_err(|_| err("report index does not fit usize", r.pos()))
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CuszpError> {
-        if self.buf.len() - self.pos < n {
-            return Err(err("report blob truncated", self.pos));
+/// A count-prefixed index list. The count is validated against the
+/// bytes actually present before any allocation.
+fn read_indices(r: &mut ByteCursor<'_>) -> Result<Vec<usize>, CuszpError> {
+    let n = r.u32()? as usize;
+    // Each element takes 8 bytes: an inflated count cannot pass this
+    // gate, so the reserve below is bounded by the blob size.
+    if r.remaining() / 8 < n {
+        return Err(err("report list count exceeds blob", r.pos()));
+    }
+    let mut v = Vec::new();
+    v.try_reserve_exact(n)
+        .map_err(|_| err("report list allocation failed", r.pos()))?;
+    for _ in 0..n {
+        v.push(read_index(r)?);
+    }
+    Ok(v)
+}
+
+fn read_plan(r: &mut ByteCursor<'_>) -> Result<Option<CodecPlan>, CuszpError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => {
+            let predictor = match r.u8()? {
+                0 => Predictor::Lorenzo,
+                1 => Predictor::Interpolation,
+                _ => return Err(err("bad plan predictor in report", r.pos())),
+            };
+            let workflow = match r.u8()? {
+                0 => WorkflowChoice::Huffman,
+                1 => WorkflowChoice::Rle,
+                2 => WorkflowChoice::RleVle,
+                _ => return Err(err("bad plan workflow in report", r.pos())),
+            };
+            let lossless = match r.u8()? {
+                0 => LosslessStage::None,
+                1 => LosslessStage::BitshuffleLz77,
+                _ => return Err(err("bad plan lossless in report", r.pos())),
+            };
+            Ok(Some(CodecPlan {
+                predictor,
+                workflow,
+                lossless,
+            }))
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CuszpError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CuszpError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, CuszpError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CuszpError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, CuszpError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| err("report string not UTF-8", self.pos))
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, CuszpError> {
-        let n = self.u32()? as usize;
-        // Each element takes 8 bytes: an inflated count cannot pass this
-        // gate, so the reserve below is bounded by the blob size.
-        if self.buf.len() - self.pos < n * 8 {
-            return Err(err("report list count exceeds blob", self.pos));
-        }
-        let mut v = Vec::new();
-        v.try_reserve_exact(n)
-            .map_err(|_| err("report list allocation failed", self.pos))?;
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-
-    fn plan(&mut self) -> Result<Option<CodecPlan>, CuszpError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let predictor = match self.u8()? {
-                    0 => Predictor::Lorenzo,
-                    1 => Predictor::Interpolation,
-                    _ => return Err(err("bad plan predictor in report", self.pos)),
-                };
-                let workflow = match self.u8()? {
-                    0 => WorkflowChoice::Huffman,
-                    1 => WorkflowChoice::Rle,
-                    2 => WorkflowChoice::RleVle,
-                    _ => return Err(err("bad plan workflow in report", self.pos)),
-                };
-                let lossless = match self.u8()? {
-                    0 => LosslessStage::None,
-                    1 => LosslessStage::BitshuffleLz77,
-                    _ => return Err(err("bad plan lossless in report", self.pos)),
-                };
-                Ok(Some(CodecPlan {
-                    predictor,
-                    workflow,
-                    lossless,
-                }))
-            }
-            _ => Err(err("bad plan tag in report", self.pos)),
-        }
-    }
-
-    fn dims(&mut self) -> Result<Option<Dims>, CuszpError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(Dims::D1(self.u64()? as usize))),
-            2 => Ok(Some(Dims::D2 {
-                ny: self.u64()? as usize,
-                nx: self.u64()? as usize,
-            })),
-            3 => Ok(Some(Dims::D3 {
-                nz: self.u64()? as usize,
-                ny: self.u64()? as usize,
-                nx: self.u64()? as usize,
-            })),
-            _ => Err(err("bad dims rank in report", self.pos)),
-        }
+        _ => Err(err("bad plan tag in report", r.pos())),
     }
 }
 
-impl PortableScanReport {
+fn read_dims(r: &mut ByteCursor<'_>) -> Result<Option<Dims>, CuszpError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(Dims::D1(read_index(r)?))),
+        2 => Ok(Some(Dims::D2 {
+            ny: read_index(r)?,
+            nx: read_index(r)?,
+        })),
+        3 => Ok(Some(Dims::D3 {
+            nz: read_index(r)?,
+            ny: read_index(r)?,
+            nx: read_index(r)?,
+        })),
+        _ => Err(err("bad dims rank in report", r.pos())),
+    }
+}
+
+impl ScanReport {
     /// Serializes to the stable binary form (leading [`REPORT_VERSION`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.chunks.len() * 48);
+        let mut out = Vec::with_capacity(64 + self.reports.len() * 48);
         out.extend_from_slice(&REPORT_VERSION.to_le_bytes());
         put_str(&mut out, &self.format);
         put_dims(&mut out, self.dims);
@@ -509,28 +210,28 @@ impl PortableScanReport {
             Some(Dtype::F32) => 1,
             Some(Dtype::F64) => 2,
         });
-        out.extend_from_slice(&self.declared_chunks.to_le_bytes());
-        out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
-        for c in &self.chunks {
-            out.extend_from_slice(&c.index.to_le_bytes());
+        put_index(&mut out, self.declared_chunks);
+        out.extend_from_slice(&(self.reports.len() as u32).to_le_bytes());
+        for c in &self.reports {
+            put_index(&mut out, c.index);
             match &c.byte_range {
                 None => out.push(0),
                 Some(r) => {
                     out.push(1);
-                    out.extend_from_slice(&r.start.to_le_bytes());
-                    out.extend_from_slice(&r.end.to_le_bytes());
+                    put_index(&mut out, r.start);
+                    put_index(&mut out, r.end);
                 }
             }
-            out.extend_from_slice(&c.elem_range.start.to_le_bytes());
-            out.extend_from_slice(&c.elem_range.end.to_le_bytes());
+            put_index(&mut out, c.elem_range.start);
+            put_index(&mut out, c.elem_range.end);
             put_plan(&mut out, c.plan);
             match &c.status {
-                PortableChunkStatus::Ok => out.push(0),
-                PortableChunkStatus::Repaired { shards } => {
+                ChunkStatus::Ok => out.push(0),
+                ChunkStatus::Repaired { shards } => {
                     out.push(1);
-                    put_u64s(&mut out, shards);
+                    put_indices(&mut out, shards);
                 }
-                PortableChunkStatus::ChecksumMismatch {
+                ChunkStatus::ChecksumMismatch {
                     expected,
                     actual,
                     offset,
@@ -538,10 +239,10 @@ impl PortableScanReport {
                     out.push(2);
                     out.extend_from_slice(&expected.to_le_bytes());
                     out.extend_from_slice(&actual.to_le_bytes());
-                    out.extend_from_slice(&offset.to_le_bytes());
+                    put_index(&mut out, *offset);
                 }
-                PortableChunkStatus::Truncated => out.push(3),
-                PortableChunkStatus::Malformed {
+                ChunkStatus::Truncated => out.push(3),
+                ChunkStatus::Malformed {
                     what,
                     section,
                     offset,
@@ -549,7 +250,7 @@ impl PortableScanReport {
                     out.push(4);
                     put_str(&mut out, what);
                     put_str(&mut out, section);
-                    out.extend_from_slice(&offset.to_le_bytes());
+                    put_index(&mut out, *offset);
                 }
             }
         }
@@ -560,23 +261,23 @@ impl PortableScanReport {
                 out.extend_from_slice(&p.data_shards.to_le_bytes());
                 out.extend_from_slice(&p.parity_shards.to_le_bytes());
                 out.extend_from_slice(&p.shard_size.to_le_bytes());
-                out.extend_from_slice(&p.n_stripes.to_le_bytes());
+                put_index(&mut out, p.n_stripes);
                 out.extend_from_slice(&(p.stripes.len() as u32).to_le_bytes());
                 for s in &p.stripes {
                     match s {
-                        PortableStripeStatus::Intact => out.push(0),
-                        PortableStripeStatus::Repaired { data, parity } => {
+                        StripeStatus::Intact => out.push(0),
+                        StripeStatus::Repaired { data, parity } => {
                             out.push(1);
-                            put_u64s(&mut out, data);
-                            put_u64s(&mut out, parity);
+                            put_indices(&mut out, data);
+                            put_indices(&mut out, parity);
                         }
-                        PortableStripeStatus::Unrepairable {
+                        StripeStatus::Unrepairable {
                             damaged_data,
                             intact_parity,
                         } => {
                             out.push(2);
-                            put_u64s(&mut out, damaged_data);
-                            out.extend_from_slice(&intact_parity.to_le_bytes());
+                            put_indices(&mut out, damaged_data);
+                            put_index(&mut out, *intact_parity);
                         }
                     }
                 }
@@ -586,60 +287,66 @@ impl PortableScanReport {
     }
 
     /// Parses the binary form back. Untrusted input is safe: counts are
-    /// bounded by the bytes present before any allocation, and every
-    /// read is range-checked.
+    /// bounded by the bytes present before any allocation, every read is
+    /// range-checked, and an index this machine cannot hold is an error.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CuszpError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
+        let mut r = ByteCursor::new(bytes);
         let version = r.u16()?;
         if !(1..=REPORT_VERSION).contains(&version) {
             return Err(CuszpError::UnsupportedVersion(version));
         }
-        let format = r.str()?;
-        let dims = r.dims()?;
+        let format = r.str()?.into();
+        let dims = read_dims(&mut r)?;
         let dtype = match r.u8()? {
             0 => None,
             1 => Some(Dtype::F32),
             2 => Some(Dtype::F64),
-            _ => return Err(err("bad dtype tag in report", r.pos)),
+            _ => return Err(err("bad dtype tag in report", r.pos())),
         };
-        let declared_chunks = r.u64()?;
+        let declared_chunks = read_index(&mut r)?;
         let n_chunks = r.u32()? as usize;
         // A chunk report is at least 26 bytes (index + 2 option tags +
         // elem range + status tag); cap the reserve by what could fit.
-        if bytes.len().saturating_sub(r.pos) < n_chunks.saturating_mul(26) {
-            return Err(err("report chunk count exceeds blob", r.pos));
+        if r.remaining() < n_chunks.saturating_mul(26) {
+            return Err(err("report chunk count exceeds blob", r.pos()));
         }
-        let mut chunks = Vec::new();
-        chunks
+        let mut reports = Vec::new();
+        reports
             .try_reserve_exact(n_chunks)
-            .map_err(|_| err("report chunk allocation failed", r.pos))?;
+            .map_err(|_| err("report chunk allocation failed", r.pos()))?;
         for _ in 0..n_chunks {
-            let index = r.u64()?;
+            let index = read_index(&mut r)?;
             let byte_range = match r.u8()? {
                 0 => None,
-                1 => Some(r.u64()?..r.u64()?),
-                _ => return Err(err("bad byte-range tag in report", r.pos)),
+                1 => Some(read_index(&mut r)?..read_index(&mut r)?),
+                _ => return Err(err("bad byte-range tag in report", r.pos())),
             };
-            let elem_range = r.u64()?..r.u64()?;
+            let elem_range = read_index(&mut r)?..read_index(&mut r)?;
             // Version-1 chunk records carry no plan field.
-            let plan = if version >= 2 { r.plan()? } else { None };
+            let plan = if version >= 2 {
+                read_plan(&mut r)?
+            } else {
+                None
+            };
             let status = match r.u8()? {
-                0 => PortableChunkStatus::Ok,
-                1 => PortableChunkStatus::Repaired { shards: r.u64s()? },
-                2 => PortableChunkStatus::ChecksumMismatch {
+                0 => ChunkStatus::Ok,
+                1 => ChunkStatus::Repaired {
+                    shards: read_indices(&mut r)?,
+                },
+                2 => ChunkStatus::ChecksumMismatch {
                     expected: r.u64()?,
                     actual: r.u64()?,
-                    offset: r.u64()?,
+                    offset: read_index(&mut r)?,
                 },
-                3 => PortableChunkStatus::Truncated,
-                4 => PortableChunkStatus::Malformed {
-                    what: r.str()?,
-                    section: r.str()?,
-                    offset: r.u64()?,
+                3 => ChunkStatus::Truncated,
+                4 => ChunkStatus::Malformed {
+                    what: r.str()?.into(),
+                    section: r.str()?.into(),
+                    offset: read_index(&mut r)?,
                 },
-                _ => return Err(err("bad chunk status tag in report", r.pos)),
+                _ => return Err(err("bad chunk status tag in report", r.pos())),
             };
-            chunks.push(PortableChunkReport {
+            reports.push(ChunkReport {
                 index,
                 status,
                 byte_range,
@@ -653,30 +360,30 @@ impl PortableScanReport {
                 let data_shards = r.u16()?;
                 let parity_shards = r.u16()?;
                 let shard_size = r.u32()?;
-                let n_stripes = r.u64()?;
+                let n_stripes = read_index(&mut r)?;
                 let n = r.u32()? as usize;
-                if bytes.len().saturating_sub(r.pos) < n {
-                    return Err(err("report stripe count exceeds blob", r.pos));
+                if r.remaining() < n {
+                    return Err(err("report stripe count exceeds blob", r.pos()));
                 }
                 let mut stripes = Vec::new();
                 stripes
                     .try_reserve_exact(n)
-                    .map_err(|_| err("report stripe allocation failed", r.pos))?;
+                    .map_err(|_| err("report stripe allocation failed", r.pos()))?;
                 for _ in 0..n {
                     stripes.push(match r.u8()? {
-                        0 => PortableStripeStatus::Intact,
-                        1 => PortableStripeStatus::Repaired {
-                            data: r.u64s()?,
-                            parity: r.u64s()?,
+                        0 => StripeStatus::Intact,
+                        1 => StripeStatus::Repaired {
+                            data: read_indices(&mut r)?,
+                            parity: read_indices(&mut r)?,
                         },
-                        2 => PortableStripeStatus::Unrepairable {
-                            damaged_data: r.u64s()?,
-                            intact_parity: r.u64()?,
+                        2 => StripeStatus::Unrepairable {
+                            damaged_data: read_indices(&mut r)?,
+                            intact_parity: read_index(&mut r)?,
                         },
-                        _ => return Err(err("bad stripe status tag in report", r.pos)),
+                        _ => return Err(err("bad stripe status tag in report", r.pos())),
                     });
                 }
-                Some(PortableParityReport {
+                Some(ParityReport {
                     data_shards,
                     parity_shards,
                     shard_size,
@@ -684,17 +391,17 @@ impl PortableScanReport {
                     stripes,
                 })
             }
-            _ => return Err(err("bad parity tag in report", r.pos)),
+            _ => return Err(err("bad parity tag in report", r.pos())),
         };
-        if r.pos != bytes.len() {
-            return Err(err("trailing bytes after report", r.pos));
+        if r.remaining() != 0 {
+            return Err(err("trailing bytes after report", r.pos()));
         }
-        Ok(PortableScanReport {
+        Ok(ScanReport {
             format,
             dims,
             dtype,
             declared_chunks,
-            chunks,
+            reports,
             parity,
         })
     }
@@ -721,8 +428,8 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_u64_list(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
+fn json_index_list(v: &[usize]) -> String {
+    let items: Vec<String> = v.iter().map(usize::to_string).collect();
     format!("[{}]", items.join(","))
 }
 
@@ -734,13 +441,13 @@ fn json_dims(d: Dims) -> String {
     }
 }
 
-fn json_chunk(c: &PortableChunkReport) -> String {
+fn json_chunk(c: &ChunkReport) -> String {
     let (bs, be) = match &c.byte_range {
         Some(br) => (br.start.to_string(), br.end.to_string()),
         None => ("null".to_string(), "null".to_string()),
     };
     let shards = match &c.status {
-        PortableChunkStatus::Repaired { shards } => json_u64_list(shards),
+        ChunkStatus::Repaired { shards } => json_index_list(shards),
         _ => "[]".to_string(),
     };
     let plan = c
@@ -755,32 +462,32 @@ fn json_chunk(c: &PortableChunkReport) -> String {
     )
 }
 
-fn json_stripe(i: usize, s: &PortableStripeStatus) -> String {
+fn json_stripe(i: usize, s: &StripeStatus) -> String {
     match s {
-        PortableStripeStatus::Intact => format!("{{\"index\":{i},\"status\":\"intact\"}}"),
-        PortableStripeStatus::Repaired { data, parity } => format!(
+        StripeStatus::Intact => format!("{{\"index\":{i},\"status\":\"intact\"}}"),
+        StripeStatus::Repaired { data, parity } => format!(
             "{{\"index\":{i},\"status\":\"repaired\",\"data\":{},\"parity\":{}}}",
-            json_u64_list(data),
-            json_u64_list(parity)
+            json_index_list(data),
+            json_index_list(parity)
         ),
-        PortableStripeStatus::Unrepairable {
+        StripeStatus::Unrepairable {
             damaged_data,
             intact_parity,
         } => format!(
             "{{\"index\":{i},\"status\":\"unrepairable\",\"damaged_data\":{},\"intact_parity\":{intact_parity}}}",
-            json_u64_list(damaged_data)
+            json_index_list(damaged_data)
         ),
     }
 }
 
-impl PortableScanReport {
+impl ScanReport {
     /// The report's JSON fields **without** surrounding braces —
     /// `"format":…,"dims":…,"dtype":…,"declared_chunks":…,"chunks":[…],"parity":…`
     /// — so callers (fsck, `remote scan`) can splice in their own outer
     /// fields (`archive`, `exit_code`, …) while the shared shape stays
     /// in one place.
     pub fn to_json_fields(&self) -> String {
-        let chunks: Vec<String> = self.chunks.iter().map(json_chunk).collect();
+        let chunks: Vec<String> = self.reports.iter().map(json_chunk).collect();
         let parity = match &self.parity {
             Some(p) => {
                 let stripes: Vec<String> = p
@@ -821,10 +528,12 @@ impl PortableScanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Compressor, ParityConfig};
+    use cuszp_parallel::WorkerPool;
 
-    fn sample() -> PortableScanReport {
-        PortableScanReport {
-            format: "csz2".to_string(),
+    fn sample() -> ScanReport {
+        ScanReport {
+            format: "csz2".into(),
             dims: Some(Dims::D3 {
                 nz: 4,
                 ny: 8,
@@ -832,10 +541,10 @@ mod tests {
             }),
             dtype: Some(Dtype::F32),
             declared_chunks: 3,
-            chunks: vec![
-                PortableChunkReport {
+            reports: vec![
+                ChunkReport {
                     index: 0,
-                    status: PortableChunkStatus::Ok,
+                    status: ChunkStatus::Ok,
                     byte_range: Some(48..1024),
                     elem_range: 0..171,
                     plan: Some(CodecPlan {
@@ -844,9 +553,9 @@ mod tests {
                         lossless: LosslessStage::None,
                     }),
                 },
-                PortableChunkReport {
+                ChunkReport {
                     index: 1,
-                    status: PortableChunkStatus::Repaired { shards: vec![3, 4] },
+                    status: ChunkStatus::Repaired { shards: vec![3, 4] },
                     byte_range: Some(1024..2000),
                     elem_range: 171..342,
                     plan: Some(CodecPlan {
@@ -855,11 +564,11 @@ mod tests {
                         lossless: LosslessStage::BitshuffleLz77,
                     }),
                 },
-                PortableChunkReport {
+                ChunkReport {
                     index: 2,
-                    status: PortableChunkStatus::Malformed {
-                        what: "truncated payload".to_string(),
-                        section: "chunk body".to_string(),
+                    status: ChunkStatus::Malformed {
+                        what: "truncated payload".into(),
+                        section: "chunk body".into(),
                         offset: 2048,
                     },
                     byte_range: None,
@@ -867,14 +576,14 @@ mod tests {
                     plan: None,
                 },
             ],
-            parity: Some(PortableParityReport {
+            parity: Some(ParityReport {
                 data_shards: 8,
                 parity_shards: 2,
                 shard_size: 4096,
                 n_stripes: 2,
                 stripes: vec![
-                    PortableStripeStatus::Intact,
-                    PortableStripeStatus::Unrepairable {
+                    StripeStatus::Intact,
+                    StripeStatus::Unrepairable {
                         damaged_data: vec![9, 10, 11],
                         intact_parity: 1,
                     },
@@ -883,63 +592,126 @@ mod tests {
         }
     }
 
+    /// A report as `scan` makes it — borrowed fault text and all: a
+    /// four-chunk container under parity whose first stripe is lost (both
+    /// data shards, inside chunk 0) and whose last chunk has one shard
+    /// healed.
+    fn scanned() -> ScanReport {
+        let data: Vec<f32> = (0..8_000).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut bytes = Compressor::default()
+            .compress_chunked_with_parity(
+                &data,
+                Dims::D1(8_000),
+                2_000,
+                &WorkerPool::new(1),
+                ParityConfig {
+                    data_shards: 2,
+                    parity_shards: 1,
+                },
+            )
+            .unwrap()
+            .to_bytes();
+        let clean = crate::scan(&bytes).unwrap();
+        let region = clean.reports[0].byte_range.clone().unwrap().start;
+        let shard = clean.parity.unwrap().shard_size as usize;
+        bytes[region] ^= 0xFF;
+        bytes[region + shard] ^= 0xFF;
+        bytes[clean.reports[3].byte_range.clone().unwrap().start + 3] ^= 0x01;
+        let report = crate::scan(&bytes).unwrap();
+        assert!(report.n_repaired() > 0 && report.n_damaged() > 0);
+        report
+    }
+
     #[test]
     fn binary_roundtrip_is_lossless() {
-        let r = sample();
-        let bytes = r.to_bytes();
-        let back = PortableScanReport::from_bytes(&bytes).unwrap();
-        assert_eq!(back, r);
+        for r in [sample(), scanned()] {
+            let bytes = r.to_bytes();
+            let back = ScanReport::from_bytes(&bytes).unwrap();
+            assert_eq!(back, r);
+        }
     }
 
     #[test]
     fn binary_roundtrip_of_minimal_report() {
-        let r = PortableScanReport {
-            format: "v1".to_string(),
+        let r = ScanReport {
+            format: "v1".into(),
             dims: None,
             dtype: None,
             declared_chunks: 0,
-            chunks: Vec::new(),
+            reports: Vec::new(),
             parity: None,
         };
-        assert_eq!(PortableScanReport::from_bytes(&r.to_bytes()).unwrap(), r);
+        assert_eq!(ScanReport::from_bytes(&r.to_bytes()).unwrap(), r);
     }
 
     #[test]
     fn truncation_and_mutation_never_panic() {
-        let bytes = sample().to_bytes();
-        for cut in 0..bytes.len() {
-            let _ = PortableScanReport::from_bytes(&bytes[..cut]);
-        }
-        for i in 0..bytes.len() {
+        for bytes in [sample().to_bytes(), scanned().to_bytes()] {
+            for cut in 0..bytes.len() {
+                assert!(ScanReport::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            }
+            for i in 0..bytes.len() {
+                let mut b = bytes.clone();
+                b[i] ^= 0xFF;
+                let _ = ScanReport::from_bytes(&b);
+            }
+            // Trailing garbage is rejected, not silently ignored.
             let mut b = bytes.clone();
-            b[i] ^= 0xFF;
-            let _ = PortableScanReport::from_bytes(&b);
+            b.push(0);
+            assert!(ScanReport::from_bytes(&b).is_err());
         }
-        // Trailing garbage is rejected, not silently ignored.
-        let mut b = bytes.clone();
-        b.push(0);
-        assert!(PortableScanReport::from_bytes(&b).is_err());
+    }
+
+    /// Offset of the chunk-count `u32`: it sits after version + format
+    /// + dims + dtype + declared_chunks.
+    fn chunk_count_offset(r: &ScanReport) -> usize {
+        let rank = match r.dims.unwrap() {
+            Dims::D1(_) => 1,
+            Dims::D2 { .. } => 2,
+            Dims::D3 { .. } => 3,
+        };
+        2 + (2 + r.format.len()) + (1 + 8 * rank) + 1 + 8
     }
 
     #[test]
     fn inflated_counts_are_rejected_before_allocation() {
+        for r in [sample(), scanned()] {
+            let mut bytes = r.to_bytes();
+            let off = chunk_count_offset(&r);
+            bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let e = ScanReport::from_bytes(&bytes).unwrap_err();
+            assert!(e.to_string().contains("count exceeds"), "{e}");
+        }
+    }
+
+    #[test]
+    fn an_index_wider_than_usize_is_a_typed_error() {
+        // Chunk 0's `index` field follows the chunk count. `u64::MAX`
+        // there either fits this machine's `usize` — and then survives
+        // the round trip — or is refused; it is never truncated.
         let mut bytes = sample().to_bytes();
-        // The chunk-count u32 sits after version + format + dims + dtype
-        // + declared_chunks. Recompute its offset structurally.
-        let off = 2 + (2 + 4) + (1 + 24) + 1 + 8;
-        bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let e = PortableScanReport::from_bytes(&bytes).unwrap_err();
-        assert!(e.to_string().contains("count exceeds"), "{e}");
+        let off = chunk_count_offset(&sample()) + 4;
+        bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        match (usize::try_from(u64::MAX), ScanReport::from_bytes(&bytes)) {
+            (Ok(max), Ok(r)) => {
+                assert_eq!(r.reports[0].index, max);
+                assert_eq!(r.to_bytes(), bytes);
+            }
+            (Err(_), Err(e)) => assert!(e.to_string().contains("does not fit usize"), "{e}"),
+            (fits, parsed) => panic!("usize holds u64::MAX: {fits:?}, but parsed {parsed:?}"),
+        }
     }
 
     #[test]
     fn wrong_version_is_typed() {
-        let mut bytes = sample().to_bytes();
-        bytes[0] = 0xEE;
-        assert!(matches!(
-            PortableScanReport::from_bytes(&bytes),
-            Err(CuszpError::UnsupportedVersion(_))
-        ));
+        for r in [sample(), scanned()] {
+            let mut bytes = r.to_bytes();
+            bytes[0] = 0xEE;
+            assert!(matches!(
+                ScanReport::from_bytes(&bytes),
+                Err(CuszpError::UnsupportedVersion(_))
+            ));
+        }
     }
 
     #[test]
@@ -960,10 +732,10 @@ mod tests {
         bytes.extend_from_slice(&512u64.to_le_bytes()); // elem end
         bytes.push(0); // status: Ok
         bytes.push(0); // no parity
-        let r = PortableScanReport::from_bytes(&bytes).unwrap();
-        assert_eq!(r.chunks.len(), 1);
-        assert_eq!(r.chunks[0].plan, None);
-        assert_eq!(r.chunks[0].status, PortableChunkStatus::Ok);
+        let r = ScanReport::from_bytes(&bytes).unwrap();
+        assert_eq!(r.reports.len(), 1);
+        assert_eq!(r.reports[0].plan, None);
+        assert_eq!(r.reports[0].status, ChunkStatus::Ok);
         assert!(r.plan_mix().is_empty());
     }
 
@@ -1003,16 +775,41 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
+        // The same object whether the report was made here or parsed.
+        let r = scanned();
+        let j = r.to_json();
+        assert_eq!(ScanReport::from_bytes(&r.to_bytes()).unwrap().to_json(), j);
+        for key in [
+            "\"format\":\"csz2\"",
+            "\"dims\":[8000]",
+            "\"declared_chunks\":4",
+            "\"status\":\"malformed\"",
+            "\"status\":\"repaired\"",
+            "\"data_shards\":2",
+            "\"status\":\"unrepairable\"",
+            "\"damaged_data\":[0,1]",
+        ] {
+            assert!(j.contains(key), "missing {key} in {j}");
+        }
     }
 
     #[test]
     fn exit_code_contract() {
         let mut r = sample();
         assert_eq!(r.exit_code(), 2, "malformed chunk = data loss");
-        r.chunks.pop();
+        r.reports.pop();
         r.parity = None;
         assert_eq!(r.exit_code(), 1, "repaired chunk, no loss");
-        r.chunks.pop();
+        r.reports.pop();
+        assert_eq!(r.exit_code(), 0, "all ok");
+
+        let mut r = scanned();
+        assert_eq!(r.exit_code(), 2, "stripe beyond budget = data loss");
+        r.reports.retain(|c| c.status.is_recovered());
+        assert_eq!(r.exit_code(), 1, "what is left was healed");
+        r.reports.retain(|c| c.status.is_ok());
+        assert_eq!(r.exit_code(), 1, "chunks whole, parity still damaged");
+        r.parity = None;
         assert_eq!(r.exit_code(), 0, "all ok");
     }
 }

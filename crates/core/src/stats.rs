@@ -150,15 +150,7 @@ impl ChunkedStats {
     /// How many chunks took each codec plan, as `(label, count)` pairs in
     /// first-occurrence order — the archive's plan mix.
     pub fn plan_mix(&self) -> Vec<(String, usize)> {
-        let mut mix: Vec<(String, usize)> = Vec::new();
-        for s in &self.per_chunk {
-            let label = s.plan.label();
-            match mix.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => mix.push((label, 1)),
-            }
-        }
-        mix
+        CodecPlan::mix(self.per_chunk.iter().map(|s| s.plan))
     }
 }
 

@@ -10,9 +10,9 @@
 //! chunk off by one quantum — and the container's `chunk_target`.
 
 use cuszp_core::{
-    decompress_range_with_fetch, scan, ChunkStatus, ChunkedArchive, Compressor, Config, CuszpError,
-    Decode, Dims, ErrorBound, FillPolicy, ParityConfig, PipelineEngine, Predictor, PredictorMode,
-    RangeSpec, ReconstructEngine, WorkflowChoice, WorkflowMode,
+    decompress_range_with_fetch, scan, ChunkReport, ChunkStatus, ChunkedArchive, Compressor,
+    Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy, ParityConfig, PipelineEngine,
+    Predictor, PredictorMode, RangeSpec, ReconstructEngine, WorkflowChoice, WorkflowMode,
 };
 use cuszp_parallel::WorkerPool;
 use std::ops::Range;
@@ -86,17 +86,14 @@ fn a_chunk_eb_that_differs_from_the_containers_is_caught_by_every_finisher() {
     }
 
     // Resilient: that chunk is Malformed and filled, the rest bit-exact.
-    let is_eb_status = |s: &ChunkStatus| {
-        matches!(s, ChunkStatus::Malformed(f)
-            if f.what == "chunk eb mismatches container" && f.chunk == Some(0) && f.offset == body)
+    let is_eb_status = |r: &ChunkReport| {
+        r.index == 0
+            && matches!(&r.status, ChunkStatus::Malformed { what, offset, .. }
+                if what == "chunk eb mismatches container" && *offset == body)
     };
     let rf = decode.resilient::<f32>(FillPolicy::Nan).unwrap();
     assert_eq!(rf.n_damaged(), 1);
-    assert!(
-        is_eb_status(&rf.reports[0].status),
-        "{}",
-        rf.reports[0].status
-    );
+    assert!(is_eb_status(&rf.reports[0]), "{}", rf.reports[0].status);
     let lost = ranges[0].1.clone();
     assert!(rf.data[lost.clone()].iter().all(|v| v.is_nan()));
     assert_eq!(bits(&rf.data[lost.end..]), bits(&pristine[lost.end..]));
@@ -104,7 +101,7 @@ fn a_chunk_eb_that_differs_from_the_containers_is_caught_by_every_finisher() {
         .range(&in_chunk_0)
         .resilient::<f32>(FillPolicy::Zero)
         .unwrap();
-    assert!(is_eb_status(&rr.reports[0].status));
+    assert!(is_eb_status(&rr.reports[0]));
     assert!(rr.data.iter().all(|&v| v == 0.0));
     let rr = decode
         .range(&past_chunk_0)
@@ -116,7 +113,7 @@ fn a_chunk_eb_that_differs_from_the_containers_is_caught_by_every_finisher() {
     // scan (and so fsck) never says clean.
     let report = scan(&bad).unwrap();
     assert!(!report.is_clean());
-    assert!(is_eb_status(&report.reports[0].status));
+    assert!(is_eb_status(&report.reports[0]));
     assert!(report.reports[1..].iter().all(|r| r.status.is_ok()));
 
     // The walk checks what it decodes: a parsed archive whose chunk was

@@ -181,7 +181,7 @@ fn plan_descriptor_campaign_yields_typed_parse_faults() {
         let malformed: Vec<usize> = report
             .reports
             .iter()
-            .filter(|r| matches!(r.status, ChunkStatus::Malformed(_)))
+            .filter(|r| matches!(r.status, ChunkStatus::Malformed { .. }))
             .map(|r| r.index)
             .collect();
         assert_eq!(

@@ -18,7 +18,7 @@ use crate::wire::{
     DecompressResponse, ErrorResponse, Frame, GetRangeRequest, HealthResponse, Op, RemoteInfo,
     WireError, MAX_FRAME_PAYLOAD,
 };
-use cuszp_core::PortableScanReport;
+use cuszp_core::ScanReport;
 use cuszp_metrics::Counter;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -282,10 +282,9 @@ impl Client {
     }
 
     /// Validates an archive chunk-by-chunk (fsck over the wire).
-    pub fn scan(&mut self, archive: &[u8]) -> Result<PortableScanReport, ClientError> {
+    pub fn scan(&mut self, archive: &[u8]) -> Result<ScanReport, ClientError> {
         let payload = self.call(Op::Scan, archive)?;
-        PortableScanReport::from_bytes(&payload)
-            .map_err(|_| ClientError::Protocol("malformed scan report"))
+        ScanReport::from_bytes(&payload).map_err(|_| ClientError::Protocol("malformed scan report"))
     }
 
     /// Describes an archive without decoding it.
@@ -597,10 +596,9 @@ impl RetryingClient {
     }
 
     /// Validates an archive chunk-by-chunk, with retries.
-    pub fn scan(&mut self, archive: &[u8]) -> Result<PortableScanReport, ClientError> {
+    pub fn scan(&mut self, archive: &[u8]) -> Result<ScanReport, ClientError> {
         let payload = self.call_with_retry(Op::Scan, archive)?;
-        PortableScanReport::from_bytes(&payload)
-            .map_err(|_| ClientError::Protocol("malformed scan report"))
+        ScanReport::from_bytes(&payload).map_err(|_| ClientError::Protocol("malformed scan report"))
     }
 
     /// Describes an archive without decoding it, with retries.

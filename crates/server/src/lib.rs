@@ -22,7 +22,7 @@
 //!
 //! Range reads (`get_range`) are backed by a hot-slab cache
 //! ([`SlabCache`]): decoded chunk slabs are kept under an LRU byte
-//! budget keyed by `(archive FNV-1a, chunk index)`, so repeated reads
+//! budget keyed by `(archive wordsum64, chunk index)`, so repeated reads
 //! of a popular archive skip the decoder entirely.
 //!
 //! Served compression runs through the same chunked planner and

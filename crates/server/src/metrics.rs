@@ -7,7 +7,8 @@
 //! request served on one worker reads a consistent-enough point-in-time
 //! view of all of them.
 
-use crate::wire::{Cur, Op, WireError};
+use crate::wire::{Op, WireError};
+use cuszp_core::ByteCursor;
 use cuszp_metrics::{Counter, LatencyHistogram, LatencySummary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -264,7 +265,7 @@ impl StatsSnapshot {
 
     /// Parses a stats response payload.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let n = c.u8()? as usize;
         let mut ops = Vec::with_capacity(n.min(Op::ALL.len()));
         for _ in 0..n {

@@ -15,7 +15,8 @@
 //! lives on `placement(key)[i]` — one shard per node, since rendezvous
 //! ranking never repeats a node.
 
-use crate::wire::{fnv1a, put_str, Cur, WireError};
+use crate::wire::{fnv1a, WireError};
+use cuszp_core::{put_str, ByteCursor};
 
 /// One cluster member.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +228,7 @@ impl Ring {
     /// Parses a `ring` response payload, re-validating the topology —
     /// a hostile or damaged ring is a typed error, never a bad router.
     pub fn decode(payload: &[u8]) -> Result<Ring, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let epoch = c.u64()?;
         let data_shards = c.u16()?;
         let parity_shards = c.u16()?;

@@ -37,7 +37,7 @@ use crate::wire::{
 use cuszp_core::{
     is_chunked_archive, scalars_from_le, scalars_to_le, stored_dtype, Archive, ChunkedArchive,
     Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, LosslessStage, PipelineEngine,
-    PortableScanReport, Predictor, RangeSpec, ReconstructEngine, RecoveredField,
+    Predictor, RangeSpec, ReconstructEngine, RecoveredField, ScanReport,
 };
 use cuszp_parallel::{WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
@@ -729,10 +729,9 @@ fn handle_op(
         }
         Op::Compress => handle_compress(payload, shared, engine),
         Op::Decompress => handle_decompress(payload),
-        Op::Scan => {
-            let report = cuszp_core::scan(payload).map_err(pipeline_error)?;
-            Ok(PortableScanReport::from(&report).to_bytes())
-        }
+        Op::Scan => Ok(cuszp_core::scan(payload)
+            .map_err(pipeline_error)?
+            .to_bytes()),
         Op::Info => handle_info(payload),
         Op::GetRange => handle_get_range(payload, shared, engine),
         Op::Ring => Ok(cluster_ctx(shared)?.ring.encode()),
@@ -861,11 +860,7 @@ fn handle_list_shards(shared: &Shared) -> Result<Vec<u8>, ErrorResponse> {
 }
 
 /// The response payload for a decoded field of either precision.
-fn field_response<T: Element>(
-    dims: Dims,
-    report: Option<PortableScanReport>,
-    data: &[T],
-) -> Vec<u8> {
+fn field_response<T: Element>(dims: Dims, report: Option<ScanReport>, data: &[T]) -> Vec<u8> {
     DecompressResponse {
         dtype: T::DTYPE,
         dims,
@@ -878,8 +873,9 @@ fn field_response<T: Element>(
 /// The response payload for a resilient decode: the field plus its
 /// per-chunk recovery report.
 fn recovered_response<T: Element>(rf: RecoveredField<T>) -> Vec<u8> {
-    let report = PortableScanReport::from_recovered(&rf);
-    field_response(rf.dims, Some(report), &rf.data)
+    let dims = rf.dims;
+    let (data, report) = rf.into_report();
+    field_response(dims, Some(report), &data)
 }
 
 /// Decodes the request's raw field as `T` and compresses it on the

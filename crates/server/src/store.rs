@@ -21,18 +21,9 @@ use std::collections::HashMap;
 
 use crate::wire::{fnv1a, ShardRecord};
 
-/// One stored stripe slot.
-#[derive(Debug, Clone)]
-pub struct StoredShard {
-    /// The shard bytes (RS-padded; `total_len` recovers the tail).
-    pub bytes: Vec<u8>,
-    /// FNV-1a of `bytes`, captured at put time.
-    pub checksum: u64,
-    /// Length of the whole archive the stripe encodes.
-    pub total_len: u64,
-    /// FNV-1a of the whole archive (end-to-end integrity check).
-    pub archive_fnv: u64,
-}
+/// One stored stripe slot: the durable store's own type, shared by both
+/// backends.
+pub use cuszp_store::StoredShard;
 
 /// Typed backend failure. Damage inside stored data is *not* an error
 /// (it degrades to a dropped slot); this is for environmental failures
@@ -158,28 +149,38 @@ impl ShardStore {
             .get(&(key.to_string(), shard_idx))
             .map(|e| &e.shard)
     }
+}
 
-    /// Number of stored slots.
-    pub fn len(&self) -> usize {
+impl ShardBackend for ShardStore {
+    fn put(
+        &mut self,
+        key: &str,
+        shard_idx: u16,
+        bytes: &[u8],
+        total_len: u64,
+        archive_fnv: u64,
+        _repair: bool,
+    ) -> Result<(), StoreOpError> {
+        ShardStore::put(self, key, shard_idx, bytes, total_len, archive_fnv)
+            .map_err(|_| StoreOpError::Alloc)
+    }
+
+    fn get(&mut self, key: &str, shard_idx: u16) -> Result<Option<StoredShard>, StoreOpError> {
+        Ok(ShardStore::get(self, key, shard_idx).cloned())
+    }
+
+    fn len(&self) -> usize {
         self.shards.len()
     }
 
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Drops every slot (test hook for simulating a wiped node).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) -> Result<(), StoreOpError> {
         self.shards.clear();
+        Ok(())
     }
 
-    /// Re-verifies every shard checksum not verified since its last
-    /// write and lists the survivors sorted by `(key, shard_idx)`.
-    /// Corrupt entries are dropped and counted — scrub treats them as
-    /// missing and re-replicates. Verification results are cached, so
-    /// an unchanged node's repeat inventory hashes nothing.
-    pub fn verify_and_list(&mut self) -> (Vec<ShardRecord>, u64) {
+    /// Verification results are cached per slot, so an unchanged node's
+    /// repeat inventory hashes nothing.
+    fn verify_and_list(&mut self) -> Result<(Vec<ShardRecord>, u64), StoreOpError> {
         let mut dropped = 0u64;
         self.shards.retain(|_, e| {
             if e.verified {
@@ -206,39 +207,7 @@ impl ShardStore {
             })
             .collect();
         records.sort_by(|a, b| a.key.cmp(&b.key).then(a.shard_idx.cmp(&b.shard_idx)));
-        (records, dropped)
-    }
-}
-
-impl ShardBackend for ShardStore {
-    fn put(
-        &mut self,
-        key: &str,
-        shard_idx: u16,
-        bytes: &[u8],
-        total_len: u64,
-        archive_fnv: u64,
-        _repair: bool,
-    ) -> Result<(), StoreOpError> {
-        ShardStore::put(self, key, shard_idx, bytes, total_len, archive_fnv)
-            .map_err(|_| StoreOpError::Alloc)
-    }
-
-    fn get(&mut self, key: &str, shard_idx: u16) -> Result<Option<StoredShard>, StoreOpError> {
-        Ok(ShardStore::get(self, key, shard_idx).cloned())
-    }
-
-    fn len(&self) -> usize {
-        ShardStore::len(self)
-    }
-
-    fn clear(&mut self) -> Result<(), StoreOpError> {
-        ShardStore::clear(self);
-        Ok(())
-    }
-
-    fn verify_and_list(&mut self) -> Result<(Vec<ShardRecord>, u64), StoreOpError> {
-        Ok(ShardStore::verify_and_list(self))
+        Ok((records, dropped))
     }
 
     fn kind(&self) -> &'static str {
@@ -299,16 +268,7 @@ impl ShardBackend for DurableShardStore {
     }
 
     fn get(&mut self, key: &str, shard_idx: u16) -> Result<Option<StoredShard>, StoreOpError> {
-        Ok(self
-            .inner
-            .get(key, shard_idx)
-            .map_err(map_store_err)?
-            .map(|s| StoredShard {
-                bytes: s.bytes,
-                checksum: s.checksum,
-                total_len: s.total_len,
-                archive_fnv: s.archive_fnv,
-            }))
+        self.inner.get(key, shard_idx).map_err(map_store_err)
     }
 
     fn len(&self) -> usize {
@@ -320,19 +280,7 @@ impl ShardBackend for DurableShardStore {
     }
 
     fn verify_and_list(&mut self) -> Result<(Vec<ShardRecord>, u64), StoreOpError> {
-        let (entries, dropped) = self.inner.verify_and_list().map_err(map_store_err)?;
-        let records = entries
-            .into_iter()
-            .map(|e| ShardRecord {
-                key: e.key,
-                shard_idx: e.shard_idx,
-                len: e.len,
-                checksum: e.checksum,
-                total_len: e.total_len,
-                archive_fnv: e.archive_fnv,
-            })
-            .collect();
-        Ok((records, dropped))
+        self.inner.verify_and_list().map_err(map_store_err)
     }
 
     fn kind(&self) -> &'static str {
@@ -410,13 +358,13 @@ mod tests {
             .unwrap()
             .shard
             .bytes[0] ^= 0xFF;
-        let (records, dropped) = s.verify_and_list();
+        let (records, dropped) = s.verify_and_list().unwrap();
         assert_eq!(dropped, 1);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].key, "good");
         assert!(s.get("bad", 0).is_none(), "corrupt shard must be gone");
         // A second pass is clean.
-        let (records, dropped) = s.verify_and_list();
+        let (records, dropped) = s.verify_and_list().unwrap();
         assert_eq!((records.len(), dropped), (1, 0));
     }
 
@@ -424,18 +372,18 @@ mod tests {
     fn verification_is_cached_until_the_next_write() {
         let mut s = ShardStore::new();
         s.put("k", 0, b"bytes", 5, 1).unwrap();
-        let (_, dropped) = s.verify_and_list();
+        let (_, dropped) = s.verify_and_list().unwrap();
         assert_eq!(dropped, 0);
         // Rot introduced *after* a verify pass is masked by the cache —
         // the documented trade-off for O(index) repeat scrubs…
         s.shards.get_mut(&("k".to_string(), 0)).unwrap().shard.bytes[0] ^= 0xFF;
-        let (records, dropped) = s.verify_and_list();
+        let (records, dropped) = s.verify_and_list().unwrap();
         assert_eq!((records.len() as u64, dropped), (1, 0));
         // …and a write invalidates the cache, so the next pass catches
         // fresh rot again.
         s.put("k", 0, b"clean", 5, 2).unwrap();
         s.shards.get_mut(&("k".to_string(), 0)).unwrap().shard.bytes[0] ^= 0xFF;
-        let (records, dropped) = s.verify_and_list();
+        let (records, dropped) = s.verify_and_list().unwrap();
         assert_eq!((records.len() as u64, dropped), (0, 1));
     }
 
@@ -445,7 +393,7 @@ mod tests {
         s.put("b", 1, b"x", 1, 0).unwrap();
         s.put("a", 2, b"x", 1, 0).unwrap();
         s.put("a", 0, b"x", 1, 0).unwrap();
-        let (records, _) = s.verify_and_list();
+        let (records, _) = s.verify_and_list().unwrap();
         let order: Vec<(String, u16)> = records
             .iter()
             .map(|r| (r.key.clone(), r.shard_idx))

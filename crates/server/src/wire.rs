@@ -24,8 +24,8 @@
 //! never panics.
 
 use cuszp_core::{
-    Dims, Dtype, ErrorBound, LosslessMode, ParityConfig, Predictor, PredictorMode, WorkflowChoice,
-    WorkflowMode,
+    put_str, ByteCursor, CursorError, Dims, Dtype, ErrorBound, LosslessMode, ParityConfig,
+    Predictor, PredictorMode, WorkflowChoice, WorkflowMode,
 };
 use std::io::{Read, Write};
 
@@ -377,67 +377,13 @@ pub fn write_frame(
 // Payload codec helpers.
 // ---------------------------------------------------------------------
 
-/// Bounded little-endian reader over a payload.
-pub(crate) struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+impl From<CursorError> for WireError {
+    fn from(e: CursorError) -> Self {
+        WireError::BadPayload(match e {
+            CursorError::Truncated { .. } => "payload truncated",
+            CursorError::NotUtf8 { .. } => "string not UTF-8",
+        })
     }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::BadPayload("payload truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// All bytes not yet consumed (the "rest of payload" field).
-    pub(crate) fn rest(self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| WireError::BadPayload("string not UTF-8"))
-    }
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
 }
 
 pub(crate) fn put_dims(out: &mut Vec<u8>, dims: Dims) {
@@ -452,7 +398,7 @@ pub(crate) fn put_dims(out: &mut Vec<u8>, dims: Dims) {
     }
 }
 
-pub(crate) fn read_dims(c: &mut Cur<'_>) -> Result<Dims, WireError> {
+pub(crate) fn read_dims(c: &mut ByteCursor<'_>) -> Result<Dims, WireError> {
     // Axes are capped at u32 range and the element product at u48 so a
     // hostile request can neither overflow `usize` math nor demand an
     // absurd output allocation sight unseen.
@@ -683,7 +629,7 @@ impl ErrorResponse {
     /// a redirect tail after it when present (version ≥ 3); their
     /// absence parses as `None`, so all directions interoperate.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let code =
             ErrorCode::from_u16(c.u16()?).ok_or(WireError::BadPayload("unknown error code"))?;
         let message = c.str()?;
@@ -784,7 +730,7 @@ impl HealthResponse {
 
     /// Parses a health response payload.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         Ok(Self {
             queue_depth: c.u32()?,
             queue_capacity: c.u32()?,
@@ -886,7 +832,7 @@ impl<'a> CompressRequest<'a> {
     /// Parses and validates a compress payload. The data length must
     /// match the declared geometry exactly.
     pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let dims = read_dims(&mut c)?;
         let dtype = dtype_from_tag(c.u8()?)?;
         let eb_mode = c.u8()?;
@@ -961,6 +907,26 @@ pub enum DecompressMode {
     Recover(cuszp_core::FillPolicy),
 }
 
+impl DecompressMode {
+    /// The mode's wire byte.
+    fn tag(self) -> u8 {
+        match self {
+            DecompressMode::Strict => 0,
+            DecompressMode::Recover(cuszp_core::FillPolicy::Nan) => 1,
+            DecompressMode::Recover(cuszp_core::FillPolicy::Zero) => 2,
+        }
+    }
+
+    fn from_tag(v: u8) -> Option<Self> {
+        match v {
+            0 => Some(DecompressMode::Strict),
+            1 => Some(DecompressMode::Recover(cuszp_core::FillPolicy::Nan)),
+            2 => Some(DecompressMode::Recover(cuszp_core::FillPolicy::Zero)),
+            _ => None,
+        }
+    }
+}
+
 /// A decompress request: mode plus the archive bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecompressRequest<'a> {
@@ -974,24 +940,16 @@ impl<'a> DecompressRequest<'a> {
     /// Serializes for the wire.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1 + self.archive.len());
-        out.push(match self.mode {
-            DecompressMode::Strict => 0,
-            DecompressMode::Recover(cuszp_core::FillPolicy::Nan) => 1,
-            DecompressMode::Recover(cuszp_core::FillPolicy::Zero) => 2,
-        });
+        out.push(self.mode.tag());
         out.extend_from_slice(self.archive);
         out
     }
 
     /// Parses a decompress payload.
     pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
-        let mode = match c.u8()? {
-            0 => DecompressMode::Strict,
-            1 => DecompressMode::Recover(cuszp_core::FillPolicy::Nan),
-            2 => DecompressMode::Recover(cuszp_core::FillPolicy::Zero),
-            _ => return Err(WireError::BadPayload("bad decompress mode")),
-        };
+        let mut c = ByteCursor::new(payload);
+        let mode = DecompressMode::from_tag(c.u8()?)
+            .ok_or(WireError::BadPayload("bad decompress mode"))?;
         Ok(Self {
             mode,
             archive: c.rest(),
@@ -1017,11 +975,7 @@ impl<'a> GetRangeRequest<'a> {
     pub fn encode(&self) -> Vec<u8> {
         let axes = self.spec.axes();
         let mut out = Vec::with_capacity(2 + 16 * axes.len() + self.archive.len());
-        out.push(match self.mode {
-            DecompressMode::Strict => 0,
-            DecompressMode::Recover(cuszp_core::FillPolicy::Nan) => 1,
-            DecompressMode::Recover(cuszp_core::FillPolicy::Zero) => 2,
-        });
+        out.push(self.mode.tag());
         out.push(axes.len() as u8);
         for r in axes {
             out.extend_from_slice(&(r.start as u64).to_le_bytes());
@@ -1036,13 +990,9 @@ impl<'a> GetRangeRequest<'a> {
     /// *semantics* (inverted, out of bounds for the archive) are the
     /// pipeline's typed `InvalidRange`, answered as `BadRequest`.
     pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
-        let mode = match c.u8()? {
-            0 => DecompressMode::Strict,
-            1 => DecompressMode::Recover(cuszp_core::FillPolicy::Nan),
-            2 => DecompressMode::Recover(cuszp_core::FillPolicy::Zero),
-            _ => return Err(WireError::BadPayload("bad get-range mode")),
-        };
+        let mut c = ByteCursor::new(payload);
+        let mode =
+            DecompressMode::from_tag(c.u8()?).ok_or(WireError::BadPayload("bad get-range mode"))?;
         let rank = c.u8()? as usize;
         if rank == 0 || rank > 3 {
             return Err(WireError::BadPayload("range rank must be 1-3"));
@@ -1072,7 +1022,7 @@ pub struct DecompressResponse {
     /// Field dimensions.
     pub dims: Dims,
     /// Per-chunk recovery report (recover mode only).
-    pub report: Option<cuszp_core::PortableScanReport>,
+    pub report: Option<cuszp_core::ScanReport>,
     /// Raw little-endian scalars.
     pub data: Vec<u8>,
 }
@@ -1083,7 +1033,7 @@ impl DecompressResponse {
         let report = self
             .report
             .as_ref()
-            .map(cuszp_core::PortableScanReport::to_bytes)
+            .map(cuszp_core::ScanReport::to_bytes)
             .unwrap_or_default();
         let mut out = Vec::with_capacity(32 + report.len() + self.data.len());
         out.push(dtype_tag(self.dtype));
@@ -1096,7 +1046,7 @@ impl DecompressResponse {
 
     /// Parses a decompress response payload.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let dtype = dtype_from_tag(c.u8()?)?;
         let dims = read_dims(&mut c)?;
         let report_len = c.u32()? as usize;
@@ -1107,7 +1057,7 @@ impl DecompressResponse {
             None
         } else {
             Some(
-                cuszp_core::PortableScanReport::from_bytes(c.take(report_len)?)
+                cuszp_core::ScanReport::from_bytes(c.take(report_len)?)
                     .map_err(|_| WireError::BadPayload("malformed recovery report"))?,
             )
         };
@@ -1161,7 +1111,7 @@ impl RemoteInfo {
 
     /// Parses an info response payload.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let format = c.str()?;
         let dtype = dtype_from_tag(c.u8()?)?;
         let dims = read_dims(&mut c)?;
@@ -1242,7 +1192,7 @@ impl<'a> PutShardRequest<'a> {
 
     /// Parses and validates a put payload.
     pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let key = c.str()?;
         check_key(&key)?;
         let shard_idx = c.u16()?;
@@ -1288,7 +1238,7 @@ impl GetShardRequest {
 
     /// Parses a get payload.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let key = c.str()?;
         check_key(&key)?;
         Ok(Self {
@@ -1323,7 +1273,7 @@ impl GetShardResponse {
 
     /// Parses a get response payload.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         Ok(Self {
             total_len: c.u64()?,
             archive_fnv: c.u64()?,
@@ -1332,23 +1282,8 @@ impl GetShardResponse {
     }
 }
 
-/// One entry of a `list_shards` inventory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRecord {
-    /// Archive key.
-    pub key: String,
-    /// Stripe slot.
-    pub shard_idx: u16,
-    /// Stored shard length in bytes.
-    pub len: u64,
-    /// FNV-1a over the stored shard bytes (re-verified at listing time;
-    /// corrupt shards are dropped from the store and never listed).
-    pub checksum: u64,
-    /// Whole-archive byte length.
-    pub total_len: u64,
-    /// FNV-1a over the whole archive.
-    pub archive_fnv: u64,
-}
+/// One entry of a `list_shards` inventory: the store's own record.
+pub use cuszp_store::ShardRecord;
 
 /// Minimum encoded size of one [`ShardRecord`] (empty key): guards the
 /// count-prefixed decode against allocation lies.
@@ -1380,7 +1315,7 @@ impl ShardListResponse {
     /// Parses a list response payload. The declared count is validated
     /// against the bytes actually present before any allocation.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteCursor::new(payload);
         let n = c.u32()? as usize;
         if n.saturating_mul(SHARD_RECORD_MIN_BYTES) > c.remaining() {
             return Err(WireError::BadPayload("shard list count exceeds payload"));

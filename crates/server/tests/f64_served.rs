@@ -137,7 +137,7 @@ fn served_get_range_cold_hot_and_recover_equal_the_local_decode() {
 
         let mode = DecompressMode::Recover(FillPolicy::Nan);
         let resp = client.get_range(&archive, &spec, mode).unwrap();
-        assert_eq!(resp.report.as_ref().unwrap().chunks.len(), 3);
+        assert_eq!(resp.report.as_ref().unwrap().reports.len(), 3);
         assert_f64_field(&resp, &want, dims, "recover");
     });
 }

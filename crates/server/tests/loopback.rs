@@ -4,8 +4,8 @@
 //! server worker count.
 
 use cuszp_core::{
-    Compressor, Config, Dims, Dtype, ErrorBound, FillPolicy, LosslessMode, ParityConfig,
-    PortableChunkStatus, Predictor, PredictorMode, WorkflowMode,
+    ChunkStatus, Compressor, Config, Dims, Dtype, ErrorBound, FillPolicy, LosslessMode,
+    ParityConfig, Predictor, PredictorMode, WorkflowMode,
 };
 use cuszp_parallel::WorkerPool;
 use cuszp_server::{
@@ -189,14 +189,11 @@ fn recovery_over_the_wire_heals_from_parity_and_reports_per_chunk() {
         .decompress(&archive, DecompressMode::Recover(FillPolicy::Zero))
         .expect("recover");
     let report = resp.report.expect("recover mode carries a report");
-    assert_eq!(report.chunks.len(), 3);
+    assert_eq!(report.reports.len(), 3);
     assert!(
-        matches!(
-            report.chunks[1].status,
-            PortableChunkStatus::Repaired { .. }
-        ),
+        matches!(report.reports[1].status, ChunkStatus::Repaired { .. }),
         "chunk 1 should heal from parity, got {:?}",
-        report.chunks[1].status
+        report.reports[1].status
     );
     assert_eq!(report.n_damaged(), 0);
 

@@ -9,7 +9,7 @@
 //! hope about the decoder.
 
 use cuszp_core::{
-    Compressor, Config, Dims, ErrorBound, FillPolicy, ParityConfig, PortableChunkStatus, RangeSpec,
+    ChunkStatus, Compressor, Config, Dims, ErrorBound, FillPolicy, ParityConfig, RangeSpec,
     ReconstructEngine, WorkflowMode,
 };
 use cuszp_faultsim::targeted_campaign;
@@ -105,14 +105,14 @@ fn in_range_damage_heals_via_parity_over_the_wire() {
         let report = resp.report.expect("recover mode carries a report");
         assert!(
             report
-                .chunks
+                .reports
                 .iter()
-                .any(|c| matches!(c.status, PortableChunkStatus::Repaired { .. })),
+                .any(|c| matches!(c.status, ChunkStatus::Repaired { .. })),
             "case {} ({}): healing must be visible in the report",
             case.id,
             case.description
         );
-        for c in &report.chunks {
+        for c in &report.reports {
             assert_eq!(c.index, 0, "only the in-range chunk may be reported");
         }
     }
@@ -134,7 +134,7 @@ fn parityless_in_range_damage_is_pinpointed_precisely() {
             )
             .unwrap_or_else(|e| panic!("case {} ({}): {e}", case.id, case.description));
         let report = resp.report.expect("recover mode carries a report");
-        let indices: Vec<u64> = report.chunks.iter().map(|c| c.index).collect();
+        let indices: Vec<usize> = report.reports.iter().map(|c| c.index).collect();
         assert_eq!(
             indices,
             vec![0, 1],
@@ -142,15 +142,15 @@ fn parityless_in_range_damage_is_pinpointed_precisely() {
             case.id
         );
         assert_eq!(
-            report.chunks[0].status,
-            PortableChunkStatus::Ok,
+            report.reports[0].status,
+            ChunkStatus::Ok,
             "case {} ({}): undamaged chunk 0 must verify",
             case.id,
             case.description
         );
         assert_ne!(
-            report.chunks[1].status,
-            PortableChunkStatus::Ok,
+            report.reports[1].status,
+            ChunkStatus::Ok,
             "case {} ({}): damaged chunk 1 must be flagged",
             case.id,
             case.description
@@ -190,7 +190,7 @@ fn out_of_range_damage_is_never_touched_or_reported() {
             case.id, case.description
         );
         let report = resp.report.expect("recover mode carries a report");
-        for c in &report.chunks {
+        for c in &report.reports {
             assert!(
                 c.index < 2,
                 "case {}: out-of-range chunk {} reported",
@@ -199,7 +199,7 @@ fn out_of_range_damage_is_never_touched_or_reported() {
             );
             assert_eq!(
                 c.status,
-                PortableChunkStatus::Ok,
+                ChunkStatus::Ok,
                 "case {}: in-range chunks are undamaged",
                 case.id
             );

@@ -43,7 +43,7 @@ pub mod log;
 pub mod record;
 
 pub use fsck::{scan_dir, DirReport, RecordStatus, SegmentReport};
-pub use log::{LogStore, RecoveryReport, SegmentFault, ShardEntry, StoredShard};
+pub use log::{LogStore, RecoveryReport, SegmentFault, ShardRecord, StoredShard};
 pub use record::{Record, RecordFault, RecordKind, FLAG_REPAIR};
 
 use std::path::PathBuf;

@@ -51,16 +51,22 @@ pub struct StoredShard {
     pub archive_fnv: u64,
 }
 
-/// One index entry of a `verify_and_list` inventory.
+/// One entry of a `verify_and_list` inventory — also the record a
+/// cluster node's `list_shards` answer carries per shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardEntry {
+pub struct ShardRecord {
+    /// Archive key.
     pub key: String,
+    /// Stripe slot.
     pub shard_idx: u16,
-    /// Shard length in bytes.
+    /// Stored shard length in bytes.
     pub len: u64,
-    /// FNV-1a of the shard bytes (verified, possibly cached).
+    /// FNV-1a of the shard bytes (verified at listing time, possibly
+    /// from the cache; corrupt shards are dropped and never listed).
     pub checksum: u64,
+    /// Whole-archive byte length.
     pub total_len: u64,
+    /// FNV-1a over the whole archive.
     pub archive_fnv: u64,
 }
 
@@ -868,7 +874,7 @@ impl LogStore {
     /// lists the survivors sorted by `(key, shard_idx)`. Entries whose
     /// verification is cached are listed without touching the disk, so
     /// repeated inventories of an unchanged node are O(index).
-    pub fn verify_and_list(&mut self) -> Result<(Vec<ShardEntry>, u64), StoreError> {
+    pub fn verify_and_list(&mut self) -> Result<(Vec<ShardRecord>, u64), StoreError> {
         let unverified: Vec<(String, u16)> = self
             .index
             .iter()
@@ -887,10 +893,10 @@ impl LogStore {
                 None => dropped += 1,
             }
         }
-        let mut entries: Vec<ShardEntry> = self
+        let mut entries: Vec<ShardRecord> = self
             .index
             .iter()
-            .map(|((key, idx), e)| ShardEntry {
+            .map(|((key, idx), e)| ShardRecord {
                 key: key.clone(),
                 shard_idx: *idx,
                 len: e.payload_len as u64,

@@ -22,6 +22,14 @@ if grep -rn "decompress_into(" crates/core/src --include='*.rs' | grep -v "^crat
     exit 1
 fi
 
+echo "==> API-surface guard (one report hierarchy across the socket, one bounded byte cursor)"
+if grep -rn "Portable" crates src tests examples ||
+    grep -rn "fn fsck_exit_code" crates src tests examples ||
+    grep -n "fn take(&mut self, n: usize)" crates/core/src/report.rs crates/server/src/wire.rs; then
+    echo "error: a mirror of the scan report, a second exit-code rule or a second byte cursor grew back" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -60,6 +60,41 @@ echo "==> remote scan (clean archive must exit 0)"
 "$CUSZP" remote scan "$WORK/field.csz" -s "$ADDR" --json > "$WORK/scan.json"
 grep -q '"exit_code":0' "$WORK/scan.json" || { echo "FAIL: scan not clean"; cat "$WORK/scan.json"; exit 1; }
 
+echo "==> fsck and remote scan print one report (healed shard: exit 1; stripe beyond parity: exit 2)"
+"$CUSZP" remote compress -s "$ADDR" -i "$WORK/field.f32" -o "$WORK/par.csz" \
+    -d "$DIMS" -e 1e-3 --parity 1/2 --chunk 20000 2> /dev/null
+"$CUSZP" fsck -i "$WORK/par.csz" --json > "$WORK/par.json"
+# damage <dst> <chunk>...: par.csz with one byte flipped in the middle of each named chunk.
+damage() {
+    python3 - "$WORK/par.json" "$WORK/par.csz" "$@" << 'PY'
+import json, sys
+report, src, dst, *chunks = sys.argv[1:]
+layout = json.load(open(report))["chunks"]
+data = bytearray(open(src, "rb").read())
+for c in map(int, chunks):
+    data[(layout[c]["byte_start"] + layout[c]["byte_end"]) // 2] ^= 0x01
+open(dst, "wb").write(data)
+PY
+}
+# same_report <archive> <exit code>: both commands exit with the code and
+# agree on every line from "  dims:" down (the first line names who scanned).
+same_report() {
+    local fsck_status=0 scan_status=0
+    "$CUSZP" fsck -i "$1" > "$WORK/fsck.txt" || fsck_status=$?
+    "$CUSZP" remote scan "$1" -s "$ADDR" > "$WORK/rscan.txt" || scan_status=$?
+    [[ "$fsck_status $scan_status" == "$2 $2" ]] \
+        || { echo "FAIL: $1: fsck exited $fsck_status, remote scan $scan_status, expected $2"; exit 1; }
+    grep -q '^  parity: ' "$WORK/fsck.txt" || { echo "FAIL: fsck printed no parity line"; cat "$WORK/fsck.txt"; exit 1; }
+    diff <(sed -n '/^  dims:/,$p' "$WORK/fsck.txt") <(sed -n '/^  dims:/,$p' "$WORK/rscan.txt") \
+        || { echo "FAIL: $1: remote scan and fsck print different reports"; exit 1; }
+}
+# 1/2 parity: a stripe is two 4 KiB data shards. Chunk 3 sits in one shard
+# of its stripe; chunks 0 and 1 take both data shards of stripe 0.
+damage "$WORK/healed.csz" 3
+same_report "$WORK/healed.csz" 1
+damage "$WORK/lost.csz" 0 1
+same_report "$WORK/lost.csz" 2
+
 echo "==> remote get-range round trip (twice: cold, then from the slab cache)"
 NY=${DIMS%x*}
 NX=${DIMS#*x}

@@ -27,9 +27,9 @@ use cuszp::server::{
 use cuszp::store::{FsyncPolicy, StoreConfig};
 use cuszp::{
     json_escape, scalars_to_le, stored_dtype, Archive, ChunkReport, ChunkStatus, ChunkedArchive,
-    Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, ErrorBound, FillPolicy,
-    LosslessMode, ParityConfig, PortableScanReport, Predictor, PredictorMode, RangeSpec,
-    ReconstructEngine, ScanReport, WorkflowChoice, WorkflowMode,
+    CodecPlan, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, ErrorBound,
+    FillPolicy, LosslessMode, ParityConfig, Predictor, PredictorMode, RangeSpec, ReconstructEngine,
+    ScanReport, WorkflowChoice, WorkflowMode,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -667,7 +667,7 @@ fn cmd_fsck(opts: &Opts) -> Result<ExitCode, String> {
         }
     };
     let report = &outcome.report;
-    let mut code = fsck_exit_code(report);
+    let mut code = report.exit_code();
     let rewritten = if opts.has_flag("repair") {
         let do_write = code != 2 && outcome.modified;
         if do_write {
@@ -682,10 +682,23 @@ fn cmd_fsck(opts: &Opts) -> Result<ExitCode, String> {
 
     if json {
         println!("{}", fsck_json(input, report, code, rewritten));
-        return Ok(ExitCode::from(code));
+    } else {
+        print_scan_report(input, "", report, code, rewritten);
     }
+    Ok(ExitCode::from(code))
+}
 
-    println!("archive: {input} ({})", report.format);
+/// The report `fsck` and `remote scan` print: header facts, one line per
+/// chunk (status, location, codec plan), the parity-stripe summary and
+/// the verdict for `code`. `origin` qualifies the first line.
+fn print_scan_report(
+    input: &str,
+    origin: &str,
+    report: &ScanReport,
+    code: u8,
+    rewritten: Option<bool>,
+) {
+    println!("archive: {input} ({}{origin})", report.format);
     if let Some(dims) = report.dims {
         println!("  dims:   {dims:?} ({} elements)", dims.len());
     }
@@ -732,18 +745,6 @@ fn cmd_fsck(opts: &Opts) -> Result<ExitCode, String> {
             report.reports.len()
         ),
     }
-    Ok(ExitCode::from(code))
-}
-
-/// 0 = clean, 1 = damaged but fully covered by parity, 2 = data loss.
-fn fsck_exit_code(report: &ScanReport) -> u8 {
-    if report.n_damaged() > 0 {
-        2
-    } else if report.n_repaired() > 0 || report.parity.as_ref().is_some_and(|p| !p.is_intact()) {
-        1
-    } else {
-        0
-    }
 }
 
 /// Writes via a temp file in the same directory plus rename, so a crash
@@ -759,15 +760,14 @@ fn write_atomic(path: &str, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// The whole fsck report as one JSON object. The report body renders
-/// through [`PortableScanReport::to_json_fields`] — the same code path
-/// as `remote scan --json` and the wire form, so the formats cannot
-/// drift. `repaired_file` is null without `--repair`, else whether the
+/// through [`ScanReport::to_json_fields`] — the same code path as
+/// `remote scan --json`, so the formats cannot drift. `repaired_file` is null without `--repair`, else whether the
 /// archive was rewritten.
 fn fsck_json(input: &str, report: &ScanReport, code: u8, repaired_file: Option<bool>) -> String {
     format!(
         "{{\"archive\":\"{}\",{},\"repaired_file\":{},\"exit_code\":{}}}",
         json_escape(input),
-        PortableScanReport::from(report).to_json_fields(),
+        report.to_json_fields(),
         repaired_file.map_or("null".to_string(), |b| b.to_string()),
         code
     )
@@ -813,19 +813,10 @@ fn cmd_info(opts: &Opts) -> Result<(), String> {
         })
         .collect();
         println!("  workflow mix: {}", mix.join(", "));
-        let plan_mix: Vec<String> = {
-            let mut mix: Vec<(String, usize)> = Vec::new();
-            for ch in &arc.chunks {
-                let label = ch.plan().label();
-                match mix.iter_mut().find(|(l, _)| *l == label) {
-                    Some((_, n)) => *n += 1,
-                    None => mix.push((label, 1)),
-                }
-            }
-            mix.into_iter()
-                .map(|(label, n)| format!("{label} x{n}"))
-                .collect()
-        };
+        let plan_mix: Vec<String> = CodecPlan::mix(arc.chunks.iter().map(Archive::plan))
+            .into_iter()
+            .map(|(label, n)| format!("{label} x{n}"))
+            .collect();
         println!("  plan mix:     {}", plan_mix.join(", "));
         let outliers: usize = arc.chunks.iter().map(|ch| ch.outliers.len()).sum();
         println!(
@@ -1632,21 +1623,11 @@ fn remote_decompress(opts: &Opts) -> Result<(), String> {
     let resp = result.map_err(|e| e.to_string())?;
     write_bytes(output, &resp.data)?;
     if let Some(report) = &resp.report {
-        for c in report.chunks.iter().filter(|c| !c.status.is_recovered()) {
-            eprintln!(
-                "  chunk {}: {} (elements {}..{})",
-                c.index, c.status, c.elem_range.start, c.elem_range.end
-            );
-        }
+        let ok = report.reports.len() - list_damaged(&report.reports);
         eprintln!(
-            "remote: recovered {}/{} chunks{}",
-            report.chunks.len() - report.n_damaged(),
-            report.chunks.len(),
-            if report.n_repaired() > 0 {
-                format!(" ({} healed from parity)", report.n_repaired())
-            } else {
-                String::new()
-            }
+            "remote: recovered {ok}/{} chunks{}",
+            report.reports.len(),
+            healed_note(report)
         );
     }
     eprintln!(
@@ -1676,21 +1657,11 @@ fn remote_get_range(opts: &Opts) -> Result<(), String> {
     let resp = result.map_err(|e| e.to_string())?;
     write_bytes(output, &resp.data)?;
     if let Some(report) = &resp.report {
-        for c in report.chunks.iter().filter(|c| !c.status.is_recovered()) {
-            eprintln!(
-                "  chunk {}: {} (elements {}..{})",
-                c.index, c.status, c.elem_range.start, c.elem_range.end
-            );
-        }
+        let ok = report.reports.len() - list_damaged(&report.reports);
         eprintln!(
-            "remote: {}/{} in-range chunks ok{}",
-            report.chunks.len() - report.n_damaged(),
-            report.chunks.len(),
-            if report.n_repaired() > 0 {
-                format!(" ({} healed from parity)", report.n_repaired())
-            } else {
-                String::new()
-            }
+            "remote: {ok}/{} in-range chunks ok{}",
+            report.reports.len(),
+            healed_note(report)
         );
     }
     eprintln!(
@@ -1719,37 +1690,16 @@ fn remote_scan(opts: &Opts) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::from(code));
     }
-    println!("archive: {input} ({}, scanned remotely)", report.format);
-    if let Some(dims) = report.dims {
-        println!("  dims:   {dims:?} ({} elements)", dims.len());
-    }
-    if let Some(dtype) = report.dtype {
-        println!("  dtype:  {}", dtype.name());
-    }
-    println!("  chunks: {} declared", report.declared_chunks);
-    for c in &report.chunks {
-        let loc = match &c.byte_range {
-            Some(range) => format!("bytes {}..{}", range.start, range.end),
-            None => "unlocatable".to_string(),
-        };
-        println!(
-            "    [{}] {}  ({loc}, elements {}..{})",
-            c.index, c.status, c.elem_range.start, c.elem_range.end
-        );
-    }
-    match code {
-        2 => println!(
-            "  data loss: {} of {} chunk(s) unrecoverable",
-            report.n_damaged(),
-            report.chunks.len()
-        ),
-        1 => println!("  repairable: damage is covered by parity"),
-        _ => println!(
-            "  clean: all {} chunk(s) validated and decoded",
-            report.chunks.len()
-        ),
-    }
+    print_scan_report(input, ", scanned remotely", &report, code, None);
     Ok(ExitCode::from(code))
+}
+
+/// " (n healed from parity)" for a remote recovery answer, or nothing.
+fn healed_note(report: &ScanReport) -> String {
+    match report.n_repaired() {
+        0 => String::new(),
+        n => format!(" ({n} healed from parity)"),
+    }
 }
 
 fn remote_info(opts: &Opts) -> Result<(), String> {

@@ -66,8 +66,7 @@ pub use cuszp_core::{
     repair, repair_with, scalars_from_le, scalars_to_le, scan, scan_with, stored_dtype, write_raw,
     Archive, ArchiveSection, ChunkReport, ChunkStatus, ChunkedArchive, CodecPlan, CompressionStats,
     Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, ErrorBound, FillPolicy,
-    LosslessMode, LosslessStage, ParityConfig, ParityReport, ParitySection, ParseFault,
-    PortableChunkReport, PortableChunkStatus, PortableParityReport, PortableScanReport,
-    PortableStripeStatus, Predictor, PredictorMode, RangeSpec, ReconstructEngine, RecoveredField,
-    RepairOutcome, ScanReport, Snapshot, SnapshotEntry, StripeStatus, WorkflowChoice, WorkflowMode,
+    LosslessMode, LosslessStage, ParityConfig, ParityReport, ParitySection, ParseFault, Predictor,
+    PredictorMode, RangeSpec, ReconstructEngine, RecoveredField, RepairOutcome, ScanReport,
+    Snapshot, SnapshotEntry, StripeStatus, WorkflowChoice, WorkflowMode,
 };

@@ -159,7 +159,7 @@ fn chunk_surgery_is_rejected_by_the_strict_path() {
         assert!(
             rf.reports
                 .iter()
-                .any(|r| matches!(r.status, ChunkStatus::Malformed(_))),
+                .any(|r| matches!(r.status, ChunkStatus::Malformed { .. })),
             "duplicate chunk not reported as malformed"
         );
     }
