@@ -80,24 +80,12 @@ fn put_indices(out: &mut Vec<u8>, v: &[usize]) {
     }
 }
 
+/// Rank byte (0 = no dims), then the rank's extents, slowest first.
 fn put_dims(out: &mut Vec<u8>, dims: Option<Dims>) {
-    match dims {
-        None => out.push(0),
-        Some(Dims::D1(n)) => {
-            out.push(1);
-            put_index(out, n);
-        }
-        Some(Dims::D2 { ny, nx }) => {
-            out.push(2);
-            put_index(out, ny);
-            put_index(out, nx);
-        }
-        Some(Dims::D3 { nz, ny, nx }) => {
-            out.push(3);
-            put_index(out, nz);
-            put_index(out, ny);
-            put_index(out, nx);
-        }
+    let rank = dims.map_or(0, |d| d.rank());
+    out.push(rank as u8);
+    for &n in &dims.map_or([0; 3], |d| d.extents())[3 - rank..] {
+        put_index(out, n);
     }
 }
 
@@ -434,11 +422,7 @@ fn json_index_list(v: &[usize]) -> String {
 }
 
 fn json_dims(d: Dims) -> String {
-    match d {
-        Dims::D1(n) => format!("[{n}]"),
-        Dims::D2 { ny, nx } => format!("[{ny},{nx}]"),
-        Dims::D3 { nz, ny, nx } => format!("[{nz},{ny},{nx}]"),
-    }
+    json_index_list(&d.extents()[3 - d.rank()..])
 }
 
 fn json_chunk(c: &ChunkReport) -> String {
