@@ -234,21 +234,11 @@ impl DurableShardStore {
     /// Opens (or creates) the store, replaying its segments — the boot
     /// scan re-verifies every record checksum exactly like
     /// `list_shards`. Recovery damage is *not* an error; read it from
-    /// [`DurableShardStore::recovery_report`].
+    /// [`ShardBackend::recovery_summary`].
     pub fn open(config: cuszp_store::StoreConfig) -> Result<DurableShardStore, StoreOpError> {
         Ok(DurableShardStore {
             inner: cuszp_store::LogStore::open(config).map_err(map_store_err)?,
         })
-    }
-
-    /// What the boot scan found.
-    pub fn recovery_report(&self) -> &cuszp_store::RecoveryReport {
-        self.inner.recovery_report()
-    }
-
-    /// The wrapped log store (stats hooks for tests and benches).
-    pub fn log(&self) -> &cuszp_store::LogStore {
-        &self.inner
     }
 }
 

@@ -30,6 +30,14 @@ if grep -rn "Portable" crates src tests examples ||
     exit 1
 fi
 
+echo "==> API-surface guard (one benchmark harness: benchmark/ + BENCHMARK.json)"
+if grep -rnE --include=Cargo.toml --exclude-dir=target --exclude-dir=benchmark --exclude-dir=.git \
+    'criterion|^\[\[bench\]\]' . ||
+    find crates -type d -name benches | grep .; then
+    echo "error: a second benchmark harness grew back beside benchmark/" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -61,9 +69,6 @@ cargo test --workspace
 # suites run in both.
 echo "==> cargo test --release (predictor, huffman, lossless: the kernel suites in the measured profile)"
 cargo test --release -p cuszp-predictor -p cuszp-huffman -p cuszp-lossless
-
-echo "==> cargo bench --no-run (benches must keep compiling)"
-cargo bench --workspace --no-run
 
 echo "==> corruption campaign (seeded fault injection)"
 scripts/corruption_campaign.sh

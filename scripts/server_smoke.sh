@@ -60,7 +60,7 @@ echo "==> remote scan (clean archive must exit 0)"
 "$CUSZP" remote scan "$WORK/field.csz" -s "$ADDR" --json > "$WORK/scan.json"
 grep -q '"exit_code":0' "$WORK/scan.json" || { echo "FAIL: scan not clean"; cat "$WORK/scan.json"; exit 1; }
 
-echo "==> fsck and remote scan print one report (healed shard: exit 1; stripe beyond parity: exit 2)"
+echo "==> fsck and remote scan print one report (healed shard: exit 1; stripe beyond parity: exit 2), fsck --repair heals"
 "$CUSZP" remote compress -s "$ADDR" -i "$WORK/field.f32" -o "$WORK/par.csz" \
     -d "$DIMS" -e 1e-3 --parity 1/2 --chunk 20000 2> /dev/null
 "$CUSZP" fsck -i "$WORK/par.csz" --json > "$WORK/par.json"
@@ -94,6 +94,17 @@ damage "$WORK/healed.csz" 3
 same_report "$WORK/healed.csz" 1
 damage "$WORK/lost.csz" 0 1
 same_report "$WORK/lost.csz" 2
+# fsck --repair rewrites the healed archive to its original bytes (exit 0)
+# and leaves one with data loss as it was (exit 2).
+cp "$WORK/healed.csz" "$WORK/repaired.csz"
+"$CUSZP" fsck -i "$WORK/repaired.csz" --repair > /dev/null \
+    && cmp -s "$WORK/repaired.csz" "$WORK/par.csz" \
+    || { echo "FAIL: fsck --repair did not restore the one-shard damage"; exit 1; }
+cp "$WORK/lost.csz" "$WORK/unrepaired.csz"
+repair_status=0
+"$CUSZP" fsck -i "$WORK/unrepaired.csz" --repair > /dev/null || repair_status=$?
+[[ $repair_status == 2 ]] && cmp -s "$WORK/unrepaired.csz" "$WORK/lost.csz" \
+    || { echo "FAIL: fsck --repair on data loss exited $repair_status or rewrote the file"; exit 1; }
 
 echo "==> remote get-range round trip (twice: cold, then from the slab cache)"
 NY=${DIMS%x*}

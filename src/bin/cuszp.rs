@@ -641,18 +641,16 @@ fn cmd_fsck(opts: &Opts) -> Result<ExitCode, String> {
     // An unusable container header means nothing is recoverable: that is
     // data loss, not a usage error.
     let scanned = if opts.has_flag("repair") {
-        cuszp::repair(&bytes).map(Some)
+        cuszp::repair(&bytes)
     } else {
-        cuszp::scan(&bytes).map(|r| {
-            Some(cuszp::RepairOutcome {
-                bytes: Vec::new(),
-                report: r,
-                modified: false,
-            })
+        cuszp::scan(&bytes).map(|report| cuszp::RepairOutcome {
+            bytes: Vec::new(),
+            report,
+            modified: false,
         })
     };
     let outcome = match scanned {
-        Ok(o) => o.unwrap(),
+        Ok(o) => o,
         Err(e) => {
             if json {
                 println!(
