@@ -38,6 +38,13 @@ if grep -rnE --include=Cargo.toml --exclude-dir=target --exclude-dir=benchmark -
     exit 1
 fi
 
+echo "==> API-surface guard (one CLI intake: one option declaration, one typed option read)"
+if grep -nE 'format!\("bad --?[a-z]' src/bin/cuszp.rs ||
+    grep -n "takes_positional" src/bin/cuszp.rs; then
+    echo "error: a per-option parse error or a positional patch list grew back in the CLI" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

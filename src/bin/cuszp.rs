@@ -4,7 +4,7 @@
 //! cuszp compress   -i field.f32 -o field.csz -d 512x512x512 [-e 1e-3] [-m abs|rel]
 //!                  [-w auto|huffman|rle|rle+vle] [--double]
 //! cuszp decompress -i field.csz -o recon.f32
-//! cuszp info       -i field.csz
+//! cuszp info       field.csz
 //! cuszp analyze    -i field.f32 -d 1800x3600 [-e 1e-2] [-m rel]
 //! cuszp gen        -o field.f32 --dataset cesm --field FSDSC [--scale small]
 //! cuszp serve      [-a 127.0.0.1:7117] [--workers 2] [--queue 16]
@@ -14,6 +14,10 @@
 //! Input/output rasters are raw little-endian `f32` (or `f64` with
 //! `--double`), SDRBench's convention: dimensions travel out-of-band via
 //! `-d`, fastest axis last.
+//!
+//! Every command line goes through one intake ([`Opts::from_args`]) against
+//! one declaration ([`COMMANDS`]): an option a command does not declare
+//! is a usage error before any file is read or written.
 
 use cuszp::analysis::analyze;
 use cuszp::datagen::{dataset_fields, generate, DatasetKind, Scale};
@@ -24,117 +28,126 @@ use cuszp::server::{
     ClusterClient, ClusterConfig, CompressRequest, ConnectOptions, DecompressMode, RetryPolicy,
     RetryingClient, Ring, Server, ServerConfig, StoreBackendConfig,
 };
-use cuszp::store::{FsyncPolicy, StoreConfig};
+use cuszp::store::{FsyncPolicy, RecordStatus, StoreConfig};
 use cuszp::{
-    json_escape, scalars_to_le, stored_dtype, Archive, ChunkReport, ChunkStatus, ChunkedArchive,
-    CodecPlan, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, ErrorBound,
-    FillPolicy, LosslessMode, ParityConfig, Predictor, PredictorMode, RangeSpec, ReconstructEngine,
+    json_escape, scalars_from_le, scalars_to_le, stored_dtype, Archive, ChunkReport, ChunkStatus,
+    ChunkedArchive, CodecPlan, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element,
+    ErrorBound, FillPolicy, LosslessMode, ParityConfig, Predictor, PredictorMode, RangeSpec,
     ScanReport, WorkflowChoice, WorkflowMode,
 };
 use std::collections::HashMap;
-use std::io::Write;
+use std::fmt::Display;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
+
+/// `println!` through [`Out`], returning the write's `io::Result`.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(Out, $($arg)*)
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
+    if args.is_empty() {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
-    };
-    // `remote` and `cluster` take a positional sub-operation
-    // (`cuszp remote scan ...`, `cuszp cluster put ...`); split it off
-    // before option parsing. `cluster-scrub` is an alias for
-    // `cluster scrub`, the anti-entropy repair pass.
-    let mut remote_op: Option<&str> = None;
-    let mut cluster_op: Option<&str> = None;
-    let mut rest = rest;
-    if cmd == "remote" || cmd == "cluster" {
-        let Some((sub, sub_rest)) = rest.split_first() else {
-            eprintln!("error: {cmd} needs an operation\n\n{USAGE}");
-            return ExitCode::from(2);
-        };
-        if cmd == "remote" {
-            remote_op = Some(sub.as_str());
-        } else {
-            cluster_op = Some(sub.as_str());
-        }
-        rest = sub_rest;
     }
-    if cmd == "cluster-scrub" {
-        cluster_op = Some("scrub");
-    }
-    // `fsck` (and `remote scan`/`remote info`) take their archive as a
-    // positional argument; normalize to `-i` so option parsing stays
-    // uniform.
-    let takes_positional_archive = cmd == "fsck"
-        || cmd == "store-fsck"
-        || matches!(
-            remote_op,
-            Some("scan" | "info" | "decompress" | "get-range")
-        );
-    // Cluster data ops take their key positionally; normalize to `-k`.
-    let takes_positional_key = matches!(cluster_op, Some("put" | "get" | "get-range"));
-    let norm_rest: Vec<String>;
-    let rest = if (takes_positional_archive || takes_positional_key)
-        && rest.first().is_some_and(|a| !a.starts_with('-'))
-    {
-        let opt = if takes_positional_key { "-k" } else { "-i" };
-        norm_rest = [opt.to_string(), rest[0].clone()]
-            .into_iter()
-            .chain(rest[1..].iter().cloned())
-            .collect();
-        &norm_rest[..]
-    } else {
-        rest
-    };
-    let opts = match parse_opts(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let result = match cmd.as_str() {
-        "compress" => cmd_compress(&opts).map(|()| ExitCode::SUCCESS),
-        "decompress" => cmd_decompress(&opts).map(|()| ExitCode::SUCCESS),
-        "extract" => cmd_extract(&opts).map(|()| ExitCode::SUCCESS),
-        "info" => cmd_info(&opts).map(|()| ExitCode::SUCCESS),
-        // fsck picks its own exit code: 0 clean, 1 damaged-but-repaired
-        // (or repairable), 2 data loss.
-        "fsck" => cmd_fsck(&opts),
-        // store-fsck shares the taxonomy: 0 clean, 1 repairable via
-        // cluster-scrub, 2 directory unreadable.
-        "store-fsck" => cmd_store_fsck(&opts),
-        "analyze" => cmd_analyze(&opts).map(|()| ExitCode::SUCCESS),
-        "gen" => cmd_gen(&opts).map(|()| ExitCode::SUCCESS),
-        "serve" => cmd_serve(&opts).map(|()| ExitCode::SUCCESS),
-        "chaos-proxy" => cmd_chaos_proxy(&opts).map(|()| ExitCode::SUCCESS),
-        // `remote scan` mirrors fsck's exit-code contract.
-        "remote" => cmd_remote(remote_op.unwrap(), &opts),
-        "cluster" | "cluster-scrub" => cmd_cluster(cluster_op.unwrap(), &opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match Opts::from_args(&args).and_then(|opts| run(&opts)) {
         Ok(code) => code,
-        Err(e) => {
+        Err(Fail::Usage(e)) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Fail::Run(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
+fn run(opts: &Opts) -> Result<ExitCode, Fail> {
+    let ok = |r: Result<(), Fail>| r.map(|()| ExitCode::SUCCESS);
+    match opts.cmd {
+        "compress" | "remote compress" if opts.has("double") => ok(cmd_compress::<f64>(opts)),
+        "compress" | "remote compress" => ok(cmd_compress::<f32>(opts)),
+        "decompress" | "extract" | "remote decompress" | "remote get-range" => ok(cmd_decode(opts)),
+        "info" => ok(cmd_info(opts)),
+        // fsck picks its own exit code: 0 clean, 1 damaged-but-repaired
+        // (or repairable), 2 data loss.
+        "fsck" => cmd_fsck(opts),
+        // store-fsck shares the taxonomy: 0 clean, 1 repairable via
+        // cluster-scrub, 2 directory unreadable.
+        "store-fsck" => cmd_store_fsck(opts),
+        "analyze" if opts.has("double") => ok(analyze_raw::<f64>(opts)),
+        "analyze" => ok(analyze_raw::<f32>(opts)),
+        "gen" => ok(cmd_gen(opts)),
+        "serve" => ok(cmd_serve(opts)),
+        "chaos-proxy" => ok(cmd_chaos_proxy(opts)),
+        "help" => {
+            say!("{USAGE}")?;
+            Ok(ExitCode::SUCCESS)
+        }
+        // `remote scan` mirrors fsck's exit-code contract.
+        cmd => match cmd.split_once(' ') {
+            Some(("remote", op)) => cmd_remote(op, opts),
+            Some(("cluster", op)) => cmd_cluster(op, opts),
+            _ => unreachable!("{cmd} is declared but not dispatched"),
+        },
+    }
+}
+
+/// Every command line `cuszp` accepts: the command (`remote` and
+/// `cluster` name one entry per operation) and the options it reads.
+/// An option is `name` (takes a value), `name!` (a flag) or
+/// `name|alias`. The command's primary input — `-k` where declared,
+/// else `-i` — may also be its first argument.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("compress", &["i o d threads parity stats!", CODEC]),
+    ("decompress", &["i o verify threads", RECOVER]),
+    ("extract", &["i o range", RECOVER]),
+    ("info", &["i"]),
+    ("fsck", &["i repair! json!"]),
+    ("store-fsck", &["i json!"]),
+    ("analyze", &["i d e m double!"]),
+    ("gen", &["o dataset field scale"]),
+    ("serve", &[SERVE]),
+    ("chaos-proxy", &[CHAOS]),
+    ("remote compress", &[REMOTE, "i o d parity chunk", CODEC]),
+    ("remote decompress", &[REMOTE, "i o", RECOVER]),
+    ("remote get-range", &[REMOTE, "i o range", RECOVER]),
+    ("remote scan", &[REMOTE, "i json!"]),
+    ("remote info", &[REMOTE, "i"]),
+    ("remote stats", &[REMOTE]),
+    ("remote ping", &[REMOTE]),
+    ("remote health", &[REMOTE]),
+    ("remote shutdown", &[REMOTE]),
+    ("cluster put", &[CLUSTER, "k i"]),
+    ("cluster get", &[CLUSTER, "k o"]),
+    ("cluster get-range", &[CLUSTER, "k o range"]),
+    ("cluster ring", &[CLUSTER]),
+    ("cluster scrub", &[CLUSTER]),
+    ("help", &[]),
+];
+const CODEC: &str = "e m w p lossless! double!";
+const RECOVER: &str = "recover! fill";
+const REMOTE: &str = "s|server retries deadline-ms connect-timeout-ms retry-seed";
+const CLUSTER: &str = "seeds|s connect-timeout-ms";
+const SERVE: &str = "a|addr workers queue cache-bytes node-id ring ring-epoch ring-parity \
+                     data-dir fsync compact-at";
+const CHAOS: &str = "upstream|u a|addr seed profile refuse cut-request cut-response flip stall \
+                     stall-max-ms chop chop-piece redraw-bytes kill-after-bytes";
+
 const USAGE: &str = "\
 cuszp — error-bounded lossy compression for scientific data (cuSZ+ reproduction)
 
 USAGE:
   cuszp compress   -i <raw> -o <archive> -d <dims> [-e <bound>] [-m abs|rel]
-                   [-w auto|huffman|rle|rle+vle] [-p lorenzo|interp] [--double]
-                   [--threads <n>] [--stats] [--parity <m/k>]
+                   [-w auto|huffman|rle|rle+vle] [-p lorenzo|interp|auto]
+                   [--lossless] [--double] [--threads <n>] [--stats] [--parity <m/k>]
   cuszp decompress -i <archive> -o <raw> [--verify <original raw>] [--threads <n>]
                    [--recover [--fill nan|zero]]
   cuszp extract    -i <archive> -o <raw> --range <spec>
@@ -143,7 +156,7 @@ USAGE:
   cuszp fsck       <archive> [--repair] [--json]
   cuszp analyze    -i <raw> -d <dims> [-e <bound>] [-m abs|rel] [--double]
   cuszp gen        -o <raw> --dataset <name> --field <name> [--scale tiny|small]
-  cuszp serve      [-a <addr>] [--workers <n>] [--queue <n>] [--cache-bytes <n>]
+  cuszp serve      [-a|--addr <addr>] [--workers <n>] [--queue <n>] [--cache-bytes <n>]
                    [--node-id <id> --ring <id=addr,...> [--ring-epoch <n>]
                     [--ring-parity <m/k>] [--data-dir <path>]
                     [--fsync always|never|<bytes>] [--compact-at <bytes>]]
@@ -153,8 +166,10 @@ USAGE:
   cuszp cluster get-range <key> -o <raw> --range <spec> --seeds <addr,addr,...>
   cuszp cluster ring|scrub --seeds <addr,addr,...>
   cuszp cluster-scrub      --seeds <addr,addr,...>   (alias of cluster scrub)
+  cuszp cluster <op>       --seeds|-s <addr,addr,...> [--connect-timeout-ms <ms>]
   cuszp remote compress   -s <addr> -i <raw> -o <archive> -d <dims> [-e] [-m]
-                          [-w] [-p] [--double] [--parity <m/k>] [--chunk <elems>]
+                          [-w] [-p] [--lossless] [--double] [--parity <m/k>]
+                          [--chunk <elems>]
   cuszp remote decompress <archive> -o <raw> [-s <addr>]
                           [--recover [--fill nan|zero]]
   cuszp remote get-range  <archive> -o <raw> --range <spec> [-s <addr>]
@@ -162,11 +177,16 @@ USAGE:
   cuszp remote scan       <archive> [-s <addr>] [--json]
   cuszp remote info       <archive> [-s <addr>]
   cuszp remote stats|ping|health|shutdown -s <addr>
-  cuszp chaos-proxy --upstream <addr> [-a <addr>] [--seed <n>]
+  cuszp remote <op>       [-s|--server <addr>] [--retries <n>] [--deadline-ms <ms>]
+                          [--connect-timeout-ms <ms>] [--retry-seed <n>]
+  cuszp chaos-proxy --upstream|-u <addr> [-a|--addr <addr>] [--seed <n>]
                     [--profile clean|mixed] [--refuse <pm>] [--cut-request <pm>]
                     [--cut-response <pm>] [--flip <pm>] [--stall <pm>]
-                    [--chop <pm>] [--chop-piece <bytes>] [--redraw-bytes <n>]
-                    [--kill-after-bytes <n>]
+                    [--stall-max-ms <ms>] [--chop <pm>] [--chop-piece <bytes>]
+                    [--redraw-bytes <n>] [--kill-after-bytes <n>]
+
+A command's input (-i; the <key> of cluster put/get/get-range) may also be
+its first argument: `cuszp info <archive>` is `cuszp info -i <archive>`.
 
 OPTIONS:
   -d  dimensions, fastest axis last: '268435456', '1800x3600', '512x512x512'
@@ -203,8 +223,11 @@ OPTIONS:
   --deadline-ms      remote <op> only: overall wall-clock budget per call,
              covering every attempt, reconnect, and backoff sleep
              (default 30000)
-  --connect-timeout-ms  remote <op> only: TCP connect timeout per attempt
-             (default 5000)
+  --connect-timeout-ms  remote and cluster ops: TCP connect timeout per
+             attempt (default 5000)
+  --retry-seed  remote <op> only: seed of the backoff jitter, so a retry
+             schedule replays exactly
+  --stall-max-ms  chaos-proxy only: longest injected stall (default 50)
   --dataset  one of: hacc cesm hurricane nyx rtm miranda qmcpack
 
 `fsck` validates and decodes every chunk independently (healing damaged
@@ -257,11 +280,121 @@ rates are per-mille per redraw epoch; the same seed replays the same faults.
 `remote health` is a cheap liveness probe: exit 0 when serving, 1 when
 draining (the reply carries the server's retry-after hint).";
 
-struct Opts(HashMap<String, String>);
+/// Why a command failed: a malformed command line (exit 2, with USAGE) or
+/// a failure while running it (exit 1).
+enum Fail {
+    Usage(String),
+    Run(String),
+}
+
+impl<E: Display> From<E> for Fail {
+    fn from(e: E) -> Fail {
+        Fail::Run(e.to_string())
+    }
+}
+
+/// Locked stdout, the one writer every report goes through. A reader
+/// that went away (`cuszp info big.csz | head`) is not an error: the rest
+/// of the report is dropped and the command ends with the exit code it
+/// would have had.
+struct Out;
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match std::io::stdout().lock().write(buf) {
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(buf.len()),
+            r => r,
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match std::io::stdout().lock().flush() {
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+            r => r,
+        }
+    }
+}
+
+/// One parsed command line: its [`COMMANDS`] entry and the options given,
+/// under their canonical names (flags map to an empty value).
+struct Opts {
+    cmd: &'static str,
+    values: HashMap<&'static str, String>,
+}
 
 impl Opts {
+    /// Parses `cmd [sub] [input] [options]` against [`COMMANDS`].
+    fn from_args(args: &[String]) -> Result<Opts, Fail> {
+        let (cmd, mut rest) = args
+            .split_first()
+            .expect("main refuses an empty command line");
+        let mut name = match cmd.as_str() {
+            "--help" | "-h" => "help".to_string(),
+            "cluster-scrub" => "cluster scrub".to_string(),
+            _ => cmd.clone(),
+        };
+        if cmd == "remote" || cmd == "cluster" {
+            let Some((sub, tail)) = rest.split_first() else {
+                return Err(Fail::Usage(format!("{cmd} needs an operation")));
+            };
+            name = format!("{cmd} {sub}");
+            rest = tail;
+        }
+        let Some(&(cmd_name, decl)) = COMMANDS.iter().find(|(n, _)| *n == name) else {
+            let Some((_, sub)) = name.split_once(' ') else {
+                return Err(format!("unknown command '{cmd}'").into());
+            };
+            let ops: Vec<&str> = COMMANDS
+                .iter()
+                .filter_map(|(n, _)| n.strip_prefix(&format!("{cmd} ")))
+                .collect();
+            return Err(format!("unknown {cmd} operation '{sub}' ({})", ops.join(" ")).into());
+        };
+        let options = || decl.iter().flat_map(|group| group.split_whitespace());
+        // (canonical name, is a flag) of an option spelling.
+        let lookup = |spelling: &str| {
+            let o =
+                options().find(|o| o.trim_end_matches('!').split('|').any(|s| s == spelling))?;
+            Some((o.trim_end_matches('!').split('|').next()?, o.ends_with('!')))
+        };
+        let mut values = HashMap::new();
+        if let Some(first) = rest.first().filter(|a| !a.starts_with('-')) {
+            if let Some((key, false)) = lookup("k").or(lookup("i")) {
+                values.insert(key, first.clone());
+                rest = &rest[1..];
+            }
+        }
+        let mut it = rest.iter();
+        while let Some(a) = it.next() {
+            if !a.starts_with('-') {
+                return Err(Fail::Usage(format!("unexpected positional argument '{a}'")));
+            }
+            let key = a.trim_start_matches('-');
+            let (canonical, flag) = lookup(key).ok_or_else(|| {
+                let names = options().flat_map(|o| o.trim_end_matches('!').split('|'));
+                let known: Vec<String> = names.map(spelled).collect();
+                Fail::Usage(format!(
+                    "{cmd_name} does not take '{a}' (it takes: {})",
+                    known.join(" ")
+                ))
+            })?;
+            let value = if flag {
+                String::new()
+            } else {
+                it.next()
+                    .ok_or_else(|| Fail::Usage(format!("option -{key} needs a value")))?
+                    .clone()
+            };
+            values.insert(canonical, value);
+        }
+        Ok(Opts {
+            cmd: cmd_name,
+            values,
+        })
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
-        self.0.get(key).map(String::as_str)
+        self.values.get(key).map(String::as_str)
     }
 
     fn require(&self, key: &str) -> Result<&str, String> {
@@ -269,33 +402,61 @@ impl Opts {
             .ok_or_else(|| format!("missing required option -{key}"))
     }
 
-    fn has_flag(&self, key: &str) -> bool {
-        self.0.contains_key(key)
+    fn has(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    /// `key`'s value through `parse`, if given; a value `parse` refuses
+    /// is an error naming the option.
+    fn parse<T, E: Display>(
+        &self,
+        key: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, Fail> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        Ok(Some(
+            parse(v).map_err(|e| format!("bad {} '{v}': {e}", spelled(key)))?,
+        ))
+    }
+
+    /// Overwrites `place` with `key`'s value, if given.
+    fn set<T: FromStr>(&self, key: &str, place: &mut T) -> Result<(), Fail>
+    where
+        T::Err: Display,
+    {
+        if let Some(v) = self.parse(key, str::parse)? {
+            *place = v;
+        }
+        Ok(())
+    }
+
+    /// `key`'s value among named `choices`; the first is the default.
+    fn pick<T: Copy>(&self, key: &str, choices: &[(&str, T)]) -> Result<T, Fail> {
+        let names: Vec<&str> = choices.iter().map(|(n, _)| *n).collect();
+        let found = |v: &str| {
+            choices
+                .iter()
+                .find(|(n, _)| *n == v)
+                .map(|&(_, t)| t)
+                .ok_or_else(|| format!("expected {}", names.join("|")))
+        };
+        Ok(self.parse(key, found)?.unwrap_or(choices[0].1))
+    }
+
+    /// The primary input (`-i`, or the first argument) and its bytes.
+    fn read_input(&self) -> Result<(&str, Vec<u8>), Fail> {
+        let input = self.require("i")?;
+        let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+        Ok((input, bytes))
     }
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut map = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let key = a.trim_start_matches('-').to_string();
-        if !a.starts_with('-') {
-            return Err(format!("unexpected positional argument '{a}'"));
-        }
-        // Boolean flags.
-        if matches!(
-            key.as_str(),
-            "double" | "recover" | "stats" | "repair" | "json" | "lossless"
-        ) {
-            map.insert(key, String::new());
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("option -{key} needs a value"))?;
-        map.insert(key, value.clone());
-    }
-    Ok(Opts(map))
+/// An option name as typed: `-x` or `--name`.
+fn spelled(name: &str) -> String {
+    let dashes = if name.len() == 1 { "-" } else { "--" };
+    format!("{dashes}{name}")
 }
 
 fn parse_dims(spec: &str) -> Result<Dims, String> {
@@ -313,41 +474,42 @@ fn parse_dims(spec: &str) -> Result<Dims, String> {
     }
 }
 
-fn parse_config(opts: &Opts) -> Result<Config, String> {
-    let eb: f64 = opts
-        .get("e")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| format!("bad error bound: {e}"))?
-        .unwrap_or(1e-4);
-    let error_bound = match opts.get("m").unwrap_or("rel") {
-        "rel" => ErrorBound::Relative(eb),
-        "abs" => ErrorBound::Absolute(eb),
-        other => return Err(format!("bad mode '{other}' (abs|rel)")),
-    };
-    let workflow = match opts.get("w").unwrap_or("auto") {
-        "auto" => WorkflowMode::Auto,
-        "huffman" => WorkflowMode::Force(WorkflowChoice::Huffman),
-        "rle" => WorkflowMode::Force(WorkflowChoice::Rle),
-        "rle+vle" => WorkflowMode::Force(WorkflowChoice::RleVle),
-        other => return Err(format!("bad workflow '{other}'")),
-    };
-    let predictor = match opts.get("p").unwrap_or("lorenzo") {
-        "lorenzo" => PredictorMode::Force(Predictor::Lorenzo),
-        "interp" | "interpolation" => PredictorMode::Force(Predictor::Interpolation),
-        "auto" => PredictorMode::Auto,
-        other => return Err(format!("bad predictor '{other}'")),
-    };
-    let lossless = if opts.has_flag("lossless") {
-        LosslessMode::Auto
-    } else {
-        LosslessMode::Off
-    };
+fn parse_config(opts: &Opts) -> Result<Config, Fail> {
+    let eb = opts.parse("e", str::parse)?.unwrap_or(1e-4);
+    let bound = opts.pick(
+        "m",
+        &[
+            ("rel", ErrorBound::Relative as fn(f64) -> ErrorBound),
+            ("abs", ErrorBound::Absolute),
+        ],
+    )?;
+    let workflow = opts.pick(
+        "w",
+        &[
+            ("auto", WorkflowMode::Auto),
+            ("huffman", WorkflowMode::Force(WorkflowChoice::Huffman)),
+            ("rle", WorkflowMode::Force(WorkflowChoice::Rle)),
+            ("rle+vle", WorkflowMode::Force(WorkflowChoice::RleVle)),
+        ],
+    )?;
+    let interp = PredictorMode::Force(Predictor::Interpolation);
+    let predictor = opts.pick(
+        "p",
+        &[
+            ("lorenzo", PredictorMode::Force(Predictor::Lorenzo)),
+            ("interp", interp),
+            ("interpolation", interp),
+            ("auto", PredictorMode::Auto),
+        ],
+    )?;
     Ok(Config {
-        error_bound,
+        error_bound: bound(eb),
         workflow,
         predictor,
-        lossless,
+        lossless: match opts.has("lossless") {
+            true => LosslessMode::Auto,
+            false => LosslessMode::Off,
+        },
         ..Config::default()
     })
 }
@@ -356,90 +518,61 @@ fn read_raw<T: Element>(path: &str) -> Result<Vec<T>, String> {
     cuszp::read_raw(Path::new(path)).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parses `--recover [--fill nan|zero]` into the resilient decode's fill
-/// policy; `None` without `--recover`.
-fn parse_recover(opts: &Opts) -> Result<Option<FillPolicy>, String> {
-    if !opts.has_flag("recover") {
-        return Ok(None);
-    }
-    let fill = opts.get("fill").unwrap_or("nan");
-    FillPolicy::parse(fill)
-        .map(Some)
-        .ok_or_else(|| format!("bad --fill '{fill}' (nan|zero)"))
-}
-
-/// A decoded field as raw little-endian bytes, its shape, and (resilient
-/// decodes only) the per-chunk reports.
-type DecodedRaster = (Vec<u8>, Dims, Vec<ChunkReport>);
-
-/// Decodes `bytes` (or the sub-volume `range`) in the archive's own
-/// element type: strict without `fill`, fault-isolated with it.
-fn decode_raster(
-    bytes: &[u8],
-    range: Option<&RangeSpec>,
-    fill: Option<FillPolicy>,
-) -> Result<DecodedRaster, CuszpError> {
-    fn run<T: Element>(
-        decode: Decode<'_>,
-        fill: Option<FillPolicy>,
-    ) -> Result<DecodedRaster, CuszpError> {
-        match fill {
-            Some(fill) => decode
-                .resilient::<T>(fill)
-                .map(|rf| (scalars_to_le(&rf.data), rf.dims, rf.reports)),
-            None => decode
-                .strict::<T>()
-                .map(|(data, dims)| (scalars_to_le(&data), dims, Vec::new())),
-        }
-    }
-    let decode = Decode::new(bytes);
-    let decode = range.map_or(decode, |spec| decode.range(spec));
-    match stored_dtype(bytes)? {
-        Dtype::F32 => run::<f32>(decode, fill),
-        Dtype::F64 => run::<f64>(decode, fill),
-    }
-}
-
 fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), String> {
     std::fs::File::create(path)
         .and_then(|mut f| f.write_all(bytes))
         .map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parses `--threads` into a pool width, if present.
-fn parse_threads(opts: &Opts) -> Result<Option<usize>, String> {
-    opts.get("threads")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|e| format!("bad --threads '{s}': {e}"))
-        })
-        .transpose()
-}
-
-fn cmd_compress(opts: &Opts) -> Result<(), String> {
-    if opts.has_flag("double") {
-        compress_raw::<f64>(opts)
-    } else {
-        compress_raw::<f32>(opts)
-    }
-}
-
-/// `compress` over a raw raster of `T`: the chunked (v2) container when
-/// `--threads` or `--parity` asks for it, v1 otherwise.
-fn compress_raw<T: Element>(opts: &Opts) -> Result<(), String> {
-    let input = opts.require("i")?;
+/// `compress` and `remote compress` of a raw raster of `T`. Here, the
+/// chunked (v2) container when `--threads` or `--parity` asks for it, v1
+/// otherwise. The server compresses through its per-worker engine with
+/// the same chunked plan as a local `compress --threads`, so the archive
+/// bytes it returns are identical.
+fn cmd_compress<T: Element>(opts: &Opts) -> Result<(), Fail> {
     let output = opts.require("o")?;
     let dims = parse_dims(opts.require("d")?)?;
-    let compressor = Compressor::new(parse_config(opts)?);
-    let threads = parse_threads(opts)?;
-    let parity = opts
-        .get("parity")
-        .map(ParityConfig::parse)
-        .transpose()
-        .map_err(|e| e.to_string())?;
+    let config = parse_config(opts)?;
+    let parity = opts.parse("parity", ParityConfig::parse)?;
+    if opts.cmd == "remote compress" {
+        let chunk_target = opts.parse("chunk", str::parse)?.unwrap_or(0);
+        let (input, data) = opts.read_input()?;
+        if data.len() != dims.len() * T::BYTES {
+            return Err(format!(
+                "{input} holds {} bytes, dims say {} x {} bytes",
+                data.len(),
+                dims.len(),
+                T::BYTES
+            )
+            .into());
+        }
+        let req = CompressRequest {
+            dims,
+            dtype: T::DTYPE,
+            error_bound: config.error_bound,
+            workflow: config.workflow,
+            predictor: config.predictor,
+            lossless: config.lossless,
+            chunk_target,
+            parity,
+            data: &data,
+        };
+        let t0 = Instant::now();
+        let archive = remote(opts, |c| c.compress(&req))?;
+        write_bytes(output, &archive)?;
+        eprintln!(
+            "remote: wrote {} bytes to {output} in {:.2}s (ratio {:.2}x)",
+            archive.len(),
+            t0.elapsed().as_secs_f64(),
+            data.len() as f64 / archive.len().max(1) as f64
+        );
+        return Ok(());
+    }
+    let compressor = Compressor::new(config);
+    let threads = opts.parse("threads", str::parse)?;
 
-    let t0 = std::time::Instant::now();
-    let data = read_raw::<T>(input)?;
+    let t0 = Instant::now();
+    let data = read_raw::<T>(opts.require("i")?)?;
     // Parity stripes live in the chunked (v2) container, so --parity
     // selects it even without --threads.
     let bytes = if threads.is_some() || parity.is_some() {
@@ -450,9 +583,8 @@ fn compress_raw<T: Element>(opts: &Opts) -> Result<(), String> {
             None => WorkerPool::with_default_workers(),
         };
         let target = cuszp::parallel::DEFAULT_CHUNK_ELEMS;
-        let (mut arc, stats) = compressor
-            .compress_chunked_with_stats(&data, dims, target, &pool)
-            .map_err(|e| e.to_string())?;
+        let (mut arc, stats) =
+            compressor.compress_chunked_with_stats(&data, dims, target, &pool)?;
         if let Some(cfg) = parity {
             arc.add_parity(cfg, &pool);
         }
@@ -468,14 +600,12 @@ fn compress_raw<T: Element>(opts: &Opts) -> Result<(), String> {
                 None => String::new(),
             }
         );
-        if opts.has_flag("stats") {
+        if opts.has("stats") {
             eprintln!("{stats}");
         }
         arc.to_bytes()
     } else {
-        let (archive, stats) = compressor
-            .compress_with_stats(&data, dims)
-            .map_err(|e| e.to_string())?;
+        let (archive, stats) = compressor.compress_with_stats(&data, dims)?;
         eprintln!("{stats}");
         archive.to_bytes()
     };
@@ -491,141 +621,189 @@ fn compress_raw<T: Element>(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_decompress(opts: &Opts) -> Result<(), String> {
-    let input = opts.require("i")?;
-    let output = opts.require("o")?;
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    if let Some(n) = parse_threads(opts)? {
-        // Pool width for chunk fan-out (v1 archives reconstruct whole).
-        cuszp::parallel::set_workers(n);
-    }
-    if let Some(fill) = parse_recover(opts)? {
-        return cmd_decompress_recover(opts, input, output, &bytes, fill);
-    }
-    let t0 = std::time::Instant::now();
-    let out_bytes = match stored_dtype(&bytes).map_err(|e| e.to_string())? {
-        Dtype::F32 => decompress_verified::<f32>(opts, &bytes, |o, r, eb| {
-            verify_error_bound(o, r, eb).map(drop)
-        }),
-        Dtype::F64 => decompress_verified::<f64>(opts, &bytes, verify_error_bound_f64),
-    }?;
-    write_bytes(output, &out_bytes)?;
-    eprintln!(
-        "wrote {} bytes to {output} in {:.2}s",
-        out_bytes.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    Ok(())
+/// A decoded field (or sub-volume) as raw little-endian bytes, and the
+/// per-chunk reports of a fault-isolated decode (empty for a strict one).
+struct Raster {
+    data: Vec<u8>,
+    dims: Dims,
+    dtype: Dtype,
+    reports: Vec<ChunkReport>,
 }
 
-/// Strict decode of a parsed-once archive as `T`, checked against the
-/// `--verify` original when one is given; returns the raw raster bytes.
-fn decompress_verified<T: Element>(
-    opts: &Opts,
+/// Decodes `bytes` (or the sub-volume `range`) in the archive's own
+/// element type: strict without `fill`, fault-isolated with it.
+fn decode_raster(
     bytes: &[u8],
-    verify: impl Fn(&[T], &[T], f64) -> Result<(), (usize, f64)>,
-) -> Result<Vec<u8>, String> {
-    let engine = ReconstructEngine::FinePartialSum;
-    let (data, eb) = if cuszp::is_chunked_archive(bytes) {
-        let arc = ChunkedArchive::from_bytes(bytes).map_err(|e| e.to_string())?;
-        let pool = WorkerPool::with_default_workers();
-        let (data, _) = arc
-            .decompress::<T>(engine, &pool)
-            .map_err(|e| e.to_string())?;
-        (data, arc.eb)
-    } else {
-        let archive = Archive::from_bytes(bytes).map_err(|e| e.to_string())?;
-        let (data, _) =
-            cuszp::decompress_archive::<T>(&archive, engine).map_err(|e| e.to_string())?;
-        (data, archive.eb)
-    };
-    if let Some(orig_path) = opts.get("verify") {
-        let orig = read_raw::<T>(orig_path)?;
-        verify(&orig, &data, eb).map_err(|(i, e)| format!("bound violated at {i}: {e} > {eb}"))?;
-        eprintln!("verified against {orig_path}: max|err| <= {eb}");
+    range: Option<&RangeSpec>,
+    fill: Option<FillPolicy>,
+) -> Result<Raster, CuszpError> {
+    fn run<T: Element>(decode: Decode<'_>, fill: Option<FillPolicy>) -> Result<Raster, CuszpError> {
+        let (data, dims, reports) = match fill {
+            Some(fill) => decode
+                .resilient::<T>(fill)
+                .map(|rf| (rf.data, rf.dims, rf.reports))?,
+            None => decode
+                .strict::<T>()
+                .map(|(data, dims)| (data, dims, Vec::new()))?,
+        };
+        Ok(Raster {
+            data: scalars_to_le(&data),
+            dims,
+            dtype: T::DTYPE,
+            reports,
+        })
     }
-    Ok(scalars_to_le(&data))
+    let decode = Decode::new(bytes);
+    let decode = range.map_or(decode, |spec| decode.range(spec));
+    match stored_dtype(bytes)? {
+        Dtype::F32 => run::<f32>(decode, fill),
+        Dtype::F64 => run::<f64>(decode, fill),
+    }
 }
 
-/// `extract --range`: decode only the chunks a sub-volume touches and
-/// write that sub-volume as a raw row-major raster in the archive's own
-/// element type.
-fn cmd_extract(opts: &Opts) -> Result<(), String> {
-    let input = opts.require("i")?;
-    let output = opts.require("o")?;
-    let spec = RangeSpec::parse(opts.require("range")?).map_err(|e| e.to_string())?;
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let fill = parse_recover(opts)?;
-    let t0 = std::time::Instant::now();
-    let (out_bytes, dims, reports) =
-        decode_raster(&bytes, Some(&spec), fill).map_err(|e| format!("{input}: {e}"))?;
-    write_bytes(output, &out_bytes)?;
-    let recovered = if fill.is_some() {
-        let ok = reports.len() - list_damaged(&reports);
-        format!(", {ok}/{} in-range chunks ok", reports.len())
-    } else {
-        String::new()
-    };
-    eprintln!(
-        "extracted {spec} -> {output} ({dims:?}, {} bytes{recovered}) in {:.2}s",
-        out_bytes.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    Ok(())
-}
-
-/// Lists the chunks whose data is lost on stderr; returns how many.
-fn list_damaged(reports: &[ChunkReport]) -> usize {
-    let damaged = reports.iter().filter(|r| !r.status.is_recovered());
-    for r in damaged.clone() {
+/// Writes a decoded raster to `output`, lists the chunks whose data is
+/// lost, then prints the command's summary, which `summary` formats from
+/// the chunks read back, of how many, and how many healed from parity.
+fn write_raster(
+    output: &str,
+    raster: &Raster,
+    summary: impl FnOnce(usize, usize, usize) -> String,
+) -> Result<(), Fail> {
+    write_bytes(output, &raster.data)?;
+    let mut ok = raster.reports.len();
+    for r in raster.reports.iter().filter(|r| !r.status.is_recovered()) {
         eprintln!(
             "  chunk {}: {} (elements {}..{})",
             r.index, r.status, r.elem_range.start, r.elem_range.end
         );
+        ok -= 1;
     }
-    damaged.count()
+    let healed = raster
+        .reports
+        .iter()
+        .filter(|r| matches!(r.status, ChunkStatus::Repaired { .. }))
+        .count();
+    eprintln!("{}", summary(ok, raster.reports.len(), healed));
+    Ok(())
 }
 
-/// `decompress --recover`: fault-isolated decompression. The strict
+/// `" ({n} {what})"`, or nothing when `n` is 0.
+fn note(n: usize, what: &str) -> String {
+    if n == 0 {
+        String::new()
+    } else {
+        format!(" ({n} {what})")
+    }
+}
+
+/// `decompress`, `extract`, `remote decompress` and `remote get-range`:
+/// decode the archive (or only the chunks a `--range` touches) here or on
+/// the server. Strict by default, checked against the `--verify` original
+/// when one is given; with `--recover`, fault-isolated: the strict
 /// metadata parse is skipped on purpose — the archive may be damaged —
 /// and the element type comes from the fixed header alone.
-fn cmd_decompress_recover(
-    opts: &Opts,
-    input: &str,
-    output: &str,
-    bytes: &[u8],
-    fill: FillPolicy,
-) -> Result<(), String> {
-    if opts.get("verify").is_some() {
+fn cmd_decode(opts: &Opts) -> Result<(), Fail> {
+    let served = opts.cmd.starts_with("remote");
+    let output = opts.require("o")?;
+    let spec = match opts.cmd {
+        "extract" | "remote get-range" => Some(RangeSpec::parse(opts.require("range")?)?),
+        _ => None,
+    };
+    let (input, bytes) = opts.read_input()?;
+    if let Some(n) = opts.parse("threads", str::parse)? {
+        // Pool width for chunk fan-out (v1 archives reconstruct whole).
+        cuszp::parallel::set_workers(n);
+    }
+    let fill = match opts.has("recover") {
+        true => Some(opts.pick(
+            "fill",
+            &[("nan", FillPolicy::Nan), ("zero", FillPolicy::Zero)],
+        )?),
+        false => None,
+    };
+    let verify = opts.get("verify");
+    if fill.is_some() && verify.is_some() {
         return Err(
             "--verify cannot be combined with --recover (damaged slabs hold fill values)".into(),
         );
     }
-    let t0 = std::time::Instant::now();
-    let (out_bytes, _, reports) = decode_raster(bytes, None, Some(fill))
-        .map_err(|e| format!("{input}: unrecoverable: {e}"))?;
-    let repaired = reports
-        .iter()
-        .filter(|r| matches!(r.status, ChunkStatus::Repaired { .. }))
-        .count();
-    let damaged = list_damaged(&reports);
-    write_bytes(output, &out_bytes)?;
-    eprintln!(
-        "recovered {}/{} chunks to {output} in {:.2}s{}{}",
-        reports.len() - damaged,
-        reports.len(),
-        t0.elapsed().as_secs_f64(),
-        if repaired > 0 {
-            format!(" ({repaired} chunk(s) healed from parity)")
-        } else {
-            String::new()
-        },
-        if damaged == 0 {
-            String::new()
-        } else {
-            format!(" ({damaged} damaged slab(s) filled)")
+    let t0 = Instant::now();
+    let raster = if served {
+        let mode = fill.map_or(DecompressMode::Strict, DecompressMode::Recover);
+        let resp = remote(opts, |c| match &spec {
+            Some(spec) => c.get_range(&bytes, spec, mode),
+            None => c.decompress(&bytes, mode),
+        })?;
+        Raster {
+            data: resp.data,
+            dims: resp.dims,
+            dtype: resp.dtype,
+            reports: resp.report.map_or(Vec::new(), |r| r.reports),
         }
-    );
+    } else {
+        decode_raster(&bytes, spec.as_ref(), fill).map_err(|e| match (&spec, fill) {
+            (None, None) => e.to_string(),
+            (None, Some(_)) => format!("{input}: unrecoverable: {e}"),
+            (Some(_), _) => format!("{input}: {e}"),
+        })?
+    };
+    if let Some(original) = verify {
+        verify_raster(&bytes, &raster, original)?;
+    }
+    write_raster(output, &raster, |ok, total, healed| {
+        let (dtype, dims, n) = (raster.dtype.name(), raster.dims, raster.data.len());
+        let secs = t0.elapsed().as_secs_f64();
+        // What the server reports of a --recover read precedes its summary.
+        let served_tally = |tally: String| match fill {
+            Some(_) => format!("remote: {tally}{}\n", note(healed, "healed from parity")),
+            None => String::new(),
+        };
+        match (served, &spec, fill) {
+            (false, None, None) => format!("wrote {n} bytes to {output} in {secs:.2}s"),
+            (false, None, Some(_)) => format!(
+                "recovered {ok}/{total} chunks to {output} in {secs:.2}s{}{}",
+                note(healed, "chunk(s) healed from parity"),
+                note(total - ok, "damaged slab(s) filled")
+            ),
+            (false, Some(spec), _) => format!(
+                "extracted {spec} -> {output} ({dims:?}, {n} bytes{}) in {secs:.2}s",
+                fill.map_or(String::new(), |_| format!(", {ok}/{total} in-range chunks ok"))
+            ),
+            (true, None, _) => format!(
+                "{}remote: wrote {n} bytes ({dtype}, {dims:?}) to {output} in {secs:.2}s",
+                served_tally(format!("recovered {ok}/{total} chunks"))
+            ),
+            (true, Some(spec), _) => format!(
+                "{}remote: extracted {spec} -> {output} ({dtype}, {dims:?}, {n} bytes) in {secs:.2}s",
+                served_tally(format!("{ok}/{total} in-range chunks ok"))
+            ),
+        }
+    })
+}
+
+/// `--verify`: every value of `raster` lies within the archive's error
+/// bound of the `original` raw file.
+fn verify_raster(archive: &[u8], raster: &Raster, original: &str) -> Result<(), Fail> {
+    let eb = if cuszp::is_chunked_archive(archive) {
+        ChunkedArchive::from_bytes(archive)?.eb
+    } else {
+        Archive::from_bytes(archive)?.eb
+    };
+    let checked = match raster.dtype {
+        Dtype::F32 => verify_error_bound(
+            &read_raw::<f32>(original)?,
+            &scalars_from_le(&raster.data)?,
+            eb,
+        )
+        .map(drop),
+        Dtype::F64 => verify_error_bound_f64(
+            &read_raw::<f64>(original)?,
+            &scalars_from_le(&raster.data)?,
+            eb,
+        ),
+    };
+    checked.map_err(|(i, e)| format!("bound violated at {i}: {e} > {eb}"))?;
+    eprintln!("verified against {original}: max|err| <= {eb}");
     Ok(())
 }
 
@@ -633,14 +811,13 @@ fn cmd_decompress_recover(
 /// damaged shards from parity first), prints a per-chunk and per-stripe
 /// report, and exits 0 (clean), 1 (damage fully covered by parity — with
 /// `--repair`, healed in place), or 2 (data loss).
-fn cmd_fsck(opts: &Opts) -> Result<ExitCode, String> {
-    let input = opts.require("i")?;
-    let json = opts.has_flag("json");
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+fn cmd_fsck(opts: &Opts) -> Result<ExitCode, Fail> {
+    let (input, bytes) = opts.read_input()?;
+    let json = opts.has("json");
 
     // An unusable container header means nothing is recoverable: that is
     // data loss, not a usage error.
-    let scanned = if opts.has_flag("repair") {
+    let scanned = if opts.has("repair") {
         cuszp::repair(&bytes)
     } else {
         cuszp::scan(&bytes).map(|report| cuszp::RepairOutcome {
@@ -651,22 +828,11 @@ fn cmd_fsck(opts: &Opts) -> Result<ExitCode, String> {
     };
     let outcome = match scanned {
         Ok(o) => o,
-        Err(e) => {
-            if json {
-                println!(
-                    "{{\"archive\":\"{}\",\"error\":\"{}\",\"exit_code\":2}}",
-                    json_escape(input),
-                    json_escape(&e.to_string())
-                );
-            } else {
-                eprintln!("error: {input}: {e}");
-            }
-            return Ok(ExitCode::from(2));
-        }
+        Err(e) => return unreadable(opts, "archive", input, e),
     };
     let report = &outcome.report;
     let mut code = report.exit_code();
-    let rewritten = if opts.has_flag("repair") {
+    let rewritten = if opts.has("repair") {
         let do_write = code != 2 && outcome.modified;
         if do_write {
             write_atomic(input, &outcome.bytes)?;
@@ -679,11 +845,27 @@ fn cmd_fsck(opts: &Opts) -> Result<ExitCode, String> {
     };
 
     if json {
-        println!("{}", fsck_json(input, report, code, rewritten));
+        say!("{}", fsck_json(input, report, code, rewritten))?;
     } else {
-        print_scan_report(input, "", report, code, rewritten);
+        print_scan_report(input, "", report, code, rewritten)?;
     }
     Ok(ExitCode::from(code))
+}
+
+/// An `fsck` / `store-fsck` target that cannot be scanned at all: data
+/// loss (exit 2), reported as `{"<what>":..,"error":..,"exit_code":2}`
+/// under `--json`.
+fn unreadable(opts: &Opts, what: &str, path: &str, e: impl Display) -> Result<ExitCode, Fail> {
+    if opts.has("json") {
+        say!(
+            "{{\"{what}\":\"{}\",\"error\":\"{}\",\"exit_code\":2}}",
+            json_escape(path),
+            json_escape(&e.to_string())
+        )?;
+    } else {
+        eprintln!("error: {path}: {e}");
+    }
+    Ok(ExitCode::from(2))
 }
 
 /// The report `fsck` and `remote scan` print: header facts, one line per
@@ -695,15 +877,15 @@ fn print_scan_report(
     report: &ScanReport,
     code: u8,
     rewritten: Option<bool>,
-) {
-    println!("archive: {input} ({}{origin})", report.format);
+) -> std::io::Result<()> {
+    say!("archive: {input} ({}{origin})", report.format)?;
     if let Some(dims) = report.dims {
-        println!("  dims:   {dims:?} ({} elements)", dims.len());
+        say!("  dims:   {dims:?} ({} elements)", dims.len())?;
     }
     if let Some(dtype) = report.dtype {
-        println!("  dtype:  {}", dtype.name());
+        say!("  dtype:  {}", dtype.name())?;
     }
-    println!("  chunks: {} declared", report.declared_chunks);
+    say!("  chunks: {} declared", report.declared_chunks)?;
     for r in &report.reports {
         let loc = match &r.byte_range {
             Some(range) => format!("bytes {}..{}", range.start, range.end),
@@ -712,13 +894,16 @@ fn print_scan_report(
         let plan = r
             .plan
             .map_or(String::new(), |p| format!(", plan {}", p.label()));
-        println!(
+        say!(
             "    [{}] {}  ({loc}, elements {}..{}{plan})",
-            r.index, r.status, r.elem_range.start, r.elem_range.end
-        );
+            r.index,
+            r.status,
+            r.elem_range.start,
+            r.elem_range.end
+        )?;
     }
     if let Some(p) = &report.parity {
-        println!(
+        say!(
             "  parity: {}/{} (shard {} B, {} stripes): {} repaired, {} unrepairable",
             p.parity_shards,
             p.data_shards,
@@ -726,19 +911,19 @@ fn print_scan_report(
             p.n_stripes,
             p.n_repaired(),
             p.n_unrepairable()
-        );
+        )?;
     }
     match (code, rewritten) {
-        (2, _) => println!(
+        (2, _) => say!(
             "  data loss: {} of {} chunk(s) unrecoverable",
             report.n_damaged(),
             report.reports.len()
         ),
-        (_, Some(true)) => println!("  repaired: {input} rewritten, archive is whole again"),
+        (_, Some(true)) => say!("  repaired: {input} rewritten, archive is whole again"),
         (1, _) => {
-            println!("  repairable: damage is covered by parity; run `cuszp fsck {input} --repair`")
+            say!("  repairable: damage is covered by parity; run `cuszp fsck {input} --repair`")
         }
-        _ => println!(
+        _ => say!(
             "  clean: all {} chunk(s) validated and decoded",
             report.reports.len()
         ),
@@ -758,9 +943,10 @@ fn write_atomic(path: &str, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// The whole fsck report as one JSON object. The report body renders
-/// through [`ScanReport::to_json_fields`] — the same code path as
-/// `remote scan --json`, so the formats cannot drift. `repaired_file` is null without `--repair`, else whether the
-/// archive was rewritten.
+/// through [`ScanReport::to_json_fields`], the same code path as
+/// `remote scan --json`, so the formats cannot drift.
+/// `repaired_file` is null without `--repair`, else whether the archive
+/// was rewritten.
 fn fsck_json(input: &str, report: &ScanReport, code: u8, repaired_file: Option<bool>) -> String {
     format!(
         "{{\"archive\":\"{}\",{},\"repaired_file\":{},\"exit_code\":{}}}",
@@ -771,61 +957,82 @@ fn fsck_json(input: &str, report: &ScanReport, code: u8, repaired_file: Option<b
     )
 }
 
-fn cmd_info(opts: &Opts) -> Result<(), String> {
-    let input = opts.require("i")?;
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    if cuszp::is_chunked_archive(&bytes) {
-        let arc = ChunkedArchive::from_bytes(&bytes).map_err(|e| e.to_string())?;
-        let n = arc.dims.len();
-        println!("archive: {input} (chunked v2)");
-        println!("  dtype:        {}", arc.dtype.name());
-        println!("  dims:         {:?} ({n} elements)", arc.dims);
-        println!("  error bound:  {:.6e} (absolute, global)", arc.eb);
-        println!(
-            "  chunks:       {} (target {} elems)",
-            arc.n_chunks(),
-            arc.chunk_target
-        );
-        for (i, ch) in arc.chunks.iter().enumerate() {
-            println!(
-                "    [{i}] {:?}  plan {}  {} outliers  {} bytes",
-                ch.dims,
-                ch.plan().label(),
-                ch.outliers.len(),
-                ch.serialized_bytes()
-            );
+fn cmd_info(opts: &Opts) -> Result<(), Fail> {
+    let (input, bytes) = opts.read_input()?;
+    // A v1 archive is one chunk with no container around it.
+    let container = match cuszp::is_chunked_archive(&bytes) {
+        true => Some(ChunkedArchive::from_bytes(&bytes)?),
+        false => None,
+    };
+    let v1;
+    let (chunks, dtype, dims, eb) = match &container {
+        Some(arc) => (&arc.chunks[..], arc.dtype, arc.dims, arc.eb),
+        None => {
+            v1 = Archive::from_bytes(&bytes)?;
+            (std::slice::from_ref(&v1), v1.dtype, v1.dims, v1.eb)
         }
-        let mix: Vec<String> = [
-            WorkflowChoice::Huffman,
-            WorkflowChoice::Rle,
-            WorkflowChoice::RleVle,
-        ]
-        .into_iter()
-        .filter_map(|c| {
-            let count = arc
-                .chunks
-                .iter()
-                .filter(|ch| ch.payload.choice() == c)
-                .count();
-            (count > 0).then(|| format!("{} x{count}", c.name()))
-        })
-        .collect();
-        println!("  workflow mix: {}", mix.join(", "));
-        let plan_mix: Vec<String> = CodecPlan::mix(arc.chunks.iter().map(Archive::plan))
+    };
+    let n = dims.len();
+    let (kind, scope) = match container {
+        Some(_) => (" (chunked v2)", ", global"),
+        None => ("", ""),
+    };
+    say!("archive: {input}{kind}")?;
+    say!("  dtype:        {}", dtype.name())?;
+    say!("  dims:         {dims:?} ({n} elements)")?;
+    say!("  error bound:  {eb:.6e} (absolute{scope})")?;
+    match &container {
+        Some(arc) => {
+            say!(
+                "  chunks:       {} (target {} elems)",
+                arc.n_chunks(),
+                arc.chunk_target
+            )?;
+            for (i, ch) in chunks.iter().enumerate() {
+                say!(
+                    "    [{i}] {:?}  plan {}  {} outliers  {} bytes",
+                    ch.dims,
+                    ch.plan().label(),
+                    ch.outliers.len(),
+                    ch.serialized_bytes()
+                )?;
+            }
+            let mix: Vec<String> = [
+                WorkflowChoice::Huffman,
+                WorkflowChoice::Rle,
+                WorkflowChoice::RleVle,
+            ]
             .into_iter()
-            .map(|(label, n)| format!("{label} x{n}"))
+            .filter_map(|c| {
+                let count = chunks.iter().filter(|ch| ch.payload.choice() == c).count();
+                (count > 0).then(|| format!("{} x{count}", c.name()))
+            })
             .collect();
-        println!("  plan mix:     {}", plan_mix.join(", "));
-        let outliers: usize = arc.chunks.iter().map(|ch| ch.outliers.len()).sum();
-        println!(
-            "  outliers:     {} ({:.3}%)",
-            outliers,
-            100.0 * outliers as f64 / n.max(1) as f64
-        );
+            say!("  workflow mix: {}", mix.join(", "))?;
+            let plan_mix: Vec<String> = CodecPlan::mix(chunks.iter().map(Archive::plan))
+                .into_iter()
+                .map(|(label, n)| format!("{label} x{n}"))
+                .collect();
+            say!("  plan mix:     {}", plan_mix.join(", "))?;
+        }
+        None => {
+            let ch = &chunks[0];
+            say!("  quant cap:    {}", ch.cap)?;
+            say!("  predictor:    {}", ch.predictor.name())?;
+            say!("  workflow:     {}", ch.payload.choice().name())?;
+            say!("  plan:         {}", ch.plan().label())?;
+        }
+    }
+    let outliers: usize = chunks.iter().map(|ch| ch.outliers.len()).sum();
+    say!(
+        "  outliers:     {outliers} ({:.3}%)",
+        100.0 * outliers as f64 / n.max(1) as f64
+    )?;
+    if let Some(arc) = &container {
         match &arc.parity {
             Some(p) => {
                 let section = p.serialized_bytes();
-                println!(
+                say!(
                     "  parity:       {}/{} (shard {} B, {} stripes, {} bytes = {:.2}% overhead)",
                     p.parity_shards,
                     p.data_shards,
@@ -833,96 +1040,64 @@ fn cmd_info(opts: &Opts) -> Result<(), String> {
                     p.n_stripes,
                     section,
                     100.0 * section as f64 / bytes.len().max(1) as f64
-                );
+                )?;
             }
-            None => println!("  parity:       none"),
+            None => say!("  parity:       none")?,
         }
-        println!("  stored size:  {} bytes", bytes.len());
-        println!(
-            "  ratio:        {:.2}x",
-            (n * arc.dtype.bytes()) as f64 / bytes.len().max(1) as f64
-        );
-        return Ok(());
     }
-    let archive = Archive::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let n = archive.dims.len();
-    println!("archive: {input}");
-    println!("  dtype:        {}", archive.dtype.name());
-    println!("  dims:         {:?} ({n} elements)", archive.dims);
-    println!("  error bound:  {:.6e} (absolute)", archive.eb);
-    println!("  quant cap:    {}", archive.cap);
-    println!("  predictor:    {}", archive.predictor.name());
-    println!("  workflow:     {}", archive.payload.choice().name());
-    println!("  plan:         {}", archive.plan().label());
-    println!(
-        "  outliers:     {} ({:.3}%)",
-        archive.outliers.len(),
-        100.0 * archive.outliers.len() as f64 / n.max(1) as f64
-    );
-    println!("  stored size:  {} bytes", bytes.len());
-    println!(
+    say!("  stored size:  {} bytes", bytes.len())?;
+    say!(
         "  ratio:        {:.2}x",
-        (n * archive.dtype.bytes()) as f64 / bytes.len() as f64
-    );
+        (n * dtype.bytes()) as f64 / bytes.len().max(1) as f64
+    )?;
     Ok(())
 }
 
-fn cmd_analyze(opts: &Opts) -> Result<(), String> {
-    if opts.has_flag("double") {
-        analyze_raw::<f64>(opts)
-    } else {
-        analyze_raw::<f32>(opts)
-    }
-}
-
-fn analyze_raw<T: Element>(opts: &Opts) -> Result<(), String> {
+fn analyze_raw<T: Element>(opts: &Opts) -> Result<(), Fail> {
     let input = opts.require("i")?;
     let dims = parse_dims(opts.require("d")?)?;
-    let config = parse_config(opts)?;
+    let bound = parse_config(opts)?.error_bound;
     let data = read_raw::<T>(input)?;
     if data.len() != dims.len() {
         return Err(format!(
             "{input} has {} elements, dims say {}",
             data.len(),
             dims.len()
-        ));
+        )
+        .into());
     }
-    let eb = config.error_bound.absolute(&data);
+    let eb = bound.absolute(&data);
     let qf = cuszp::predictor::construct(&data, dims, eb, cuszp::predictor::DEFAULT_CAP);
     let report = analyze(&qf.codes, qf.cap());
-    println!("field: {input} {dims:?}, abs eb {eb:.6e}");
-    println!("  outliers:      {:.3}%", qf.outlier_fraction() * 100.0);
-    println!("  p1:            {:.4}", report.p1);
-    println!("  entropy:       {:.3} bits/symbol", report.entropy);
-    println!(
+    say!("field: {input} {dims:?}, abs eb {eb:.6e}")?;
+    say!("  outliers:      {:.3}%", qf.outlier_fraction() * 100.0)?;
+    say!("  p1:            {:.4}", report.p1)?;
+    say!("  entropy:       {:.3} bits/symbol", report.entropy)?;
+    say!(
         "  <b> bracket:   [{:.3}, {:.3}] bits",
-        report.b_lower, report.b_upper
-    );
-    println!("  roughness(1):  {:.4}", report.roughness);
-    println!("  est CR (VLE):  {:.1}x", report.est_cr_huffman);
-    println!("  est CR (RLE):  {:.1}x", report.est_cr_rle);
-    println!("  recommended:   {}", report.choice.name());
+        report.b_lower,
+        report.b_upper
+    )?;
+    say!("  roughness(1):  {:.4}", report.roughness)?;
+    say!("  est CR (VLE):  {:.1}x", report.est_cr_huffman)?;
+    say!("  est CR (RLE):  {:.1}x", report.est_cr_rle)?;
+    say!("  recommended:   {}", report.choice.name())?;
     Ok(())
 }
 
-fn cmd_gen(opts: &Opts) -> Result<(), String> {
+fn cmd_gen(opts: &Opts) -> Result<(), Fail> {
     let output = opts.require("o")?;
-    let dataset = match opts.require("dataset")?.to_ascii_lowercase().as_str() {
-        "hacc" => DatasetKind::Hacc,
-        "cesm" | "cesm-atm" => DatasetKind::CesmAtm,
-        "hurricane" => DatasetKind::Hurricane,
-        "nyx" => DatasetKind::Nyx,
-        "rtm" => DatasetKind::Rtm,
-        "miranda" => DatasetKind::Miranda,
-        "qmcpack" => DatasetKind::Qmcpack,
-        other => return Err(format!("unknown dataset '{other}'")),
-    };
+    // A dataset by its name, or by the part before a '-' (`cesm`).
+    let wanted = opts.require("dataset")?.to_ascii_lowercase();
+    let dataset = DatasetKind::ALL
+        .into_iter()
+        .find(|d| {
+            let name = d.name().to_ascii_lowercase();
+            name == wanted || name.split('-').next() == Some(&wanted)
+        })
+        .ok_or_else(|| format!("unknown dataset '{wanted}'"))?;
     let field_name = opts.require("field")?;
-    let scale = match opts.get("scale").unwrap_or("small") {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        other => return Err(format!("bad scale '{other}'")),
-    };
+    let scale = opts.pick("scale", &[("small", Scale::Small), ("tiny", Scale::Tiny)])?;
     let spec = dataset_fields(dataset)
         .into_iter()
         .find(|s| s.name.eq_ignore_ascii_case(field_name))
@@ -935,6 +1110,11 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
             )
         })?;
     let field = generate(&spec, scale);
+    let rank = field.dims.rank();
+    let axes: Vec<String> = field.dims.extents()[3 - rank..]
+        .iter()
+        .map(usize::to_string)
+        .collect();
     cuszp::write_raw(Path::new(output), &field.data).map_err(|e| format!("{output}: {e}"))?;
     eprintln!(
         "generated {}/{} {:?} -> {output} ({} bytes); compress with: cuszp compress -i {output} -o {output}.csz -d {}",
@@ -942,199 +1122,153 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
         spec.name,
         field.dims,
         field.bytes(),
-        dims_spec(field.dims)
+        axes.join("x")
     );
     Ok(())
 }
 
-fn dims_spec(dims: Dims) -> String {
-    match dims {
-        Dims::D1(n) => format!("{n}"),
-        Dims::D2 { ny, nx } => format!("{ny}x{nx}"),
-        Dims::D3 { nz, ny, nx } => format!("{nz}x{ny}x{nx}"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// The compression service: `serve` and `remote <op>`.
 /// `store-fsck <data-dir>`: offline, read-only scan of a durable shard
 /// store's segment files, sharing the store crate's recovery scanner so
 /// it can never disagree with what a node boot would accept. Exit codes
 /// follow the fsck taxonomy: 0 clean, 1 damage found but repairable
 /// (torn tails truncate at the next boot; dropped shards re-replicate
 /// via `cluster-scrub`), 2 the directory itself is unreadable.
-fn cmd_store_fsck(opts: &Opts) -> Result<ExitCode, String> {
+fn cmd_store_fsck(opts: &Opts) -> Result<ExitCode, Fail> {
     let dir = opts
         .get("i")
         .ok_or("store-fsck needs a data directory argument")?;
-    let json = opts.has_flag("json");
+    let json = opts.has("json");
     let report = match cuszp::store::scan_dir(Path::new(dir)) {
         Ok(r) => r,
-        Err(e) => {
-            if json {
-                println!(
-                    "{{\"data_dir\":\"{}\",\"error\":\"{}\",\"exit_code\":2}}",
-                    json_escape(dir),
-                    json_escape(&e.to_string())
-                );
-            } else {
-                eprintln!("error: {dir}: {e}");
-            }
-            return Ok(ExitCode::from(2));
-        }
+        Err(e) => return unreadable(opts, "data_dir", dir, e),
     };
     let code = report.exit_code();
     if json {
-        let mut out = format!("{{\"data_dir\":\"{}\",\"segments\":[", json_escape(dir));
-        for (si, seg) in report.segments.iter().enumerate() {
-            if si > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"seq\":{},\"bytes\":{},\"records\":[",
-                seg.seq, seg.bytes
-            ));
-            for (ri, r) in seg.records.iter().enumerate() {
-                if ri > 0 {
-                    out.push(',');
-                }
-                let status = match &r.status {
-                    cuszp::store::RecordStatus::Live => "live",
-                    cuszp::store::RecordStatus::Superseded => "superseded",
-                    cuszp::store::RecordStatus::Tombstone => "tombstone",
-                    cuszp::store::RecordStatus::Damaged(_) => "damaged",
-                };
-                out.push_str(&format!(
-                    "{{\"offset\":{},\"status\":\"{status}\"",
-                    r.offset
-                ));
-                if let Some((key, idx)) = &r.key {
-                    out.push_str(&format!(
-                        ",\"key\":\"{}\",\"shard_idx\":{idx},\"len\":{}",
-                        json_escape(key),
-                        r.payload_len
-                    ));
-                }
-                if let cuszp::store::RecordStatus::Damaged(fault) = &r.status {
-                    out.push_str(&format!(
-                        ",\"detail\":\"{}\"",
-                        json_escape(&fault.to_string())
-                    ));
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str(&format!(
-            "],\"live\":{},\"superseded\":{},\"tombstones\":{},\"damaged\":{},\"exit_code\":{code}}}",
-            report.live_shards, report.superseded, report.tombstones, report.damaged
-        ));
-        println!("{out}");
+        let segments: Vec<String> = report
+            .segments
+            .iter()
+            .map(|seg| {
+                let records: Vec<String> = seg
+                    .records
+                    .iter()
+                    .map(|r| {
+                        let key = r.key.as_ref().map_or(String::new(), |(key, idx)| {
+                            let len = r.payload_len;
+                            format!(
+                                ",\"key\":\"{}\",\"shard_idx\":{idx},\"len\":{len}",
+                                json_escape(key)
+                            )
+                        });
+                        let (status, detail) = match &r.status {
+                            RecordStatus::Damaged(fault) => {
+                                let detail = json_escape(&fault.to_string());
+                                ("damaged".to_string(), format!(",\"detail\":\"{detail}\""))
+                            }
+                            status => (status.to_string(), String::new()),
+                        };
+                        format!(
+                            "{{\"offset\":{},\"status\":\"{status}\"{key}{detail}}}",
+                            r.offset
+                        )
+                    })
+                    .collect();
+                format!(
+                    "{{\"seq\":{},\"bytes\":{},\"records\":[{}]}}",
+                    seg.seq,
+                    seg.bytes,
+                    records.join(",")
+                )
+            })
+            .collect();
+        say!(
+            "{{\"data_dir\":\"{}\",\"segments\":[{}],\"live\":{},\"superseded\":{},\"tombstones\":{},\"damaged\":{},\"exit_code\":{code}}}",
+            json_escape(dir),
+            segments.join(","),
+            report.live_shards,
+            report.superseded,
+            report.tombstones,
+            report.damaged
+        )?;
         return Ok(ExitCode::from(code as u8));
     }
-    println!("store: {dir} ({} segment(s))", report.segments.len());
+    say!("store: {dir} ({} segment(s))", report.segments.len())?;
     for fault in &report.dir_faults {
-        println!("  DIRECTORY: {fault}");
+        say!("  DIRECTORY: {fault}")?;
     }
     for seg in &report.segments {
-        println!("  seg-{:08}.czl  {} bytes", seg.seq, seg.bytes);
+        say!("  seg-{:08}.czl  {} bytes", seg.seq, seg.bytes)?;
         for r in &seg.records {
             match &r.key {
-                Some((key, idx)) => println!(
+                Some((key, idx)) => say!(
                     "    @{:<10} {}  '{key}' shard {idx} ({} bytes)",
-                    r.offset, r.status, r.payload_len
-                ),
-                None => println!("    @{:<10} {}", r.offset, r.status),
+                    r.offset,
+                    r.status,
+                    r.payload_len
+                )?,
+                None => say!("    @{:<10} {}", r.offset, r.status)?,
             }
         }
     }
-    println!(
+    say!(
         "  {} live, {} superseded, {} tombstone(s), {} damaged",
-        report.live_shards, report.superseded, report.tombstones, report.damaged
-    );
+        report.live_shards,
+        report.superseded,
+        report.tombstones,
+        report.damaged
+    )?;
     if code == 0 {
-        println!("  clean");
+        say!("  clean")?;
     } else {
-        println!(
+        say!(
             "  repairable: a node restart truncates torn tails; `cuszp cluster-scrub` \
              re-replicates dropped shards"
-        );
+        )?;
     }
     Ok(ExitCode::from(code as u8))
 }
 
 // ---------------------------------------------------------------------
+// The compression service: `serve`, `chaos-proxy`, `cluster <op>` and
+// `remote <op>`.
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7117";
 
 /// `serve`: run the compression service until a `remote shutdown` (or a
 /// signal kills the process). Prints the bound address on stdout first,
 /// so scripts binding port 0 can discover the ephemeral port.
-fn cmd_serve(opts: &Opts) -> Result<(), String> {
-    let addr = opts
-        .get("a")
-        .or_else(|| opts.get("addr"))
-        .unwrap_or(DEFAULT_ADDR);
+fn cmd_serve(opts: &Opts) -> Result<(), Fail> {
+    let addr = opts.get("a").unwrap_or(DEFAULT_ADDR);
     let mut config = ServerConfig::default();
-    if let Some(w) = opts.get("workers") {
-        config.workers = w.parse().map_err(|e| format!("bad --workers '{w}': {e}"))?;
-    }
-    if let Some(q) = opts.get("queue") {
-        config.queue_capacity = q.parse().map_err(|e| format!("bad --queue '{q}': {e}"))?;
-    }
-    if let Some(c) = opts.get("cache-bytes") {
-        config.cache_bytes = c
-            .parse()
-            .map_err(|e| format!("bad --cache-bytes '{c}': {e}"))?;
-    }
+    opts.set("workers", &mut config.workers)?;
+    opts.set("queue", &mut config.queue_capacity)?;
+    opts.set("cache-bytes", &mut config.cache_bytes)?;
     // Cluster mode: `--node-id` + `--ring` turn this instance into one
     // member of an erasure-coded placement ring (CSRP v3 shard ops).
-    if opts.get("data-dir").is_some()
-        && (opts.get("node-id").is_none() || opts.get("ring").is_none())
-    {
+    if opts.has("data-dir") && !(opts.has("node-id") && opts.has("ring")) {
         return Err("--data-dir needs cluster mode (--node-id and --ring)".into());
     }
-    let cluster = match (opts.get("node-id"), opts.get("ring")) {
+    let epoch = opts.parse("ring-epoch", str::parse)?.unwrap_or(1);
+    let (m, k) = opts
+        .parse("ring-parity", ParityConfig::parse)?
+        .map_or((1, 2), |p| (p.parity_shards, p.data_shards));
+    let ring = opts.parse("ring", |spec| Ring::parse_spec(spec, epoch, k, m))?;
+    let cluster = match (opts.parse("node-id", str::parse)?, ring) {
         (None, None) => None,
-        (Some(id), Some(ring_spec)) => {
-            let node_id: u64 = id
-                .parse()
-                .map_err(|e| format!("bad --node-id '{id}': {e}"))?;
-            let epoch: u64 = match opts.get("ring-epoch") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|e| format!("bad --ring-epoch '{v}': {e}"))?,
-                None => 1,
-            };
-            let (m, k) = match opts.get("ring-parity") {
-                Some(v) => {
-                    let p =
-                        ParityConfig::parse(v).map_err(|e| format!("bad --ring-parity: {e}"))?;
-                    (p.parity_shards, p.data_shards)
-                }
-                None => (1, 2),
-            };
-            let ring =
-                Ring::parse_spec(ring_spec, epoch, k, m).map_err(|e| format!("bad --ring: {e}"))?;
+        (Some(node_id), Some(ring)) => {
             // Shard persistence: `--data-dir` switches the node from the
             // in-memory store (empty after restart, healed by scrub) to
             // the durable log-structured store.
             let backend = match opts.get("data-dir") {
                 Some(dir) => {
                     let mut store_config = StoreConfig::new(dir);
-                    if let Some(policy) = opts.get("fsync") {
-                        store_config.fsync =
-                            FsyncPolicy::parse(policy).map_err(|e| format!("bad --fsync: {e}"))?;
-                    }
-                    if let Some(bytes) = opts.get("compact-at") {
-                        store_config.compact_at = bytes
-                            .parse()
-                            .map_err(|e| format!("bad --compact-at '{bytes}': {e}"))?;
-                    }
+                    store_config.fsync = opts
+                        .parse("fsync", FsyncPolicy::parse)?
+                        .unwrap_or(store_config.fsync);
+                    opts.set("compact-at", &mut store_config.compact_at)?;
                     StoreBackendConfig::Durable(store_config)
                 }
                 None => {
-                    if opts.get("fsync").is_some() || opts.get("compact-at").is_some() {
+                    if opts.has("fsync") || opts.has("compact-at") {
                         return Err("--fsync / --compact-at need --data-dir (durable store)".into());
                     }
                     StoreBackendConfig::Memory
@@ -1171,8 +1305,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     });
     let server = Server::bind_cluster(addr, config, cluster).map_err(|e| format!("{addr}: {e}"))?;
     let recovery_banner = server.handle().store_recovery_summary();
-    let bound = server.local_addr().map_err(|e| e.to_string())?;
-    println!("cuszp-server listening on {bound}");
+    let bound = server.local_addr()?;
+    say!("cuszp-server listening on {bound}")?;
     eprintln!(
         "  {} workers (one pipeline engine each), queue capacity {}; stop with: cuszp remote shutdown -s {bound}",
         workers, queue_capacity
@@ -1183,7 +1317,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if let Some(recovery) = recovery_banner {
         eprintln!("  recovery: {recovery}");
     }
-    server.serve().map_err(|e| e.to_string())?;
+    server.serve()?;
     eprintln!("cuszp-server: drained, bye");
     Ok(())
 }
@@ -1193,76 +1327,46 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 /// stdout first (same shape as `serve`) so scripts binding port 0 can
 /// discover the ephemeral port; injection counters go to stderr
 /// periodically.
-fn cmd_chaos_proxy(opts: &Opts) -> Result<(), String> {
-    let upstream_spec = opts
-        .get("u")
-        .or_else(|| opts.get("upstream"))
-        .ok_or("chaos-proxy needs --upstream <addr>")?;
-    let upstream = resolve_addr(upstream_spec)?;
-    let listen_spec = opts
-        .get("a")
-        .or_else(|| opts.get("addr"))
-        .unwrap_or("127.0.0.1:0");
-    let listen = resolve_addr(listen_spec)?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| format!("bad --seed: {e}"))?
-        .unwrap_or(1);
-    let mut policy = match opts.get("profile").unwrap_or("clean") {
-        "clean" => ChaosPolicy::clean(),
-        "mixed" => ChaosPolicy::mixed(),
-        other => return Err(format!("bad --profile '{other}' (clean|mixed)")),
-    };
-    let pm = |key: &str, cur: u32| -> Result<u32, String> {
-        match opts.get(key) {
-            Some(v) => v.parse().map_err(|e| format!("bad --{key} '{v}': {e}")),
-            None => Ok(cur),
-        }
-    };
-    policy.refuse_per_mille = pm("refuse", policy.refuse_per_mille)?;
-    policy.cut_request_per_mille = pm("cut-request", policy.cut_request_per_mille)?;
-    policy.cut_response_per_mille = pm("cut-response", policy.cut_response_per_mille)?;
-    let flip = pm("flip", 0)?;
-    if opts.get("flip").is_some() {
+fn cmd_chaos_proxy(opts: &Opts) -> Result<(), Fail> {
+    let upstream = resolve_addr(
+        opts.get("upstream")
+            .ok_or("chaos-proxy needs --upstream <addr>")?,
+    )?;
+    let listen = resolve_addr(opts.get("a").unwrap_or("127.0.0.1:0"))?;
+    let seed = opts.parse("seed", str::parse)?.unwrap_or(1);
+    let mut policy = opts.pick(
+        "profile",
+        &[
+            ("clean", ChaosPolicy::clean as fn() -> _),
+            ("mixed", ChaosPolicy::mixed),
+        ],
+    )?();
+    opts.set("refuse", &mut policy.refuse_per_mille)?;
+    opts.set("cut-request", &mut policy.cut_request_per_mille)?;
+    opts.set("cut-response", &mut policy.cut_response_per_mille)?;
+    if let Some(flip) = opts.parse("flip", str::parse)? {
         policy.flip_request_per_mille = flip;
         policy.flip_response_per_mille = flip;
     }
-    policy.stall_per_mille = pm("stall", policy.stall_per_mille)?;
-    if let Some(v) = opts.get("stall-max-ms") {
-        policy.stall_max_ms = v
-            .parse::<u64>()
-            .map_err(|e| format!("bad --stall-max-ms '{v}': {e}"))?
-            .max(1);
-    }
-    policy.chop_per_mille = pm("chop", policy.chop_per_mille)?;
-    if let Some(v) = opts.get("chop-piece") {
-        policy.chop_piece = v
-            .parse::<usize>()
-            .map_err(|e| format!("bad --chop-piece '{v}': {e}"))?
-            .max(1);
-    }
-    if let Some(v) = opts.get("redraw-bytes") {
-        policy.redraw_bytes = v
-            .parse::<usize>()
-            .map_err(|e| format!("bad --redraw-bytes '{v}': {e}"))?
-            .max(1);
-    }
+    opts.set("stall", &mut policy.stall_per_mille)?;
+    opts.set("stall-max-ms", &mut policy.stall_max_ms)?;
+    opts.set("chop", &mut policy.chop_per_mille)?;
+    opts.set("chop-piece", &mut policy.chop_piece)?;
+    opts.set("redraw-bytes", &mut policy.redraw_bytes)?;
+    // A zero stall ceiling, chop piece or redraw epoch is read as 1.
+    policy.stall_max_ms = policy.stall_max_ms.max(1);
+    policy.chop_piece = policy.chop_piece.max(1);
+    policy.redraw_bytes = policy.redraw_bytes.max(1);
     // Node-death profile: after this many relayed bytes the proxied
     // node dies (in-flight relays sever, later connections refused).
-    if let Some(v) = opts.get("kill-after-bytes") {
-        policy.kill_after_bytes = v
-            .parse::<u64>()
-            .map_err(|e| format!("bad --kill-after-bytes '{v}': {e}"))?;
-    }
+    opts.set("kill-after-bytes", &mut policy.kill_after_bytes)?;
     let proxy =
         ChaosProxy::bind(listen, upstream, policy, seed).map_err(|e| format!("{listen}: {e}"))?;
-    println!("chaos-proxy listening on {}", proxy.local_addr());
+    say!("chaos-proxy listening on {}", proxy.local_addr())?;
     eprintln!("  relaying to {upstream}, seed {seed}; stop by killing the process");
     let mut last_report = (0u64, 0u64);
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(10));
+        std::thread::sleep(Duration::from_secs(10));
         let s = proxy.stats();
         let now = (
             s.connections.load(std::sync::atomic::Ordering::Relaxed),
@@ -1292,49 +1396,27 @@ fn resolve_addr(spec: &str) -> Result<std::net::SocketAddr, String> {
         .ok_or_else(|| format!("{spec}: resolved to no address"))
 }
 
-/// Builds the retrying client every `remote <op>` talks through. Without
-/// `--retries` the policy is single-attempt (`RetryPolicy::no_retry`),
-/// so failures surface immediately; `--retries N` allows N extra
-/// attempts with the default backoff schedule. `--deadline-ms` and
-/// `--connect-timeout-ms` bound each call either way.
-fn remote_client(opts: &Opts) -> Result<RetryingClient, String> {
-    let addr = opts
-        .get("s")
-        .or_else(|| opts.get("server"))
-        .unwrap_or(DEFAULT_ADDR);
+/// One `remote <op>` call. The retrying client talks to `-s`; without
+/// `--retries` its policy is single-attempt (`RetryPolicy::no_retry`), so
+/// failures surface immediately; `--retries N` allows N extra attempts
+/// with the default backoff schedule. `--deadline-ms` and
+/// `--connect-timeout-ms` bound each call either way. After the call, the
+/// client's resilience counters go to stderr, but only when something
+/// nontrivial happened, so the clean fast path stays quiet.
+fn remote<T, E: Display>(
+    opts: &Opts,
+    call: impl FnOnce(&mut RetryingClient) -> Result<T, E>,
+) -> Result<T, Fail> {
     let mut policy = RetryPolicy::no_retry();
-    if let Some(r) = opts.get("retries") {
-        let extra: u32 = r.parse().map_err(|e| format!("bad --retries '{r}': {e}"))?;
+    if let Some(extra) = opts.parse("retries", str::parse::<u32>)? {
         policy.max_attempts = extra.saturating_add(1);
     }
-    if let Some(ms) = opt_ms(opts, "deadline-ms")? {
-        policy.deadline = ms;
-    }
-    if let Some(ms) = opt_ms(opts, "connect-timeout-ms")? {
-        policy.connect_timeout = ms;
-    }
-    if let Some(s) = opts.get("retry-seed") {
-        policy.seed = s
-            .parse()
-            .map_err(|e| format!("bad --retry-seed '{s}': {e}"))?;
-    }
-    Ok(RetryingClient::new(addr, policy))
-}
-
-fn opt_ms(opts: &Opts, key: &str) -> Result<Option<std::time::Duration>, String> {
-    opts.get(key)
-        .map(|v| {
-            v.parse::<u64>()
-                .map(std::time::Duration::from_millis)
-                .map_err(|e| format!("bad --{key} '{v}': {e}"))
-        })
-        .transpose()
-}
-
-/// After a remote op, surface the client-side resilience counters on
-/// stderr — but only when something nontrivial happened, so the clean
-/// fast path stays quiet.
-fn report_retries(client: &RetryingClient) {
+    let ms = |key| opts.parse(key, |v: &str| v.parse().map(Duration::from_millis));
+    policy.deadline = ms("deadline-ms")?.unwrap_or(policy.deadline);
+    policy.connect_timeout = ms("connect-timeout-ms")?.unwrap_or(policy.connect_timeout);
+    opts.set("retry-seed", &mut policy.seed)?;
+    let mut client = RetryingClient::new(opts.get("s").unwrap_or(DEFAULT_ADDR), policy);
+    let result = call(&mut client);
     let s = client.stats();
     let noteworthy = s.retries.get() + s.reconnects.get() + s.hints_honored.get();
     if noteworthy > 0 || s.deadline_exceeded.get() > 0 {
@@ -1348,16 +1430,16 @@ fn report_retries(client: &RetryingClient) {
             s.deadline_exceeded.get()
         );
     }
+    Ok(result?)
 }
 
 /// Builds the ring-aware client every `cluster <op>` talks through:
 /// `--seeds` (or `-s`) names any live members, the ring is fetched from
 /// the first that answers, and every shard op routes by rendezvous
 /// placement with failover to survivors.
-fn cluster_client(opts: &Opts) -> Result<ClusterClient, String> {
+fn cluster_client(opts: &Opts) -> Result<ClusterClient, Fail> {
     let spec = opts
         .get("seeds")
-        .or_else(|| opts.get("s"))
         .ok_or("cluster ops need --seeds <addr,addr,...> (any live members)")?;
     let seeds: Vec<String> = spec
         .split(',')
@@ -1369,14 +1451,14 @@ fn cluster_client(opts: &Opts) -> Result<ClusterClient, String> {
         return Err("--seeds named no addresses".into());
     }
     let mut conn = ConnectOptions::default();
-    if let Some(ms) = opt_ms(opts, "connect-timeout-ms")? {
-        conn.connect_timeout = ms;
+    if let Some(ms) = opts.parse("connect-timeout-ms", str::parse)? {
+        conn.connect_timeout = Duration::from_millis(ms);
     }
-    ClusterClient::connect_any(&seeds, conn).map_err(|e| e.to_string())
+    Ok(ClusterClient::connect_any(&seeds, conn)?)
 }
 
 /// After a cluster op, surface the client-side routing counters on
-/// stderr when anything nontrivial happened (mirrors `report_retries`).
+/// stderr when anything nontrivial happened (mirrors `remote`'s retries).
 fn report_cluster(client: &ClusterClient) {
     let s = client.stats();
     let noteworthy = s.degraded_reads.get()
@@ -1395,14 +1477,13 @@ fn report_cluster(client: &ClusterClient) {
     }
 }
 
-fn cmd_cluster(sub: &str, opts: &Opts) -> Result<ExitCode, String> {
+fn cmd_cluster(sub: &str, opts: &Opts) -> Result<ExitCode, Fail> {
     match sub {
         "put" => {
             let key = opts.require("k")?;
-            let input = opts.require("i")?;
-            let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+            let (_, bytes) = opts.read_input()?;
             let mut client = cluster_client(opts)?;
-            let report = client.put(key, &bytes).map_err(|e| e.to_string())?;
+            let report = client.put(key, &bytes)?;
             if report.fully_replicated() {
                 eprintln!(
                     "stored '{key}' ({} bytes) on {}/{} nodes",
@@ -1420,323 +1501,167 @@ fn cmd_cluster(sub: &str, opts: &Opts) -> Result<ExitCode, String> {
                 );
             }
             report_cluster(&client);
-            Ok(ExitCode::SUCCESS)
         }
-        "get" => {
+        "get" | "get-range" => {
             let key = opts.require("k")?;
             let output = opts.require("o")?;
+            let spec = match sub {
+                "get-range" => Some(RangeSpec::parse(opts.require("range")?)?),
+                _ => None,
+            };
             let mut client = cluster_client(opts)?;
-            let got = client.get(key).map_err(|e| e.to_string())?;
-            write_bytes(output, &got.bytes)?;
-            eprintln!(
-                "fetched '{key}' -> {output} ({} bytes{})",
-                got.bytes.len(),
-                if got.degraded {
-                    ", reconstructed from parity"
-                } else {
-                    ""
+            // Fetch the stripe (degraded if needed); a range read then
+            // decodes only the requested sub-volume locally, in the
+            // archive's own dtype.
+            let got = client.get(key)?;
+            let degraded = match got.degraded {
+                true => ", reconstructed from parity",
+                false => "",
+            };
+            match spec {
+                None => {
+                    write_bytes(output, &got.bytes)?;
+                    let n = got.bytes.len();
+                    eprintln!("fetched '{key}' -> {output} ({n} bytes{degraded})");
                 }
-            );
-            report_cluster(&client);
-            Ok(ExitCode::SUCCESS)
-        }
-        "get-range" => {
-            let key = opts.require("k")?;
-            let output = opts.require("o")?;
-            let spec = RangeSpec::parse(opts.require("range")?).map_err(|e| e.to_string())?;
-            let mut client = cluster_client(opts)?;
-            // Fetch the stripe (degraded if needed), then decode only the
-            // requested sub-volume locally, in the archive's own dtype.
-            let got = client.get(key).map_err(|e| e.to_string())?;
-            let degraded = got.degraded;
-            let (out_bytes, dims, _) =
-                decode_raster(&got.bytes, Some(&spec), None).map_err(|e| e.to_string())?;
-            write_bytes(output, &out_bytes)?;
-            eprintln!(
-                "extracted {spec} of '{key}' -> {output} ({dims:?}, {} bytes{})",
-                out_bytes.len(),
-                if degraded {
-                    ", reconstructed from parity"
-                } else {
-                    ""
+                Some(spec) => {
+                    let raster = decode_raster(&got.bytes, Some(&spec), None)?;
+                    let (dims, n) = (raster.dims, raster.data.len());
+                    write_raster(output, &raster, |_, _, _| {
+                        format!("extracted {spec} of '{key}' -> {output} ({dims:?}, {n} bytes{degraded})")
+                    })?;
                 }
-            );
+            }
             report_cluster(&client);
-            Ok(ExitCode::SUCCESS)
         }
         "ring" => {
             let client = cluster_client(opts)?;
             let ring = client.ring();
-            println!(
+            say!(
                 "epoch {}: {} data + {} parity shards per stripe, {} member(s)",
                 ring.epoch,
                 ring.data_shards,
                 ring.parity_shards,
                 ring.nodes().len()
-            );
+            )?;
             for n in ring.nodes() {
-                println!("  node {:>4}  {}", n.id, n.addr);
+                say!("  node {:>4}  {}", n.id, n.addr)?;
             }
-            Ok(ExitCode::SUCCESS)
         }
-        "scrub" => {
+        // `scrub`, the anti-entropy repair pass (alias `cluster-scrub`).
+        _ => {
             let mut client = cluster_client(opts)?;
-            let report = client.scrub().map_err(|e| e.to_string())?;
-            println!(
+            let report = client.scrub()?;
+            say!(
                 "scrubbed {} key(s): {} shard(s) re-replicated, {} unrepairable, {} unreachable node(s)",
-                report.keys, report.repaired, report.unrepairable, report.unreachable_nodes
-            );
+                report.keys,
+                report.repaired,
+                report.unrepairable,
+                report.unreachable_nodes
+            )?;
             report_cluster(&client);
             // Exit 0 when fully healthy, 1 when work remains (lost
             // stripes or members the pass could not see).
             if report.unrepairable > 0 || report.unreachable_nodes > 0 {
-                Ok(ExitCode::FAILURE)
-            } else {
-                Ok(ExitCode::SUCCESS)
+                return Ok(ExitCode::FAILURE);
             }
         }
-        other => Err(format!(
-            "unknown cluster operation '{other}' (put get get-range ring scrub)"
-        )),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_remote(sub: &str, opts: &Opts) -> Result<ExitCode, String> {
+fn cmd_remote(sub: &str, opts: &Opts) -> Result<ExitCode, Fail> {
     match sub {
-        "compress" => remote_compress(opts).map(|()| ExitCode::SUCCESS),
-        "decompress" => remote_decompress(opts).map(|()| ExitCode::SUCCESS),
-        "get-range" => remote_get_range(opts).map(|()| ExitCode::SUCCESS),
-        "scan" => remote_scan(opts),
-        "info" => remote_info(opts).map(|()| ExitCode::SUCCESS),
-        "stats" => remote_stats(opts).map(|()| ExitCode::SUCCESS),
+        "scan" => {
+            let (input, bytes) = opts.read_input()?;
+            let report = remote(opts, |c| c.scan(&bytes))?;
+            let code = report.exit_code();
+            if opts.has("json") {
+                say!(
+                    "{{\"archive\":\"{}\",{},\"exit_code\":{}}}",
+                    json_escape(input),
+                    report.to_json_fields(),
+                    code
+                )?;
+            } else {
+                print_scan_report(input, ", scanned remotely", &report, code, None)?;
+            }
+            return Ok(ExitCode::from(code));
+        }
+        "info" => {
+            let (input, bytes) = opts.read_input()?;
+            let info = remote(opts, |c| c.info(&bytes))?;
+            say!("archive: {input} ({}, described remotely)", info.format)?;
+            say!("  dtype:        {}", info.dtype.name())?;
+            say!(
+                "  dims:         {:?} ({} elements)",
+                info.dims,
+                info.dims.len()
+            )?;
+            say!("  error bound:  {:.6e} (absolute)", info.eb)?;
+            say!("  chunks:       {}", info.n_chunks)?;
+            match info.parity {
+                Some((k, m)) => say!("  parity:       {m}/{k}")?,
+                None => say!("  parity:       none")?,
+            }
+            say!("  stored size:  {} bytes", info.stored_bytes)?;
+        }
+        "stats" => remote_stats(opts)?,
         "ping" => {
-            let mut client = remote_client(opts)?;
-            let t0 = std::time::Instant::now();
-            client.ping().map_err(|e| e.to_string())?;
-            println!("pong ({:.1} ms)", t0.elapsed().as_secs_f64() * 1e3);
-            Ok(ExitCode::SUCCESS)
+            let t0 = Instant::now();
+            remote(opts, |c| c.ping())?;
+            say!("pong ({:.1} ms)", t0.elapsed().as_secs_f64() * 1e3)?;
         }
         // Cheap liveness probe: exit 0 while serving, 1 while draining,
         // so scripts can gate on readiness without parsing output.
         "health" => {
-            let mut client = remote_client(opts)?;
-            let h = client.health().map_err(|e| e.to_string())?;
+            let h = remote(opts, |c| c.health())?;
+            let (state, hint) = match h.draining {
+                true => ("draining", format!("; retry after {} ms", h.retry_after_ms)),
+                false => ("healthy", String::new()),
+            };
+            say!(
+                "{state}: queue {}/{}, {} worker(s), {} active connection(s){hint}",
+                h.queue_depth,
+                h.queue_capacity,
+                h.workers,
+                h.active_connections
+            )?;
             if h.draining {
-                println!(
-                    "draining: queue {}/{}, {} worker(s), {} active connection(s); retry after {} ms",
-                    h.queue_depth, h.queue_capacity, h.workers, h.active_connections, h.retry_after_ms
-                );
-                Ok(ExitCode::FAILURE)
-            } else {
-                println!(
-                    "healthy: queue {}/{}, {} worker(s), {} active connection(s)",
-                    h.queue_depth, h.queue_capacity, h.workers, h.active_connections
-                );
-                Ok(ExitCode::SUCCESS)
+                return Ok(ExitCode::FAILURE);
             }
         }
-        "shutdown" => {
-            let mut client = remote_client(opts)?;
-            client.shutdown_server().map_err(|e| e.to_string())?;
-            println!("server acknowledged shutdown; draining");
-            Ok(ExitCode::SUCCESS)
+        // `shutdown`.
+        _ => {
+            remote(opts, |c| c.shutdown_server())?;
+            say!("server acknowledged shutdown; draining")?;
         }
-        other => Err(format!(
-            "unknown remote operation '{other}' (compress decompress get-range scan info stats ping health shutdown)"
-        )),
     }
-}
-
-/// `remote compress`: ship the raw field; the server compresses through
-/// its per-worker engine with the same chunked plan as a local
-/// `compress --threads`, so the returned archive bytes are identical.
-fn remote_compress(opts: &Opts) -> Result<(), String> {
-    let input = opts.require("i")?;
-    let output = opts.require("o")?;
-    let dims = parse_dims(opts.require("d")?)?;
-    let config = parse_config(opts)?;
-    let dtype = if opts.has_flag("double") {
-        Dtype::F64
-    } else {
-        Dtype::F32
-    };
-    let parity = opts
-        .get("parity")
-        .map(ParityConfig::parse)
-        .transpose()
-        .map_err(|e| e.to_string())?;
-    let chunk_target: u64 = opts
-        .get("chunk")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| format!("bad --chunk: {e}"))?
-        .unwrap_or(0);
-    let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    if data.len() != dims.len() * dtype.bytes() {
-        return Err(format!(
-            "{input} holds {} bytes, dims say {} x {} bytes",
-            data.len(),
-            dims.len(),
-            dtype.bytes()
-        ));
-    }
-    let req = CompressRequest {
-        dims,
-        dtype,
-        error_bound: config.error_bound,
-        workflow: config.workflow,
-        predictor: config.predictor,
-        lossless: config.lossless,
-        chunk_target,
-        parity,
-        data: &data,
-    };
-    let mut client = remote_client(opts)?;
-    let t0 = std::time::Instant::now();
-    let result = client.compress(&req);
-    report_retries(&client);
-    let archive = result.map_err(|e| e.to_string())?;
-    write_bytes(output, &archive)?;
-    eprintln!(
-        "remote: wrote {} bytes to {output} in {:.2}s (ratio {:.2}x)",
-        archive.len(),
-        t0.elapsed().as_secs_f64(),
-        data.len() as f64 / archive.len().max(1) as f64
-    );
-    Ok(())
-}
-
-/// `remote decompress`: ship the archive, write back the raw field. With
-/// `--recover` the server decompresses fault-isolated and returns the
-/// per-chunk report alongside the (filled) data.
-fn remote_decompress(opts: &Opts) -> Result<(), String> {
-    let input = opts.require("i")?;
-    let output = opts.require("o")?;
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let mode = parse_recover(opts)?.map_or(DecompressMode::Strict, DecompressMode::Recover);
-    let mut client = remote_client(opts)?;
-    let t0 = std::time::Instant::now();
-    let result = client.decompress(&bytes, mode);
-    report_retries(&client);
-    let resp = result.map_err(|e| e.to_string())?;
-    write_bytes(output, &resp.data)?;
-    if let Some(report) = &resp.report {
-        let ok = report.reports.len() - list_damaged(&report.reports);
-        eprintln!(
-            "remote: recovered {ok}/{} chunks{}",
-            report.reports.len(),
-            healed_note(report)
-        );
-    }
-    eprintln!(
-        "remote: wrote {} bytes ({}, {:?}) to {output} in {:.2}s",
-        resp.data.len(),
-        resp.dtype.name(),
-        resp.dims,
-        t0.elapsed().as_secs_f64()
-    );
-    Ok(())
-}
-
-/// `remote get-range`: ship the archive, write back only the requested
-/// sub-volume. Hot chunks are served from the server's slab cache; with
-/// `--recover` the server reads around damage and reports the damaged
-/// in-range chunks.
-fn remote_get_range(opts: &Opts) -> Result<(), String> {
-    let input = opts.require("i")?;
-    let output = opts.require("o")?;
-    let spec = RangeSpec::parse(opts.require("range")?).map_err(|e| e.to_string())?;
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let mode = parse_recover(opts)?.map_or(DecompressMode::Strict, DecompressMode::Recover);
-    let mut client = remote_client(opts)?;
-    let t0 = std::time::Instant::now();
-    let result = client.get_range(&bytes, &spec, mode);
-    report_retries(&client);
-    let resp = result.map_err(|e| e.to_string())?;
-    write_bytes(output, &resp.data)?;
-    if let Some(report) = &resp.report {
-        let ok = report.reports.len() - list_damaged(&report.reports);
-        eprintln!(
-            "remote: {ok}/{} in-range chunks ok{}",
-            report.reports.len(),
-            healed_note(report)
-        );
-    }
-    eprintln!(
-        "remote: extracted {spec} -> {output} ({}, {:?}, {} bytes) in {:.2}s",
-        resp.dtype.name(),
-        resp.dims,
-        resp.data.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    Ok(())
-}
-
-/// `remote scan`: fsck over the wire, same report shape and exit codes.
-fn remote_scan(opts: &Opts) -> Result<ExitCode, String> {
-    let input = opts.require("i")?;
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let mut client = remote_client(opts)?;
-    let report = client.scan(&bytes).map_err(|e| e.to_string())?;
-    let code = report.exit_code();
-    if opts.has_flag("json") {
-        println!(
-            "{{\"archive\":\"{}\",{},\"exit_code\":{}}}",
-            json_escape(input),
-            report.to_json_fields(),
-            code
-        );
-        return Ok(ExitCode::from(code));
-    }
-    print_scan_report(input, ", scanned remotely", &report, code, None);
-    Ok(ExitCode::from(code))
-}
-
-/// " (n healed from parity)" for a remote recovery answer, or nothing.
-fn healed_note(report: &ScanReport) -> String {
-    match report.n_repaired() {
-        0 => String::new(),
-        n => format!(" ({n} healed from parity)"),
-    }
-}
-
-fn remote_info(opts: &Opts) -> Result<(), String> {
-    let input = opts.require("i")?;
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let mut client = remote_client(opts)?;
-    let info = client.info(&bytes).map_err(|e| e.to_string())?;
-    println!("archive: {input} ({}, described remotely)", info.format);
-    println!("  dtype:        {}", info.dtype.name());
-    println!(
-        "  dims:         {:?} ({} elements)",
-        info.dims,
-        info.dims.len()
-    );
-    println!("  error bound:  {:.6e} (absolute)", info.eb);
-    println!("  chunks:       {}", info.n_chunks);
-    match info.parity {
-        Some((k, m)) => println!("  parity:       {m}/{k}"),
-        None => println!("  parity:       none"),
-    }
-    println!("  stored size:  {} bytes", info.stored_bytes);
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `remote stats`: the server's live metrics — per-op request counts,
 /// error counts, bytes in/out, latency percentiles, plus the service
 /// gauges (busy rejections, malformed frames, connections).
-fn remote_stats(opts: &Opts) -> Result<(), String> {
-    let mut client = remote_client(opts)?;
-    let snap = client.server_stats().map_err(|e| e.to_string())?;
-    println!(
+fn remote_stats(opts: &Opts) -> Result<(), Fail> {
+    let snap = remote(opts, |c| c.server_stats())?;
+    say!(
         "{:<11} {:>9} {:>7} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9}",
-        "op", "requests", "errors", "bytes_in", "bytes_out", "p50_us", "p90_us", "p99_us", "max_us"
-    );
+        "op",
+        "requests",
+        "errors",
+        "bytes_in",
+        "bytes_out",
+        "p50_us",
+        "p90_us",
+        "p99_us",
+        "max_us"
+    )?;
     for o in &snap.ops {
         if o.requests == 0 {
             continue;
         }
-        println!(
+        say!(
             "{:<11} {:>9} {:>7} {:>12} {:>12} {:>9.0} {:>9.0} {:>9.0} {:>9}",
             o.op.name(),
             o.requests,
@@ -1747,17 +1672,16 @@ fn remote_stats(opts: &Opts) -> Result<(), String> {
             o.latency.p90_us,
             o.latency.p99_us,
             o.latency.max_us
-        );
+        )?;
     }
-    println!(
-        "total {} requests; {} busy / {} unavailable rejections, {} malformed frames, {} connections ({} active)",
+    say!("total {} requests; {} busy / {} unavailable rejections, {} malformed frames, {} connections ({} active)",
         snap.total_requests(),
         snap.rejected_busy,
         snap.rejected_unavailable,
         snap.malformed_frames,
         snap.connections_total,
         snap.active_connections
-    );
+    )?;
     // Guard the rate against a zero-op server: 0/0 must print as a
     // plain "n/a", never NaN.
     let lookups = snap.cache_hits + snap.cache_misses;
@@ -1769,15 +1693,16 @@ fn remote_stats(opts: &Opts) -> Result<(), String> {
     } else {
         "hit rate n/a".to_string()
     };
-    println!(
+    say!(
         "slab cache: {} hits / {} lookups ({hit_rate}), {} evictions",
-        snap.cache_hits, lookups, snap.cache_evictions
-    );
+        snap.cache_hits,
+        lookups,
+        snap.cache_evictions
+    )?;
     if snap.redirects + snap.scrub_repairs + snap.corrupt_shards_dropped > 0 {
-        println!(
-            "cluster: {} redirect(s) answered, {} scrub repair(s) received, {} corrupt shard(s) dropped",
+        say!("cluster: {} redirect(s) answered, {} scrub repair(s) received, {} corrupt shard(s) dropped",
             snap.redirects, snap.scrub_repairs, snap.corrupt_shards_dropped
-        );
+        )?;
     }
     Ok(())
 }
