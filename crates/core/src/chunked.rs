@@ -30,6 +30,7 @@ use crate::stats::ChunkedStats;
 use crate::walk::PlanView;
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
 use cuszp_parallel::{plan_chunks, WorkerPool, DEFAULT_CHUNK_ELEMS};
+use std::ops::Range;
 
 pub(crate) const CHUNKED_MAGIC: u32 = 0x325A_5343; // "CSZ2"
 const CHUNKED_VERSION: u16 = 2;
@@ -283,11 +284,7 @@ impl ChunkedArchive {
     pub(crate) fn plan(&self) -> Result<PlanView, CuszpError> {
         let plan = PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target);
         if self.chunks.len() != plan.n {
-            return Err(CuszpError::malformed(
-                "chunk count disagrees with plan",
-                ArchiveSection::ContainerHeader,
-                CHUNKED_HEADER_BYTES - 4,
-            ));
+            return Err(count_mismatch());
         }
         Ok(plan)
     }
@@ -337,29 +334,19 @@ impl ChunkedArchive {
     /// structurally validated and checksummed by [`Archive::from_bytes`];
     /// failures carry the chunk index and container-relative byte offset.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CuszpError> {
-        let hdr = parse_chunked_header(bytes)?;
-        let lens = read_length_table(bytes, &hdr)?;
-        let region_start = hdr.table_offset + hdr.n_chunks * 8;
-        let mut pos = region_start;
-        let mut chunks = Vec::with_capacity(lens.len());
-        for (i, len) in lens.into_iter().enumerate() {
-            let slice = pos
-                .checked_add(len)
-                .and_then(|end| bytes.get(pos..end))
-                .ok_or(
-                    CuszpError::malformed(
-                        "chunk truncated",
-                        ArchiveSection::ChunkBody,
-                        bytes.len(),
-                    )
-                    .in_chunk(i, 0),
-                )?;
-            chunks.push(Archive::from_bytes(slice).map_err(|e| e.in_chunk(i, pos))?);
-            pos += len;
-        }
+        Self::parse(&ChunkIndex::read(bytes)?, bytes)
+    }
+
+    /// The strict parse over an index read from the same `bytes`.
+    fn parse(index: &ChunkIndex, bytes: &[u8]) -> Result<Self, CuszpError> {
+        let chunks = (0..index.n_chunks())
+            .map(|i| index.chunk(bytes, i))
+            .collect::<Result<Vec<_>, _>>()?;
         // Anything after the chunk region must be a valid parity section
         // — the only extension the format defines; other trailing bytes
         // stay a hard error.
+        let region = index.region();
+        let pos = region.end;
         let parity = if pos == bytes.len() {
             None
         } else if bytes.len() - pos >= 4
@@ -367,7 +354,7 @@ impl ChunkedArchive {
         {
             Some(ParitySection::from_bytes(
                 &bytes[pos..],
-                &bytes[region_start..pos],
+                &bytes[region],
                 pos,
             )?)
         } else {
@@ -377,25 +364,137 @@ impl ChunkedArchive {
                 pos,
             ));
         };
-        let archive = Self {
-            dims: hdr.dims,
-            dtype: hdr.dtype,
-            eb: hdr.eb,
-            chunk_target: hdr.chunk_target,
-            chunks,
-            parity,
-        };
         // The strict parse is up front and total: every chunk is checked
         // against the plan here — exact per-slab equality, not merely
         // slow extents that sum up, so a container whose chunks were
         // reordered self-consistently is rejected — and damage outside a
         // later range read still fails it.
-        let plan = archive.plan()?;
-        for (i, chunk) in archive.chunks.iter().enumerate() {
-            plan.check(i, chunk).map_err(|e| archive.place(i, e))?;
+        let plan = index.plan()?;
+        for (i, chunk) in chunks.iter().enumerate() {
+            plan.check(i, chunk).map_err(|e| index.place(i, e))?;
         }
-        Ok(archive)
+        Ok(Self {
+            dims: index.dims,
+            dtype: index.dtype,
+            eb: index.eb,
+            chunk_target: index.chunk_target,
+            chunks,
+            parity,
+        })
     }
+}
+
+/// Where a CSZ2 container's chunks lie: its header and one byte range
+/// per chunk, without the parsed chunks themselves — about 100 bytes
+/// plus 16 per chunk.
+///
+/// [`ChunkIndex::from_bytes`] verifies the container exactly as
+/// [`ChunkedArchive::from_bytes`] does and keeps only this layout. A
+/// holder that knows some bytes were verified can then decode any chunk
+/// of them on its own ([`crate::decompress_range_with_fetch`]): the
+/// chunk's own checksum and its check against the header run again
+/// there, the rest of the container is not touched.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkIndex {
+    /// Original field dimensions.
+    pub dims: Dims,
+    /// Element type of the field.
+    pub dtype: Dtype,
+    /// Global absolute error bound.
+    pub eb: f64,
+    /// Target elements per chunk the plan was built with.
+    pub chunk_target: u64,
+    /// Offset of the first chunk body (the end of the length table).
+    body: usize,
+    /// Container byte range of each chunk, in plan order. Read from the
+    /// length table, so not yet checked against any buffer: a range
+    /// that overflows saturates and then fails as "chunk truncated".
+    chunks: Vec<Range<usize>>,
+}
+
+impl ChunkIndex {
+    /// Verifies a whole container — every check and every error of
+    /// [`ChunkedArchive::from_bytes`] — and keeps only its layout.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CuszpError> {
+        let index = Self::read(bytes)?;
+        ChunkedArchive::parse(&index, bytes)?;
+        Ok(index)
+    }
+
+    /// Reads the header and the length table: no chunk is parsed,
+    /// checksummed or even bounds-checked yet.
+    fn read(bytes: &[u8]) -> Result<Self, CuszpError> {
+        let hdr = parse_chunked_header(bytes)?;
+        let body = hdr.body_offset();
+        let mut pos = body;
+        let chunks = read_length_table(bytes, &hdr)?
+            .into_iter()
+            .map(|len| {
+                let start = pos;
+                pos = pos.saturating_add(len);
+                start..pos
+            })
+            .collect();
+        Ok(Self {
+            dims: hdr.dims,
+            dtype: hdr.dtype,
+            eb: hdr.eb,
+            chunk_target: hdr.chunk_target,
+            body,
+            chunks,
+        })
+    }
+
+    /// Number of chunks.
+    pub fn n_chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Bytes this index occupies in memory: what a cache holding it
+    /// should charge against its budget.
+    pub fn footprint(&self) -> usize {
+        std::mem::size_of::<Self>() + self.chunks.capacity() * std::mem::size_of::<Range<usize>>()
+    }
+
+    /// The chunk region: the first chunk's start to the last one's end.
+    fn region(&self) -> Range<usize> {
+        self.body..self.chunks.last().map_or(self.body, |c| c.end)
+    }
+
+    /// Parses chunk `i` out of `bytes`: its own checksum and structure
+    /// ([`Archive::from_bytes`]), with any fault placed in the container.
+    pub(crate) fn chunk(&self, bytes: &[u8], i: usize) -> Result<Archive, CuszpError> {
+        let at = self.chunks[i].clone();
+        let slice = bytes.get(at.clone()).ok_or(
+            CuszpError::malformed("chunk truncated", ArchiveSection::ChunkBody, bytes.len())
+                .in_chunk(i, 0),
+        )?;
+        Archive::from_bytes(slice).map_err(|e| e.in_chunk(i, at.start))
+    }
+
+    /// The plan the header implies, once the chunk count is known to
+    /// agree with it.
+    pub(crate) fn plan(&self) -> Result<PlanView, CuszpError> {
+        let plan = PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target);
+        if self.chunks.len() != plan.n {
+            return Err(count_mismatch());
+        }
+        Ok(plan)
+    }
+
+    /// Rebases chunk `i`'s chunk-local error to container coordinates.
+    pub(crate) fn place(&self, i: usize, e: CuszpError) -> CuszpError {
+        e.in_chunk(i, self.chunks[i].start)
+    }
+}
+
+/// The fault of a container whose chunk count disagrees with its plan.
+fn count_mismatch() -> CuszpError {
+    CuszpError::malformed(
+        "chunk count disagrees with plan",
+        ArchiveSection::ContainerHeader,
+        CHUNKED_HEADER_BYTES - 4,
+    )
 }
 
 /// Parsed fixed-size prefix of a CSZ2 container, shared between the

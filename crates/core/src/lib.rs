@@ -51,7 +51,7 @@ mod walk;
 mod workflow;
 
 pub use archive::{Archive, Dtype};
-pub use chunked::{is_chunked_archive, ChunkedArchive};
+pub use chunked::{is_chunked_archive, ChunkIndex, ChunkedArchive};
 pub use cursor::{put_str, ByteCursor, CursorError};
 pub use decode::{decompress, decompress_archive, decompress_range, stored_dtype, Decode};
 pub use element::{read_raw, scalars_from_le, scalars_to_le, write_raw, Element};

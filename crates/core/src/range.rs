@@ -18,13 +18,14 @@
 //! [`CuszpError::InvalidRange`] before any decoding starts — no panics,
 //! no partial output.
 
-use crate::chunked::ChunkedArchive;
+use crate::chunked::ChunkIndex;
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
 use cuszp_parallel::plan_len;
 use cuszp_predictor::{Dims, ReconstructEngine};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A sub-volume request: one `start..end` interval per dimension of the
 /// field, slowest axis first (matching the `-d` dims order). Bounds are
@@ -247,66 +248,105 @@ pub(crate) fn chunk_span(extents: &[usize; 2], target: usize, slow: &Range<usize
     first..last + 1
 }
 
-/// Copies the sub-rows of one decoded chunk slab into its (contiguous)
-/// segment of the sub-volume. `chunk_slow` is the slab's global slow
-/// interval; `out` must be exactly the overlap's sub-volume bytes.
+/// Walks the sub-rows of one decoded chunk slab that `r` asks for:
+/// `row(src, dst, width)` per row, `src` indexing the slab and `dst` the
+/// overlap's (contiguous) segment of the sub-volume, both in elements.
+/// `chunk_slow` is the slab's global slow interval and `seg_len` the
+/// segment's length.
+fn for_each_row(
+    chunk_slow: &Range<usize>,
+    r: &ResolvedRange,
+    seg_len: usize,
+    mut row: impl FnMut(usize, usize, usize),
+) {
+    let a = chunk_slow.start.max(r.slow.start);
+    let b = chunk_slow.end.min(r.slow.end);
+    debug_assert_eq!(seg_len, (b - a) * r.sub_elems_per_slow());
+    let eps = r.mid_extent * r.fast_extent;
+    let width = r.fast.len();
+    let mut dst = 0;
+    for s in a..b {
+        let base = (s - chunk_slow.start) * eps;
+        for m in r.mid.clone() {
+            row(base + m * r.fast_extent + r.fast.start, dst, width);
+            dst += width;
+        }
+    }
+}
+
+/// Copies the sub-rows of one decoded chunk slab into its segment of the
+/// sub-volume; `out` must be exactly the overlap's sub-volume.
 pub(crate) fn gather_chunk<T: Copy>(
     chunk_data: &[T],
     chunk_slow: &Range<usize>,
     r: &ResolvedRange,
     out: &mut [T],
 ) {
-    let a = chunk_slow.start.max(r.slow.start);
-    let b = chunk_slow.end.min(r.slow.end);
-    let eps = r.mid_extent * r.fast_extent;
-    let width = r.fast.len();
-    debug_assert_eq!(out.len(), (b - a) * r.sub_elems_per_slow());
-    let mut dst = 0;
-    for s in a..b {
-        let row = (s - chunk_slow.start) * eps;
-        for m in r.mid.clone() {
-            let src = row + m * r.fast_extent + r.fast.start;
-            out[dst..dst + width].copy_from_slice(&chunk_data[src..src + width]);
-            dst += width;
-        }
-    }
+    for_each_row(chunk_slow, r, out.len(), |src, dst, width| {
+        out[dst..dst + width].copy_from_slice(&chunk_data[src..src + width]);
+    });
 }
 
-/// Range decompression with caller-provided slab caching: `fetch(i)`
-/// may return chunk `i`'s previously decoded slab, `store(i, slab)` is
-/// called for every slab decoded fresh. This is the serving tier's
-/// building block — a hot-slab cache keyed by archive hash and chunk
-/// index makes repeated range reads skip the decoder entirely. Decoding
-/// runs serially on `eng` (the caller's reusable engine); cache hits
-/// cost only the gather copy.
+/// [`gather_chunk`] from a slab held as little-endian bytes: only the
+/// requested elements are read, the rest of the slab is never decoded.
+fn gather_chunk_le<T: Element>(
+    chunk_le: &[u8],
+    chunk_slow: &Range<usize>,
+    r: &ResolvedRange,
+    out: &mut [T],
+) {
+    for_each_row(chunk_slow, r, out.len(), |src, dst, width| {
+        let bytes = &chunk_le[src * T::BYTES..(src + width) * T::BYTES];
+        for (x, le) in out[dst..dst + width]
+            .iter_mut()
+            .zip(bytes.chunks_exact(T::BYTES))
+        {
+            *x = T::read_le(le);
+        }
+    });
+}
+
+/// Range decompression of a verified container with caller-provided
+/// slab caching: `fetch(i)` may return chunk `i`'s previously decoded
+/// slab as the little-endian bytes [`crate::scalars_to_le`] writes, and
+/// `store(i, slab)` is called for every slab decoded fresh. This is the
+/// serving tier's building block — a cache that keeps the index and the
+/// slabs of an archive it has seen makes a repeated range read skip both
+/// the container parse and the decoder. `index` must be
+/// [`ChunkIndex::from_bytes`] of these same `bytes`; each chunk decoded
+/// fresh is parsed out of `bytes` on its own, with its own checksum and
+/// its check against the header. Decoding runs serially on `eng` (the
+/// caller's reusable engine); cache hits cost only the gather.
 pub fn decompress_range_with_fetch<T: Element>(
-    arc: &ChunkedArchive,
+    index: &ChunkIndex,
+    bytes: &[u8],
     engine: ReconstructEngine,
     spec: &RangeSpec,
     eng: &mut PipelineEngine,
-    fetch: &mut dyn FnMut(usize) -> Option<Vec<T>>,
+    fetch: &mut dyn FnMut(usize) -> Option<Arc<Vec<u8>>>,
     store: &mut dyn FnMut(usize, &[T]),
 ) -> Result<(Vec<T>, Dims), CuszpError> {
-    check_dtype::<T>(arc.dtype)?;
-    let plan = arc.plan()?;
-    let r = resolve(spec, arc.dims)?;
+    check_dtype::<T>(index.dtype)?;
+    let plan = index.plan()?;
+    let r = resolve(spec, index.dims)?;
     let mut out = vec![T::default(); r.len()];
     let mut scratch = Vec::new();
     for (i, seg) in plan.carve(plan.span(&r), &r, &mut out) {
         let slab = plan.spec(i);
         // A cached slab of the wrong length is stale garbage; decode
         // fresh rather than trusting it.
-        match fetch(i).filter(|s| s.len() == slab.len()) {
-            Some(cached) => gather_chunk(&cached, &slab.slow, &r, seg),
+        match fetch(i).filter(|s| s.len() == slab.len() * T::BYTES) {
+            Some(cached) => gather_chunk_le(&cached, &slab.slow, &r, seg),
             None => {
+                let chunk = index.chunk(bytes, i)?;
                 let fresh = plan
-                    .reconstruct(i, &arc.chunks[i], &r, engine, eng, &mut scratch, seg)
-                    .map_err(|e| arc.place(i, e))?;
+                    .reconstruct(i, &chunk, &r, engine, eng, &mut scratch, seg)
+                    .map_err(|e| index.place(i, e))?;
                 store(i, fresh);
             }
         }
     }
-    Ok((out, r.sub_dims(arc.dims)))
+    Ok((out, r.sub_dims(index.dims)))
 }
 
 /// Slices a fully decoded field to `spec` (the v1 archive fallback and

@@ -10,9 +10,10 @@
 //! chunk off by one quantum — and the container's `chunk_target`.
 
 use cuszp_core::{
-    decompress_range_with_fetch, scan, ChunkReport, ChunkStatus, ChunkedArchive, Compressor,
-    Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy, ParityConfig, PipelineEngine,
-    Predictor, PredictorMode, RangeSpec, ReconstructEngine, WorkflowChoice, WorkflowMode,
+    decompress_range_with_fetch, scan, ChunkIndex, ChunkReport, ChunkStatus, ChunkedArchive,
+    Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy, ParityConfig,
+    PipelineEngine, Predictor, PredictorMode, RangeSpec, ReconstructEngine, WorkflowChoice,
+    WorkflowMode,
 };
 use cuszp_parallel::WorkerPool;
 use std::ops::Range;
@@ -129,7 +130,15 @@ fn a_chunk_eb_that_differs_from_the_containers_is_caught_by_every_finisher() {
         .decompress_range::<f32>(fine, &spec, &pool)
         .unwrap_err();
     assert!(is_eb_fault(&e, 1, at), "{e}");
+    // Serialized, the tampered chunk carries a valid checksum: the
+    // verifying index refuses the container, and the range hook — handed
+    // those bytes under the pristine bytes' index — checks the chunk it
+    // parses.
+    let tampered = tampered.to_bytes();
+    let e = ChunkIndex::from_bytes(&tampered).unwrap_err();
+    assert!(is_eb_fault(&e, 1, at), "{e}");
     let e = decompress_range_with_fetch::<f32>(
+        &ChunkIndex::from_bytes(&bytes).unwrap(),
         &tampered,
         fine,
         &spec,

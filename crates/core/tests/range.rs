@@ -4,12 +4,14 @@
 //! reject bad specs with typed errors instead of panicking.
 
 use cuszp_core::{
-    decompress_range, decompress_range_with_fetch, slice_field, ChunkStatus, Compressor, Config,
-    CuszpError, Decode, Dims, ErrorBound, FillPolicy, PipelineEngine, RangeSpec, ReconstructEngine,
+    decompress_range, decompress_range_with_fetch, scalars_to_le, slice_field, ChunkIndex,
+    ChunkStatus, Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy,
+    PipelineEngine, RangeSpec, ReconstructEngine,
 };
 use cuszp_parallel::WorkerPool;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Small enough that the test shapes split into several chunks.
 const CHUNK_TARGET: usize = 1_000;
@@ -358,18 +360,21 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
     let arc = compressor()
         .compress_chunked_with(&field_f32(dims.len()), dims, CHUNK_TARGET, &pool)
         .unwrap();
+    let bytes = arc.to_bytes();
+    let index = ChunkIndex::from_bytes(&bytes).unwrap();
     let spec = RangeSpec::new(vec![5..25, 10..90]);
-    let mut cache: HashMap<usize, Vec<f32>> = HashMap::new();
+    let mut cache: HashMap<usize, Arc<Vec<u8>>> = HashMap::new();
     let mut eng = PipelineEngine::new();
 
     let mut stores = 0;
     let run =
-        |cache: &mut HashMap<usize, Vec<f32>>, stores: &mut usize, eng: &mut PipelineEngine| {
+        |cache: &mut HashMap<usize, Arc<Vec<u8>>>, stores: &mut usize, eng: &mut PipelineEngine| {
             let mut fetch = |i: usize| cache.get(&i).cloned();
-            let mut local: Vec<(usize, Vec<f32>)> = Vec::new();
-            let mut store = |i: usize, slab: &[f32]| local.push((i, slab.to_vec()));
+            let mut local: Vec<(usize, Vec<u8>)> = Vec::new();
+            let mut store = |i: usize, slab: &[f32]| local.push((i, scalars_to_le(slab)));
             let out = decompress_range_with_fetch(
-                &arc,
+                &index,
+                &bytes,
                 ReconstructEngine::FinePartialSum,
                 &spec,
                 eng,
@@ -379,7 +384,7 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
             .unwrap();
             *stores += local.len();
             for (i, slab) in local {
-                cache.insert(i, slab);
+                cache.insert(i, Arc::new(slab));
             }
             out
         };
@@ -398,7 +403,7 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
     assert_eq!(bits_f32(&cold), bits_f32(&want));
     // A cached slab of the wrong length is ignored, not trusted.
     let poisoned_key = *cache.keys().next().unwrap();
-    cache.insert(poisoned_key, vec![0.0; 3]);
+    cache.insert(poisoned_key, Arc::new(vec![0; 12]));
     let (healed, _) = run(&mut cache, &mut stores, &mut eng);
     assert_eq!(bits_f32(&healed), bits_f32(&want));
     assert_eq!(stores, cold_stores + 1, "bad entry must be re-decoded");

@@ -21,9 +21,10 @@
 //!   idempotence-aware retries under a [`RetryPolicy`].
 //!
 //! Range reads (`get_range`) are backed by a hot-slab cache
-//! ([`SlabCache`]): decoded chunk slabs are kept under an LRU byte
-//! budget keyed by `(archive wordsum64, chunk index)`, so repeated reads
-//! of a popular archive skip the decoder entirely.
+//! ([`SlabCache`]): each archive's verified chunk index and its decoded
+//! chunk slabs are kept under one LRU byte budget keyed by the archive's
+//! `wordsum64` and length, so repeated reads of a popular archive skip
+//! both the whole-container parse and the decoder.
 //!
 //! Served compression runs through the same chunked planner and
 //! forced-serial inner primitives as the local drivers, so the archive

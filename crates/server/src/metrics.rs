@@ -46,6 +46,9 @@ pub struct ServiceMetrics {
     pub cache_misses: Counter,
     /// Hot-slab cache: entries evicted to fit the byte budget.
     pub cache_evictions: Counter,
+    /// Whole-container strict parses a range read ran: one per archive
+    /// whose verified index was not in the cache.
+    pub containers_verified: Counter,
     /// Compressed chunks whose codec plan used the Lorenzo predictor.
     pub plans_lorenzo: Counter,
     /// Compressed chunks whose codec plan used interpolation.
@@ -139,6 +142,7 @@ impl ServiceMetrics {
             redirects: self.redirects.get(),
             scrub_repairs: self.scrub_repairs.get(),
             corrupt_shards_dropped: self.corrupt_shards_dropped.get(),
+            containers_verified: self.containers_verified.get(),
         }
     }
 }
@@ -207,6 +211,8 @@ pub struct StatsSnapshot {
     pub scrub_repairs: u64,
     /// Cluster: shards dropped on checksum verify (additive field).
     pub corrupt_shards_dropped: u64,
+    /// Whole-container strict parses range reads ran (additive field).
+    pub containers_verified: u64,
 }
 
 impl StatsSnapshot {
@@ -257,6 +263,7 @@ impl StatsSnapshot {
             self.redirects,
             self.scrub_repairs,
             self.corrupt_shards_dropped,
+            self.containers_verified,
         ] {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -308,6 +315,7 @@ impl StatsSnapshot {
             redirects: if c.remaining() >= 8 { c.u64()? } else { 0 },
             scrub_repairs: if c.remaining() >= 8 { c.u64()? } else { 0 },
             corrupt_shards_dropped: if c.remaining() >= 8 { c.u64()? } else { 0 },
+            containers_verified: if c.remaining() >= 8 { c.u64()? } else { 0 },
         })
     }
 }
@@ -334,6 +342,7 @@ mod tests {
         m.redirects.add(6);
         m.scrub_repairs.add(3);
         m.corrupt_shards_dropped.incr();
+        m.containers_verified.add(4);
         let snap = m.snapshot();
         let back = StatsSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
@@ -365,6 +374,7 @@ mod tests {
             ),
             (6, 3, 1)
         );
+        assert_eq!(back.containers_verified, 4);
     }
 
     #[test]
@@ -372,9 +382,9 @@ mod tests {
         let m = ServiceMetrics::new();
         m.rejected_unavailable.add(9);
         let mut bytes = m.snapshot().encode();
-        // Strip the seven additive trailing fields, as a version-1 peer
+        // Strip the eight additive trailing fields, as a version-1 peer
         // would have encoded them.
-        bytes.truncate(bytes.len() - 56);
+        bytes.truncate(bytes.len() - 64);
         let back = StatsSnapshot::decode(&bytes).unwrap();
         assert_eq!(back.rejected_unavailable, 0);
         assert_eq!(back.plans_lorenzo, 0);
@@ -382,6 +392,7 @@ mod tests {
         assert_eq!(back.redirects, 0);
         assert_eq!(back.scrub_repairs, 0);
         assert_eq!(back.corrupt_shards_dropped, 0);
+        assert_eq!(back.containers_verified, 0);
     }
 
     #[test]
@@ -400,10 +411,10 @@ mod tests {
         let m = ServiceMetrics::new();
         m.record_request(Op::Scan, 10, 10, Duration::from_micros(5), false);
         let bytes = m.snapshot().encode();
-        // The final 56 bytes are the additive optional fields — cuts
+        // The final 64 bytes are the additive optional fields — cuts
         // inside them decode as absence, so only cuts before them must
         // fail.
-        for cut in 0..bytes.len() - 56 {
+        for cut in 0..bytes.len() - 64 {
             assert!(StatsSnapshot::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }

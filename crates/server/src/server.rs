@@ -23,7 +23,7 @@
 //! connection to itself; the acceptor stops accepting, and workers
 //! drain queued + in-flight connections until a drain deadline.
 
-use crate::cache::SlabCache;
+use crate::cache::{ArchiveKey, SlabCache};
 use crate::metrics::ServiceMetrics;
 use crate::ring::Ring;
 use crate::store::{ShardBackend, StoreBackendConfig};
@@ -35,9 +35,9 @@ use crate::wire::{
     PUT_FLAG_REPAIR,
 };
 use cuszp_core::{
-    is_chunked_archive, scalars_from_le, scalars_to_le, stored_dtype, Archive, ChunkedArchive,
-    Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, LosslessStage, PipelineEngine,
-    Predictor, RangeSpec, ReconstructEngine, RecoveredField, ScanReport,
+    is_chunked_archive, scalars_from_le, scalars_to_le, stored_dtype, Archive, ChunkIndex,
+    ChunkedArchive, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, LosslessStage,
+    PipelineEngine, Predictor, RangeSpec, ReconstructEngine, RecoveredField, ScanReport,
 };
 use cuszp_parallel::{WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
@@ -969,23 +969,54 @@ fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
     decode_response(req.archive, None, req.mode)
 }
 
+/// The chunk index of a strict range read's archive. Bytes this server
+/// verified before are found in the cache by their identity; any other
+/// bytes — including a damaged copy of a verified archive, which has
+/// another identity — get the whole-container strict parse, counted in
+/// `containers_verified`, and on success their index is cached. The
+/// parse runs outside the cache lock.
+fn verified_index(
+    archive: &[u8],
+    key: ArchiveKey,
+    shared: &Shared,
+) -> Result<Arc<ChunkIndex>, CuszpError> {
+    let caching = shared.config.cache_bytes > 0;
+    if caching {
+        if let Some(index) = shared.cache.lock().expect("cache lock poisoned").index(key) {
+            return Ok(index);
+        }
+    }
+    shared.metrics.containers_verified.incr();
+    let index = Arc::new(ChunkIndex::from_bytes(archive)?);
+    if caching {
+        let evicted = shared
+            .cache
+            .lock()
+            .expect("cache lock poisoned")
+            .insert_index(key, Arc::clone(&index));
+        shared.metrics.cache_evictions.add(evicted);
+    }
+    Ok(index)
+}
+
 /// Serves a chunked-archive range read through the hot-slab cache.
 ///
 /// The fetch/store hooks given to [`cuszp_core::decompress_range_with_fetch`]
-/// lock the cache only for the lookup/insert itself — a miss decodes the
-/// chunk with the worker's engine *outside* the lock, so a slow decode
-/// never blocks other workers' hits. Slabs are stored as little-endian
-/// scalar bytes (the wire encoding), making cached and fresh responses
-/// byte-identical by construction.
+/// lock the cache only for the lookup/insert itself — a miss parses and
+/// decodes the chunk with the worker's engine *outside* the lock, so a
+/// slow decode never blocks other workers' hits. Slabs are stored as
+/// little-endian scalar bytes (the wire encoding), and a hit gathers
+/// only the requested elements out of them.
 fn serve_cached_range<T: Element>(
-    arc: &ChunkedArchive,
+    index: &ChunkIndex,
+    archive: &[u8],
     spec: &RangeSpec,
-    key_hash: u64,
+    key: ArchiveKey,
     shared: &Shared,
     engine: &mut PipelineEngine,
 ) -> Result<Vec<u8>, CuszpError> {
     let caching = shared.config.cache_bytes > 0;
-    let mut fetch = |i: usize| -> Option<Vec<T>> {
+    let mut fetch = |i: usize| -> Option<Arc<Vec<u8>>> {
         if !caching {
             return None;
         }
@@ -993,19 +1024,12 @@ fn serve_cached_range<T: Element>(
             .cache
             .lock()
             .expect("cache lock poisoned")
-            .get((key_hash, i as u32));
-        // If the copy out of the cache cannot be allocated, treat it as
-        // a miss and decode the chunk afresh.
-        match hit.and_then(|bytes| scalars_from_le(&bytes).ok()) {
-            Some(slab) => {
-                shared.metrics.cache_hits.incr();
-                Some(slab)
-            }
-            None => {
-                shared.metrics.cache_misses.incr();
-                None
-            }
+            .slab(key, i as u32);
+        match hit {
+            Some(_) => shared.metrics.cache_hits.incr(),
+            None => shared.metrics.cache_misses.incr(),
         }
+        hit
     };
     let mut store = |i: usize, slab: &[T]| {
         if !caching {
@@ -1015,11 +1039,12 @@ fn serve_cached_range<T: Element>(
             .cache
             .lock()
             .expect("cache lock poisoned")
-            .insert((key_hash, i as u32), Arc::new(scalars_to_le(slab)));
+            .insert_slab(key, i as u32, Arc::new(scalars_to_le(slab)));
         shared.metrics.cache_evictions.add(evicted);
     };
     let (data, dims) = cuszp_core::decompress_range_with_fetch(
-        arc,
+        index,
+        archive,
         ReconstructEngine::FinePartialSum,
         spec,
         engine,
@@ -1037,13 +1062,14 @@ fn handle_get_range(
     let req = GetRangeRequest::decode(payload).map_err(wire_error)?;
     match req.mode {
         DecompressMode::Strict if is_chunked_archive(req.archive) => {
-            let arc = ChunkedArchive::from_bytes(req.archive).map_err(pipeline_error)?;
             // Never stored, only compared within this process: the fast
             // checksum, not the persisted-format FNV-1a.
-            let key_hash = wordsum64(req.archive);
-            match arc.dtype {
-                Dtype::F32 => serve_cached_range::<f32>(&arc, &req.spec, key_hash, shared, engine),
-                Dtype::F64 => serve_cached_range::<f64>(&arc, &req.spec, key_hash, shared, engine),
+            let key = (wordsum64(req.archive), req.archive.len() as u64);
+            let index = verified_index(req.archive, key, shared).map_err(pipeline_error)?;
+            let (archive, spec) = (req.archive, &req.spec);
+            match index.dtype {
+                Dtype::F32 => serve_cached_range::<f32>(&index, archive, spec, key, shared, engine),
+                Dtype::F64 => serve_cached_range::<f64>(&index, archive, spec, key, shared, engine),
             }
             .map_err(pipeline_error)
         }

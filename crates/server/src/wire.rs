@@ -325,13 +325,13 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Frame, WireEr
             max: max_payload as u64,
         });
     }
+    // Each slab is read into reserved capacity: nothing is zero-filled
+    // first, and `take` stops the read at the slab's end.
     let mut payload: Vec<u8> = Vec::new();
     while payload.len() < len {
         let step = (len - payload.len()).min(READ_SLAB_BYTES);
-        let old = payload.len();
         payload.try_reserve(step).map_err(|_| WireError::Alloc)?;
-        payload.resize(old + step, 0);
-        if !read_full(r, &mut payload[old..])? {
+        if (&mut *r).take(step as u64).read_to_end(&mut payload)? < step {
             return Err(WireError::Truncated);
         }
     }

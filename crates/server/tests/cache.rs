@@ -1,8 +1,10 @@
 //! Hot-slab cache behavior over a real loopback server: repeated range
 //! reads are served from cache (observable through the hit counters and
 //! bit-identical bytes), tiny budgets force evictions, a different
-//! archive hash is a different key space, and concurrent clients
-//! hammering the same hot chunk never see torn reads.
+//! archive hash is a different key space, concurrent clients
+//! hammering the same hot chunk never see torn reads, and a strict read
+//! parses the whole container once per distinct archive bytes
+//! (`containers_verified`).
 
 use cuszp_core::{
     Compressor, Config, Dims, Dtype, ErrorBound, RangeSpec, ReconstructEngine, WorkflowMode,
@@ -245,6 +247,103 @@ fn zero_budget_disables_the_cache_entirely() {
         (0, 0, 0),
         "a disabled cache must not even count"
     );
+
+    drop(client);
+    stop_server(addr, join);
+}
+
+#[test]
+fn strict_reads_verify_each_distinct_archive_once() {
+    let a = archive(0.0);
+    let b = archive(1.0);
+    let spec = RangeSpec::new(vec![4..29, 100..900]); // chunks 0 and 1
+    let other = RangeSpec::new(vec![40..48, 0..2048]); // chunk 2 only
+    let (addr, handle, join) = start_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let mut read = |bytes: &[u8], spec: &RangeSpec| {
+        let got = client
+            .get_range(bytes, spec, DecompressMode::Strict)
+            .expect("strict read");
+        assert_eq!(got.data, reference_slice(bytes, spec));
+    };
+
+    read(&a, &spec);
+    read(&a, &spec);
+    let s = handle.stats();
+    assert_eq!(s.containers_verified, 1, "the second read runs no parse");
+    assert_eq!((s.cache_hits, s.cache_misses), (2, 2));
+    // The same bytes, another chunk: the index still holds, only the
+    // chunk it decodes is parsed.
+    read(&a, &other);
+    let s = handle.stats();
+    assert_eq!(s.containers_verified, 1);
+    assert_eq!((s.cache_hits, s.cache_misses), (2, 3));
+    // Other bytes are verified on their first read, and only then.
+    read(&b, &spec);
+    read(&b, &spec);
+    read(&a, &spec);
+    assert_eq!(handle.stats().containers_verified, 2);
+
+    drop(client);
+    stop_server(addr, join);
+}
+
+#[test]
+fn a_tight_budget_evicts_indexes_and_slabs_and_stays_correct() {
+    let a = archive(0.0);
+    let b = archive(1.0);
+    // Slabs are 128 KiB: one index and one slab fit, two slabs do not.
+    let (addr, handle, join) = start_server(ServerConfig {
+        cache_bytes: 192 * 1024,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let specs = [
+        RangeSpec::new(vec![0..48, 0..2048]),
+        RangeSpec::new(vec![4..29, 100..900]),
+        RangeSpec::new(vec![40..48, 7..8]),
+    ];
+    for round in 0..3 {
+        for bytes in [&a, &b] {
+            for spec in &specs {
+                let got = client
+                    .get_range(bytes, spec, DecompressMode::Strict)
+                    .expect("strict read");
+                assert_eq!(
+                    got.data,
+                    reference_slice(bytes, spec),
+                    "round {round} spec {spec}"
+                );
+            }
+        }
+    }
+    let s = handle.stats();
+    assert!(s.cache_evictions > 0);
+    assert!(
+        (2..=18).contains(&s.containers_verified),
+        "each of 18 reads verifies at most once: {}",
+        s.containers_verified
+    );
+
+    drop(client);
+    stop_server(addr, join);
+}
+
+#[test]
+fn a_disabled_cache_verifies_every_read() {
+    let bytes = archive(0.0);
+    let spec = RangeSpec::new(vec![0..16, 0..2048]);
+    let (addr, handle, join) = start_server(ServerConfig {
+        cache_bytes: 0,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    for _ in 0..3 {
+        client
+            .get_range(&bytes, &spec, DecompressMode::Strict)
+            .expect("uncached read");
+    }
+    assert_eq!(handle.stats().containers_verified, 3);
 
     drop(client);
     stop_server(addr, join);

@@ -1,7 +1,9 @@
 //! Fault-injected range reads over the wire: `get_range` in recover
 //! mode must heal in-range damage via parity when parity is present,
 //! pinpoint exactly the damaged in-range chunks when it is not, and be
-//! entirely blind to damage outside the requested range.
+//! entirely blind to damage outside the requested range. Strict mode
+//! refuses a damaged copy of an archive even after the clean bytes are
+//! warm in the server's cache.
 //!
 //! Damage placement uses `cuszp_faultsim::targeted_campaign`, which
 //! confines every mutation to the byte spans of named chunks — so
@@ -205,6 +207,73 @@ fn out_of_range_damage_is_never_touched_or_reported() {
             );
         }
     }
+    drop(client);
+    stop_server(addr, join);
+}
+
+#[test]
+fn damage_after_warm_up_still_fails_strict_reads() {
+    let clean = archive(Some(ParityConfig {
+        data_shards: 4,
+        parity_shards: 2,
+    }));
+    let spec = RangeSpec::new(vec![0..32, 0..2048]); // chunks 0 and 1
+    let reference = reference_slice(&clean, &spec);
+    let (addr, join, mut client) = start_server();
+
+    // Warm the clean archive: its index and both slabs are cached, and
+    // the second read is served from them.
+    for _ in 0..2 {
+        let resp = client
+            .get_range(&clean, &spec, DecompressMode::Strict)
+            .expect("clean strict read");
+        assert_eq!(resp.data, reference);
+    }
+    let warm = client.stats().expect("stats");
+    assert_eq!(warm.cache_hits, 2, "the warm read must hit the cache");
+    assert_eq!(warm.containers_verified, 1);
+
+    let mut damaged = 0;
+    for (target, place) in [(0, "in range"), (2, "out of range")] {
+        for case in targeted_campaign(&clean, SEED, 6, &[target]) {
+            assert_ne!(case.bytes, clean, "case {} must change a byte", case.id);
+            let strict = client.get_range(&case.bytes, &spec, DecompressMode::Strict);
+            assert!(
+                strict.is_err(),
+                "case {} ({}, {place}): a warmed archive's damaged copy must fail strict mode",
+                case.id,
+                case.description
+            );
+            damaged += 1;
+            let resp = client
+                .get_range(
+                    &case.bytes,
+                    &spec,
+                    DecompressMode::Recover(FillPolicy::Zero),
+                )
+                .unwrap_or_else(|e| panic!("case {} ({}): {e}", case.id, case.description));
+            assert_eq!(
+                resp.data, reference,
+                "case {} ({}, {place}): recover mode must return the clean bytes",
+                case.id, case.description
+            );
+        }
+    }
+    let s = client.stats().expect("stats");
+    assert_eq!(
+        s.containers_verified,
+        1 + damaged,
+        "every damaged copy gets the whole-container parse"
+    );
+    // The clean bytes are still warm.
+    let resp = client
+        .get_range(&clean, &spec, DecompressMode::Strict)
+        .expect("clean strict read after the campaign");
+    assert_eq!(resp.data, reference);
+    assert_eq!(
+        client.stats().expect("stats").containers_verified,
+        1 + damaged
+    );
     drop(client);
     stop_server(addr, join);
 }

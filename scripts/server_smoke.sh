@@ -118,6 +118,32 @@ cmp "$WORK/ref_slice.raw" "$WORK/slice_cold.raw" \
 cmp "$WORK/ref_slice.raw" "$WORK/slice_hot.raw" \
     || { echo "FAIL: cached range read differs from local extract"; exit 1; }
 
+echo "==> a warmed archive's damaged copy still fails a strict get-range"
+# field.csz is a single chunk, so this runs on par.csz: a range inside its
+# chunk 0, and one byte flipped mid-way through its last chunk, which the
+# range does not touch. The copy keeps the length, so only the bytes tell
+# it from the warmed original.
+PAR_RANGE="0:4x0:$NX"
+LAST=$(python3 -c 'import json, sys; print(len(json.load(open(sys.argv[1]))["chunks"]) - 1)' "$WORK/par.json")
+[[ "$LAST" -ge 1 ]] || { echo "FAIL: par.csz has a single chunk"; exit 1; }
+"$CUSZP" extract -i "$WORK/par.csz" -o "$WORK/par_ref.raw" --range "$PAR_RANGE" 2> /dev/null
+for pass in cold hot; do
+    "$CUSZP" remote get-range "$WORK/par.csz" -s "$ADDR" -o "$WORK/par_$pass.raw" --range "$PAR_RANGE" 2> /dev/null
+    cmp "$WORK/par_ref.raw" "$WORK/par_$pass.raw" \
+        || { echo "FAIL: $pass range of par.csz differs from local extract"; exit 1; }
+done
+damage "$WORK/far.csz" "$LAST"
+[[ $(stat -c %s "$WORK/far.csz") == $(stat -c %s "$WORK/par.csz") ]] \
+    || { echo "FAIL: the damaged copy changed length"; exit 1; }
+cmp -s "$WORK/far.csz" "$WORK/par.csz" && { echo "FAIL: the damaged copy is identical"; exit 1; }
+far_status=0
+"$CUSZP" remote get-range "$WORK/far.csz" -s "$ADDR" -o "$WORK/far.raw" --range "$PAR_RANGE" 2> /dev/null \
+    || far_status=$?
+[[ $far_status != 0 ]] || { echo "FAIL: strict get-range served a damaged copy of a warmed archive"; exit 1; }
+"$CUSZP" remote get-range "$WORK/par.csz" -s "$ADDR" -o "$WORK/par_again.raw" --range "$PAR_RANGE" 2> /dev/null
+cmp "$WORK/par_ref.raw" "$WORK/par_again.raw" \
+    || { echo "FAIL: the pristine archive no longer reads bit-identically"; exit 1; }
+
 echo "==> remote stats shows the traffic"
 "$CUSZP" remote stats -s "$ADDR" > "$WORK/stats.out"
 grep -q '^compress ' "$WORK/stats.out" || { echo "FAIL: no compress stats"; cat "$WORK/stats.out"; exit 1; }
