@@ -277,22 +277,29 @@ impl ChunkedArchive {
         Ok((out, r.sub_dims(self.dims)))
     }
 
-    /// The plan the container header implies, once the chunk count is
-    /// known to agree with it. Count first, specs lazily: a corrupted
-    /// extent can claim billions of chunks, and materializing that plan
-    /// would abort on allocation.
-    pub(crate) fn plan(&self) -> Result<PlanView, CuszpError> {
-        let plan = PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target);
-        if self.chunks.len() != plan.n {
-            return Err(count_mismatch());
+    /// The header this container serializes with.
+    pub(crate) fn header(&self) -> ChunkedHeader {
+        ChunkedHeader {
+            dims: self.dims,
+            dtype: self.dtype,
+            eb: self.eb,
+            chunk_target: self.chunk_target,
+            n_chunks: self.chunks.len(),
+            table_offset: CHUNKED_HEADER_BYTES,
         }
-        Ok(plan)
     }
 
-    /// Rebases chunk `i`'s chunk-local error to container coordinates.
+    /// The plan the container header implies
+    /// ([`ChunkedHeader::checked_plan`]).
+    pub(crate) fn plan(&self) -> Result<PlanView, CuszpError> {
+        self.header().checked_plan()
+    }
+
+    /// Rebases chunk `i`'s chunk-local error to container coordinates,
+    /// by the layout [`Self::to_bytes`] writes.
     pub(crate) fn place(&self, i: usize, e: CuszpError) -> CuszpError {
-        let before: usize = self.chunks[..i].iter().map(Archive::serialized_bytes).sum();
-        e.in_chunk(i, CHUNKED_HEADER_BYTES + self.chunks.len() * 8 + before)
+        let lens = self.chunks.iter().map(Archive::serialized_bytes);
+        ChunkIndex::new(self.header(), lens).place(i, e)
     }
 
     /// Serializes the container:
@@ -334,18 +341,59 @@ impl ChunkedArchive {
     /// structurally validated and checksummed by [`Archive::from_bytes`];
     /// failures carry the chunk index and container-relative byte offset.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CuszpError> {
-        Self::parse(&ChunkIndex::read(bytes)?, bytes)
+        ChunkIndex::verify(bytes).map(|(_, archive)| archive)
+    }
+}
+
+/// Where a CSZ2 container's chunks lie: its header and one byte range
+/// per chunk, without the parsed chunks themselves — about 100 bytes
+/// plus 16 per chunk.
+///
+/// [`ChunkIndex::verify`] is the strict parse: it checks the container
+/// exactly as [`ChunkedArchive::from_bytes`] does and returns its layout
+/// beside the parsed chunks. A holder that knows some bytes were
+/// verified can later keep only this layout and decode any chunk of
+/// those bytes on its own ([`crate::ChunkSource::Verified`]): the
+/// chunk's own checksum and its check against the header run again
+/// there, the rest of the container is not touched.
+#[derive(Debug, Clone)]
+pub struct ChunkIndex {
+    pub(crate) hdr: ChunkedHeader,
+    /// Container byte range of each chunk, in plan order. Read from the
+    /// length table, so not yet checked against any buffer: a range
+    /// that overflows saturates and then fails as "chunk truncated".
+    chunks: Vec<Range<usize>>,
+}
+
+impl ChunkIndex {
+    /// The layout of chunks of lengths `lens` laid end to end after
+    /// `hdr`'s length table.
+    fn new(hdr: ChunkedHeader, lens: impl IntoIterator<Item = usize>) -> Self {
+        let mut pos = hdr.body_offset();
+        let chunks = lens
+            .into_iter()
+            .map(|len| {
+                let start = pos;
+                pos = pos.saturating_add(len);
+                start..pos
+            })
+            .collect();
+        Self { hdr, chunks }
     }
 
-    /// The strict parse over an index read from the same `bytes`.
-    fn parse(index: &ChunkIndex, bytes: &[u8]) -> Result<Self, CuszpError> {
+    /// Verifies a whole container — every check and every error of
+    /// [`ChunkedArchive::from_bytes`] — and returns its layout and the
+    /// parsed container.
+    pub fn verify(bytes: &[u8]) -> Result<(Self, ChunkedArchive), CuszpError> {
+        let hdr = parse_chunked_header(bytes)?;
+        let index = Self::new(hdr, read_length_table(bytes, &hdr)?);
         let chunks = (0..index.n_chunks())
             .map(|i| index.chunk(bytes, i))
             .collect::<Result<Vec<_>, _>>()?;
         // Anything after the chunk region must be a valid parity section
         // — the only extension the format defines; other trailing bytes
         // stay a hard error.
-        let region = index.region();
+        let region = hdr.body_offset()..index.chunks.last().map_or(hdr.body_offset(), |c| c.end);
         let pos = region.end;
         let parity = if pos == bytes.len() {
             None
@@ -373,76 +421,25 @@ impl ChunkedArchive {
         for (i, chunk) in chunks.iter().enumerate() {
             plan.check(i, chunk).map_err(|e| index.place(i, e))?;
         }
-        Ok(Self {
-            dims: index.dims,
-            dtype: index.dtype,
-            eb: index.eb,
-            chunk_target: index.chunk_target,
-            chunks,
-            parity,
-        })
-    }
-}
-
-/// Where a CSZ2 container's chunks lie: its header and one byte range
-/// per chunk, without the parsed chunks themselves — about 100 bytes
-/// plus 16 per chunk.
-///
-/// [`ChunkIndex::from_bytes`] verifies the container exactly as
-/// [`ChunkedArchive::from_bytes`] does and keeps only this layout. A
-/// holder that knows some bytes were verified can then decode any chunk
-/// of them on its own ([`crate::decompress_range_with_fetch`]): the
-/// chunk's own checksum and its check against the header run again
-/// there, the rest of the container is not touched.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChunkIndex {
-    /// Original field dimensions.
-    pub dims: Dims,
-    /// Element type of the field.
-    pub dtype: Dtype,
-    /// Global absolute error bound.
-    pub eb: f64,
-    /// Target elements per chunk the plan was built with.
-    pub chunk_target: u64,
-    /// Offset of the first chunk body (the end of the length table).
-    body: usize,
-    /// Container byte range of each chunk, in plan order. Read from the
-    /// length table, so not yet checked against any buffer: a range
-    /// that overflows saturates and then fails as "chunk truncated".
-    chunks: Vec<Range<usize>>,
-}
-
-impl ChunkIndex {
-    /// Verifies a whole container — every check and every error of
-    /// [`ChunkedArchive::from_bytes`] — and keeps only its layout.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CuszpError> {
-        let index = Self::read(bytes)?;
-        ChunkedArchive::parse(&index, bytes)?;
-        Ok(index)
-    }
-
-    /// Reads the header and the length table: no chunk is parsed,
-    /// checksummed or even bounds-checked yet.
-    fn read(bytes: &[u8]) -> Result<Self, CuszpError> {
-        let hdr = parse_chunked_header(bytes)?;
-        let body = hdr.body_offset();
-        let mut pos = body;
-        let chunks = read_length_table(bytes, &hdr)?
-            .into_iter()
-            .map(|len| {
-                let start = pos;
-                pos = pos.saturating_add(len);
-                start..pos
-            })
-            .collect();
-        Ok(Self {
+        let archive = ChunkedArchive {
             dims: hdr.dims,
             dtype: hdr.dtype,
             eb: hdr.eb,
             chunk_target: hdr.chunk_target,
-            body,
             chunks,
-        })
+            parity,
+        };
+        Ok((index, archive))
+    }
+
+    /// Original field dimensions.
+    pub fn dims(&self) -> Dims {
+        self.hdr.dims
+    }
+
+    /// Element type of the field.
+    pub fn dtype(&self) -> Dtype {
+        self.hdr.dtype
     }
 
     /// Number of chunks.
@@ -456,11 +453,6 @@ impl ChunkIndex {
         std::mem::size_of::<Self>() + self.chunks.capacity() * std::mem::size_of::<Range<usize>>()
     }
 
-    /// The chunk region: the first chunk's start to the last one's end.
-    fn region(&self) -> Range<usize> {
-        self.body..self.chunks.last().map_or(self.body, |c| c.end)
-    }
-
     /// Parses chunk `i` out of `bytes`: its own checksum and structure
     /// ([`Archive::from_bytes`]), with any fault placed in the container.
     pub(crate) fn chunk(&self, bytes: &[u8], i: usize) -> Result<Archive, CuszpError> {
@@ -472,29 +464,15 @@ impl ChunkIndex {
         Archive::from_bytes(slice).map_err(|e| e.in_chunk(i, at.start))
     }
 
-    /// The plan the header implies, once the chunk count is known to
-    /// agree with it.
+    /// The plan the header implies ([`ChunkedHeader::checked_plan`]).
     pub(crate) fn plan(&self) -> Result<PlanView, CuszpError> {
-        let plan = PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target);
-        if self.chunks.len() != plan.n {
-            return Err(count_mismatch());
-        }
-        Ok(plan)
+        self.hdr.checked_plan()
     }
 
     /// Rebases chunk `i`'s chunk-local error to container coordinates.
     pub(crate) fn place(&self, i: usize, e: CuszpError) -> CuszpError {
         e.in_chunk(i, self.chunks[i].start)
     }
-}
-
-/// The fault of a container whose chunk count disagrees with its plan.
-fn count_mismatch() -> CuszpError {
-    CuszpError::malformed(
-        "chunk count disagrees with plan",
-        ArchiveSection::ContainerHeader,
-        CHUNKED_HEADER_BYTES - 4,
-    )
 }
 
 /// Parsed fixed-size prefix of a CSZ2 container, shared between the
@@ -516,6 +494,21 @@ impl ChunkedHeader {
     /// The chunk plan this header implies.
     pub fn plan(&self) -> PlanView {
         PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target)
+    }
+
+    /// The plan, once the chunk count is known to agree with it. Count
+    /// first, specs lazily: a corrupted extent can claim billions of
+    /// chunks, and materializing that plan would abort on allocation.
+    pub fn checked_plan(&self) -> Result<PlanView, CuszpError> {
+        let plan = self.plan();
+        if self.n_chunks != plan.n {
+            return Err(CuszpError::malformed(
+                "chunk count disagrees with plan",
+                ArchiveSection::ContainerHeader,
+                CHUNKED_HEADER_BYTES - 4,
+            ));
+        }
+        Ok(plan)
     }
 
     /// Byte offset of the first chunk body (end of a complete table).

@@ -58,7 +58,7 @@ pub use element::{read_raw, scalars_from_le, scalars_to_le, write_raw, Element};
 pub use engine::PipelineEngine;
 pub use error::{ArchiveSection, CuszpError, ParseFault};
 pub use parity::{ParityConfig, ParitySection};
-pub use range::{decompress_range_with_fetch, slice_field, RangeSpec};
+pub use range::{decompress_range_with_fetch, slice_field, ChunkSource, RangeSpec};
 pub use recovery::{
     repair, repair_with, scan, scan_with, ChunkReport, ChunkStatus, FillPolicy, ParityReport,
     RecoveredField, RepairOutcome, ScanReport, StripeStatus,

@@ -18,7 +18,7 @@
 //! [`CuszpError::InvalidRange`] before any decoding starts — no panics,
 //! no partial output.
 
-use crate::chunked::ChunkIndex;
+use crate::chunked::{ChunkIndex, ChunkedArchive, ChunkedHeader};
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
@@ -306,47 +306,78 @@ fn gather_chunk_le<T: Element>(
     });
 }
 
-/// Range decompression of a verified container with caller-provided
-/// slab caching: `fetch(i)` may return chunk `i`'s previously decoded
-/// slab as the little-endian bytes [`crate::scalars_to_le`] writes, and
-/// `store(i, slab)` is called for every slab decoded fresh. This is the
-/// serving tier's building block — a cache that keeps the index and the
-/// slabs of an archive it has seen makes a repeated range read skip both
-/// the container parse and the decoder. `index` must be
-/// [`ChunkIndex::from_bytes`] of these same `bytes`; each chunk decoded
-/// fresh is parsed out of `bytes` on its own, with its own checksum and
-/// its check against the header. Decoding runs serially on `eng` (the
-/// caller's reusable engine); cache hits cost only the gather.
+/// Where a range read takes the chunks it decodes from.
+#[derive(Debug, Clone, Copy)]
+pub enum ChunkSource<'a> {
+    /// A container parsed in full ([`ChunkedArchive::from_bytes`] or
+    /// [`ChunkIndex::verify`]): its chunks are already checked.
+    Parsed(&'a ChunkedArchive),
+    /// Bytes that passed [`ChunkIndex::verify`] before, with the index
+    /// it returned: each chunk decoded is parsed out of the bytes on its
+    /// own, with its own checksum and its check against the header.
+    Verified(&'a ChunkIndex, &'a [u8]),
+}
+
+impl ChunkSource<'_> {
+    fn header(&self) -> ChunkedHeader {
+        match self {
+            ChunkSource::Parsed(arc) => arc.header(),
+            ChunkSource::Verified(index, _) => index.hdr,
+        }
+    }
+
+    fn place(&self, i: usize, e: CuszpError) -> CuszpError {
+        match self {
+            ChunkSource::Parsed(arc) => arc.place(i, e),
+            ChunkSource::Verified(index, _) => index.place(i, e),
+        }
+    }
+}
+
+/// Range decompression with caller-provided slab caching: `fetch(i)`
+/// may return chunk `i`'s previously decoded slab as the little-endian
+/// bytes [`crate::scalars_to_le`] writes, and `store(i, slab)` is called
+/// for every slab decoded fresh. This is the serving tier's building
+/// block — a cache that keeps the index and the slabs of an archive it
+/// has seen makes a repeated range read ([`ChunkSource::Verified`]) skip
+/// both the container parse and the decoder. Decoding runs serially on
+/// `eng` (the caller's reusable engine); cache hits cost only the gather.
 pub fn decompress_range_with_fetch<T: Element>(
-    index: &ChunkIndex,
-    bytes: &[u8],
+    source: ChunkSource<'_>,
     engine: ReconstructEngine,
     spec: &RangeSpec,
     eng: &mut PipelineEngine,
     fetch: &mut dyn FnMut(usize) -> Option<Arc<Vec<u8>>>,
     store: &mut dyn FnMut(usize, &[T]),
 ) -> Result<(Vec<T>, Dims), CuszpError> {
-    check_dtype::<T>(index.dtype)?;
-    let plan = index.plan()?;
-    let r = resolve(spec, index.dims)?;
+    let hdr = source.header();
+    check_dtype::<T>(hdr.dtype)?;
+    let plan = hdr.checked_plan()?;
+    let r = resolve(spec, hdr.dims)?;
     let mut out = vec![T::default(); r.len()];
     let mut scratch = Vec::new();
     for (i, seg) in plan.carve(plan.span(&r), &r, &mut out) {
         let slab = plan.spec(i);
         // A cached slab of the wrong length is stale garbage; decode
         // fresh rather than trusting it.
-        match fetch(i).filter(|s| s.len() == slab.len() * T::BYTES) {
-            Some(cached) => gather_chunk_le(&cached, &slab.slow, &r, seg),
-            None => {
-                let chunk = index.chunk(bytes, i)?;
-                let fresh = plan
-                    .reconstruct(i, &chunk, &r, engine, eng, &mut scratch, seg)
-                    .map_err(|e| index.place(i, e))?;
-                store(i, fresh);
-            }
+        if let Some(cached) = fetch(i).filter(|s| s.len() == slab.len() * T::BYTES) {
+            gather_chunk_le(&cached, &slab.slow, &r, seg);
+            continue;
         }
+        let parsed;
+        let chunk = match source {
+            ChunkSource::Parsed(arc) => &arc.chunks[i],
+            ChunkSource::Verified(index, bytes) => {
+                parsed = index.chunk(bytes, i)?;
+                &parsed
+            }
+        };
+        let fresh = plan
+            .reconstruct(i, chunk, &r, engine, eng, &mut scratch, seg)
+            .map_err(|e| source.place(i, e))?;
+        store(i, fresh);
     }
-    Ok((out, r.sub_dims(index.dims)))
+    Ok((out, r.sub_dims(hdr.dims)))
 }
 
 /// Slices a fully decoded field to `spec` (the v1 archive fallback and

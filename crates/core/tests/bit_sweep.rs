@@ -10,10 +10,10 @@
 //! chunk off by one quantum — and the container's `chunk_target`.
 
 use cuszp_core::{
-    decompress_range_with_fetch, scan, ChunkIndex, ChunkReport, ChunkStatus, ChunkedArchive,
-    Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy, ParityConfig,
-    PipelineEngine, Predictor, PredictorMode, RangeSpec, ReconstructEngine, WorkflowChoice,
-    WorkflowMode,
+    decompress_range_with_fetch, scan, ChunkIndex, ChunkReport, ChunkSource, ChunkStatus,
+    ChunkedArchive, Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy,
+    ParityConfig, PipelineEngine, Predictor, PredictorMode, RangeSpec, ReconstructEngine,
+    WorkflowChoice, WorkflowMode,
 };
 use cuszp_parallel::WorkerPool;
 use std::ops::Range;
@@ -130,23 +130,28 @@ fn a_chunk_eb_that_differs_from_the_containers_is_caught_by_every_finisher() {
         .decompress_range::<f32>(fine, &spec, &pool)
         .unwrap_err();
     assert!(is_eb_fault(&e, 1, at), "{e}");
+    let fetch_range = |source| {
+        decompress_range_with_fetch::<f32>(
+            source,
+            fine,
+            &spec,
+            &mut PipelineEngine::new(),
+            &mut |_| None,
+            &mut |_, _| {},
+        )
+        .unwrap_err()
+    };
+    let e = fetch_range(ChunkSource::Parsed(&tampered));
+    assert!(is_eb_fault(&e, 1, at), "{e}");
     // Serialized, the tampered chunk carries a valid checksum: the
-    // verifying index refuses the container, and the range hook — handed
+    // verifying parse refuses the container, and the range hook — handed
     // those bytes under the pristine bytes' index — checks the chunk it
     // parses.
     let tampered = tampered.to_bytes();
-    let e = ChunkIndex::from_bytes(&tampered).unwrap_err();
+    let e = ChunkIndex::verify(&tampered).unwrap_err();
     assert!(is_eb_fault(&e, 1, at), "{e}");
-    let e = decompress_range_with_fetch::<f32>(
-        &ChunkIndex::from_bytes(&bytes).unwrap(),
-        &tampered,
-        fine,
-        &spec,
-        &mut PipelineEngine::new(),
-        &mut |_| None,
-        &mut |_, _| {},
-    )
-    .unwrap_err();
+    let (index, _) = ChunkIndex::verify(&bytes).unwrap();
+    let e = fetch_range(ChunkSource::Verified(&index, &tampered));
     assert!(is_eb_fault(&e, 1, at), "{e}");
 
     // The container's own `eb` flipped: every chunk mismatches, which is

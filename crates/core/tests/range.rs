@@ -5,7 +5,7 @@
 
 use cuszp_core::{
     decompress_range, decompress_range_with_fetch, scalars_to_le, slice_field, ChunkIndex,
-    ChunkStatus, Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy,
+    ChunkSource, ChunkStatus, Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy,
     PipelineEngine, RangeSpec, ReconstructEngine,
 };
 use cuszp_parallel::WorkerPool;
@@ -361,38 +361,43 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
         .compress_chunked_with(&field_f32(dims.len()), dims, CHUNK_TARGET, &pool)
         .unwrap();
     let bytes = arc.to_bytes();
-    let index = ChunkIndex::from_bytes(&bytes).unwrap();
+    let (index, parsed) = ChunkIndex::verify(&bytes).unwrap();
     let spec = RangeSpec::new(vec![5..25, 10..90]);
     let mut cache: HashMap<usize, Arc<Vec<u8>>> = HashMap::new();
     let mut eng = PipelineEngine::new();
 
+    // The first read decodes from the verifying parse's chunks, as a
+    // server's first read of an archive does; later ones from the bytes.
+    let cold_source = ChunkSource::Parsed(&parsed);
+    let warm_source = ChunkSource::Verified(&index, &bytes);
     let mut stores = 0;
-    let run =
-        |cache: &mut HashMap<usize, Arc<Vec<u8>>>, stores: &mut usize, eng: &mut PipelineEngine| {
-            let mut fetch = |i: usize| cache.get(&i).cloned();
-            let mut local: Vec<(usize, Vec<u8>)> = Vec::new();
-            let mut store = |i: usize, slab: &[f32]| local.push((i, scalars_to_le(slab)));
-            let out = decompress_range_with_fetch(
-                &index,
-                &bytes,
-                ReconstructEngine::FinePartialSum,
-                &spec,
-                eng,
-                &mut fetch,
-                &mut store,
-            )
-            .unwrap();
-            *stores += local.len();
-            for (i, slab) in local {
-                cache.insert(i, Arc::new(slab));
-            }
-            out
-        };
+    let run = |source: ChunkSource,
+               cache: &mut HashMap<usize, Arc<Vec<u8>>>,
+               stores: &mut usize,
+               eng: &mut PipelineEngine| {
+        let mut fetch = |i: usize| cache.get(&i).cloned();
+        let mut local: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut store = |i: usize, slab: &[f32]| local.push((i, scalars_to_le(slab)));
+        let out = decompress_range_with_fetch(
+            source,
+            ReconstructEngine::FinePartialSum,
+            &spec,
+            eng,
+            &mut fetch,
+            &mut store,
+        )
+        .unwrap();
+        *stores += local.len();
+        for (i, slab) in local {
+            cache.insert(i, Arc::new(slab));
+        }
+        out
+    };
 
-    let (cold, cold_dims) = run(&mut cache, &mut stores, &mut eng);
+    let (cold, cold_dims) = run(cold_source, &mut cache, &mut stores, &mut eng);
     let cold_stores = stores;
     assert!(cold_stores >= 2, "range must span several chunks");
-    let (warm, warm_dims) = run(&mut cache, &mut stores, &mut eng);
+    let (warm, warm_dims) = run(warm_source, &mut cache, &mut stores, &mut eng);
     assert_eq!(stores, cold_stores, "warm read must not decode anything");
     assert_eq!(cold_dims, warm_dims);
     assert_eq!(bits_f32(&cold), bits_f32(&warm));
@@ -404,7 +409,7 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
     // A cached slab of the wrong length is ignored, not trusted.
     let poisoned_key = *cache.keys().next().unwrap();
     cache.insert(poisoned_key, Arc::new(vec![0; 12]));
-    let (healed, _) = run(&mut cache, &mut stores, &mut eng);
+    let (healed, _) = run(warm_source, &mut cache, &mut stores, &mut eng);
     assert_eq!(bits_f32(&healed), bits_f32(&want));
     assert_eq!(stores, cold_stores + 1, "bad entry must be re-decoded");
 }

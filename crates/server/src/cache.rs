@@ -7,15 +7,21 @@
 //! [`Part::Slab`] of one chunk. Keying by *content* makes invalidation
 //! automatic: a different (or modified) archive lands in a different key
 //! space, so neither a stale slab nor another archive's index can be
-//! served — they simply age out. `wordsum64` is seeded with the length,
-//! and two equal-length inputs that differ in one aligned word never
-//! collide.
+//! served — they simply age out.
 //!
 //! The index entry ([`cuszp_core::ChunkIndex`]: the container header
 //! plus each chunk's byte range) is inserted only after the whole
-//! container passed the strict parse, so holding it means "these exact
-//! bytes were verified". It is charged its real size, about 100 bytes
-//! plus 16 per chunk, against the same budget as the slabs.
+//! container passed the strict parse, so holding it means "bytes of this
+//! identity were verified". Accidental damage always gets another
+//! identity: `wordsum64` is seeded with the length, two equal-length
+//! inputs that differ in one aligned word never collide, and wider
+//! damage collides with 2^-64 odds. It is not a cryptographic hash: a
+//! sender can build a same-length copy of a warmed archive with its
+//! identity, and a strict read of that copy then skips the check of the
+//! sender's own bytes outside the range it asked for — the chunks it
+//! decodes are still parsed and checksummed. The index is charged its
+//! real size, about 100 bytes plus 16 per chunk, against the same
+//! budget as the slabs.
 //!
 //! Entries hold `Arc`s, so a hit hands back a shared handle without
 //! copying, and a concurrent eviction cannot tear a read that already
@@ -263,7 +269,7 @@ mod tests {
             .compress_chunked_with(&data, dims, 1024, &cuszp_parallel::WorkerPool::new(1))
             .unwrap()
             .to_bytes();
-        let index = Arc::new(ChunkIndex::from_bytes(&bytes).unwrap());
+        let index = Arc::new(ChunkIndex::verify(&bytes).unwrap().0);
         let weight = index.footprint();
         assert!(
             weight >= 4 * 16,
@@ -273,7 +279,7 @@ mod tests {
         let mut c = SlabCache::new(weight + 100);
         assert_eq!(c.insert_index((1, 100), Arc::clone(&index)), 0);
         assert_eq!(c.bytes(), weight);
-        assert_eq!(c.index((1, 100)).as_deref(), Some(&*index));
+        assert!(Arc::ptr_eq(&c.index((1, 100)).unwrap(), &index));
         // The index and chunk 0's slab of one archive are two keys, and
         // another archive of the same hash but another length is a third.
         assert!(c.slab((1, 100), 0).is_none());

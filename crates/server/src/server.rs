@@ -36,8 +36,9 @@ use crate::wire::{
 };
 use cuszp_core::{
     is_chunked_archive, scalars_from_le, scalars_to_le, stored_dtype, Archive, ChunkIndex,
-    ChunkedArchive, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, LosslessStage,
-    PipelineEngine, Predictor, RangeSpec, ReconstructEngine, RecoveredField, ScanReport,
+    ChunkSource, ChunkedArchive, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element,
+    LosslessStage, PipelineEngine, Predictor, RangeSpec, ReconstructEngine, RecoveredField,
+    ScanReport,
 };
 use cuszp_parallel::{WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
@@ -969,36 +970,6 @@ fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
     decode_response(req.archive, None, req.mode)
 }
 
-/// The chunk index of a strict range read's archive. Bytes this server
-/// verified before are found in the cache by their identity; any other
-/// bytes — including a damaged copy of a verified archive, which has
-/// another identity — get the whole-container strict parse, counted in
-/// `containers_verified`, and on success their index is cached. The
-/// parse runs outside the cache lock.
-fn verified_index(
-    archive: &[u8],
-    key: ArchiveKey,
-    shared: &Shared,
-) -> Result<Arc<ChunkIndex>, CuszpError> {
-    let caching = shared.config.cache_bytes > 0;
-    if caching {
-        if let Some(index) = shared.cache.lock().expect("cache lock poisoned").index(key) {
-            return Ok(index);
-        }
-    }
-    shared.metrics.containers_verified.incr();
-    let index = Arc::new(ChunkIndex::from_bytes(archive)?);
-    if caching {
-        let evicted = shared
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .insert_index(key, Arc::clone(&index));
-        shared.metrics.cache_evictions.add(evicted);
-    }
-    Ok(index)
-}
-
 /// Serves a chunked-archive range read through the hot-slab cache.
 ///
 /// The fetch/store hooks given to [`cuszp_core::decompress_range_with_fetch`]
@@ -1008,8 +979,7 @@ fn verified_index(
 /// little-endian scalar bytes (the wire encoding), and a hit gathers
 /// only the requested elements out of them.
 fn serve_cached_range<T: Element>(
-    index: &ChunkIndex,
-    archive: &[u8],
+    source: ChunkSource<'_>,
     spec: &RangeSpec,
     key: ArchiveKey,
     shared: &Shared,
@@ -1043,8 +1013,7 @@ fn serve_cached_range<T: Element>(
         shared.metrics.cache_evictions.add(evicted);
     };
     let (data, dims) = cuszp_core::decompress_range_with_fetch(
-        index,
-        archive,
+        source,
         ReconstructEngine::FinePartialSum,
         spec,
         engine,
@@ -1065,11 +1034,40 @@ fn handle_get_range(
             // Never stored, only compared within this process: the fast
             // checksum, not the persisted-format FNV-1a.
             let key = (wordsum64(req.archive), req.archive.len() as u64);
-            let index = verified_index(req.archive, key, shared).map_err(pipeline_error)?;
-            let (archive, spec) = (req.archive, &req.spec);
-            match index.dtype {
-                Dtype::F32 => serve_cached_range::<f32>(&index, archive, spec, key, shared, engine),
-                Dtype::F64 => serve_cached_range::<f64>(&index, archive, spec, key, shared, engine),
+            let caching = shared.config.cache_bytes > 0;
+            let cached = caching
+                .then(|| shared.cache.lock().expect("cache lock poisoned").index(key))
+                .flatten();
+            // Bytes this server verified before are found by their
+            // identity, and the read parses only the chunks it decodes
+            // out of them. Any other bytes — accidental damage to a
+            // verified archive gives it another identity (see `cache`) —
+            // get the whole-container strict parse, outside the cache
+            // lock; once it passes, their index is cached and the read
+            // decodes from the chunks that parse built, as an uncached
+            // read always did.
+            let parsed;
+            let (source, dtype) = match &cached {
+                Some(index) => (ChunkSource::Verified(index, req.archive), index.dtype()),
+                None => {
+                    shared.metrics.containers_verified.incr();
+                    let (index, arc) = ChunkIndex::verify(req.archive).map_err(pipeline_error)?;
+                    if caching {
+                        let evicted = shared
+                            .cache
+                            .lock()
+                            .expect("cache lock poisoned")
+                            .insert_index(key, Arc::new(index));
+                        shared.metrics.cache_evictions.add(evicted);
+                    }
+                    parsed = arc;
+                    (ChunkSource::Parsed(&parsed), parsed.dtype)
+                }
+            };
+            let spec = &req.spec;
+            match dtype {
+                Dtype::F32 => serve_cached_range::<f32>(source, spec, key, shared, engine),
+                Dtype::F64 => serve_cached_range::<f64>(source, spec, key, shared, engine),
             }
             .map_err(pipeline_error)
         }
