@@ -272,11 +272,7 @@ impl Archive {
             s
         };
         let workflow = rd(&mut pos, 1)[0];
-        let rank = rd(&mut pos, 1)[0];
-        let ez = u64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap()) as usize;
-        let ey = u64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap()) as usize;
-        let ex = u64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap()) as usize;
-        let eb = f64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap());
+        pos += 1 + 24 + 8; // rank, extents and eb, read below by `v1_field`
         let cap = u16::from_le_bytes(rd(&mut pos, 2).try_into().unwrap());
         pos += 1; // dtype, read above
         let predictor = match rd(&mut pos, 1)[0] {
@@ -300,20 +296,8 @@ impl Archive {
         let payload_len = u64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap()) as usize;
         let checksum = u64::from_le_bytes(rd(&mut pos, 8).try_into().unwrap());
 
-        let (dims, n_elems) = match rank {
-            1 => (Dims::D1(ex), Some(ex)),
-            2 => (Dims::D2 { ny: ey, nx: ex }, ey.checked_mul(ex)),
-            3 => (
-                Dims::D3 {
-                    nz: ez,
-                    ny: ey,
-                    nx: ex,
-                },
-                ez.checked_mul(ey).and_then(|p| p.checked_mul(ex)),
-            ),
-            _ => return Err(CuszpError::malformed("bad rank", Header, 7)),
-        };
-        let n_elems = n_elems.ok_or(CuszpError::malformed("extent product overflow", Header, 8))?;
+        let (dims, _, eb) = v1_field(bytes)?;
+        let n_elems = dims.len();
         if cap < 4 || cap % 2 != 0 {
             return Err(CuszpError::malformed("bad cap", Header, 40));
         }
@@ -557,25 +541,38 @@ pub(crate) fn v1_dtype(bytes: &[u8]) -> Result<Dtype, CuszpError> {
     }
 }
 
-/// Reads dims and dtype from a v1 header without validating the payload.
-/// The scanner uses this to keep reporting the field's shape when only
-/// the payload is damaged; `None` means the header itself is unusable.
-pub(crate) fn peek_v1_header(bytes: &[u8]) -> Option<(Dims, Dtype)> {
-    let dtype = v1_dtype(bytes).ok()?;
-    let ez = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let ey = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    let ex = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    let dims = match bytes[7] {
-        1 => Dims::D1(ex),
-        2 => Dims::D2 { ny: ey, nx: ex },
-        3 => Dims::D3 {
-            nz: ez,
-            ny: ey,
-            nx: ex,
-        },
-        _ => return None,
+/// The field a v1 fixed header describes — dims, dtype and `eb` —
+/// checked as [`Archive::from_bytes`] checks them, with its errors.
+/// Nothing of the payload is read: this is what opens a v1 archive as a
+/// one-chunk container.
+pub(crate) fn v1_field(bytes: &[u8]) -> Result<(Dims, Dtype, f64), CuszpError> {
+    use ArchiveSection::Header;
+    let dtype = v1_dtype(bytes)?;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (ez, ey, ex) = (word(8) as usize, word(16) as usize, word(24) as usize);
+    let (dims, n_elems) = match bytes[7] {
+        1 => (Dims::D1(ex), Some(ex)),
+        2 => (Dims::D2 { ny: ey, nx: ex }, ey.checked_mul(ex)),
+        3 => (
+            Dims::D3 {
+                nz: ez,
+                ny: ey,
+                nx: ex,
+            },
+            ez.checked_mul(ey).and_then(|p| p.checked_mul(ex)),
+        ),
+        _ => return Err(CuszpError::malformed("bad rank", Header, 7)),
     };
-    Some((dims, dtype))
+    n_elems.ok_or(CuszpError::malformed("extent product overflow", Header, 8))?;
+    Ok((dims, dtype, f64::from_bits(word(32))))
+}
+
+/// The archive length a v1 header declares: the fixed header plus its
+/// `payload_len`. `None` when `bytes` is shorter than the fixed header
+/// or the sum overflows.
+pub(crate) fn v1_declared_len(bytes: &[u8]) -> Option<usize> {
+    let payload_len = u64::from_le_bytes(bytes.get(56..64)?.try_into().unwrap()) as usize;
+    HEADER_BYTES.checked_add(payload_len)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Chunk-parallel execution engine: the v2 multi-chunk archive.
+//! Chunk-parallel execution engine: the v2 multi-chunk archive, and the
+//! one place that tells the two archive formats apart.
 //!
 //! The field is split into independent slabs along its slowest-varying
 //! axis ([`cuszp_parallel::plan_chunks`]); each chunk runs the **full**
@@ -20,7 +21,12 @@
 //!   ([`WorkerPool`] does this even for one worker), so a chunk's bytes
 //!   come from the identical code path under any pool width;
 //! * the merge is ordered by chunk index, not completion order.
+//!
+//! A v1 archive is exactly one chunk with no container around it, and
+//! every reader opens it as such: [`Format::header`] is the only code
+//! that tells the formats apart.
 
+use crate::archive::{v1_declared_len, v1_field};
 use crate::element::{check_dtype, Element};
 use crate::engine::{resolve_bound, validate_and_range, PipelineEngine};
 use crate::error::{ArchiveSection, CuszpError};
@@ -41,6 +47,59 @@ pub fn is_chunked_archive(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && u32::from_le_bytes(bytes[0..4].try_into().unwrap()) == CHUNKED_MAGIC
 }
 
+/// Which of the two archive formats some bytes hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Format {
+    /// One v1 archive: a single chunk with no container around it. Its
+    /// faults are not placed in a chunk, and it has no table or parity.
+    V1,
+    /// A "CSZ2" container of independent chunks.
+    Csz2,
+}
+
+impl Format {
+    /// The sniff: bytes without the CSZ2 magic are read as v1, and fail
+    /// there with v1's own errors when they are not v1 either.
+    pub fn of(bytes: &[u8]) -> Self {
+        match is_chunked_archive(bytes) {
+            true => Format::Csz2,
+            false => Format::V1,
+        }
+    }
+
+    /// Display name ("v1" / "csz2").
+    pub fn name(self) -> &'static str {
+        match self {
+            Format::V1 => "v1",
+            Format::Csz2 => "csz2",
+        }
+    }
+
+    /// Reads the fixed header of `bytes` as a container header. A v1
+    /// header opens as a container of one chunk: dims, dtype and `eb`
+    /// from the header, one planned chunk ([`PlanView::single`]).
+    pub fn header(self, bytes: &[u8]) -> Result<ChunkedHeader, CuszpError> {
+        if self == Format::Csz2 {
+            return parse_chunked_header(bytes);
+        }
+        let (dims, dtype, eb) = v1_field(bytes)?;
+        Ok(ChunkedHeader {
+            format: self,
+            dims,
+            dtype,
+            eb,
+            chunk_target: u64::MAX,
+            n_chunks: 1,
+            table_offset: 0,
+        })
+    }
+}
+
+/// The open step every reader starts with: sniff once, read the header.
+pub(crate) fn open(bytes: &[u8]) -> Result<ChunkedHeader, CuszpError> {
+    Format::of(bytes).header(bytes)
+}
+
 /// A v2 multi-chunk archive: per-chunk v1 [`Archive`]s in plan order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedArchive {
@@ -58,6 +117,9 @@ pub struct ChunkedArchive {
     /// (see [`crate::ParitySection`]). `None` serializes byte-identically
     /// to the pre-parity format.
     pub parity: Option<ParitySection>,
+    /// The format the container was read from (a v1 archive parses as
+    /// its one-chunk container). Serializing always writes CSZ2.
+    format: Format,
 }
 
 impl Compressor {
@@ -131,6 +193,7 @@ impl Compressor {
                 chunk_target: target_elems as u64,
                 chunks,
                 parity: None,
+                format: Format::Csz2,
             },
             ChunkedStats { per_chunk },
         ))
@@ -191,6 +254,7 @@ impl Compressor {
             chunk_target: target_elems as u64,
             chunks,
             parity: None,
+            format: Format::Csz2,
         })
     }
 }
@@ -199,6 +263,12 @@ impl ChunkedArchive {
     /// Number of chunks.
     pub fn n_chunks(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// The format these chunks were read from: "csz2", or "v1" for the
+    /// one-chunk container a v1 archive opens as.
+    pub fn format(&self) -> &'static str {
+        self.format.name()
     }
 
     /// Total serialized size in bytes.
@@ -280,6 +350,7 @@ impl ChunkedArchive {
     /// The header this container serializes with.
     pub(crate) fn header(&self) -> ChunkedHeader {
         ChunkedHeader {
+            format: self.format,
             dims: self.dims,
             dtype: self.dtype,
             eb: self.eb,
@@ -337,17 +408,19 @@ impl ChunkedArchive {
         out
     }
 
-    /// Parses a container written by [`Self::to_bytes`]. Every chunk is
-    /// structurally validated and checksummed by [`Archive::from_bytes`];
-    /// failures carry the chunk index and container-relative byte offset.
+    /// Parses a container written by [`Self::to_bytes`], or a v1 archive
+    /// as its one-chunk container. Every chunk is structurally validated
+    /// and checksummed by [`Archive::from_bytes`]; a container's failures
+    /// carry the chunk index and container-relative byte offset, a v1
+    /// archive's are its own.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CuszpError> {
         ChunkIndex::verify(bytes).map(|(_, archive)| archive)
     }
 }
 
-/// Where a CSZ2 container's chunks lie: its header and one byte range
-/// per chunk, without the parsed chunks themselves — about 100 bytes
-/// plus 16 per chunk.
+/// Where a container's chunks lie: its header and one byte range per
+/// chunk, without the parsed chunks themselves — about 100 bytes plus 16
+/// per chunk. A v1 archive's one chunk spans all of its bytes.
 ///
 /// [`ChunkIndex::verify`] is the strict parse: it checks the container
 /// exactly as [`ChunkedArchive::from_bytes`] does and returns its layout
@@ -360,8 +433,7 @@ impl ChunkedArchive {
 pub struct ChunkIndex {
     pub(crate) hdr: ChunkedHeader,
     /// Container byte range of each chunk, in plan order. Read from the
-    /// length table, so not yet checked against any buffer: a range
-    /// that overflows saturates and then fails as "chunk truncated".
+    /// length table, so not yet checked against any buffer.
     chunks: Vec<Range<usize>>,
 }
 
@@ -385,8 +457,23 @@ impl ChunkIndex {
     /// [`ChunkedArchive::from_bytes`] — and returns its layout and the
     /// parsed container.
     pub fn verify(bytes: &[u8]) -> Result<(Self, ChunkedArchive), CuszpError> {
-        let hdr = parse_chunked_header(bytes)?;
-        let index = Self::new(hdr, read_length_table(bytes, &hdr)?);
+        let hdr = open(bytes)?;
+        let table = ChunkTable::read(bytes, &hdr);
+        // A cut v1 archive fails in its own parser, below.
+        if !table.complete && hdr.format == Format::Csz2 {
+            return Err(CuszpError::malformed(
+                "chunk length table truncated",
+                ArchiveSection::LengthTable,
+                bytes.len(),
+            ));
+        }
+        // An overflowing range can lie in no buffer: "chunk truncated".
+        let chunks = table.ranges.into_iter();
+        let chunks = chunks.map(|r| r.unwrap_or(usize::MAX..usize::MAX));
+        let index = Self {
+            hdr,
+            chunks: chunks.collect(),
+        };
         let chunks = (0..index.n_chunks())
             .map(|i| index.chunk(bytes, i))
             .collect::<Result<Vec<_>, _>>()?;
@@ -428,6 +515,7 @@ impl ChunkIndex {
             chunk_target: hdr.chunk_target,
             chunks,
             parity,
+            format: hdr.format,
         };
         Ok((index, archive))
     }
@@ -456,12 +544,11 @@ impl ChunkIndex {
     /// Parses chunk `i` out of `bytes`: its own checksum and structure
     /// ([`Archive::from_bytes`]), with any fault placed in the container.
     pub(crate) fn chunk(&self, bytes: &[u8], i: usize) -> Result<Archive, CuszpError> {
-        let at = self.chunks[i].clone();
-        let slice = bytes.get(at.clone()).ok_or(
+        let slice = bytes.get(self.chunks[i].clone()).ok_or(
             CuszpError::malformed("chunk truncated", ArchiveSection::ChunkBody, bytes.len())
                 .in_chunk(i, 0),
         )?;
-        Archive::from_bytes(slice).map_err(|e| e.in_chunk(i, at.start))
+        Archive::from_bytes(slice).map_err(|e| self.place(i, e))
     }
 
     /// The plan the header implies ([`ChunkedHeader::checked_plan`]).
@@ -470,16 +557,23 @@ impl ChunkIndex {
     }
 
     /// Rebases chunk `i`'s chunk-local error to container coordinates.
+    /// A v1 archive's one chunk is the archive: its errors stay as the
+    /// v1 parser gave them.
     pub(crate) fn place(&self, i: usize, e: CuszpError) -> CuszpError {
-        e.in_chunk(i, self.chunks[i].start)
+        match self.hdr.format {
+            Format::V1 => e,
+            Format::Csz2 => e.in_chunk(i, self.chunks[i].start),
+        }
     }
 }
 
-/// Parsed fixed-size prefix of a CSZ2 container, shared between the
-/// strict parser ([`ChunkedArchive::from_bytes`]) and the lenient
+/// Parsed fixed-size prefix of a container — a CSZ2 header, or the
+/// one-chunk header a v1 archive opens as ([`open`]) — shared between
+/// the strict parser ([`ChunkedArchive::from_bytes`]) and the lenient
 /// recovery scanner (`crate::recovery`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChunkedHeader {
+    pub format: Format,
     pub dims: Dims,
     pub dtype: Dtype,
     pub eb: f64,
@@ -493,7 +587,10 @@ pub(crate) struct ChunkedHeader {
 impl ChunkedHeader {
     /// The chunk plan this header implies.
     pub fn plan(&self) -> PlanView {
-        PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target)
+        match self.format {
+            Format::V1 => PlanView::single(self.dims, self.dtype, self.eb),
+            Format::Csz2 => PlanView::new(self.dims, self.dtype, self.eb, self.chunk_target),
+        }
     }
 
     /// The plan, once the chunk count is known to agree with it. Count
@@ -511,12 +608,16 @@ impl ChunkedHeader {
         Ok(plan)
     }
 
-    /// Byte offset of the first chunk body (end of a complete table).
-    /// Saturates on inflated chunk counts so lenient scanners can call
-    /// it before any bounds validation.
+    /// Byte offset of the first chunk body (end of a complete table; 0
+    /// for v1, which has no table). Saturates on inflated chunk counts so
+    /// lenient scanners can call it before any bounds validation.
     pub fn body_offset(&self) -> usize {
-        self.table_offset
-            .saturating_add(self.n_chunks.saturating_mul(8))
+        match self.format {
+            Format::V1 => 0,
+            Format::Csz2 => self
+                .table_offset
+                .saturating_add(self.n_chunks.saturating_mul(8)),
+        }
     }
 }
 
@@ -601,6 +702,7 @@ pub(crate) fn parse_chunked_header(bytes: &[u8]) -> Result<ChunkedHeader, CuszpE
     let n_chunks = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
     pos += 4;
     Ok(ChunkedHeader {
+        format: Format::Csz2,
         dims,
         dtype,
         eb,
@@ -610,48 +712,81 @@ pub(crate) fn parse_chunked_header(bytes: &[u8]) -> Result<ChunkedHeader, CuszpE
     })
 }
 
-/// Reads the full chunk length table, strictly: the buffer must hold all
-/// `n_chunks` entries. The bounds check precedes the allocation, so an
-/// inflated `n_chunks` cannot drive `Vec::with_capacity` beyond what the
-/// input itself pays for.
-pub(crate) fn read_length_table(
-    bytes: &[u8],
-    hdr: &ChunkedHeader,
-) -> Result<Vec<usize>, CuszpError> {
-    let need = hdr.n_chunks.checked_mul(8).ok_or(CuszpError::malformed(
-        "chunk count overflow",
-        ArchiveSection::LengthTable,
-        hdr.table_offset,
-    ))?;
-    if bytes.len() - hdr.table_offset < need {
-        return Err(CuszpError::malformed(
-            "chunk length table truncated",
-            ArchiveSection::LengthTable,
-            bytes.len(),
-        ));
-    }
-    let mut lens = Vec::with_capacity(hdr.n_chunks);
-    let mut pos = hdr.table_offset;
-    for _ in 0..hdr.n_chunks {
-        lens.push(u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize);
-        pos += 8;
-    }
-    Ok(lens)
+/// Where the bytes say each chunk lies, read once from as much of the
+/// length table as the buffer holds: [`ChunkIndex::verify`] needs it
+/// complete, the recovery scanner makes do with what it holds. A v1
+/// archive's one chunk spans all its bytes.
+pub(crate) struct ChunkTable {
+    /// Byte offset of the first chunk body.
+    start: usize,
+    /// Declared byte range of each entry the buffer holds, in order;
+    /// `None` from the first that overflows on (no resync framing).
+    pub ranges: Vec<Option<Range<usize>>>,
+    /// The buffer holds every entry — for v1, the whole payload its
+    /// header declares. Chunk bodies exist only then.
+    pub complete: bool,
+    /// Entries the buffer could hold at all, whatever the header claims.
+    capacity: usize,
 }
 
-/// Reads as many complete length-table entries as the buffer holds — the
-/// lenient variant the recovery scanner uses on truncated containers.
-pub(crate) fn read_length_table_lenient(bytes: &[u8], hdr: &ChunkedHeader) -> Vec<usize> {
-    let mut lens = Vec::new();
-    let mut pos = hdr.table_offset;
-    for _ in 0..hdr.n_chunks {
-        match bytes.get(pos..pos + 8) {
-            Some(s) => lens.push(u64::from_le_bytes(s.try_into().unwrap()) as usize),
-            None => break,
+impl ChunkTable {
+    /// Reads the table `hdr` declares; an inflated `n_chunks` allocates
+    /// no more than the buffer holds entries for.
+    pub fn read(bytes: &[u8], hdr: &ChunkedHeader) -> Self {
+        let start = hdr.body_offset();
+        if hdr.format == Format::V1 {
+            return Self {
+                start,
+                ranges: vec![Some(0..bytes.len())],
+                complete: v1_declared_len(bytes).is_some_and(|n| n <= bytes.len()),
+                capacity: 1,
+            };
         }
-        pos += 8;
+        let entries = bytes.get(hdr.table_offset..).unwrap_or_default();
+        let mut cursor = Some(start);
+        let ranges: Vec<_> = (entries.chunks_exact(8).take(hdr.n_chunks))
+            .map(|entry| {
+                let len = u64::from_le_bytes(entry.try_into().unwrap()) as usize;
+                let range = cursor.and_then(|at| Some(at..at.checked_add(len)?));
+                cursor = range.as_ref().map(|r| r.end);
+                range
+            })
+            .collect();
+        Self {
+            start,
+            complete: ranges.len() == hdr.n_chunks,
+            ranges,
+            capacity: entries.len() / 8,
+        }
     }
-    lens
+
+    /// Chunk `i`'s declared byte range, when the table still locates it.
+    pub fn range(&self, i: usize) -> Option<Range<usize>> {
+        self.ranges.get(i).cloned().flatten()
+    }
+
+    /// Chunk `i`'s bytes, when the table is complete and the buffer
+    /// holds all of them.
+    pub fn body<'a>(&self, bytes: &'a [u8], i: usize) -> Option<&'a [u8]> {
+        self.complete.then(|| bytes.get(self.range(i)?)).flatten()
+    }
+
+    /// Of `planned` chunks, how many the input can possibly frame, so
+    /// per-chunk work is bounded by the buffer, never by a header claim.
+    pub fn evaluable(&self, planned: usize) -> usize {
+        planned.min(self.capacity.max(1))
+    }
+
+    /// The chunk region, when the table is complete, no range overflows
+    /// and the region lies in the buffer. `None` also makes the parity
+    /// section unlocatable, so repair degrades to the plain fill path.
+    pub fn region(&self, len: usize) -> Option<Range<usize>> {
+        let end = match self.ranges.last() {
+            None => self.start,
+            Some(last) => last.as_ref()?.end,
+        };
+        (self.complete && end <= len).then_some(self.start..end)
+    }
 }
 
 #[cfg(test)]

@@ -8,19 +8,23 @@
 //! parameter; asking for the wrong one is [`CuszpError::DtypeMismatch`].
 //! Callers that must serve either precision ask [`stored_dtype`] first
 //! and dispatch once.
+//!
+//! Both formats take the same path: the bytes are opened once
+//! (`crate::chunked::open`), a v1 archive as a container of one chunk,
+//! and every finisher walks that container's chunks.
 
-use crate::archive::{v1_dtype, Archive, Dtype};
-use crate::chunked::{is_chunked_archive, parse_chunked_header, ChunkedArchive};
+use crate::archive::{Archive, Dtype};
+use crate::chunked::{open, ChunkedArchive};
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
-use crate::range::{slice_field, RangeSpec};
+use crate::range::RangeSpec;
 use crate::recovery::{recover, FillPolicy, RecoveredField};
 use cuszp_parallel::WorkerPool;
 use cuszp_predictor::{Dims, ReconstructEngine};
 
 /// A decode request over serialized archive bytes (v1 or chunked CSZ2,
-/// dispatched on the magic).
+/// both read as a container of chunks).
 #[derive(Debug, Clone, Copy)]
 pub struct Decode<'a> {
     bytes: &'a [u8],
@@ -38,9 +42,8 @@ impl<'a> Decode<'a> {
         }
     }
 
-    /// Decode only the sub-volume `spec`. Chunked containers decode only
-    /// the intersecting chunks; a v1 archive is one checksummed unit, so
-    /// the whole field is decoded and sliced.
+    /// Decode only the sub-volume `spec`: only the chunks intersecting it
+    /// are decoded. A v1 archive is one chunk, so its whole field is.
     pub fn range(mut self, spec: &'a RangeSpec) -> Self {
         self.range = Some(spec);
         self
@@ -55,19 +58,11 @@ impl<'a> Decode<'a> {
     /// All-or-nothing decode: any damage anywhere in the archive is an
     /// error. Returns the field (or sub-volume) and its shape.
     pub fn strict<T: Element>(self) -> Result<(Vec<T>, Dims), CuszpError> {
-        if is_chunked_archive(self.bytes) {
-            let arc = ChunkedArchive::from_bytes(self.bytes)?;
-            let pool = WorkerPool::with_default_workers();
-            return match self.range {
-                Some(spec) => arc.decompress_range(self.engine, spec, &pool),
-                None => arc.decompress(self.engine, &pool),
-            };
-        }
-        let archive = Archive::from_bytes(self.bytes)?;
-        let (data, dims) = decompress_archive(&archive, self.engine)?;
+        let arc = ChunkedArchive::from_bytes(self.bytes)?;
+        let pool = WorkerPool::with_default_workers();
         match self.range {
-            Some(spec) => slice_field(&data, dims, spec),
-            None => Ok((data, dims)),
+            Some(spec) => arc.decompress_range(self.engine, spec, &pool),
+            None => arc.decompress(self.engine, &pool),
         }
     }
 
@@ -106,11 +101,7 @@ pub fn decompress_archive<T: Element>(
 /// (v1 or CSZ2) — no chunk is parsed or checksummed. Truncated or
 /// bad-magic input is the same typed error the full parsers give.
 pub fn stored_dtype(bytes: &[u8]) -> Result<Dtype, CuszpError> {
-    if is_chunked_archive(bytes) {
-        parse_chunked_header(bytes).map(|hdr| hdr.dtype)
-    } else {
-        v1_dtype(bytes)
-    }
+    open(bytes).map(|hdr| hdr.dtype)
 }
 
 #[cfg(test)]
@@ -156,7 +147,7 @@ mod tests {
     #[test]
     fn stored_dtype_damage_is_typed_never_a_panic() {
         for (bytes, _) in archives() {
-            let header = if is_chunked_archive(&bytes) { 52 } else { 72 };
+            let header = if bytes.starts_with(b"CSZ2") { 52 } else { 72 };
             for cut in 0..header {
                 assert!(
                     matches!(

@@ -380,8 +380,8 @@ pub fn decompress_range_with_fetch<T: Element>(
     Ok((out, r.sub_dims(hdr.dims)))
 }
 
-/// Slices a fully decoded field to `spec` (the v1 archive fallback and
-/// the reference the range tests compare against).
+/// Slices a fully decoded field to `spec` (the reference the range
+/// tests compare against).
 pub fn slice_field<T: Copy + Default>(
     data: &[T],
     dims: Dims,

@@ -23,18 +23,23 @@
 //! mis-plan every chunk), and whole-field recovery fails hard instead of
 //! fabricating a field — this is also what keeps a corrupted header from
 //! driving a giant output allocation.
+//!
+//! A v1 archive is read the same way, as a container of one chunk (see
+//! `crate::chunked`). With no container around that chunk there is
+//! nothing to isolate a fault from: a damaged v1 archive fails a
+//! resilient decode with the parser's own error, and `scan` reports a
+//! fault in its header as the one chunk's.
 
-use crate::archive::peek_v1_header;
-use crate::chunked::{parse_chunked_header, read_length_table_lenient, ChunkedHeader};
+use crate::chunked::{open, ChunkTable, Format};
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::{ArchiveSection, CuszpError, ParseFault};
 use crate::parity::{
     parse_parity_layout, ParityConfig, ParitySection, PARITY_HEADER_BYTES, PARITY_MAGIC,
 };
-use crate::range::{resolve, slice_field, RangeSpec, ResolvedRange};
+use crate::range::{resolve, RangeSpec, ResolvedRange};
 use crate::walk::PlanView;
-use crate::{is_chunked_archive, Archive, CodecPlan, Dims, Dtype, ReconstructEngine};
+use crate::{Archive, CodecPlan, Dims, Dtype, ReconstructEngine};
 use cuszp_checksum::fnv1a;
 use cuszp_ecc::ReedSolomon;
 use cuszp_parallel::WorkerPool;
@@ -391,68 +396,27 @@ fn status_from_error(e: CuszpError, chunk: usize, base: usize) -> ChunkStatus {
     }
 }
 
-/// The container's chunk layout: one entry per *planned* chunk, holding
-/// the declared byte range (when locatable) and the in-bounds body slice
-/// (when fully present).
-struct ChunkLayout<'a> {
-    byte_range: Option<Range<usize>>,
-    body: Option<&'a [u8]>,
-}
-
-/// Walks the length table and locates each planned chunk's bytes. Once
-/// the running offset leaves the buffer, every later chunk is absent —
-/// the container has no resync framing.
-fn layout_chunks<'a>(bytes: &'a [u8], hdr: &ChunkedHeader, n_geo: usize) -> Vec<ChunkLayout<'a>> {
-    let lens = read_length_table_lenient(bytes, hdr);
-    let table_complete = lens.len() == hdr.n_chunks;
-    let body_base = hdr.body_offset();
-    let mut out = Vec::with_capacity(n_geo);
-    let mut cursor = Some(body_base);
-    for i in 0..n_geo {
-        let len = lens.get(i).copied();
-        let (byte_range, body) = match (cursor, len) {
-            (Some(start), Some(len)) => {
-                let range = start.checked_add(len).map(|end| start..end);
-                // Bodies only exist after a complete length table.
-                let body = match (&range, table_complete) {
-                    (Some(r), true) => bytes.get(r.clone()),
-                    _ => None,
-                };
-                cursor = range.as_ref().map(|r| r.end);
-                (range, body)
-            }
-            _ => {
-                cursor = None;
-                (None, None)
-            }
-        };
-        out.push(ChunkLayout { byte_range, body });
-    }
-    out
-}
-
-/// Where a framed chunk's bytes start in the container (0 when the
-/// length table no longer locates it).
-fn chunk_base(layout: Option<&ChunkLayout<'_>>) -> usize {
-    layout
-        .and_then(|l| l.byte_range.as_ref())
-        .map_or(0, |r| r.start)
+/// Where chunk `i`'s bytes start in the container (0 when the table no
+/// longer locates it).
+fn chunk_base(table: &ChunkTable, i: usize) -> usize {
+    table.range(i).map_or(0, |r| r.start)
 }
 
 /// Frames chunk `i`: parses its bytes and checks the result against the
 /// container ([`PlanView::check`]). A chunk the buffer does not fully
-/// hold — or has no layout for — is `Truncated`.
+/// hold — or the table does not locate — is `Truncated`.
 fn frame_chunk(
-    layout: Option<&ChunkLayout<'_>>,
+    table: &ChunkTable,
+    bytes: &[u8],
     i: usize,
     plan: &PlanView,
 ) -> Result<Archive, ChunkStatus> {
-    let Some(body) = layout.and_then(|l| l.body) else {
+    let Some(body) = table.body(bytes, i) else {
         return Err(ChunkStatus::Truncated);
     };
     Archive::from_bytes(body)
         .and_then(|archive| plan.check(i, &archive).map(|()| archive))
-        .map_err(|e| status_from_error(e, i, chunk_base(layout)))
+        .map_err(|e| status_from_error(e, i, chunk_base(table, i)))
 }
 
 /// Runs `act` on a framed chunk and folds the result into the chunk's
@@ -480,7 +444,7 @@ fn evaluate_chunk(
 fn chunk_reports(
     outcomes: Vec<(ChunkStatus, Option<CodecPlan>)>,
     span: Range<usize>,
-    layouts: &[ChunkLayout<'_>],
+    table: &ChunkTable,
     plan: &PlanView,
 ) -> Vec<ChunkReport> {
     outcomes
@@ -489,19 +453,11 @@ fn chunk_reports(
         .map(|((status, chunk_plan), i)| ChunkReport {
             index: i,
             status,
-            byte_range: layouts.get(i).and_then(|l| l.byte_range.clone()),
+            byte_range: table.range(i),
             elem_range: plan.spec(i).elems,
             plan: chunk_plan,
         })
         .collect()
-}
-
-/// How many planned chunks the input can possibly frame: each needs an
-/// 8-byte length-table entry, so per-chunk evaluation (and reporting)
-/// is bounded by the buffer itself, never by a header claim.
-fn evaluable_chunks(plan_n: usize, hdr: &ChunkedHeader, bytes: &[u8]) -> usize {
-    let entry_cap = bytes.len().saturating_sub(hdr.table_offset) / 8;
-    plan_n.min(entry_cap.max(1))
 }
 
 /// When the buffer cannot frame every planned chunk, the unframeable
@@ -532,39 +488,24 @@ fn push_truncated_tail(
 /// beyond what the input itself pays for (`declared_chunks` still
 /// records the raw claim).
 fn extra_chunk_reports(
-    hdr: &ChunkedHeader,
-    layouts_end: usize,
-    bytes: &[u8],
+    table_offset: usize,
+    table: &ChunkTable,
+    evaluated: usize,
     n_elems: usize,
 ) -> Vec<ChunkReport> {
-    let lens = read_length_table_lenient(bytes, hdr);
-    let mut cursor = Some(hdr.body_offset());
-    for len in lens.iter().take(layouts_end) {
-        cursor = cursor.and_then(|c| c.checked_add(*len));
-    }
-    let mut out = Vec::new();
-    for (i, len) in lens.iter().copied().enumerate().skip(layouts_end) {
-        let byte_range = match cursor {
-            Some(start) => {
-                let r = start.checked_add(len).map(|end| start..end);
-                cursor = r.as_ref().map(|r| r.end);
-                r
-            }
-            None => None,
-        };
-        out.push(ChunkReport {
+    (table.ranges.iter().cloned().enumerate().skip(evaluated))
+        .map(|(i, byte_range)| ChunkReport {
             index: i,
             status: ChunkStatus::malformed(
                 "chunk beyond plan",
                 ArchiveSection::LengthTable,
-                hdr.table_offset + i * 8,
+                table_offset + i * 8,
             ),
             byte_range,
             elem_range: n_elems..n_elems,
             plan: None,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// Global index and absolute byte range of each healed data shard.
@@ -583,23 +524,6 @@ struct ParityHeal {
     repaired: RepairedShards,
 }
 
-/// Locates the chunk region from the length table. `None` when the
-/// table is incomplete, overflows, or runs past the buffer — a damaged
-/// table also makes the parity section unlocatable, so repair degrades
-/// to the plain fill path.
-fn locate_region(bytes: &[u8], hdr: &ChunkedHeader) -> Option<Range<usize>> {
-    let lens = read_length_table_lenient(bytes, hdr);
-    if lens.len() != hdr.n_chunks {
-        return None;
-    }
-    let start = hdr.body_offset();
-    let mut end = start;
-    for len in lens {
-        end = end.checked_add(len)?;
-    }
-    (end <= bytes.len()).then_some(start..end)
-}
-
 fn section_u64(section: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(section[off..off + 8].try_into().unwrap())
 }
@@ -612,8 +536,8 @@ fn section_u64(section: &[u8], off: usize) -> u64 {
 /// Truncation that cuts into the chunk region also cuts the section off
 /// the tail, so truncated containers get no parity assist — parity
 /// guards bit flips, not missing bytes.
-fn parity_heal(bytes: &[u8], hdr: &ChunkedHeader) -> Option<ParityHeal> {
-    let region_range = locate_region(bytes, hdr)?;
+fn parity_heal(bytes: &[u8], table: &ChunkTable) -> Option<ParityHeal> {
+    let region_range = table.region(bytes.len())?;
     let section = &bytes[region_range.end..];
     if section.len() < PARITY_HEADER_BYTES
         || u32::from_le_bytes(section[..4].try_into().unwrap()) != PARITY_MAGIC
@@ -756,9 +680,9 @@ fn apply_repairs(reports: &mut [ChunkReport], repaired: &[(usize, Range<usize>)]
 /// input otherwise.
 fn pre_heal<'a>(
     bytes: &'a [u8],
-    hdr: &ChunkedHeader,
+    table: &ChunkTable,
 ) -> (Cow<'a, [u8]>, Option<ParityReport>, RepairedShards) {
-    match parity_heal(bytes, hdr) {
+    match parity_heal(bytes, table) {
         Some(h) => {
             let buf = match h.healed {
                 Some(v) => Cow::Owned(v),
@@ -770,47 +694,53 @@ fn pre_heal<'a>(
     }
 }
 
-/// Diagnoses every chunk of a CSZ2 container (or a v1 archive, treated
-/// as a single chunk) without producing output. Chunks are parsed,
+/// Diagnoses every chunk of a CSZ2 container (or a v1 archive, read as
+/// its one chunk) without producing output. Chunks are parsed,
 /// checksummed, **and decoded** in parallel; only a container whose
-/// fixed header is unusable returns `Err`.
+/// fixed header is unusable returns `Err` — a v1 archive never does.
 pub fn scan(bytes: &[u8]) -> Result<ScanReport, CuszpError> {
     scan_with(bytes, &WorkerPool::with_default_workers())
 }
 
 /// [`scan`] with an explicit worker pool.
 pub fn scan_with(bytes: &[u8], pool: &WorkerPool) -> Result<ScanReport, CuszpError> {
-    if !is_chunked_archive(bytes) {
-        return Ok(scan_v1(bytes));
-    }
-    let hdr = parse_chunked_header(bytes)?;
+    let format = Format::of(bytes);
+    let hdr = match format.header(bytes) {
+        Ok(hdr) => hdr,
+        Err(e) if format == Format::V1 => return Ok(unopened_v1(bytes, e)),
+        Err(e) => return Err(e),
+    };
+    let table = ChunkTable::read(bytes, &hdr);
     // Repair before fill: damaged shards the parity section can
     // reconstruct are healed first, so the chunk passes below see the
     // repaired bytes. The header and length table sit outside the
     // striped region and are reused unchanged.
-    let (healed, parity, repaired) = pre_heal(bytes, &hdr);
+    let (healed, parity, repaired) = pre_heal(bytes, &table);
     let bytes = &healed[..];
     let plan = hdr.plan();
-    let n_geo = evaluable_chunks(plan.n, &hdr, bytes);
-    let layouts = layout_chunks(bytes, &hdr, n_geo);
+    let n_geo = table.evaluable(plan.n);
     // Each scan worker keeps one engine: the decode probe reuses the
     // engine's code arena across every chunk it checks.
     let outcomes = pool.run_with_state(n_geo, PipelineEngine::new, |i, eng| {
-        let layout = layouts.get(i);
-        let framed = frame_chunk(layout, i, &plan);
+        let framed = frame_chunk(&table, bytes, i, &plan);
         evaluate_chunk(
             framed.as_ref().map_err(Clone::clone),
             i,
-            chunk_base(layout),
+            chunk_base(&table, i),
             |archive| eng.validate_codes(archive),
         )
     });
-    let mut reports = chunk_reports(outcomes, 0..n_geo, &layouts, &plan);
+    let mut reports = chunk_reports(outcomes, 0..n_geo, &table, &plan);
     push_truncated_tail(&mut reports, &plan, n_geo, hdr.dims.len());
-    reports.extend(extra_chunk_reports(&hdr, n_geo, bytes, hdr.dims.len()));
+    reports.extend(extra_chunk_reports(
+        hdr.table_offset,
+        &table,
+        n_geo,
+        hdr.dims.len(),
+    ));
     apply_repairs(&mut reports, &repaired);
     Ok(ScanReport {
-        format: Cow::Borrowed("csz2"),
+        format: Cow::Borrowed(hdr.format.name()),
         dims: Some(hdr.dims),
         dtype: Some(hdr.dtype),
         declared_chunks: hdr.n_chunks,
@@ -819,53 +749,21 @@ pub fn scan_with(bytes: &[u8], pool: &WorkerPool) -> Result<ScanReport, CuszpErr
     })
 }
 
-/// v1 archives have no chunk independence: the whole payload is one
-/// checksummed unit, reported as a single chunk. The header is peeked
-/// separately from payload validation so the report keeps dims and dtype
-/// when only the payload is damaged, classifies a cut-off payload as
-/// `Truncated`, and pins checksum mismatches to the payload's byte
-/// offset instead of collapsing everything into a blanket failure.
-fn scan_v1(bytes: &[u8]) -> ScanReport {
-    let (mut dims, mut dtype, status, plan) = match Archive::from_bytes(bytes) {
-        Ok(a) => {
-            let decode = match a.to_quant_field() {
-                Ok(_) => ChunkStatus::Ok,
-                Err(e) => status_from_error(e, 0, 0),
-            };
-            (Some(a.dims), Some(a.dtype), decode, Some(a.plan()))
-        }
-        Err(e) => {
-            let truncated = matches!(
-                e.fault(),
-                Some(f) if f.section == ArchiveSection::Payload && f.what.starts_with("truncated")
-            );
-            let status = if truncated {
-                ChunkStatus::Truncated
-            } else {
-                status_from_error(e, 0, 0)
-            };
-            (None, None, status, None)
-        }
-    };
-    if dims.is_none() {
-        // Payload damage does not erase the header's facts.
-        if let Some((d, t)) = peek_v1_header(bytes) {
-            dims = Some(d);
-            dtype = Some(t);
-        }
-    }
-    let n_elems = dims.map_or(0, |d| d.len());
+/// The report on v1 bytes whose fixed header does not open. A v1
+/// archive's header is its one chunk's, so the fault is that chunk's —
+/// reported, with the field's shape unknown, not returned.
+fn unopened_v1(bytes: &[u8], e: CuszpError) -> ScanReport {
     ScanReport {
-        format: Cow::Borrowed("v1"),
-        dims,
-        dtype,
+        format: Cow::Borrowed(Format::V1.name()),
+        dims: None,
+        dtype: None,
         declared_chunks: 1,
         reports: vec![ChunkReport {
             index: 0,
-            status,
+            status: status_from_error(e, 0, 0),
             byte_range: Some(0..bytes.len()),
-            elem_range: 0..n_elems,
-            plan,
+            elem_range: 0..0,
+            plan: None,
         }],
         parity: None,
     }
@@ -891,16 +789,7 @@ pub(crate) fn recover<T: Element>(
     engine: ReconstructEngine,
     pool: &WorkerPool,
 ) -> Result<RecoveredField<T>, CuszpError> {
-    if !is_chunked_archive(bytes) {
-        // v1 is one checksummed unit: recover it whole, slice after.
-        let mut rv = recover_v1::<T>(bytes, engine)?;
-        if let Some(spec) = range {
-            (rv.data, rv.dims) = slice_field(&rv.data, rv.dims, spec)?;
-            rv.reports[0].elem_range = 0..rv.data.len();
-        }
-        return Ok(rv);
-    }
-    let hdr = parse_chunked_header(bytes)?;
+    let hdr = open(bytes)?;
     check_dtype::<T>(hdr.dtype)?;
     // A spec is validated against the header's dims before anything is
     // allocated or decoded: a bad spec is a typed `InvalidRange`, and a
@@ -914,26 +803,32 @@ pub(crate) fn recover<T: Element>(
     // erasure budget decode bit-exactly instead of taking the fill value.
     // Parity stripes span the whole chunk region, so healing is global
     // even for a range read.
-    let (healed, parity, repaired) = pre_heal(bytes, &hdr);
+    let table = ChunkTable::read(bytes, &hdr);
+    let (healed, parity, repaired) = pre_heal(bytes, &table);
     let bytes = &healed[..];
     let plan = hdr.plan();
-    let n_geo = evaluable_chunks(plan.n, &hdr, bytes);
+    let n_geo = table.evaluable(plan.n);
     // A whole-field read walks every chunk the buffer can frame (the
     // rest is the truncated tail); a range read walks its span, and a
-    // chunk of it the buffer cannot frame has no layout: `Truncated`.
+    // chunk of it the table does not locate is `Truncated`.
     let whole = range.is_none();
     let span = if whole { 0..n_geo } else { plan.span(&r) };
-    let layouts = layout_chunks(bytes, &hdr, span.end.min(n_geo));
 
     // The whole field's size is the header's claim, not the caller's: if
     // nothing is recoverable the header's own dims are untrustworthy,
     // and allocating `dims.len()` elements from them would let a flipped
     // extent bit demand arbitrary memory. Find one good chunk first (and
     // keep it: the walk below does not parse it again).
-    let frame = |i: usize| frame_chunk(layouts.get(i), i, &plan);
-    let first_good = whole
-        .then(|| span.clone().find_map(|i| Some((i, frame(i).ok()?))))
-        .flatten();
+    let frame = |i: usize| frame_chunk(&table, bytes, i, &plan);
+    let first_good = match hdr.format {
+        // A v1 archive's one chunk is the archive: there is no rest to
+        // salvage, so damage fails the read, whole or range, with the
+        // parser's own error.
+        Format::V1 => Some((0, Archive::from_bytes(bytes)?)),
+        Format::Csz2 => whole
+            .then(|| span.clone().find_map(|i| Some((i, frame(i).ok()?))))
+            .flatten(),
+    };
     if whole && plan.n > 0 && first_good.is_none() {
         return Err(CuszpError::malformed(
             "no recoverable chunks in container",
@@ -968,17 +863,22 @@ pub(crate) fn recover<T: Element>(
                 fresh.as_ref().map_err(Clone::clone)
             }
         };
-        evaluate_chunk(framed, i, chunk_base(layouts.get(i)), |archive| {
+        evaluate_chunk(framed, i, chunk_base(&table, i), |archive| {
             plan.reconstruct(i, archive, &r, engine, eng, scratch, seg)
                 .map(drop)
                 // Reconstruction may have partially written the segment.
                 .inspect_err(|_| seg.fill(fill_value))
         })
     });
-    let mut reports = chunk_reports(outcomes, span, &layouts, &plan);
+    let mut reports = chunk_reports(outcomes, span, &table, &plan);
     if whole {
         push_truncated_tail(&mut reports, &plan, n_geo, r.len());
-        reports.extend(extra_chunk_reports(&hdr, n_geo, bytes, r.len()));
+        reports.extend(extra_chunk_reports(
+            hdr.table_offset,
+            &table,
+            n_geo,
+            r.len(),
+        ));
     }
     apply_repairs(&mut reports, &repaired);
     Ok(RecoveredField {
@@ -986,31 +886,6 @@ pub(crate) fn recover<T: Element>(
         dims: r.sub_dims(hdr.dims),
         reports,
         parity,
-    })
-}
-
-/// v1 recovery is all-or-nothing: the archive is one checksummed unit,
-/// so any damage fails hard (there is no independent chunk to salvage).
-fn recover_v1<T: Element>(
-    bytes: &[u8],
-    engine: ReconstructEngine,
-) -> Result<RecoveredField<T>, CuszpError> {
-    let archive = Archive::from_bytes(bytes)?;
-    check_dtype::<T>(archive.dtype)?;
-    let plan = archive.plan();
-    let data: Vec<T> = PipelineEngine::new().decompress(&archive, engine)?;
-    let n = data.len();
-    Ok(RecoveredField {
-        data,
-        dims: archive.dims,
-        reports: vec![ChunkReport {
-            index: 0,
-            status: ChunkStatus::Ok,
-            byte_range: Some(0..bytes.len()),
-            elem_range: 0..n,
-            plan: Some(plan),
-        }],
-        parity: None,
     })
 }
 
@@ -1049,12 +924,12 @@ pub fn repair_with(bytes: &[u8], pool: &WorkerPool) -> Result<RepairOutcome, Cus
         report,
         modified: false,
     };
-    if !is_chunked_archive(bytes) {
-        // v1 archives carry no parity; there is nothing to heal with.
+    // Bytes whose header does not open (`scan` reports those for v1)
+    // have no parity to heal with, and neither has a v1 archive.
+    let Ok(hdr) = open(bytes) else {
         return Ok(untouched(report));
-    }
-    let hdr = parse_chunked_header(bytes)?;
-    let Some(heal) = parity_heal(bytes, &hdr) else {
+    };
+    let Some(heal) = parity_heal(bytes, &ChunkTable::read(bytes, &hdr)) else {
         return Ok(untouched(report));
     };
     if heal.report.n_unrepairable() > 0 || report.n_damaged() > 0 {
@@ -1080,6 +955,7 @@ pub fn repair_with(bytes: &[u8], pool: &WorkerPool) -> Result<RepairOutcome, Cus
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::parse_chunked_header;
     use crate::{Compressor, Config, Decode, ErrorBound};
 
     fn field(n: usize) -> Vec<f32> {

@@ -1,4 +1,4 @@
-//! The one chunk walk behind every CSZ2 decoder.
+//! The one chunk walk behind every decoder.
 //!
 //! CSZ2 chunks are independent slabs along the slowest axis, and the
 //! chunk plan is a pure function of the container header
@@ -21,7 +21,8 @@
 //! chunk comes from and what an error means — strict
 //! ([`crate::ChunkedArchive`]) feeds parsed chunks and returns the first
 //! error; resilient (`crate::recovery`) frames chunks from the length
-//! table, fills and reports.
+//! table, fills and reports. A v1 archive is walked as a container of
+//! one chunk ([`PlanView::single`]).
 
 use crate::archive::{Archive, Dtype};
 use crate::element::Element;
@@ -62,8 +63,24 @@ impl PlanView {
         }
     }
 
+    /// The plan of a v1 archive: one chunk, the whole field — even an
+    /// empty one, which the balanced split would plan no chunk for.
+    pub fn single(dims: Dims, dtype: Dtype, eb: f64) -> Self {
+        Self {
+            n: 1,
+            ..Self::new(dims, dtype, eb, u64::MAX)
+        }
+    }
+
     /// The `i`-th planned chunk.
     pub fn spec(&self, i: usize) -> ChunkSpec {
+        if self.n == 1 {
+            return ChunkSpec {
+                index: 0,
+                slow: 0..self.extents[0],
+                elems: 0..self.dims.len(),
+            };
+        }
         plan_chunk_spec(&self.extents, self.target, i)
     }
 
@@ -148,7 +165,9 @@ impl PlanView {
     /// The walk: runs `step(i, segment, engine, scratch)` for every
     /// chunk of `span` on `pool`, each worker keeping one engine and one
     /// slab scratch across the chunks it drains. Results come back in
-    /// chunk order.
+    /// chunk order. A lone chunk runs here with its inner loops left
+    /// parallel (a pool job forces them serial); decoding is a pure
+    /// function of the bytes, so no output changes.
     pub fn walk<T, R, F>(
         &self,
         span: Range<usize>,
@@ -162,8 +181,12 @@ impl PlanView {
         R: Send,
         F: Fn(usize, &mut [T], &mut PipelineEngine, &mut Vec<T>) -> R + Sync,
     {
+        let mut parts = self.carve(span, r, out);
+        if let [(i, seg)] = &mut parts[..] {
+            return vec![step(*i, seg, &mut PipelineEngine::new(), &mut Vec::new())];
+        }
         pool.run_parts_with_state(
-            self.carve(span, r, out),
+            parts,
             || (PipelineEngine::new(), Vec::new()),
             |_, (i, seg), (eng, scratch)| step(i, seg, eng, scratch),
         )

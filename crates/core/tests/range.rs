@@ -350,6 +350,27 @@ fn v1_archives_serve_ranges_via_full_decode() {
     assert_eq!(bits_f64(&got64), bits_f64(&want64));
 }
 
+/// A report's element range is the slice of the *field* its chunk
+/// covers, for a range read as for a whole one: a v1 archive's one chunk
+/// covers the whole field, not the sub-volume that was asked for.
+#[test]
+fn a_v1_range_report_covers_the_whole_field() {
+    let dims = Dims::D2 { ny: 30, nx: 40 };
+    let bytes = compressor()
+        .compress(&field_f32(dims.len()), dims)
+        .unwrap()
+        .to_bytes();
+    let spec = RangeSpec::new(vec![3..9, 5..15]);
+    let rf = Decode::new(&bytes)
+        .range(&spec)
+        .resilient::<f32>(FillPolicy::Nan)
+        .unwrap();
+    assert_eq!(rf.dims, Dims::D2 { ny: 6, nx: 10 });
+    assert_eq!(rf.reports.len(), 1);
+    assert_eq!(rf.reports[0].elem_range, 0..dims.len());
+    assert_eq!(rf.reports[0].byte_range, Some(0..bytes.len()));
+}
+
 /// The serving-tier hook: a fetch/store pair acting as a slab cache must
 /// see one store per intersecting chunk on a cold read, zero decodes on
 /// a warm read, and identical bytes both times.

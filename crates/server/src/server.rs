@@ -35,10 +35,9 @@ use crate::wire::{
     PUT_FLAG_REPAIR,
 };
 use cuszp_core::{
-    is_chunked_archive, scalars_from_le, scalars_to_le, stored_dtype, Archive, ChunkIndex,
-    ChunkSource, ChunkedArchive, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element,
-    LosslessStage, PipelineEngine, Predictor, RangeSpec, ReconstructEngine, RecoveredField,
-    ScanReport,
+    scalars_from_le, scalars_to_le, stored_dtype, ChunkIndex, ChunkSource, ChunkedArchive,
+    Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, LosslessStage, PipelineEngine,
+    Predictor, RangeSpec, ReconstructEngine, RecoveredField, ScanReport,
 };
 use cuszp_parallel::{WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
@@ -1030,7 +1029,7 @@ fn handle_get_range(
 ) -> Result<Vec<u8>, ErrorResponse> {
     let req = GetRangeRequest::decode(payload).map_err(wire_error)?;
     match req.mode {
-        DecompressMode::Strict if is_chunked_archive(req.archive) => {
+        DecompressMode::Strict => {
             // Never stored, only compared within this process: the fast
             // checksum, not the persisted-format FNV-1a.
             let key = (wordsum64(req.archive), req.archive.len() as u64);
@@ -1071,40 +1070,25 @@ fn handle_get_range(
             }
             .map_err(pipeline_error)
         }
-        // v1 single-chunk archives: a range read is a full decode plus
-        // a slice — nothing chunk-grained to cache. Damaged archives must
-        // never seed the cache: the resilient path decodes uncached and
-        // reports per-chunk outcomes.
+        // Damaged archives must never seed the cache: the resilient path
+        // decodes uncached and reports per-chunk outcomes.
         mode => decode_response(req.archive, Some(&req.spec), mode),
     }
 }
 
 fn handle_info(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
-    let info = if is_chunked_archive(payload) {
-        let arc = ChunkedArchive::from_bytes(payload).map_err(pipeline_error)?;
-        RemoteInfo {
-            format: "csz2".to_string(),
-            dtype: arc.dtype,
-            dims: arc.dims,
-            eb: arc.eb,
-            n_chunks: arc.n_chunks() as u64,
-            parity: arc
-                .parity
-                .as_ref()
-                .map(|p| (p.data_shards, p.parity_shards)),
-            stored_bytes: payload.len() as u64,
-        }
-    } else {
-        let archive = Archive::from_bytes(payload).map_err(pipeline_error)?;
-        RemoteInfo {
-            format: "v1".to_string(),
-            dtype: archive.dtype,
-            dims: archive.dims,
-            eb: archive.eb,
-            n_chunks: 1,
-            parity: None,
-            stored_bytes: payload.len() as u64,
-        }
+    let arc = ChunkedArchive::from_bytes(payload).map_err(pipeline_error)?;
+    let info = RemoteInfo {
+        format: arc.format().to_string(),
+        dtype: arc.dtype,
+        dims: arc.dims,
+        eb: arc.eb,
+        n_chunks: arc.n_chunks() as u64,
+        parity: arc
+            .parity
+            .as_ref()
+            .map(|p| (p.data_shards, p.parity_shards)),
+        stored_bytes: payload.len() as u64,
     };
     Ok(info.encode())
 }

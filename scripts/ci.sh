@@ -22,6 +22,14 @@ if grep -rn "decompress_into(" crates/core/src --include='*.rs' | grep -v "^crat
     exit 1
 fi
 
+echo "==> API-surface guard (one format dispatch: crates/core/src/chunked.rs opens v1 bytes as a one-chunk container)"
+if grep -rn --include='*.rs' "is_chunked_archive" crates src tests examples |
+    grep -vE "^crates/core/src/chunked\.rs:|^(crates/core/)?src/lib\.rs:" ||
+    grep -rnE "fn (scan_v1|recover_v1|peek_v1_header)\b" crates src; then
+    echo "error: a second v1-or-CSZ2 decision or a v1-only reader grew back beside the open step" >&2
+    exit 1
+fi
+
 echo "==> API-surface guard (one report hierarchy across the socket, one bounded byte cursor)"
 if grep -rn "Portable" crates src tests examples ||
     grep -rn "fn fsck_exit_code" crates src tests examples ||

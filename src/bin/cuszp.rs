@@ -784,11 +784,7 @@ fn cmd_decode(opts: &Opts) -> Result<(), Fail> {
 /// `--verify`: every value of `raster` lies within the archive's error
 /// bound of the `original` raw file.
 fn verify_raster(archive: &[u8], raster: &Raster, original: &str) -> Result<(), Fail> {
-    let eb = if cuszp::is_chunked_archive(archive) {
-        ChunkedArchive::from_bytes(archive)?.eb
-    } else {
-        Archive::from_bytes(archive)?.eb
-    };
+    let eb = ChunkedArchive::from_bytes(archive)?.eb;
     let checked = match raster.dtype {
         Dtype::F32 => verify_error_bound(
             &read_raw::<f32>(original)?,
@@ -959,19 +955,11 @@ fn fsck_json(input: &str, report: &ScanReport, code: u8, repaired_file: Option<b
 
 fn cmd_info(opts: &Opts) -> Result<(), Fail> {
     let (input, bytes) = opts.read_input()?;
-    // A v1 archive is one chunk with no container around it.
-    let container = match cuszp::is_chunked_archive(&bytes) {
-        true => Some(ChunkedArchive::from_bytes(&bytes)?),
-        false => None,
-    };
-    let v1;
-    let (chunks, dtype, dims, eb) = match &container {
-        Some(arc) => (&arc.chunks[..], arc.dtype, arc.dims, arc.eb),
-        None => {
-            v1 = Archive::from_bytes(&bytes)?;
-            (std::slice::from_ref(&v1), v1.dtype, v1.dims, v1.eb)
-        }
-    };
+    let arc = ChunkedArchive::from_bytes(&bytes)?;
+    // A v1 archive opens as a container of one chunk, and prints as the
+    // bare chunk it is: no chunk list, no parity line.
+    let container = (arc.format() == "csz2").then_some(&arc);
+    let (chunks, dtype, dims, eb) = (&arc.chunks[..], arc.dtype, arc.dims, arc.eb);
     let n = dims.len();
     let (kind, scope) = match container {
         Some(_) => (" (chunked v2)", ", global"),
@@ -981,7 +969,7 @@ fn cmd_info(opts: &Opts) -> Result<(), Fail> {
     say!("  dtype:        {}", dtype.name())?;
     say!("  dims:         {dims:?} ({n} elements)")?;
     say!("  error bound:  {eb:.6e} (absolute{scope})")?;
-    match &container {
+    match container {
         Some(arc) => {
             say!(
                 "  chunks:       {} (target {} elems)",
@@ -1028,7 +1016,7 @@ fn cmd_info(opts: &Opts) -> Result<(), Fail> {
         "  outliers:     {outliers} ({:.3}%)",
         100.0 * outliers as f64 / n.max(1) as f64
     )?;
-    if let Some(arc) = &container {
+    if let Some(arc) = container {
         match &arc.parity {
             Some(p) => {
                 let section = p.serialized_bytes();
