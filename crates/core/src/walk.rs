@@ -165,9 +165,10 @@ impl PlanView {
     /// The walk: runs `step(i, segment, engine, scratch)` for every
     /// chunk of `span` on `pool`, each worker keeping one engine and one
     /// slab scratch across the chunks it drains. Results come back in
-    /// chunk order. A lone chunk runs here with its inner loops left
-    /// parallel (a pool job forces them serial); decoding is a pure
-    /// function of the bytes, so no output changes.
+    /// chunk order. A one-chunk container (every v1 archive) has nothing
+    /// to fan out: its chunk runs here with its inner loops left parallel
+    /// (a pool job forces them serial). Decoding is a pure function of
+    /// the bytes, so no output changes.
     pub fn walk<T, R, F>(
         &self,
         span: Range<usize>,
@@ -182,7 +183,7 @@ impl PlanView {
         F: Fn(usize, &mut [T], &mut PipelineEngine, &mut Vec<T>) -> R + Sync,
     {
         let mut parts = self.carve(span, r, out);
-        if let [(i, seg)] = &mut parts[..] {
+        if let (1, [(i, seg)]) = (self.n, &mut parts[..]) {
             return vec![step(*i, seg, &mut PipelineEngine::new(), &mut Vec::new())];
         }
         pool.run_parts_with_state(
