@@ -724,7 +724,7 @@ pub(crate) struct ChunkTable {
     pub ranges: Vec<Option<Range<usize>>>,
     /// The buffer holds every entry — for v1, the whole payload its
     /// header declares. Chunk bodies exist only then.
-    pub complete: bool,
+    complete: bool,
     /// Entries the buffer could hold at all, whatever the header claims.
     capacity: usize,
 }
