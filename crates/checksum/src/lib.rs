@@ -1,17 +1,18 @@
 //! The workspace's two checksums, each defined exactly once.
 //!
-//! * [`fnv1a`] — exact 64-bit FNV-1a. Every **persisted** format is
-//!   pinned to it byte for byte: the v1/CSZ2 archive and parity
-//!   checksums (the goldens), the store's record trailer and
-//!   `payload_fnv`, the `archive_fnv`/shard `checksum` fields that cross
-//!   `put_shard`/`get_shard` and land on disk, and the rendezvous hash of
-//!   keys in the placement ring. It is a one-byte-per-step
-//!   xor→multiply chain (~0.7 GB/s): never put it on a per-request path
-//!   that persists nothing.
-//! * [`wordsum64`] — the CSRP v4 frame trailer and the server's
-//!   hot-slab cache key. Nothing stores it, so it is free to be fast:
-//!   four independent multiply-xor lanes over little-endian `u64`
-//!   loads (DESIGN.md "Framing" carries the same definition).
+//! * [`fnv1a`] — exact 64-bit FNV-1a. The v1/CSZ2 archive and parity
+//!   checksums (the goldens) and the rendezvous hash of keys in the
+//!   placement ring are pinned to it byte for byte; so are v1 store
+//!   record trailers and the `archive_sum` of a stripe put before v2
+//!   store records, which are only ever verified. It is a
+//!   one-byte-per-step xor→multiply chain (~0.7 GB/s): put it on no new
+//!   path.
+//! * [`wordsum64`] — the CSRP frame trailer, the server's hot-slab
+//!   cache key, and everything the store and the cluster write: the v2
+//!   record trailer, the per-shard `payload_sum`/`checksum` and the
+//!   stripe `archive_sum`. Four independent multiply-xor lanes over
+//!   little-endian `u64` loads (DESIGN.md "Framing" carries the same
+//!   definition).
 //!
 //! Safe Rust, no dependencies, no arch intrinsics.
 
@@ -162,8 +163,8 @@ mod tests {
 
     #[test]
     fn pinned_fnv1a_is_the_standard_64_bit_variant() {
-        // Every persisted format (archives, parity, store records,
-        // shard checksums, ring placement) is pinned to these bytes.
+        // Archives, parity, ring placement and every store record or
+        // stripe written before v2 are pinned to these bytes.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);

@@ -10,8 +10,11 @@
 //! shard is missing, the read degrades: parity shards are fetched and
 //! the missing slots reconstructed from any `k` of `k + m` via
 //! [`cuszp_ecc::ReedSolomon`]. Either path verifies the whole-archive
-//! FNV-1a recorded at put time, so degraded bytes are bit-identical to
-//! healthy bytes or the call fails typed — never silently wrong.
+//! checksum recorded at put time, so degraded bytes are bit-identical to
+//! healthy bytes or the call fails typed — never silently wrong. A put
+//! records `wordsum64`; a stripe put before CSRP v5 keeps its FNV-1a
+//! sum, named by [`crate::wire::SHARD_FLAG_FNV_SUM`] on every shard,
+//! and is verified (and re-put by scrub) under that function.
 //!
 //! Routing errors are first-class: a node answering `Redirect` (stale
 //! ring epoch) or `NotMine` (wrong owner) triggers one topology refresh
@@ -21,8 +24,8 @@
 use crate::client::{Client, ClientError, ConnectOptions};
 use crate::ring::Ring;
 use crate::wire::{
-    fnv1a, ErrorCode, ErrorResponse, GetShardRequest, GetShardResponse, Op, PutShardRequest,
-    ShardListResponse, PUT_FLAG_REPAIR,
+    wordsum64, ErrorCode, ErrorResponse, GetShardRequest, GetShardResponse, Op, PutShardRequest,
+    ShardListResponse, SumKind, PUT_FLAG_REPAIR,
 };
 use cuszp_ecc::{EccError, ReedSolomon};
 use cuszp_metrics::Counter;
@@ -399,7 +402,7 @@ impl ClusterClient {
         let m = self.ring.parity_shards as usize;
         let (shards, _) = split_stripe(bytes, k, m)?;
         let total_len = bytes.len() as u64;
-        let archive_fnv = fnv1a(bytes);
+        let archive_sum = wordsum64(bytes);
         let slots: Vec<u16> = (0..(k + m) as u16).collect();
         let mut rerouted = false;
         loop {
@@ -412,7 +415,7 @@ impl ClusterClient {
                         shard_idx: slot,
                         ring_epoch: epoch,
                         total_len,
-                        archive_fnv,
+                        archive_sum,
                         flags: 0,
                         shard: &shards[slot as usize],
                     }
@@ -512,12 +515,16 @@ impl ClusterClient {
                 continue;
             }
             let mut stripe: Vec<Option<Vec<u8>>> = vec![None; k + m];
-            let mut meta: Option<(u64, u64)> = None;
+            let mut meta: Option<(u64, u64, SumKind)> = None;
             let mut misses = 0usize;
             for (i, r) in results.into_iter().enumerate() {
                 match r {
                     Ok(resp) => {
-                        meta.get_or_insert((resp.total_len, resp.archive_fnv));
+                        meta.get_or_insert((
+                            resp.total_len,
+                            resp.archive_sum,
+                            resp.archive_sum_kind,
+                        ));
                         stripe[i] = Some(resp.shard);
                     }
                     Err(_) => {
@@ -532,7 +539,11 @@ impl ClusterClient {
                 let parity_slots: Vec<u16> = (k as u16..(k + m) as u16).collect();
                 for (i, r) in self.fetch_slots(key, &parity_slots).into_iter().enumerate() {
                     if let Ok(resp) = r {
-                        meta.get_or_insert((resp.total_len, resp.archive_fnv));
+                        meta.get_or_insert((
+                            resp.total_len,
+                            resp.archive_sum,
+                            resp.archive_sum_kind,
+                        ));
                         stripe[k + i] = Some(resp.shard);
                     } else {
                         self.stats.shard_failures.incr();
@@ -550,7 +561,7 @@ impl ClusterClient {
                 ReedSolomon::new(k, m)?.reconstruct(&mut stripe, shard_size)?;
                 self.stats.degraded_reads.incr();
             }
-            let Some((total_len, archive_fnv)) = meta else {
+            let Some((total_len, archive_sum, kind)) = meta else {
                 return Err(ClusterError::NotEnoughShards {
                     key: key.to_string(),
                     have: 0,
@@ -563,7 +574,7 @@ impl ClusterClient {
                 .map(|s| s.expect("data slots filled by fetch or reconstruct"))
                 .collect();
             let bytes = assemble(&data, total_len);
-            if fnv1a(&bytes) != archive_fnv {
+            if kind.sum(&bytes) != archive_sum {
                 return Err(ClusterError::Corrupt {
                     key: key.to_string(),
                 });
@@ -599,7 +610,7 @@ impl ClusterClient {
         let mut report = ScrubReport::default();
         // (key, slot) -> present on its owner; key -> metadata.
         let mut present: HashMap<(String, u16), ()> = HashMap::new();
-        let mut keys: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        let mut keys: BTreeMap<String, (u64, u64, SumKind)> = BTreeMap::new();
         let mut reachable: Vec<u64> = Vec::new();
         for id in ids {
             // A pooled connection severed since its last use fails
@@ -615,8 +626,11 @@ impl ClusterClient {
                     let list = ShardListResponse::decode(&payload).map_err(ClientError::Wire)?;
                     reachable.push(id);
                     for r in list.records {
-                        keys.entry(r.key.clone())
-                            .or_insert((r.total_len, r.archive_fnv));
+                        keys.entry(r.key.clone()).or_insert((
+                            r.total_len,
+                            r.archive_sum,
+                            r.archive_sum_kind,
+                        ));
                         // Only a shard on its *current* owner counts as
                         // placed; strays are invisible to gets anyway.
                         if self.ring.shard_owner(&r.key, r.shard_idx).map(|n| n.id) == Some(id) {
@@ -632,7 +646,7 @@ impl ClusterClient {
             }
         }
         report.keys = keys.len();
-        for (key, (total_len, archive_fnv)) in keys {
+        for (key, (total_len, archive_sum, kind)) in keys {
             let missing: Vec<u16> = (0..(k + m) as u16)
                 .filter(|&slot| {
                     let owner = self.ring.shard_owner(&key, slot).map(|n| n.id);
@@ -675,8 +689,9 @@ impl ClusterClient {
                     shard_idx: slot,
                     ring_epoch: self.ring.epoch,
                     total_len,
-                    archive_fnv,
-                    flags: PUT_FLAG_REPAIR,
+                    archive_sum,
+                    // The re-put keeps the function the stripe was put with.
+                    flags: PUT_FLAG_REPAIR | kind.stripe_flags(),
                     shard,
                 }
                 .encode();

@@ -810,8 +810,8 @@ fn handle_put_shard(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, ErrorRes
             req.shard_idx,
             req.shard,
             req.total_len,
-            req.archive_fnv,
-            req.flags & PUT_FLAG_REPAIR != 0,
+            req.archive_sum,
+            req.flags,
         )
         .map_err(|e| ErrorResponse::new(ErrorCode::Pipeline, e.to_string()))?;
     if req.flags & PUT_FLAG_REPAIR != 0 {
@@ -824,9 +824,14 @@ fn handle_get_shard(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, ErrorRes
     let cluster = cluster_ctx(shared)?;
     let req = GetShardRequest::decode(payload).map_err(wire_error)?;
     check_shard_route(cluster, shared, &req.key, req.shard_idx, req.ring_epoch)?;
-    let mut store = cluster.store.lock().expect("store lock poisoned");
-    let shard = store
-        .get(&req.key, req.shard_idx)
+    // The store lock covers the read only: the reply is encoded after
+    // it is released, so other shard ops on this node need not wait.
+    let stored = cluster
+        .store
+        .lock()
+        .expect("store lock poisoned")
+        .get(&req.key, req.shard_idx);
+    let shard = stored
         .map_err(|e| ErrorResponse::new(ErrorCode::Pipeline, e.to_string()))?
         .ok_or_else(|| {
             ErrorResponse::new(
@@ -839,7 +844,8 @@ fn handle_get_shard(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, ErrorRes
         })?;
     Ok(GetShardResponse {
         total_len: shard.total_len,
-        archive_fnv: shard.archive_fnv,
+        archive_sum: shard.archive_sum,
+        archive_sum_kind: shard.archive_sum_kind,
         shard: shard.bytes,
     }
     .encode())

@@ -10,16 +10,19 @@
 //!   restarted node serves its shards bit-identically with zero scrub
 //!   repairs.
 //!
-//! Both backends verify checksums on the scrub path and cache the
-//! verified FNV per slot, invalidated on write — repeated inventories
-//! of an unchanged node are O(index), not O(total bytes). A shard whose
-//! bytes rotted is dropped (and counted) so anti-entropy sees it as
-//! *missing* and re-replicates it, rather than serving corrupt bytes
-//! to a degraded read.
+//! Both backends checksum every shard with `wordsum64`, verify it on
+//! the scrub path and cache the verification per slot, invalidated on
+//! write — repeated inventories of an unchanged node are O(index), not
+//! O(total bytes). A shard whose bytes rotted is dropped (and counted)
+//! so anti-entropy sees it as *missing* and re-replicates it, rather
+//! than serving corrupt bytes to a degraded read. Both keep each
+//! stripe's `archive_sum` with the function that computed it
+//! ([`SumKind`]): `wordsum64`, or FNV-1a for a stripe put before the
+//! v2 record format.
 
 use std::collections::HashMap;
 
-use crate::wire::{fnv1a, ShardRecord};
+use crate::wire::{wordsum64, ShardRecord, SumKind};
 
 /// One stored stripe slot: the durable store's own type, shared by both
 /// backends.
@@ -51,16 +54,18 @@ impl std::error::Error for StoreOpError {}
 /// durable stores are interchangeable behind this trait; the server
 /// holds one as `Mutex<Box<dyn ShardBackend>>`.
 pub trait ShardBackend: Send + std::fmt::Debug {
-    /// Inserts (or replaces) a stripe slot. `repair` marks a scrub
-    /// re-replication (recorded by the durable backend's log).
+    /// Inserts (or replaces) a stripe slot. `flags` are the put's
+    /// shard flags: [`crate::wire::PUT_FLAG_REPAIR`] marks a scrub
+    /// re-replication (recorded by the durable backend's log), and
+    /// [`crate::wire::SHARD_FLAG_FNV_SUM`] says `archive_sum` is FNV-1a.
     fn put(
         &mut self,
         key: &str,
         shard_idx: u16,
         bytes: &[u8],
         total_len: u64,
-        archive_fnv: u64,
-        repair: bool,
+        archive_sum: u64,
+        flags: u8,
     ) -> Result<(), StoreOpError>;
 
     /// Fetches a stripe slot. `Ok(None)` means not stored (or dropped
@@ -114,20 +119,40 @@ impl ShardStore {
         ShardStore::default()
     }
 
-    /// Inserts (or replaces) a stripe slot. Allocation is reserved
-    /// fallibly so an oversized put degrades to an error, not an abort.
+    /// Inserts (or replaces) a stripe slot whose `archive_sum` is a
+    /// `wordsum64`. Allocation is reserved fallibly so an oversized put
+    /// degrades to an error, not an abort.
     pub fn put(
         &mut self,
         key: &str,
         shard_idx: u16,
         bytes: &[u8],
         total_len: u64,
-        archive_fnv: u64,
+        archive_sum: u64,
+    ) -> Result<(), std::collections::TryReserveError> {
+        self.insert(
+            key,
+            shard_idx,
+            bytes,
+            total_len,
+            archive_sum,
+            SumKind::Wordsum64,
+        )
+    }
+
+    fn insert(
+        &mut self,
+        key: &str,
+        shard_idx: u16,
+        bytes: &[u8],
+        total_len: u64,
+        archive_sum: u64,
+        archive_sum_kind: SumKind,
     ) -> Result<(), std::collections::TryReserveError> {
         let mut owned = Vec::new();
         owned.try_reserve_exact(bytes.len())?;
         owned.extend_from_slice(bytes);
-        let checksum = fnv1a(&owned);
+        let checksum = wordsum64(&owned);
         self.shards.insert(
             (key.to_string(), shard_idx),
             MemoryEntry {
@@ -135,7 +160,8 @@ impl ShardStore {
                     bytes: owned,
                     checksum,
                     total_len,
-                    archive_fnv,
+                    archive_sum,
+                    archive_sum_kind,
                 },
                 verified: false,
             },
@@ -158,10 +184,11 @@ impl ShardBackend for ShardStore {
         shard_idx: u16,
         bytes: &[u8],
         total_len: u64,
-        archive_fnv: u64,
-        _repair: bool,
+        archive_sum: u64,
+        flags: u8,
     ) -> Result<(), StoreOpError> {
-        ShardStore::put(self, key, shard_idx, bytes, total_len, archive_fnv)
+        let kind = SumKind::of_stripe_flags(flags);
+        self.insert(key, shard_idx, bytes, total_len, archive_sum, kind)
             .map_err(|_| StoreOpError::Alloc)
     }
 
@@ -186,7 +213,7 @@ impl ShardBackend for ShardStore {
             if e.verified {
                 return true;
             }
-            let ok = fnv1a(&e.shard.bytes) == e.shard.checksum;
+            let ok = wordsum64(&e.shard.bytes) == e.shard.checksum;
             if ok {
                 e.verified = true;
             } else {
@@ -203,7 +230,8 @@ impl ShardBackend for ShardStore {
                 len: e.shard.bytes.len() as u64,
                 checksum: e.shard.checksum,
                 total_len: e.shard.total_len,
-                archive_fnv: e.shard.archive_fnv,
+                archive_sum: e.shard.archive_sum,
+                archive_sum_kind: e.shard.archive_sum_kind,
             })
             .collect();
         records.sort_by(|a, b| a.key.cmp(&b.key).then(a.shard_idx.cmp(&b.shard_idx)));
@@ -224,7 +252,7 @@ fn map_store_err(err: cuszp_store::StoreError) -> StoreOpError {
 
 /// The durable backend: [`cuszp_store::LogStore`] adapted to the
 /// [`ShardBackend`] contract. Reads are checksum-gated by the log
-/// store itself; the verified-FNV cache lives in its index.
+/// store itself; the verified-checksum cache lives in its index.
 #[derive(Debug)]
 pub struct DurableShardStore {
     inner: cuszp_store::LogStore,
@@ -249,11 +277,11 @@ impl ShardBackend for DurableShardStore {
         shard_idx: u16,
         bytes: &[u8],
         total_len: u64,
-        archive_fnv: u64,
-        repair: bool,
+        archive_sum: u64,
+        flags: u8,
     ) -> Result<(), StoreOpError> {
         self.inner
-            .put(key, shard_idx, bytes, total_len, archive_fnv, repair)
+            .put_with_flags(key, shard_idx, bytes, total_len, archive_sum, flags)
             .map_err(map_store_err)
     }
 
@@ -313,6 +341,7 @@ impl StoreBackendConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{PUT_FLAG_REPAIR, SHARD_FLAG_FNV_SUM};
 
     #[test]
     fn put_get_roundtrip() {
@@ -322,7 +351,8 @@ mod tests {
         let got = s.get("a", 1).unwrap();
         assert_eq!(got.bytes, b"world");
         assert_eq!(got.total_len, 5);
-        assert_eq!(got.archive_fnv, 42);
+        assert_eq!(got.archive_sum, 42);
+        assert_eq!(got.archive_sum_kind, SumKind::Wordsum64);
         assert!(s.get("a", 2).is_none());
         assert!(s.get("b", 0).is_none());
         assert_eq!(s.len(), 2);
@@ -410,9 +440,10 @@ mod tests {
             ),
         ];
         for b in &mut backends {
-            b.put("k", 0, b"abc", 3, 11, false).unwrap();
-            b.put("k", 1, b"defg", 4, 11, true).unwrap();
-            b.put("k", 0, b"over", 4, 12, false).unwrap();
+            b.put("k", 0, b"abc", 3, 11, 0).unwrap();
+            b.put("k", 1, b"defg", 4, 11, PUT_FLAG_REPAIR).unwrap();
+            b.put("k", 0, b"over", 4, 12, 0).unwrap();
+            b.put("old", 0, b"fnv", 3, 13, SHARD_FLAG_FNV_SUM).unwrap();
         }
         let lists: Vec<Vec<ShardRecord>> = backends
             .iter_mut()
@@ -425,7 +456,9 @@ mod tests {
         for b in &mut backends {
             let got = b.get("k", 0).unwrap().unwrap();
             assert_eq!(got.bytes, b"over");
-            assert_eq!(got.archive_fnv, 12);
+            assert_eq!(got.archive_sum, 12);
+            let old = b.get("old", 0).unwrap().unwrap();
+            assert_eq!(old.archive_sum_kind, SumKind::Fnv1a);
             assert!(b.get("nope", 0).unwrap().is_none());
         }
         let _ = std::fs::remove_dir_all(&dir);

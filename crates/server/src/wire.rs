@@ -4,7 +4,7 @@
 //! ```text
 //! offset size  field
 //! 0      4     magic "CSRP"
-//! 4      2     protocol version (= 4)
+//! 4      2     protocol version (= 5)
 //! 6      1     op (see [`Op`])
 //! 7      1     flags (bit 0: response, bit 1: error response)
 //! 8      8     request id (echoed verbatim in the response)
@@ -33,15 +33,18 @@ use std::io::{Read, Write};
 pub const WIRE_MAGIC: u32 = 0x5052_5343;
 /// Protocol version this build speaks — and the only one. Version 4
 /// replaced the frame trailer (byte-serial FNV-1a → word-parallel
-/// `wordsum64`), which no older reader can verify; payloads are those
-/// of version 3 (cluster ops, redirect tails, `health` identity).
-pub const WIRE_VERSION: u16 = 4;
+/// `wordsum64`), which no older reader can verify. Version 5 moved the
+/// stripe `archive_sum` to `wordsum64` and added the flag byte that
+/// names its function to `get_shard` replies and `list_shards` records;
+/// every other payload is that of version 3 (cluster ops, redirect
+/// tails, `health` identity).
+pub const WIRE_VERSION: u16 = 5;
 /// Oldest protocol version this build accepts: the same one. Versions
 /// 1–3 differed only by additive payload fields and used to be let in,
 /// but that tolerance only ever ran one way — an older build rejects
 /// every reply whose version exceeds its own `WIRE_VERSION` — so mixed
 /// versions never completed a round trip. One version in, one out.
-pub const WIRE_VERSION_MIN: u16 = 4;
+pub const WIRE_VERSION_MIN: u16 = 5;
 /// Fixed frame header bytes (before the payload).
 pub const FRAME_HEADER_BYTES: usize = 20;
 /// Hard cap on a frame payload (1 GiB). Server configs may lower it.
@@ -56,8 +59,10 @@ pub const FLAG_RESPONSE: u8 = 0x01;
 pub const FLAG_ERROR: u8 = 0x02;
 
 /// The two checksums of `cuszp-checksum`: `wordsum64` is the frame
-/// trailer; exact `fnv1a` stays on every field that lands on disk
-/// (`archive_fnv`, shard `checksum`) and on ring placement.
+/// trailer, the shard `checksum` and the `archive_sum` of every stripe
+/// put since v5; exact `fnv1a` stays on ring placement and on the
+/// `archive_sum` of a stripe put before v5, which carries
+/// [`SHARD_FLAG_FNV_SUM`].
 pub use cuszp_checksum::{fnv1a, wordsum64};
 
 /// Request/response operation.
@@ -1144,7 +1149,26 @@ pub const MAX_SHARD_KEY_BYTES: usize = 1 << 10;
 
 /// Shard-request flag: this `put` re-replicates a shard the scrub found
 /// missing or corrupt (counted as a repair, not a fresh write).
-pub const PUT_FLAG_REPAIR: u8 = 0x01;
+pub const PUT_FLAG_REPAIR: u8 = cuszp_store::FLAG_REPAIR;
+
+/// Shard flag: the stripe's `archive_sum` is FNV-1a, not `wordsum64` —
+/// a stripe put before v5. Carried by `put` requests, `get` replies and
+/// `list_shards` records, so a scrub re-put keeps the function. The
+/// bit values are the store's record flags, so put flags reach the
+/// store as they are.
+pub const SHARD_FLAG_FNV_SUM: u8 = cuszp_store::FLAG_FNV_SUM;
+
+/// The stripe-checksum function a shard's flags name.
+pub use cuszp_store::SumKind;
+
+/// Reads the flag byte of a `get` reply or a `list_shards` record.
+fn sum_kind_flags(c: &mut ByteCursor<'_>) -> Result<SumKind, WireError> {
+    let flags = c.u8()?;
+    if flags & !SHARD_FLAG_FNV_SUM != 0 {
+        return Err(WireError::BadPayload("unknown shard flags"));
+    }
+    Ok(SumKind::of_stripe_flags(flags))
+}
 
 fn check_key(key: &str) -> Result<(), WireError> {
     if key.is_empty() || key.len() > MAX_SHARD_KEY_BYTES {
@@ -1154,7 +1178,7 @@ fn check_key(key: &str) -> Result<(), WireError> {
 }
 
 /// A `put` request: one erasure-coded shard of an archive, addressed by
-/// `(key, shard_idx)` under a ring epoch. `total_len`/`archive_fnv`
+/// `(key, shard_idx)` under a ring epoch. `total_len`/`archive_sum`
 /// describe the *whole* archive so any one shard's metadata suffices to
 /// reassemble and verify the stripe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1167,9 +1191,11 @@ pub struct PutShardRequest<'a> {
     pub ring_epoch: u64,
     /// Whole-archive byte length.
     pub total_len: u64,
-    /// FNV-1a over the whole archive.
-    pub archive_fnv: u64,
-    /// [`PUT_FLAG_REPAIR`] when this is a scrub re-replication.
+    /// Checksum of the whole archive: `wordsum64`, or FNV-1a under
+    /// [`SHARD_FLAG_FNV_SUM`].
+    pub archive_sum: u64,
+    /// [`PUT_FLAG_REPAIR`] when this is a scrub re-replication, plus
+    /// [`SHARD_FLAG_FNV_SUM`] for a stripe put before v5.
     pub flags: u8,
     /// The shard bytes (data shards may be shorter than the stripe's
     /// shard size; the tail slot carries the archive's remainder).
@@ -1184,7 +1210,7 @@ impl<'a> PutShardRequest<'a> {
         out.extend_from_slice(&self.shard_idx.to_le_bytes());
         out.extend_from_slice(&self.ring_epoch.to_le_bytes());
         out.extend_from_slice(&self.total_len.to_le_bytes());
-        out.extend_from_slice(&self.archive_fnv.to_le_bytes());
+        out.extend_from_slice(&self.archive_sum.to_le_bytes());
         out.push(self.flags);
         out.extend_from_slice(self.shard);
         out
@@ -1198,9 +1224,9 @@ impl<'a> PutShardRequest<'a> {
         let shard_idx = c.u16()?;
         let ring_epoch = c.u64()?;
         let total_len = c.u64()?;
-        let archive_fnv = c.u64()?;
+        let archive_sum = c.u64()?;
         let flags = c.u8()?;
-        if flags & !PUT_FLAG_REPAIR != 0 {
+        if flags & !(PUT_FLAG_REPAIR | SHARD_FLAG_FNV_SUM) != 0 {
             return Err(WireError::BadPayload("unknown put flags"));
         }
         Ok(Self {
@@ -1208,7 +1234,7 @@ impl<'a> PutShardRequest<'a> {
             shard_idx,
             ring_epoch,
             total_len,
-            archive_fnv,
+            archive_sum,
             flags,
             shard: c.rest(),
         })
@@ -1255,8 +1281,10 @@ impl GetShardRequest {
 pub struct GetShardResponse {
     /// Whole-archive byte length.
     pub total_len: u64,
-    /// FNV-1a over the whole archive.
-    pub archive_fnv: u64,
+    /// Checksum of the whole archive, under `archive_sum_kind`.
+    pub archive_sum: u64,
+    /// The function behind `archive_sum` (wire: the flag byte).
+    pub archive_sum_kind: SumKind,
     /// The stored shard bytes.
     pub shard: Vec<u8>,
 }
@@ -1264,9 +1292,10 @@ pub struct GetShardResponse {
 impl GetShardResponse {
     /// Serializes for the wire.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.shard.len());
+        let mut out = Vec::with_capacity(17 + self.shard.len());
         out.extend_from_slice(&self.total_len.to_le_bytes());
-        out.extend_from_slice(&self.archive_fnv.to_le_bytes());
+        out.extend_from_slice(&self.archive_sum.to_le_bytes());
+        out.push(self.archive_sum_kind.stripe_flags());
         out.extend_from_slice(&self.shard);
         out
     }
@@ -1276,7 +1305,8 @@ impl GetShardResponse {
         let mut c = ByteCursor::new(payload);
         Ok(Self {
             total_len: c.u64()?,
-            archive_fnv: c.u64()?,
+            archive_sum: c.u64()?,
+            archive_sum_kind: sum_kind_flags(&mut c)?,
             shard: c.rest().to_vec(),
         })
     }
@@ -1287,7 +1317,7 @@ pub use cuszp_store::ShardRecord;
 
 /// Minimum encoded size of one [`ShardRecord`] (empty key): guards the
 /// count-prefixed decode against allocation lies.
-const SHARD_RECORD_MIN_BYTES: usize = 2 + 2 + 8 + 8 + 8 + 8;
+const SHARD_RECORD_MIN_BYTES: usize = 2 + 2 + 8 + 8 + 8 + 8 + 1;
 
 /// A `list_shards` response: the node's full shard inventory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -1307,7 +1337,8 @@ impl ShardListResponse {
             out.extend_from_slice(&r.len.to_le_bytes());
             out.extend_from_slice(&r.checksum.to_le_bytes());
             out.extend_from_slice(&r.total_len.to_le_bytes());
-            out.extend_from_slice(&r.archive_fnv.to_le_bytes());
+            out.extend_from_slice(&r.archive_sum.to_le_bytes());
+            out.push(r.archive_sum_kind.stripe_flags());
         }
         out
     }
@@ -1328,7 +1359,8 @@ impl ShardListResponse {
                 len: c.u64()?,
                 checksum: c.u64()?,
                 total_len: c.u64()?,
-                archive_fnv: c.u64()?,
+                archive_sum: c.u64()?,
+                archive_sum_kind: sum_kind_flags(&mut c)?,
             });
         }
         Ok(Self { records })
@@ -1609,15 +1641,16 @@ mod tests {
 
     #[test]
     fn exactly_one_version_is_spoken_and_accepted() {
-        assert_eq!((WIRE_VERSION_MIN, WIRE_VERSION), (4, 4));
+        assert_eq!((WIRE_VERSION_MIN, WIRE_VERSION), (5, 5));
         let mut buf = Vec::new();
         write_frame(&mut buf, Op::Ping as u8, 0, 3, b"").unwrap();
-        assert_eq!(buf[4..6], 4u16.to_le_bytes());
+        assert_eq!(buf[4..6], 5u16.to_le_bytes());
         let frame = read_frame(&mut buf.as_slice(), MAX_FRAME_PAYLOAD).unwrap();
         assert_eq!(frame.req_id, 3);
-        // Every FNV-trailer generation (1–3) and anything newer is
-        // refused at the header, before the trailer is looked at.
-        for v in [0u16, 1, 2, 3, WIRE_VERSION + 1] {
+        // Every FNV-trailer generation (1–3), v4 (FNV stripe sums, no
+        // shard flag byte) and anything newer is refused at the header,
+        // before the trailer is looked at.
+        for v in [0u16, 1, 2, 3, 4, WIRE_VERSION + 1] {
             let mut bad = buf.clone();
             bad[4..6].copy_from_slice(&v.to_le_bytes());
             assert_eq!(
@@ -1749,8 +1782,8 @@ mod tests {
             shard_idx: 2,
             ring_epoch: 7,
             total_len: 100_000,
-            archive_fnv: 0xDEAD_BEEF,
-            flags: PUT_FLAG_REPAIR,
+            archive_sum: 0xDEAD_BEEF,
+            flags: PUT_FLAG_REPAIR | SHARD_FLAG_FNV_SUM,
             shard: b"shard bytes",
         };
         let bytes = put.encode();
@@ -1774,12 +1807,19 @@ mod tests {
         };
         assert_eq!(GetShardRequest::decode(&get.encode()).unwrap(), get);
 
-        let resp = GetShardResponse {
-            total_len: 100_000,
-            archive_fnv: 0xDEAD_BEEF,
-            shard: vec![1, 2, 3],
-        };
-        assert_eq!(GetShardResponse::decode(&resp.encode()).unwrap(), resp);
+        for archive_sum_kind in [SumKind::Wordsum64, SumKind::Fnv1a] {
+            let resp = GetShardResponse {
+                total_len: 100_000,
+                archive_sum: 0xDEAD_BEEF,
+                archive_sum_kind,
+                shard: vec![1, 2, 3],
+            };
+            assert_eq!(GetShardResponse::decode(&resp.encode()).unwrap(), resp);
+            // The flag byte follows the two u64s; unknown bits are typed.
+            let mut bad = resp.encode();
+            bad[16] |= PUT_FLAG_REPAIR;
+            assert!(GetShardResponse::decode(&bad).is_err());
+        }
 
         let list = ShardListResponse {
             records: vec![
@@ -1789,7 +1829,8 @@ mod tests {
                     len: 10,
                     checksum: 1,
                     total_len: 20,
-                    archive_fnv: 2,
+                    archive_sum: 2,
+                    archive_sum_kind: SumKind::Fnv1a,
                 },
                 ShardRecord {
                     key: "b".into(),
@@ -1797,7 +1838,8 @@ mod tests {
                     len: 10,
                     checksum: 3,
                     total_len: 20,
-                    archive_fnv: 4,
+                    archive_sum: 4,
+                    archive_sum_kind: SumKind::Wordsum64,
                 },
             ],
         };

@@ -198,7 +198,7 @@ fn stale_epoch_answers_redirect_and_wrong_owner_answers_not_mine() {
         shard_idx: 0,
         ring_epoch: 3,
         total_len: 4,
-        archive_fnv: 0,
+        archive_sum: 0,
         flags: 0,
         shard: b"abcd",
     };

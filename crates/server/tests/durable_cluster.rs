@@ -3,15 +3,20 @@
 //! every archive bit-identical from disk with ZERO scrub repairs — the
 //! durable half of the crash-recovery acceptance criterion. A damaged
 //! segment is the flip side: surfaced typed at boot, shard dropped (not
-//! served corrupt), healed end-to-end by cluster-scrub.
+//! served corrupt), healed end-to-end by cluster-scrub. A stripe
+//! stored before the v2 record format — FNV-1a record trailers and an
+//! FNV-1a stripe checksum — still reads, degrades and scrubs under the
+//! function it was put with.
 
-use cuszp_core::{Compressor, Config, Dims, ErrorBound};
+use cuszp_core::{Compressor, Config, Dims, ErrorBound, RangeSpec};
+use cuszp_ecc::ReedSolomon;
 use cuszp_parallel::WorkerPool;
+use cuszp_server::wire::{ShardListResponse, SumKind};
 use cuszp_server::{
-    Client, ClusterClient, ClusterConfig, ConnectOptions, NodeInfo, Ring, Server, ServerConfig,
+    Client, ClusterClient, ClusterConfig, ConnectOptions, NodeInfo, Op, Ring, Server, ServerConfig,
     ServerHandle, StoreBackendConfig,
 };
-use cuszp_store::{FsyncPolicy, StoreConfig};
+use cuszp_store::{fnv1a, FsyncPolicy, StoreConfig};
 use std::fs;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
@@ -74,21 +79,40 @@ struct DurableCluster {
     addrs: Vec<SocketAddr>,
 }
 
+/// The 2+1 ring over `ports`; node `i + 1` listens on `ports[i]`.
+fn ring_over(ports: &[u16], epoch: u64) -> Ring {
+    let nodes: Vec<NodeInfo> = ports
+        .iter()
+        .enumerate()
+        .map(|(i, p)| NodeInfo {
+            id: i as u64 + 1,
+            addr: format!("127.0.0.1:{p}"),
+        })
+        .collect();
+    Ring::new(epoch, 2, 1, nodes).unwrap()
+}
+
 impl DurableCluster {
     fn start(ports: &[u16], dirs: &[PathBuf], epoch: u64) -> DurableCluster {
-        let nodes: Vec<NodeInfo> = ports
-            .iter()
-            .enumerate()
-            .map(|(i, p)| NodeInfo {
-                id: i as u64 + 1,
-                addr: format!("127.0.0.1:{p}"),
-            })
-            .collect();
-        let ring = Ring::new(epoch, 2, 1, nodes).unwrap();
+        DurableCluster::start_without(ports, dirs, epoch, None)
+    }
+
+    /// Starts every node but `down`, which stays dead: its ring slot
+    /// refuses connections.
+    fn start_without(
+        ports: &[u16],
+        dirs: &[PathBuf],
+        epoch: u64,
+        down: Option<usize>,
+    ) -> DurableCluster {
+        let ring = ring_over(ports, epoch);
         let mut handles = Vec::new();
         let mut joins = Vec::new();
         let mut addrs = Vec::new();
         for (i, p) in ports.iter().enumerate() {
+            if down == Some(i) {
+                continue;
+            }
             let server = Server::bind_cluster(
                 format!("127.0.0.1:{p}"),
                 ServerConfig::default(),
@@ -278,6 +302,159 @@ fn damaged_segment_is_surfaced_typed_and_healed_by_scrub() {
             .expect("get after heal+restart");
         assert_eq!(&got.bytes, bytes);
     }
+    cluster.stop();
+    for d in &dirs {
+        let _ = fs::remove_dir_all(d);
+    }
+}
+
+/// One record in the v1 store format ("CZLR", FNV-1a trailer over the
+/// body) — how a build before the v2 record format stored a shard.
+fn v1_record(key: &str, shard_idx: u16, shard: &[u8], total_len: u64, archive_sum: u64) -> Vec<u8> {
+    let mut body = vec![1u8, 0]; // kind put, no flags
+    body.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    body.extend_from_slice(&shard_idx.to_le_bytes());
+    body.extend_from_slice(&total_len.to_le_bytes());
+    body.extend_from_slice(&archive_sum.to_le_bytes());
+    body.extend_from_slice(&(shard.len() as u32).to_le_bytes());
+    body.extend_from_slice(key.as_bytes());
+    body.extend_from_slice(shard);
+    let mut out = b"CZLR".to_vec();
+    out.extend_from_slice(&((body.len() + 8) as u32).to_le_bytes());
+    out.extend_from_slice(&body);
+    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
+    out
+}
+
+/// Writes `key`'s stripe into the nodes' data dirs as a build before
+/// the v2 record format left them: split as `ClusterClient::put`
+/// splits (2 data + 1 parity), each slot in a v1 segment on its ring
+/// owner, the stripe checksum FNV-1a. Returns the slot-0 owner's index.
+fn write_v1_stripe(ring: &Ring, dirs: &[PathBuf], key: &str, bytes: &[u8]) -> usize {
+    let (k, m) = (2usize, 1usize);
+    let shard_size = bytes.len().div_ceil(k);
+    let mut shards: Vec<Vec<u8>> = bytes
+        .chunks(shard_size)
+        .map(|c| {
+            let mut s = c.to_vec();
+            s.resize(shard_size, 0);
+            s
+        })
+        .collect();
+    let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
+    let parity = ReedSolomon::new(k, m)
+        .unwrap()
+        .encode(&refs, shard_size)
+        .unwrap();
+    shards.extend(parity);
+    let mut segments: Vec<Vec<u8>> = (1..=dirs.len())
+        .map(|_| {
+            let mut h = b"CZLS".to_vec();
+            h.extend_from_slice(&1u32.to_le_bytes()); // segment version 1
+            h.extend_from_slice(&1u64.to_le_bytes()); // seq 1
+            h
+        })
+        .collect();
+    let mut slot0_owner = 0;
+    for (slot, shard) in shards.iter().enumerate() {
+        let owner = ring.shard_owner(key, slot as u16).unwrap().id as usize - 1;
+        if slot == 0 {
+            slot0_owner = owner;
+        }
+        segments[owner].extend(v1_record(
+            key,
+            slot as u16,
+            shard,
+            bytes.len() as u64,
+            fnv1a(bytes),
+        ));
+    }
+    for (dir, segment) in dirs.iter().zip(&segments) {
+        fs::create_dir_all(dir).unwrap();
+        fs::write(dir.join("seg-00000001.czl"), segment).unwrap();
+        fs::write(dir.join("MANIFEST"), "czl-manifest 1\nsegments 1\nnext 2\n").unwrap();
+    }
+    slot0_owner
+}
+
+/// The `(slot, archive_sum, archive_sum_kind)` of every shard of `key`
+/// a node lists.
+fn listed(addr: SocketAddr, key: &str) -> Vec<(u16, u64, SumKind)> {
+    let mut c = Client::connect(addr).expect("connect for list");
+    let payload = c.call(Op::ListShards, &[]).expect("list_shards");
+    ShardListResponse::decode(&payload)
+        .expect("decode list")
+        .records
+        .into_iter()
+        .filter(|r| r.key == key)
+        .map(|r| (r.shard_idx, r.archive_sum, r.archive_sum_kind))
+        .collect()
+}
+
+#[test]
+fn a_stripe_put_under_fnv1a_reads_degrades_and_scrubs_under_fnv1a() {
+    let ports = free_ports(3);
+    let dirs: Vec<PathBuf> = (0..3).map(|i| temp_dir(&format!("legacy-{i}"))).collect();
+    let key = "legacy/nyx";
+    let bytes = archive(5);
+    let sum = fnv1a(&bytes);
+    let spec = RangeSpec::new(vec![3..17, 40..300]);
+    let (want_range, want_dims) = cuszp_core::decompress_range(&bytes, &spec).expect("local range");
+    let down = write_v1_stripe(&ring_over(&ports, 1), &dirs, key, &bytes);
+
+    // Healthy: both reads verify the reassembled archive under FNV-1a,
+    // and every node lists its shard with the function named.
+    let cluster = DurableCluster::start(&ports, &dirs, 1);
+    for (i, h) in cluster.handles.iter().enumerate() {
+        let summary = h.store_recovery_summary().expect("durable node summary");
+        assert!(summary.contains("clean"), "node {i}: {summary}");
+        assert_eq!(listed(cluster.addrs[i], key).len(), 1, "node {i}");
+        for (slot, archive_sum, kind) in listed(cluster.addrs[i], key) {
+            assert_eq!((archive_sum, kind), (sum, SumKind::Fnv1a), "slot {slot}");
+        }
+    }
+    let mut client = cluster.client();
+    let got = client.get(key).expect("get a v1 stripe");
+    assert!(!got.degraded);
+    assert_eq!(got.bytes, bytes);
+    let (samples, dims, degraded) = client.get_range(key, &spec).expect("get_range");
+    assert!(!degraded);
+    assert_eq!((samples, dims), (want_range.clone(), want_dims));
+    cluster.stop();
+
+    // Slot 0's owner down: the read rebuilds it from parity, and the
+    // rebuilt archive still verifies under FNV-1a.
+    let cluster = DurableCluster::start_without(&ports, &dirs, 1, Some(down));
+    let mut client = cluster.client();
+    let got = client.get(key).expect("degraded get");
+    assert!(got.degraded);
+    assert_eq!(got.bytes, bytes);
+    let (samples, dims, degraded) = client.get_range(key, &spec).expect("degraded get_range");
+    assert!(degraded);
+    assert_eq!((samples, dims), (want_range, want_dims));
+    cluster.stop();
+
+    // Slot 0's owner comes back empty: scrub re-puts the slot with its
+    // FNV-1a stripe checksum and the flag that names it.
+    fs::remove_dir_all(&dirs[down]).unwrap();
+    let cluster = DurableCluster::start(&ports, &dirs, 1);
+    assert!(listed(cluster.addrs[down], key).is_empty());
+    let mut client = cluster.client();
+    let report = client.scrub().expect("scrub");
+    assert_eq!((report.repaired, report.unrepairable), (1, 0));
+    assert_eq!(
+        listed(cluster.addrs[down], key),
+        vec![(0, sum, SumKind::Fnv1a)]
+    );
+    cluster.stop();
+
+    // The repaired slot is durable and serves a read of its own: with
+    // another node down, slot 0 must come from the repaired copy.
+    let other = (down + 1) % 3;
+    let cluster = DurableCluster::start_without(&ports, &dirs, 1, Some(other));
+    let mut client = cluster.client();
+    let got = client.get(key).expect("get through the repaired slot");
+    assert_eq!(got.bytes, bytes);
     cluster.stop();
     for d in &dirs {
         let _ = fs::remove_dir_all(d);

@@ -29,9 +29,9 @@ fn oracle(bytes: &[u8], cap: usize) -> Result<Frame, WireError> {
         return Err(WireError::BadMagic(magic));
     }
     let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    // CSRP v4 is the only version on the wire: a v1–v3 frame (FNV
-    // trailer) is refused here, whatever its trailer holds.
-    if version != 4 {
+    // CSRP v5 is the only version on the wire: a v1–v3 frame (FNV
+    // trailer) or a v4 one is refused here, whatever its trailer holds.
+    if version != 5 {
         return Err(WireError::UnsupportedVersion(version));
     }
     let len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;

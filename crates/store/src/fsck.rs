@@ -157,7 +157,7 @@ pub fn scan_dir(dir: &Path) -> Result<DirReport, StoreError> {
     for &seq in &sequence {
         let path = dir.join(format!("seg-{seq:08}.czl"));
         let bytes = super::log::read_file(&path)?;
-        let header_ok = parse_segment_header(&bytes) == Some(seq);
+        let header_ok = parse_segment_header(&bytes).is_some_and(|(s, _)| s == seq);
         let scan = scan_segment(seq, &bytes, header_ok);
         let mut records = Vec::new();
         for sr in &scan.records {

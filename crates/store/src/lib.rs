@@ -13,9 +13,11 @@
 //! The layers:
 //!
 //! - [`record`]: the on-disk record codec —
-//!   `[magic][record_len][kind flags key shard_idx meta payload][FNV-1a trailer]`,
-//!   defensively parsed (allocation-guarded, every field bounds-checked,
-//!   typed [`RecordFault`]s, never a panic on arbitrary bytes).
+//!   `[magic][record_len][kind flags key shard_idx meta payload][trailer]`,
+//!   the trailer `wordsum64` under the v2 magic and FNV-1a under the v1
+//!   one (read, never written), defensively parsed (allocation-guarded,
+//!   every field bounds-checked, typed [`RecordFault`]s, never a panic
+//!   on arbitrary bytes).
 //! - [`log`]: [`LogStore`] — segment files `seg-<n>.czl`, the boot
 //!   recovery scan (torn tails truncated with a typed report, mid-log
 //!   corruption skipped per-record and counted), tombstones for
@@ -28,7 +30,7 @@
 //!   / 2 unreadable).
 //!
 //! Reads are checksum-gated end to end: `get` re-verifies the record
-//! trailer before returning bytes, so a rotted record surfaces as
+//! trailer and the payload's `wordsum64` before returning bytes, so a rotted record surfaces as
 //! *missing* (plus a typed fault) and anti-entropy re-replicates it —
 //! the store never serves corrupt bytes as valid. Verified payload
 //! checksums are cached in the index, so repeated inventories
@@ -44,13 +46,16 @@ pub mod record;
 
 pub use fsck::{scan_dir, DirReport, RecordStatus, SegmentReport};
 pub use log::{LogStore, RecoveryReport, SegmentFault, ShardRecord, StoredShard};
-pub use record::{Record, RecordFault, RecordKind, FLAG_REPAIR};
+pub use record::{Record, RecordFault, RecordKind, SumKind, FLAG_FNV_SUM, FLAG_REPAIR};
 
 use std::path::PathBuf;
 
-/// Exact FNV-1a — the record trailer, `payload_fnv` and every shard
-/// checksum on disk (defined once, in `cuszp-checksum`).
-pub use cuszp_checksum::fnv1a;
+/// The workspace's two checksums (defined once, in `cuszp-checksum`).
+/// `wordsum64` is every record trailer, `payload_sum` and stripe
+/// `archive_sum` this crate writes; exact FNV-1a is the trailer of a
+/// v1 record and the `archive_sum` of a stripe put before v2, both only
+/// ever verified, through [`SumKind`].
+pub use cuszp_checksum::{fnv1a, wordsum64};
 
 /// When appended records are flushed to stable storage.
 ///
@@ -137,6 +142,8 @@ pub enum StoreError {
     KeyTooLong { len: usize },
     /// The payload exceeds [`record::MAX_PAYLOAD_BYTES`].
     PayloadTooLarge { len: usize },
+    /// A put named flag bits outside [`record::KNOWN_FLAGS`].
+    UnknownFlags { flags: u8 },
 }
 
 impl std::fmt::Display for StoreError {
@@ -154,6 +161,7 @@ impl std::fmt::Display for StoreError {
                 "payload of {len} bytes exceeds the {} byte cap",
                 record::MAX_PAYLOAD_BYTES
             ),
+            StoreError::UnknownFlags { flags } => write!(f, "unknown record flags {flags:#04x}"),
         }
     }
 }

@@ -29,10 +29,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::record::{
-    parse_record, parse_segment_header, segment_header, Parsed, Record, RecordFault, RecordKind,
-    MAX_KEY_BYTES, MAX_PAYLOAD_BYTES, SEGMENT_HEADER_BYTES,
+    is_record_magic, parse_record, parse_segment_header, segment_header, Parsed, Record,
+    RecordFault, RecordKind, SumKind, FLAG_REPAIR, KNOWN_FLAGS, MAX_KEY_BYTES, MAX_PAYLOAD_BYTES,
+    SEGMENT_HEADER_BYTES, SEGMENT_VERSION,
 };
-use crate::{fnv1a, FsyncPolicy, StoreConfig, StoreError};
+use crate::{wordsum64, FsyncPolicy, StoreConfig, StoreError};
 
 /// Cap on remembered *runtime* faults (rot found by `get`/`list` after
 /// boot); the counter keeps counting past it.
@@ -43,12 +44,15 @@ const MAX_RUNTIME_FAULTS: usize = 256;
 pub struct StoredShard {
     /// The shard bytes (RS-padded; `total_len` recovers the tail).
     pub bytes: Vec<u8>,
-    /// FNV-1a of `bytes`.
+    /// `wordsum64` of `bytes`.
     pub checksum: u64,
     /// Length of the whole archive the stripe encodes.
     pub total_len: u64,
-    /// FNV-1a of the whole archive.
-    pub archive_fnv: u64,
+    /// Checksum of the whole archive, under `archive_sum_kind`.
+    pub archive_sum: u64,
+    /// The function behind `archive_sum`: FNV-1a for a stripe put
+    /// before v2, `wordsum64` for every later one.
+    pub archive_sum_kind: SumKind,
 }
 
 /// One entry of a `verify_and_list` inventory — also the record a
@@ -61,13 +65,15 @@ pub struct ShardRecord {
     pub shard_idx: u16,
     /// Stored shard length in bytes.
     pub len: u64,
-    /// FNV-1a of the shard bytes (verified at listing time, possibly
+    /// `wordsum64` of the shard bytes (verified at listing time, possibly
     /// from the cache; corrupt shards are dropped and never listed).
     pub checksum: u64,
     /// Whole-archive byte length.
     pub total_len: u64,
-    /// FNV-1a over the whole archive.
-    pub archive_fnv: u64,
+    /// Checksum of the whole archive, under `archive_sum_kind`.
+    pub archive_sum: u64,
+    /// The function behind `archive_sum` — what a scrub re-put keeps.
+    pub archive_sum_kind: SumKind,
 }
 
 /// Typed damage found in the segment files — at boot or afterwards.
@@ -188,10 +194,11 @@ struct IndexEntry {
     /// Whole-record bytes on disk.
     disk_len: u32,
     payload_len: u32,
-    /// FNV-1a of the payload, captured at write or last verification.
-    payload_fnv: u64,
+    /// `wordsum64` of the payload, captured at write or boot scan.
+    payload_sum: u64,
     total_len: u64,
-    archive_fnv: u64,
+    archive_sum: u64,
+    archive_sum_kind: SumKind,
     /// Whether the on-disk bytes have been checksum-verified since the
     /// record was written. Cleared on write, set by boot scan, `get`,
     /// and `verify_and_list` — the cache that keeps repeated scrubs
@@ -392,12 +399,11 @@ pub(crate) fn scan_segment(seq: u64, bytes: &[u8], header_ok: bool) -> SegmentSc
             }
             Parsed::Fault { .. } => {
                 // No trustworthy length: resynchronize by scanning for
-                // the next record magic.
-                let magic = crate::record::RECORD_MAGIC.to_le_bytes();
+                // the next record magic of either format.
                 let from = off + 1;
                 let next = bytes[from..]
                     .windows(4)
-                    .position(|w| w == magic)
+                    .position(is_record_magic)
                     .map(|p| from + p);
                 match next {
                     Some(n) => {
@@ -494,10 +500,16 @@ impl LogStore {
         let mut total_bytes = 0u64;
         let mut dead_bytes = 0u64;
         let segment_list: Vec<u64> = segments.iter().copied().collect();
+        // Whether the last segment may take appends: only a sound header
+        // of the current version does, so a version-2 segment holds
+        // only v2 records.
+        let mut last_is_current = false;
         for (i, &seq) in segment_list.iter().enumerate() {
             let path = segment_path(&dir, seq);
             let bytes = read_file(&path)?;
-            let header_ok = parse_segment_header(&bytes) == Some(seq);
+            let header = parse_segment_header(&bytes).filter(|&(s, _)| s == seq);
+            let header_ok = header.is_some();
+            last_is_current = header.is_some_and(|(_, v)| v == SEGMENT_VERSION);
             let scan = scan_segment(seq, &bytes, header_ok);
             report.segments_scanned += 1;
             for f in &scan.faults {
@@ -527,9 +539,9 @@ impl LogStore {
                 let prior = match sr.record.kind {
                     RecordKind::Put => {
                         // Startup re-verifies checksums exactly like
-                        // `list_shards`: the body hash already validated,
-                        // so the payload FNV cached here is verified.
-                        let payload_fnv = fnv1a(&sr.record.payload);
+                        // `list_shards`: the trailer already validated,
+                        // so the payload sum cached here is verified.
+                        let payload_sum = wordsum64(&sr.record.payload);
                         index.insert(
                             slot,
                             IndexEntry {
@@ -537,9 +549,10 @@ impl LogStore {
                                 offset: sr.offset,
                                 disk_len: sr.disk_len,
                                 payload_len: sr.record.payload.len() as u32,
-                                payload_fnv,
+                                payload_sum,
                                 total_len: sr.record.total_len,
-                                archive_fnv: sr.record.archive_fnv,
+                                archive_sum: sr.record.archive_sum,
+                                archive_sum_kind: SumKind::of_stripe_flags(sr.record.flags),
                                 verified: true,
                             },
                         )
@@ -557,8 +570,11 @@ impl LogStore {
         }
         report.live_shards = index.len() as u64;
 
-        // Open (or create) the active segment — the highest sequence.
-        let (active_seq, active) = match segments.iter().max().copied() {
+        // Open the active segment — the highest sequence — or start a
+        // fresh one when there is none, or when the last one is a v1
+        // segment or has a damaged header.
+        let reusable = segments.iter().max().copied().filter(|_| last_is_current);
+        let (active_seq, active) = match reusable {
             Some(seq) => {
                 let path = segment_path(&dir, seq);
                 let f = OpenOptions::new()
@@ -726,16 +742,33 @@ impl LogStore {
         Ok((self.active_seq, offset))
     }
 
-    /// Inserts (or replaces) a stripe slot durably. `repair` marks a
-    /// scrub re-replication in the record's flags.
+    /// Inserts (or replaces) a stripe slot durably, its `archive_sum` a
+    /// `wordsum64`. `repair` marks a scrub re-replication in the
+    /// record's flags.
     pub fn put(
         &mut self,
         key: &str,
         shard_idx: u16,
         bytes: &[u8],
         total_len: u64,
-        archive_fnv: u64,
+        archive_sum: u64,
         repair: bool,
+    ) -> Result<(), StoreError> {
+        let flags = if repair { FLAG_REPAIR } else { 0 };
+        self.put_with_flags(key, shard_idx, bytes, total_len, archive_sum, flags)
+    }
+
+    /// [`LogStore::put`] with the record flags spelled out:
+    /// [`crate::FLAG_REPAIR`], and [`crate::FLAG_FNV_SUM`] when
+    /// `archive_sum` is the FNV-1a of a stripe put before v2.
+    pub fn put_with_flags(
+        &mut self,
+        key: &str,
+        shard_idx: u16,
+        bytes: &[u8],
+        total_len: u64,
+        archive_sum: u64,
+        flags: u8,
     ) -> Result<(), StoreError> {
         if key.len() > MAX_KEY_BYTES {
             return Err(StoreError::KeyTooLong { len: key.len() });
@@ -743,7 +776,11 @@ impl LogStore {
         if bytes.len() > MAX_PAYLOAD_BYTES {
             return Err(StoreError::PayloadTooLarge { len: bytes.len() });
         }
-        let record = Record::put(key, shard_idx, bytes, total_len, archive_fnv, repair);
+        if flags & !KNOWN_FLAGS != 0 {
+            return Err(StoreError::UnknownFlags { flags });
+        }
+        let mut record = Record::put(key, shard_idx, bytes, total_len, archive_sum, false);
+        record.flags = flags;
         let mut encoded = Vec::new();
         encoded
             .try_reserve_exact(record.disk_len())
@@ -751,7 +788,7 @@ impl LogStore {
                 bytes: record.disk_len(),
             })?;
         record.encode_into(&mut encoded);
-        let payload_fnv = fnv1a(bytes);
+        let payload_sum = wordsum64(bytes);
         let (seq, offset) = self.append(&encoded)?;
         let old = self.index.insert(
             (key.to_string(), shard_idx),
@@ -760,9 +797,10 @@ impl LogStore {
                 offset,
                 disk_len: encoded.len() as u32,
                 payload_len: bytes.len() as u32,
-                payload_fnv,
+                payload_sum,
                 total_len,
-                archive_fnv,
+                archive_sum,
+                archive_sum_kind: SumKind::of_stripe_flags(flags),
                 // A write invalidates the cached verification: the next
                 // inventory re-reads this record once, then re-caches.
                 verified: false,
@@ -798,12 +836,23 @@ impl LogStore {
         };
         f.seek(SeekFrom::Start(entry.offset))
             .map_err(|e| io_err(&path, e))?;
+        // Read into reserved capacity: nothing is zero-filled first, and
+        // `take` stops the read at the record's end.
         let len = entry.disk_len as usize;
         let mut buf = Vec::new();
         buf.try_reserve_exact(len)
             .map_err(|_| StoreError::Alloc { bytes: len })?;
-        buf.resize(len, 0);
-        f.read_exact(&mut buf).map_err(|e| io_err(&path, e))?;
+        let got = f
+            .take(len as u64)
+            .read_to_end(&mut buf)
+            .map_err(|e| io_err(&path, e))?;
+        if got < len {
+            let eof = std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "segment ends inside an indexed record",
+            );
+            return Err(io_err(&path, eof));
+        }
         Ok(buf)
     }
 
@@ -824,7 +873,7 @@ impl LogStore {
                 if record.kind == RecordKind::Put
                     && record.key == key
                     && record.shard_idx == shard_idx
-                    && fnv1a(&record.payload) == entry.payload_fnv =>
+                    && wordsum64(&record.payload) == entry.payload_sum =>
             {
                 Some(record.payload)
             }
@@ -861,9 +910,10 @@ impl LogStore {
                 }
                 Ok(Some(StoredShard {
                     bytes: payload,
-                    checksum: entry.payload_fnv,
+                    checksum: entry.payload_sum,
                     total_len: entry.total_len,
-                    archive_fnv: entry.archive_fnv,
+                    archive_sum: entry.archive_sum,
+                    archive_sum_kind: entry.archive_sum_kind,
                 }))
             }
             None => Ok(None),
@@ -900,9 +950,10 @@ impl LogStore {
                 key: key.clone(),
                 shard_idx: *idx,
                 len: e.payload_len as u64,
-                checksum: e.payload_fnv,
+                checksum: e.payload_sum,
                 total_len: e.total_len,
-                archive_fnv: e.archive_fnv,
+                archive_sum: e.archive_sum,
+                archive_sum_kind: e.archive_sum_kind,
             })
             .collect();
         entries.sort_by(|a, b| a.key.cmp(&b.key).then(a.shard_idx.cmp(&b.shard_idx)));
@@ -946,13 +997,15 @@ impl LogStore {
             let Some(payload) = self.verified_payload(&key, idx, &entry)? else {
                 continue;
             };
+            // Every record is rewritten as v2; a stripe put before v2
+            // keeps its FNV-1a `archive_sum` under the flag that names it.
             let record = Record {
                 kind: RecordKind::Put,
-                flags: 0,
+                flags: entry.archive_sum_kind.stripe_flags(),
                 key: key.clone(),
                 shard_idx: idx,
                 total_len: entry.total_len,
-                archive_fnv: entry.archive_fnv,
+                archive_sum: entry.archive_sum,
                 payload,
             };
             let encoded = record.encode();
@@ -964,9 +1017,10 @@ impl LogStore {
                     offset,
                     disk_len: encoded.len() as u32,
                     payload_len: entry.payload_len,
-                    payload_fnv: entry.payload_fnv,
+                    payload_sum: entry.payload_sum,
                     total_len: entry.total_len,
-                    archive_fnv: entry.archive_fnv,
+                    archive_sum: entry.archive_sum,
+                    archive_sum_kind: entry.archive_sum_kind,
                     verified: true,
                 },
             );
@@ -1090,7 +1144,8 @@ mod tests {
             let got = s.get("a", 1).unwrap().unwrap();
             assert_eq!(got.bytes, b"world");
             assert_eq!(got.total_len, 5);
-            assert_eq!(got.archive_fnv, 42);
+            assert_eq!(got.archive_sum, 42);
+            assert_eq!(got.archive_sum_kind, SumKind::Wordsum64);
             assert!(s.get("a", 2).unwrap().is_none());
             assert_eq!(s.len(), 2);
         }
@@ -1145,7 +1200,7 @@ mod tests {
                 ("b".to_string(), 1)
             ]
         );
-        assert_eq!(entries[0].checksum, fnv1a(b"z"));
+        assert_eq!(entries[0].checksum, wordsum64(b"z"));
         // Second pass: everything cached, nothing dropped.
         let (entries2, dropped2) = s.verify_and_list().unwrap();
         assert_eq!(dropped2, 0);
@@ -1187,38 +1242,184 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Writes `records` as one v1 segment (v1 header, "CZLR" records,
+    /// FNV-1a trailers) plus its manifest: a data dir as a pre-v2 build
+    /// left it. Returns each record's offset.
+    fn write_v1_store(dir: &Path, records: &[Record]) -> Vec<u64> {
+        fs::create_dir_all(dir).unwrap();
+        let mut bytes = segment_header(1).to_vec();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut offsets = Vec::new();
+        for r in records {
+            offsets.push(bytes.len() as u64);
+            bytes.extend_from_slice(&r.encode_v1());
+        }
+        fs::write(segment_path(dir, 1), &bytes).unwrap();
+        fs::write(manifest_path(dir), encode_manifest(&BTreeSet::from([1]), 2)).unwrap();
+        offsets
+    }
+
+    /// Stores `victim` then `survivor` in the given record format and
+    /// returns the victim's offset in segment 1.
+    fn two_records(dir: &Path, v1: bool) -> u64 {
+        let victim = Record::put("victim", 0, &[1u8; 300], 300, 1, false);
+        let survivor = Record::put("survivor", 0, &[2u8; 300], 300, 2, false);
+        if v1 {
+            return write_v1_store(dir, &[victim, survivor])[0];
+        }
+        let mut s = LogStore::open(config(dir)).unwrap();
+        for r in [&victim, &survivor] {
+            s.put(&r.key, 0, &r.payload, r.total_len, r.archive_sum, false)
+                .unwrap();
+        }
+        SEGMENT_HEADER_BYTES as u64
+    }
+
+    fn flip_bit(path: &Path, at: u64) {
+        let mut f = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .unwrap();
+        let mut byte = [0u8];
+        f.seek(SeekFrom::Start(at)).unwrap();
+        f.read_exact(&mut byte).unwrap();
+        f.seek(SeekFrom::Start(at)).unwrap();
+        f.write_all(&[byte[0] ^ 0x10]).unwrap();
+    }
+
     #[test]
     fn mid_log_bit_flip_skips_only_the_damaged_record() {
-        let dir = temp_dir("flip");
-        let first_end;
-        {
-            let mut s = LogStore::open(config(&dir)).unwrap();
-            s.put("victim", 0, &[1u8; 300], 300, 1, false).unwrap();
-            first_end = s.active_len;
-            s.put("survivor", 0, &[2u8; 300], 300, 2, false).unwrap();
-        }
-        // Flip a payload bit inside the *first* record.
-        let seg = segment_path(&dir, 1);
-        let mut bytes = fs::read(&seg).unwrap();
-        let mid = (SEGMENT_HEADER_BYTES as u64 + first_end) as usize / 2;
-        bytes[mid] ^= 0x10;
-        fs::write(&seg, &bytes).unwrap();
+        for v1 in [false, true] {
+            let dir = temp_dir("flip");
+            let victim_at = two_records(&dir, v1);
+            // Flip a payload bit inside the *first* record.
+            flip_bit(&segment_path(&dir, 1), victim_at + 200);
 
+            let mut s = LogStore::open(config(&dir)).unwrap();
+            assert!(
+                s.get("victim", 0).unwrap().is_none(),
+                "corrupt record must drop (v1 {v1})"
+            );
+            assert_eq!(
+                s.get("survivor", 0).unwrap().unwrap().bytes,
+                vec![2u8; 300],
+                "record after the damage must survive bit-exact (v1 {v1})"
+            );
+            assert!(s
+                .recovery_report()
+                .faults
+                .iter()
+                .any(|f| matches!(f, SegmentFault::CorruptRecord { .. })));
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn rot_after_boot_in_any_part_of_a_record_drops_it_typed_in_both_formats() {
+        // Offsets inside the victim record ("victim", 300-byte payload).
+        let disk_len = Record::put("victim", 0, &[0; 300], 0, 0, false).disk_len() as u64;
+        let regions = [
+            ("magic", 1),
+            ("header", 14),
+            ("key", 35),
+            ("payload", 34 + 6 + 150),
+            ("trailer", disk_len - 3),
+        ];
+        for v1 in [false, true] {
+            for (region, at) in regions {
+                let case = format!("v1 {v1}, {region}");
+                let dir = temp_dir("rot");
+                let victim_at = two_records(&dir, v1);
+                let mut s = LogStore::open(config(&dir)).unwrap();
+                assert!(s.recovery_report().is_clean(), "{case}");
+                flip_bit(&segment_path(&dir, 1), victim_at + at);
+                assert_eq!(s.get("victim", 0).unwrap(), None, "{case}");
+                assert!(
+                    matches!(
+                        s.runtime_faults(),
+                        [SegmentFault::CorruptRecord { seq: 1, offset, .. }] if *offset == victim_at
+                    ),
+                    "{case}: {:?}",
+                    s.runtime_faults()
+                );
+                assert_eq!(s.corrupt_dropped(), 1, "{case}");
+                assert_eq!(
+                    s.get("survivor", 0).unwrap().unwrap().bytes,
+                    vec![2u8; 300],
+                    "{case}"
+                );
+                assert_eq!(crate::scan_dir(&dir).unwrap().exit_code(), 1, "{case}");
+                drop(s);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    #[test]
+    fn v1_records_boot_read_and_compact_into_v2() {
+        let dir = temp_dir("v1");
+        write_v1_store(
+            &dir,
+            &[
+                Record::put("k", 0, b"shard0", 12, 0xF00D, false),
+                Record::put("k", 1, b"parity", 12, 0xF00D, true),
+                Record::put("gone", 0, b"bye", 3, 0xBEEF, false),
+                Record::tombstone("gone", 0),
+            ],
+        );
         let mut s = LogStore::open(config(&dir)).unwrap();
-        assert!(
-            s.get("victim", 0).unwrap().is_none(),
-            "corrupt record must drop"
-        );
+        assert!(s.recovery_report().is_clean(), "{}", s.recovery_report());
+        // The v1 segment stays readable; appends go to a fresh v2 one.
+        assert_eq!(s.segment_count(), 2);
+        let got = s.get("k", 1).unwrap().unwrap();
+        assert_eq!(got.bytes, b"parity");
+        assert_eq!(got.checksum, wordsum64(b"parity"));
         assert_eq!(
-            s.get("survivor", 0).unwrap().unwrap().bytes,
-            vec![2u8; 300],
-            "record after the damage must survive bit-exact"
+            (got.archive_sum, got.archive_sum_kind),
+            (0xF00D, SumKind::Fnv1a)
         );
-        assert!(s
-            .recovery_report()
-            .faults
-            .iter()
-            .any(|f| matches!(f, SegmentFault::CorruptRecord { .. })));
+        assert!(s.get("gone", 0).unwrap().is_none());
+        s.put("new", 0, b"fresh", 5, 9, false).unwrap();
+        let (before, _) = s.verify_and_list().unwrap();
+
+        s.compact_now().unwrap();
+        assert_eq!(s.segment_count(), 1);
+        let seg = read_file(&segment_path(&dir, s.active_seq)).unwrap();
+        assert_eq!(
+            parse_segment_header(&seg),
+            Some((s.active_seq, SEGMENT_VERSION))
+        );
+        let scan = scan_segment(s.active_seq, &seg, true);
+        assert!(scan.faults.is_empty());
+        for r in &scan.records {
+            let at = r.offset as usize;
+            assert_eq!(
+                seg[at..at + 4],
+                *b"CZL2",
+                "{} rewritten as v2",
+                r.record.key
+            );
+        }
+        drop(s);
+        let mut s = LogStore::open(config(&dir)).unwrap();
+        assert!(s.recovery_report().is_clean());
+        assert_eq!(s.verify_and_list().unwrap().0, before);
+        assert_eq!(s.get("k", 0).unwrap().unwrap().bytes, b"shard0");
+        let fresh = s.get("new", 0).unwrap().unwrap();
+        assert_eq!(fresh.archive_sum_kind, SumKind::Wordsum64);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_put_naming_unknown_flags_is_refused() {
+        let dir = temp_dir("flags");
+        let mut s = LogStore::open(config(&dir)).unwrap();
+        assert!(matches!(
+            s.put_with_flags("k", 0, b"x", 1, 0, 0x80),
+            Err(StoreError::UnknownFlags { flags: 0x80 })
+        ));
+        assert!(s.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -25,7 +25,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cuszp_faultsim::disk::{copy_dir, disk_campaign};
-use cuszp_store::{fnv1a, FsyncPolicy, LogStore, StoreConfig};
+use cuszp_store::{fnv1a, wordsum64, FsyncPolicy, LogStore, StoreConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -130,7 +130,7 @@ fn check_reopened(dir: &Path, expect: &HashMap<(String, u16), Slot>, context: &s
         let got = store.get(key, *idx).expect("get io");
         match (&slot.latest, got) {
             (Some(want), Some(got)) if &got.bytes == want => {
-                assert_eq!(got.checksum, fnv1a(want), "{context}: checksum drifted");
+                assert_eq!(got.checksum, wordsum64(want), "{context}: checksum drifted");
             }
             (None, None) => {}
             // (2) Anything else the store serves must still be a
@@ -142,7 +142,7 @@ fn check_reopened(dir: &Path, expect: &HashMap<(String, u16), Slot>, context: &s
                 );
                 assert_eq!(
                     got.checksum,
-                    fnv1a(&got.bytes),
+                    wordsum64(&got.bytes),
                     "{context}: checksum drifted"
                 );
                 degraded += 1;

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 
 use cuszp_store::record::{parse_record, Parsed, Record, RecordKind};
-use cuszp_store::{fnv1a, FsyncPolicy, LogStore, StoreConfig};
+use cuszp_store::{fnv1a, wordsum64, FsyncPolicy, LogStore, StoreConfig};
 use proptest::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -65,7 +65,7 @@ fn assert_matches_model(store: &mut LogStore, model: &HashMap<(String, u16), Vec
             .expect("get io")
             .unwrap_or_else(|| panic!("slot ('{key}', {idx}) missing"));
         assert_eq!(&got.bytes, expect, "slot ('{key}', {idx}) bytes differ");
-        assert_eq!(got.checksum, fnv1a(expect));
+        assert_eq!(got.checksum, wordsum64(expect));
     }
     for key_id in 0..6u8 {
         for idx in 0..4u16 {
@@ -91,7 +91,7 @@ fn assert_matches_model(store: &mut LogStore, model: &HashMap<(String, u16), Vec
     for e in &entries {
         let expect = &model[&(e.key.clone(), e.shard_idx)];
         assert_eq!(e.len, expect.len() as u64);
-        assert_eq!(e.checksum, fnv1a(expect));
+        assert_eq!(e.checksum, wordsum64(expect));
     }
 }
 
@@ -118,7 +118,7 @@ proptest! {
                 prop_assert_eq!(back.key, key);
                 prop_assert_eq!(back.shard_idx, shard_idx);
                 prop_assert_eq!(back.total_len, total_len);
-                prop_assert_eq!(back.archive_fnv, archive_fnv);
+                prop_assert_eq!(back.archive_sum, archive_fnv);
                 prop_assert_eq!(back.payload, payload);
             }
             Parsed::Fault { fault, .. } => prop_assert!(false, "round-trip faulted: {}", fault),

@@ -30,6 +30,13 @@ if grep -rn --include='*.rs' "is_chunked_archive" crates src tests examples |
     exit 1
 fi
 
+echo "==> checksum guard (store records and cluster stripes are wordsum64; FNV-1a only verifies what was written before)"
+if grep -rn "fnv1a(" crates/store/src crates/server/src/cluster.rs crates/server/src/store.rs |
+    grep -vE "^crates/store/src/record\.rs:[0-9]+: +SumKind::Fnv1a => cuszp_checksum::fnv1a\(bytes\),$"; then
+    echo "error: FNV-1a is computed outside SumKind::sum, the store's legacy-verify helper" >&2
+    exit 1
+fi
+
 echo "==> API-surface guard (one report hierarchy across the socket, one bounded byte cursor)"
 if grep -rn "Portable" crates src tests examples ||
     grep -rn "fn fsck_exit_code" crates src tests examples ||
