@@ -475,7 +475,7 @@ impl ChunkIndex {
             chunks: chunks.collect(),
         };
         let chunks = (0..index.n_chunks())
-            .map(|i| index.chunk(bytes, i))
+            .map(|i| index.chunk_at(bytes, 0, i))
             .collect::<Result<Vec<_>, _>>()?;
         // Anything after the chunk region must be a valid parity section
         // — the only extension the format defines; other trailing bytes
@@ -541,12 +541,38 @@ impl ChunkIndex {
         std::mem::size_of::<Self>() + self.chunks.capacity() * std::mem::size_of::<Range<usize>>()
     }
 
-    /// Parses chunk `i` out of `bytes`: its own checksum and structure
+    /// Container byte range of chunk `i`, or `None` past the last chunk.
+    pub fn chunk_range(&self, i: usize) -> Option<Range<usize>> {
+        self.chunks.get(i).cloned()
+    }
+
+    /// The container bytes a range read of `spec` decodes: from the first
+    /// byte of the first chunk it touches to the last byte of the last
+    /// (chunks lie end to end in plan order). A spec the field cannot
+    /// hold is the typed [`CuszpError::InvalidRange`] a decode gives.
+    pub fn span_bytes(&self, spec: &RangeSpec) -> Result<Range<usize>, CuszpError> {
+        let span = self.plan()?.span(&resolve(spec, self.hdr.dims)?);
+        Ok(self.chunks[span.start].start..self.chunks[span.end - 1].end)
+    }
+
+    /// Parses chunk `i` out of `bytes`, which hold the container from
+    /// byte `at` on: its own checksum and structure
     /// ([`Archive::from_bytes`]), with any fault placed in the container.
-    pub(crate) fn chunk(&self, bytes: &[u8], i: usize) -> Result<Archive, CuszpError> {
-        let slice = bytes.get(self.chunks[i].clone()).ok_or(
-            CuszpError::malformed("chunk truncated", ArchiveSection::ChunkBody, bytes.len())
-                .in_chunk(i, 0),
+    pub(crate) fn chunk_at(
+        &self,
+        bytes: &[u8],
+        at: usize,
+        i: usize,
+    ) -> Result<Archive, CuszpError> {
+        let range = &self.chunks[i];
+        let window = range.start.checked_sub(at).zip(range.end.checked_sub(at));
+        let slice = window.and_then(|(lo, hi)| bytes.get(lo..hi)).ok_or(
+            CuszpError::malformed(
+                "chunk truncated",
+                ArchiveSection::ChunkBody,
+                at.saturating_add(bytes.len()),
+            )
+            .in_chunk(i, 0),
         )?;
         Archive::from_bytes(slice).map_err(|e| self.place(i, e))
     }

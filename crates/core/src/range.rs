@@ -312,24 +312,27 @@ pub enum ChunkSource<'a> {
     /// A container parsed in full ([`ChunkedArchive::from_bytes`] or
     /// [`ChunkIndex::verify`]): its chunks are already checked.
     Parsed(&'a ChunkedArchive),
-    /// Bytes that passed [`ChunkIndex::verify`] before, with the index
-    /// it returned: each chunk decoded is parsed out of the bytes on its
-    /// own, with its own checksum and its check against the header.
-    Verified(&'a ChunkIndex, &'a [u8]),
+    /// A window of bytes that passed [`ChunkIndex::verify`] before, with
+    /// the index it returned and the container offset the window starts
+    /// at (0 for the whole container): each chunk decoded is parsed out
+    /// of the window on its own, with its own checksum and its check
+    /// against the header. A chunk the window does not hold is a typed
+    /// "chunk truncated".
+    Verified(&'a ChunkIndex, &'a [u8], usize),
 }
 
 impl ChunkSource<'_> {
     fn header(&self) -> ChunkedHeader {
         match self {
             ChunkSource::Parsed(arc) => arc.header(),
-            ChunkSource::Verified(index, _) => index.hdr,
+            ChunkSource::Verified(index, ..) => index.hdr,
         }
     }
 
     fn place(&self, i: usize, e: CuszpError) -> CuszpError {
         match self {
             ChunkSource::Parsed(arc) => arc.place(i, e),
-            ChunkSource::Verified(index, _) => index.place(i, e),
+            ChunkSource::Verified(index, ..) => index.place(i, e),
         }
     }
 }
@@ -341,7 +344,8 @@ impl ChunkSource<'_> {
 /// block — a cache that keeps the index and the slabs of an archive it
 /// has seen makes a repeated range read ([`ChunkSource::Verified`]) skip
 /// both the container parse and the decoder. Decoding runs serially on
-/// `eng` (the caller's reusable engine); cache hits cost only the gather.
+/// `eng` (the caller's reusable engine) from any thread, a pool job or
+/// not; cache hits cost only the gather.
 pub fn decompress_range_with_fetch<T: Element>(
     source: ChunkSource<'_>,
     engine: ReconstructEngine,
@@ -356,27 +360,32 @@ pub fn decompress_range_with_fetch<T: Element>(
     let r = resolve(spec, hdr.dims)?;
     let mut out = vec![T::default(); r.len()];
     let mut scratch = Vec::new();
-    for (i, seg) in plan.carve(plan.span(&r), &r, &mut out) {
-        let slab = plan.spec(i);
-        // A cached slab of the wrong length is stale garbage; decode
-        // fresh rather than trusting it.
-        if let Some(cached) = fetch(i).filter(|s| s.len() == slab.len() * T::BYTES) {
-            gather_chunk_le(&cached, &slab.slow, &r, seg);
-            continue;
-        }
-        let parsed;
-        let chunk = match source {
-            ChunkSource::Parsed(arc) => &arc.chunks[i],
-            ChunkSource::Verified(index, bytes) => {
-                parsed = index.chunk(bytes, i)?;
-                &parsed
+    // Outside a pool job the inner loops would each spawn scoped
+    // threads; a pool job's decode runs them serially, and so does this.
+    cuszp_parallel::with_serial_inner(|| {
+        for (i, seg) in plan.carve(plan.span(&r), &r, &mut out) {
+            let slab = plan.spec(i);
+            // A cached slab of the wrong length is stale garbage; decode
+            // fresh rather than trusting it.
+            if let Some(cached) = fetch(i).filter(|s| s.len() == slab.len() * T::BYTES) {
+                gather_chunk_le(&cached, &slab.slow, &r, seg);
+                continue;
             }
-        };
-        let fresh = plan
-            .reconstruct(i, chunk, &r, engine, eng, &mut scratch, seg)
-            .map_err(|e| source.place(i, e))?;
-        store(i, fresh);
-    }
+            let parsed;
+            let chunk = match source {
+                ChunkSource::Parsed(arc) => &arc.chunks[i],
+                ChunkSource::Verified(index, bytes, at) => {
+                    parsed = index.chunk_at(bytes, at, i)?;
+                    &parsed
+                }
+            };
+            let fresh = plan
+                .reconstruct(i, chunk, &r, engine, eng, &mut scratch, seg)
+                .map_err(|e| source.place(i, e))?;
+            store(i, fresh);
+        }
+        Ok::<(), CuszpError>(())
+    })?;
     Ok((out, r.sub_dims(hdr.dims)))
 }
 

@@ -151,7 +151,7 @@ fn a_chunk_eb_that_differs_from_the_containers_is_caught_by_every_finisher() {
     let e = ChunkIndex::verify(&tampered).unwrap_err();
     assert!(is_eb_fault(&e, 1, at), "{e}");
     let (index, _) = ChunkIndex::verify(&bytes).unwrap();
-    let e = fetch_range(ChunkSource::Verified(&index, &tampered));
+    let e = fetch_range(ChunkSource::Verified(&index, &tampered, 0));
     assert!(is_eb_fault(&e, 1, at), "{e}");
 
     // The container's own `eb` flipped: every chunk mismatches, which is

@@ -390,7 +390,7 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
     // The first read decodes from the verifying parse's chunks, as a
     // server's first read of an archive does; later ones from the bytes.
     let cold_source = ChunkSource::Parsed(&parsed);
-    let warm_source = ChunkSource::Verified(&index, &bytes);
+    let warm_source = ChunkSource::Verified(&index, &bytes, 0);
     let mut stores = 0;
     let run = |source: ChunkSource,
                cache: &mut HashMap<usize, Arc<Vec<u8>>>,
@@ -433,4 +433,97 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
     let (healed, _) = run(warm_source, &mut cache, &mut stores, &mut eng);
     assert_eq!(bits_f32(&healed), bits_f32(&want));
     assert_eq!(stores, cold_stores + 1, "bad entry must be re-decoded");
+}
+
+fn read_range(source: ChunkSource, spec: &RangeSpec) -> Result<(Vec<f32>, Dims), CuszpError> {
+    decompress_range_with_fetch::<f32>(
+        source,
+        ReconstructEngine::FinePartialSum,
+        spec,
+        &mut PipelineEngine::new(),
+        &mut |_| None,
+        &mut |_, _| {},
+    )
+}
+
+/// The fetch hook decodes with its inner loops serial from any thread: a
+/// caller's own thread reads the same bits as a pool job, and keeps its
+/// own setting afterwards.
+#[test]
+fn fetch_hook_decodes_the_same_bits_inside_and_outside_a_pool_job() {
+    let dims = Dims::D2 { ny: 256, nx: 512 };
+    let pool = WorkerPool::new(2);
+    let arc = compressor()
+        .compress_chunked_with(&field_f32(dims.len()), dims, 64 * 512, &pool)
+        .unwrap();
+    let bytes = arc.to_bytes();
+    let (index, parsed) = ChunkIndex::verify(&bytes).unwrap();
+    let spec = RangeSpec::new(vec![50..140, 3..500]);
+    let sources = [
+        ChunkSource::Parsed(&parsed),
+        ChunkSource::Verified(&index, &bytes, 0),
+    ];
+    assert!(!cuszp_parallel::inner_parallelism_disabled());
+    let outside: Vec<_> = sources
+        .iter()
+        .map(|&s| read_range(s, &spec).unwrap())
+        .collect();
+    assert!(!cuszp_parallel::inner_parallelism_disabled());
+    let inside = pool.run_with_state(2, || (), |i, _| read_range(sources[i], &spec).unwrap());
+    let (want, want_dims) = arc
+        .decompress_range::<f32>(ReconstructEngine::FinePartialSum, &spec, &pool)
+        .unwrap();
+    for (got, dims) in outside.iter().chain(&inside) {
+        assert_eq!(*dims, want_dims);
+        assert_eq!(bits_f32(got), bits_f32(&want));
+    }
+}
+
+/// A `Verified` source may hold only a window of the container at its
+/// offset — the chunks a box touches, as `span_bytes` names them. It
+/// reads the same bits as the whole container; a chunk the window lacks
+/// is a typed "chunk truncated".
+#[test]
+fn a_verified_window_reads_like_the_whole_container() {
+    let dims = Dims::D2 { ny: 60, nx: 100 };
+    let arc = compressor()
+        .compress_chunked_with(
+            &field_f32(dims.len()),
+            dims,
+            CHUNK_TARGET,
+            &WorkerPool::new(1),
+        )
+        .unwrap();
+    let bytes = arc.to_bytes();
+    let (index, _) = ChunkIndex::verify(&bytes).unwrap();
+    let n = index.n_chunks();
+    assert!(n > 3);
+    for i in 1..n {
+        assert_eq!(
+            index.chunk_range(i - 1).unwrap().end,
+            index.chunk_range(i).unwrap().start
+        );
+    }
+    assert_eq!(index.chunk_range(n - 1).unwrap().end, bytes.len());
+    assert_eq!(index.chunk_range(n), None);
+    for axes in [vec![5..25, 10..90], vec![0..60, 0..100], vec![33..34, 0..1]] {
+        let spec = RangeSpec::new(axes);
+        let span = index.span_bytes(&spec).unwrap();
+        let whole = read_range(ChunkSource::Verified(&index, &bytes, 0), &spec).unwrap();
+        let window = ChunkSource::Verified(&index, &bytes[span.clone()], span.start);
+        let window = read_range(window, &spec).unwrap();
+        assert_eq!(whole.1, window.1);
+        assert_eq!(bits_f32(&whole.0), bits_f32(&window.0), "{spec}");
+    }
+    let spec = RangeSpec::new(vec![5..25, 10..90]);
+    let span = index.span_bytes(&spec).unwrap();
+    let truncated = |e: CuszpError| matches!(e, CuszpError::MalformedArchive(ref f) if f.what == "chunk truncated");
+    let late = ChunkSource::Verified(&index, &bytes[span.start + 1..span.end], span.start + 1);
+    assert!(truncated(read_range(late, &spec).unwrap_err()));
+    let short = ChunkSource::Verified(&index, &bytes[span.start..span.end - 1], span.start);
+    assert!(truncated(read_range(short, &spec).unwrap_err()));
+    assert!(matches!(
+        index.span_bytes(&RangeSpec::new(vec![0..61, 0..100])),
+        Err(CuszpError::InvalidRange { .. })
+    ));
 }

@@ -16,6 +16,23 @@
 //! sum, named by [`crate::wire::SHARD_FLAG_FNV_SUM`] on every shard,
 //! and is verified (and re-put by scrub) under that function.
 //!
+//! A range read verifies a key's container once and then fetches only
+//! the chunks a box touches. The first [`ClusterClient::get_range`] of a
+//! key's bytes is a whole-stripe get plus the strict whole-container
+//! verify ([`ChunkIndex::verify`]); the client keeps the chunk index
+//! under the key, beside the stripe identity `(total_len, archive_sum,
+//! kind)` every shard reply names. A later read maps the box's chunk
+//! bytes to one window per data slot, asks each slot for only its
+//! window (a windowed `get_shard`; the node still verifies the whole
+//! stored record), checks that every reply names the same identity, and
+//! decodes each chunk with its own checksum and plan check. A missing
+//! slot's window is rebuilt from the same columns of any `k` survivors:
+//! Reed–Solomon here is bytewise. The identity is not a cryptographic
+//! key: a writer who forges a stripe with another archive's
+//! `(total_len, archive_sum)` skips the whole-container verify of its
+//! bytes here (each decoded chunk's own checks still run), as DESIGN §12
+//! says for the server's cache.
+//!
 //! Routing errors are first-class: a node answering `Redirect` (stale
 //! ring epoch) or `NotMine` (wrong owner) triggers one topology refresh
 //! (the `ring` op against any reachable node) and a single re-route,
@@ -27,9 +44,43 @@ use crate::wire::{
     wordsum64, ErrorCode, ErrorResponse, GetShardRequest, GetShardResponse, Op, PutShardRequest,
     ShardListResponse, SumKind, PUT_FLAG_REPAIR,
 };
+use cuszp_core::{
+    ChunkIndex, ChunkSource, CuszpError, Dims, Element, PipelineEngine, RangeSpec,
+    ReconstructEngine,
+};
 use cuszp_ecc::{EccError, ReedSolomon};
 use cuszp_metrics::Counter;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+
+/// Keys whose verified chunk index a [`ClusterClient`] keeps for
+/// [`ClusterClient::get_range`]. An index is about 100 bytes plus 16 per
+/// chunk; past this many keys an arbitrary entry is evicted.
+const KEY_INDEXES: usize = 256;
+
+/// What names the bytes stored under a key: `(total_len, archive_sum,
+/// kind)`, the same on every shard of one stripe.
+type StripeId = (u64, u64, SumKind);
+
+fn stripe_id(resp: &GetShardResponse) -> StripeId {
+    (resp.total_len, resp.archive_sum, resp.archive_sum_kind)
+}
+
+/// True when any reply is `Redirect`/`NotMine`: the route is stale.
+fn any_stale(results: &[Result<GetShardResponse, ClientError>]) -> bool {
+    results.iter().any(|r| {
+        matches!(r, Err(ClientError::Server(e))
+            if matches!(e.code, ErrorCode::Redirect | ErrorCode::NotMine))
+    })
+}
+
+/// A key whose container this client verified whole: the stripe it was
+/// read from and the chunk layout the verify returned.
+#[derive(Debug)]
+struct KeyIndex {
+    id: StripeId,
+    index: ChunkIndex,
+}
 
 /// Everything a cluster call can fail with.
 #[derive(Debug)]
@@ -105,9 +156,11 @@ impl From<cuszp_core::CuszpError> for ClusterError {
 pub struct ClusterStats {
     /// `put` calls.
     pub puts: Counter,
-    /// `get` calls (including the get inside `get_range`).
+    /// `get` calls (including the get of a `get_range` that verifies
+    /// its key's container).
     pub gets: Counter,
-    /// Gets that reconstructed at least one shard from parity.
+    /// Reads that ran without at least one data shard: gets that rebuilt
+    /// it from parity, and range reads whose data slot did not answer.
     pub degraded_reads: Counter,
     /// `Redirect`/`NotMine` answers that triggered a re-route.
     pub redirects_followed: Counter,
@@ -118,6 +171,12 @@ pub struct ClusterStats {
     pub shard_failures: Counter,
     /// Shards re-replicated by `scrub`.
     pub scrub_repairs: Counter,
+    /// Shard bytes `get_range` received: the whole stripe when it
+    /// verified the key's container, only the box's windows otherwise.
+    pub range_bytes_fetched: Counter,
+    /// Whole-container verifies `get_range` ran: one per key whose
+    /// current bytes this client had not verified yet.
+    pub containers_verified: Counter,
 }
 
 /// Outcome of a cluster put.
@@ -223,6 +282,12 @@ pub struct ClusterClient {
     opts: ConnectOptions,
     conns: HashMap<u64, Client>,
     stats: ClusterStats,
+    /// Verified chunk indexes by key, at most [`KEY_INDEXES`].
+    indexes: HashMap<String, KeyIndex>,
+    /// Reused across range reads for its scratch arenas.
+    engine: PipelineEngine,
+    /// Shard bytes every `get` sub-request has received so far.
+    fetched: u64,
 }
 
 impl ClusterClient {
@@ -234,6 +299,9 @@ impl ClusterClient {
             opts,
             conns: HashMap::new(),
             stats: ClusterStats::default(),
+            indexes: HashMap::new(),
+            engine: PipelineEngine::new(),
+            fetched: 0,
         }
     }
 
@@ -398,6 +466,7 @@ impl ClusterClient {
     /// lists any slots that failed (under-replicated until scrubbed).
     pub fn put(&mut self, key: &str, bytes: &[u8]) -> Result<PutReport, ClusterError> {
         self.stats.puts.incr();
+        self.indexes.remove(key);
         let k = self.ring.data_shards as usize;
         let m = self.ring.parity_shards as usize;
         let (shards, _) = split_stripe(bytes, k, m)?;
@@ -459,30 +528,47 @@ impl ClusterClient {
         }
     }
 
-    /// Fetches the stripe slots named in `slots`, one owner each.
+    /// Fetches the stripe slots named in `slots`, one owner each: the
+    /// whole shard, or the `(offset, len)` window `window(slot)` names.
     fn fetch_slots(
         &mut self,
         key: &str,
         slots: &[u16],
+        window: impl Fn(u16) -> Option<(u64, u64)>,
     ) -> Vec<Result<GetShardResponse, ClientError>> {
-        self.fan_out(
-            key,
-            slots,
-            |slot, epoch| {
-                GetShardRequest {
-                    key: key.to_string(),
-                    shard_idx: slot,
-                    ring_epoch: epoch,
+        let replies: Vec<_> = self
+            .fan_out(
+                key,
+                slots,
+                |slot, epoch| {
+                    GetShardRequest {
+                        key: key.to_string(),
+                        shard_idx: slot,
+                        ring_epoch: epoch,
+                        window: window(slot),
+                    }
+                    .encode()
+                },
+                Op::Get,
+            )
+            .into_iter()
+            .zip(slots)
+            .map(|(r, &slot)| {
+                let resp = GetShardResponse::decode(&r?).map_err(ClientError::Wire)?;
+                match window(slot) {
+                    Some((_, len)) if resp.shard.len() as u64 != len => Err(ClientError::Protocol(
+                        "shard window reply has the wrong length",
+                    )),
+                    _ => Ok(resp),
                 }
-                .encode()
-            },
-            Op::Get,
-        )
-        .into_iter()
-        .map(|r| {
-            r.and_then(|payload| GetShardResponse::decode(&payload).map_err(ClientError::Wire))
-        })
-        .collect()
+            })
+            .collect();
+        self.fetched += replies
+            .iter()
+            .flatten()
+            .map(|r| r.shard.len() as u64)
+            .sum::<u64>();
+        replies
     }
 
     /// Reads the archive stored under `key`. The healthy path fetches
@@ -491,40 +577,32 @@ impl ClusterClient {
     /// archive checksum, so the returned bytes are bit-identical to
     /// what was put or the call fails typed.
     pub fn get(&mut self, key: &str) -> Result<GetOutcome, ClusterError> {
+        self.get_stripe(key).map(|(got, _)| got)
+    }
+
+    /// [`ClusterClient::get`], also returning the identity the verified
+    /// stripe names.
+    fn get_stripe(&mut self, key: &str) -> Result<(GetOutcome, StripeId), ClusterError> {
         self.stats.gets.incr();
         let k = self.ring.data_shards as usize;
         let m = self.ring.parity_shards as usize;
         let mut rerouted = false;
         loop {
             let data_slots: Vec<u16> = (0..k as u16).collect();
-            let results = self.fetch_slots(key, &data_slots);
-            if results.iter().any(|r| {
-                matches!(
-                    r.as_ref().err().map(|e| match e {
-                        ClientError::Server(r) =>
-                            matches!(r.code, ErrorCode::Redirect | ErrorCode::NotMine),
-                        _ => false,
-                    }),
-                    Some(true)
-                )
-            }) && !rerouted
-            {
+            let results = self.fetch_slots(key, &data_slots, |_| None);
+            if any_stale(&results) && !rerouted {
                 rerouted = true;
                 self.stats.redirects_followed.incr();
                 self.refresh_ring()?;
                 continue;
             }
             let mut stripe: Vec<Option<Vec<u8>>> = vec![None; k + m];
-            let mut meta: Option<(u64, u64, SumKind)> = None;
+            let mut meta: Option<StripeId> = None;
             let mut misses = 0usize;
             for (i, r) in results.into_iter().enumerate() {
                 match r {
                     Ok(resp) => {
-                        meta.get_or_insert((
-                            resp.total_len,
-                            resp.archive_sum,
-                            resp.archive_sum_kind,
-                        ));
+                        meta.get_or_insert(stripe_id(&resp));
                         stripe[i] = Some(resp.shard);
                     }
                     Err(_) => {
@@ -537,13 +615,10 @@ impl ClusterClient {
             if degraded {
                 // Failover: pull parity and rebuild the missing slots.
                 let parity_slots: Vec<u16> = (k as u16..(k + m) as u16).collect();
-                for (i, r) in self.fetch_slots(key, &parity_slots).into_iter().enumerate() {
+                let parity = self.fetch_slots(key, &parity_slots, |_| None);
+                for (i, r) in parity.into_iter().enumerate() {
                     if let Ok(resp) = r {
-                        meta.get_or_insert((
-                            resp.total_len,
-                            resp.archive_sum,
-                            resp.archive_sum_kind,
-                        ));
+                        meta.get_or_insert(stripe_id(&resp));
                         stripe[k + i] = Some(resp.shard);
                     } else {
                         self.stats.shard_failures.incr();
@@ -561,7 +636,7 @@ impl ClusterClient {
                 ReedSolomon::new(k, m)?.reconstruct(&mut stripe, shard_size)?;
                 self.stats.degraded_reads.incr();
             }
-            let Some((total_len, archive_sum, kind)) = meta else {
+            let Some(id @ (total_len, archive_sum, kind)) = meta else {
                 return Err(ClusterError::NotEnoughShards {
                     key: key.to_string(),
                     have: 0,
@@ -579,23 +654,208 @@ impl ClusterClient {
                     key: key.to_string(),
                 });
             }
-            return Ok(GetOutcome { bytes, degraded });
+            return Ok((GetOutcome { bytes, degraded }, id));
         }
     }
 
-    /// Range-reads an `f32` archive stored under `key`: fetches the
-    /// stripe (degraded if needed) and decodes only the requested
-    /// sub-volume locally. For an archive of either precision, fetch
-    /// with [`ClusterClient::get`] and dispatch on
-    /// [`cuszp_core::stored_dtype`] into [`cuszp_core::Decode`].
-    pub fn get_range(
+    /// Range-reads the archive stored under `key` in its own element
+    /// type `T` (`f32` or `f64`; any other is a typed
+    /// [`CuszpError::DtypeMismatch`]) and decodes only the chunks the
+    /// box touches, locally. The `bool` is true when a data shard did not
+    /// answer and the read ran on the survivors.
+    ///
+    /// The first read of a key's bytes is a [`ClusterClient::get`]
+    /// (archive checksum included) plus the strict whole-container
+    /// verify, whose chunk index the client keeps. A later read fetches
+    /// only the box's chunk bytes, one window per data slot, from replies
+    /// that must all name the stripe the index was verified from; one
+    /// that names another (the key was put again) drops the index, and
+    /// the read starts over as a first read. See the module doc.
+    pub fn get_range<T: Element>(
         &mut self,
         key: &str,
-        spec: &cuszp_core::RangeSpec,
-    ) -> Result<(Vec<f32>, cuszp_core::Dims, bool), ClusterError> {
-        let got = self.get(key)?;
-        let (samples, dims) = cuszp_core::decompress_range(&got.bytes, spec)?;
+        spec: &RangeSpec,
+    ) -> Result<(Vec<T>, Dims, bool), ClusterError> {
+        let before = self.fetched;
+        let read = self.range_read(key, spec);
+        self.stats.range_bytes_fetched.add(self.fetched - before);
+        read
+    }
+
+    fn range_read<T: Element>(
+        &mut self,
+        key: &str,
+        spec: &RangeSpec,
+    ) -> Result<(Vec<T>, Dims, bool), ClusterError> {
+        // A wrong element type or box fails before any fetch, and keeps
+        // the index.
+        let bytes = match self.indexes.get(key) {
+            None => return self.read_verifying(key, spec),
+            Some(entry) if entry.index.dtype() != T::DTYPE => {
+                return Err(CuszpError::DtypeMismatch {
+                    stored: entry.index.dtype().name(),
+                    requested: T::DTYPE.name(),
+                }
+                .into())
+            }
+            Some(entry) => entry.index.span_bytes(spec)?,
+        };
+        let entry = self.indexes.remove(key).expect("looked up above");
+        match self.read_windows(key, &entry, bytes, spec)? {
+            Some(read) => {
+                self.remember(key, entry);
+                Ok(read)
+            }
+            None => self.read_verifying(key, spec),
+        }
+    }
+
+    /// The first read of a key's bytes: the whole stripe, its archive
+    /// checksum, the strict whole-container verify; the index is kept
+    /// and the box decoded from the chunks the verify parsed.
+    fn read_verifying<T: Element>(
+        &mut self,
+        key: &str,
+        spec: &RangeSpec,
+    ) -> Result<(Vec<T>, Dims, bool), ClusterError> {
+        let (got, id) = self.get_stripe(key)?;
+        self.stats.containers_verified.incr();
+        let (index, parsed) = ChunkIndex::verify(&got.bytes)?;
+        self.remember(key, KeyIndex { id, index });
+        let (samples, dims) = self.decode(ChunkSource::Parsed(&parsed), spec)?;
         Ok((samples, dims, got.degraded))
+    }
+
+    /// A read of a key whose container this client verified: fetches
+    /// the container bytes `bytes` as one window per data slot, and
+    /// decodes the box out of them. `Ok(None)` when a reply names a
+    /// stripe other than `entry`'s.
+    fn read_windows<T: Element>(
+        &mut self,
+        key: &str,
+        entry: &KeyIndex,
+        bytes: Range<usize>,
+        spec: &RangeSpec,
+    ) -> Result<Option<(Vec<T>, Dims, bool)>, ClusterError> {
+        let k = self.ring.data_shards as usize;
+        let m = self.ring.parity_shards as usize;
+        let shard_size = entry.id.0.div_ceil(k as u64);
+        // Data slot `s` holds container bytes from `s * shard_size` on;
+        // its window is its share of `bytes`, slot-relative, and empty
+        // (0..0) when the box's chunks lie elsewhere. Every data slot is
+        // asked, as `get` asks them, so a dead one still shows.
+        let windows: Vec<Range<u64>> = (0..k as u64)
+            .map(|s| {
+                let slot = s * shard_size..(s + 1) * shard_size;
+                let lo = (bytes.start as u64).clamp(slot.start, slot.end);
+                let hi = (bytes.end as u64).clamp(slot.start, slot.end);
+                match lo < hi {
+                    true => lo - slot.start..hi - slot.start,
+                    false => 0..0,
+                }
+            })
+            .collect();
+        let window_of = |slot: u16| {
+            let w = &windows[slot as usize];
+            Some((w.start, w.end - w.start))
+        };
+        let data_slots: Vec<u16> = (0..k as u16).collect();
+        let mut results = self.fetch_slots(key, &data_slots, window_of);
+        if any_stale(&results) {
+            self.stats.redirects_followed.incr();
+            self.refresh_ring()?;
+            results = self.fetch_slots(key, &data_slots, window_of);
+        }
+        let mut got: Vec<Option<Vec<u8>>> = vec![None; k];
+        for (s, r) in results.into_iter().enumerate() {
+            match r {
+                Ok(resp) if stripe_id(&resp) != entry.id => return Ok(None),
+                Ok(resp) => got[s] = Some(resp.shard),
+                Err(_) => self.stats.shard_failures.incr(),
+            }
+        }
+        let missing: Vec<usize> = (0..k).filter(|&s| got[s].is_none()).collect();
+        let degraded = !missing.is_empty();
+        if degraded {
+            self.stats.degraded_reads.incr();
+        }
+        // Reed–Solomon is bytewise over GF(256): the same columns of any
+        // `k` survivors rebuild a missing slot's window. One column range
+        // covers every missing window.
+        let rebuild = (missing.iter().map(|&s| windows[s].clone()))
+            .filter(|w| !w.is_empty())
+            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end));
+        if let Some(cols) = rebuild {
+            let survivors: Vec<u16> = (0..(k + m) as u16)
+                .filter(|&s| !missing.contains(&(s as usize)))
+                .collect();
+            let replies = self.fetch_slots(key, &survivors, |_| {
+                Some((cols.start, cols.end - cols.start))
+            });
+            let mut columns: Vec<Option<Vec<u8>>> = vec![None; k + m];
+            for (&s, r) in survivors.iter().zip(replies) {
+                match r {
+                    Ok(resp) if stripe_id(&resp) != entry.id => return Ok(None),
+                    Ok(resp) => columns[s as usize] = Some(resp.shard),
+                    Err(_) => self.stats.shard_failures.incr(),
+                }
+            }
+            let have = columns.iter().flatten().count();
+            if have < k {
+                return Err(ClusterError::NotEnoughShards {
+                    key: key.to_string(),
+                    have,
+                    need: k,
+                });
+            }
+            let width = (cols.end - cols.start) as usize;
+            ReedSolomon::new(k, m)?.reconstruct(&mut columns, width)?;
+            for &s in &missing {
+                let w = &windows[s];
+                let col = columns[s].as_ref().expect("reconstruct fills every slot");
+                got[s] = Some(
+                    col[(w.start - cols.start) as usize..(w.end - cols.start) as usize].to_vec(),
+                );
+            }
+        }
+        // Slot windows are consecutive container bytes, in slot order.
+        let mut window = Vec::with_capacity(bytes.len());
+        for (w, bytes) in windows.iter().zip(&got) {
+            if !w.is_empty() {
+                window.extend_from_slice(bytes.as_deref().expect("fetched or rebuilt above"));
+            }
+        }
+        let source = ChunkSource::Verified(&entry.index, &window, bytes.start);
+        let (samples, dims) = self.decode(source, spec)?;
+        Ok(Some((samples, dims, degraded)))
+    }
+
+    /// Decodes `spec` out of `source` serially on the client's engine.
+    fn decode<T: Element>(
+        &mut self,
+        source: ChunkSource<'_>,
+        spec: &RangeSpec,
+    ) -> Result<(Vec<T>, Dims), CuszpError> {
+        cuszp_core::decompress_range_with_fetch(
+            source,
+            ReconstructEngine::FinePartialSum,
+            spec,
+            &mut self.engine,
+            &mut |_| None,
+            &mut |_, _| {},
+        )
+    }
+
+    /// Keeps `entry` as `key`'s index, evicting another key's past
+    /// [`KEY_INDEXES`]: that key's next read verifies again.
+    fn remember(&mut self, key: &str, entry: KeyIndex) {
+        if self.indexes.len() >= KEY_INDEXES && !self.indexes.contains_key(key) {
+            let victim = self.indexes.keys().next().cloned();
+            if let Some(victim) = victim {
+                self.indexes.remove(&victim);
+            }
+        }
+        self.indexes.insert(key.to_string(), entry);
     }
 
     /// Anti-entropy pass: reads every reachable node's verified shard
@@ -662,7 +922,11 @@ impl ClusterClient {
             // Rebuild the full stripe from whatever survives.
             let all_slots: Vec<u16> = (0..(k + m) as u16).collect();
             let mut stripe: Vec<Option<Vec<u8>>> = vec![None; k + m];
-            for (i, r) in self.fetch_slots(&key, &all_slots).into_iter().enumerate() {
+            for (i, r) in self
+                .fetch_slots(&key, &all_slots, |_| None)
+                .into_iter()
+                .enumerate()
+            {
                 if let Ok(resp) = r {
                     stripe[i] = Some(resp.shard);
                 }

@@ -831,7 +831,7 @@ fn handle_get_shard(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, ErrorRes
         .lock()
         .expect("store lock poisoned")
         .get(&req.key, req.shard_idx);
-    let shard = stored
+    let mut shard = stored
         .map_err(|e| ErrorResponse::new(ErrorCode::Pipeline, e.to_string()))?
         .ok_or_else(|| {
             ErrorResponse::new(
@@ -842,6 +842,24 @@ fn handle_get_shard(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, ErrorRes
                 ),
             )
         })?;
+    // The store checked the whole record above; a window then ships
+    // only its own bytes.
+    if let Some((offset, len)) = req.window {
+        let stored_len = shard.bytes.len() as u64;
+        // `decode` refused an `offset + len` past u64.
+        let end = offset + len;
+        if end > stored_len {
+            return Err(ErrorResponse::new(
+                ErrorCode::BadRequest,
+                format!(
+                    "window {offset}..{end} lies past the end of shard {} of '{}' ({stored_len} bytes)",
+                    req.shard_idx, req.key
+                ),
+            ));
+        }
+        shard.bytes.truncate(end as usize);
+        shard.bytes.drain(..offset as usize);
+    }
     Ok(GetShardResponse {
         total_len: shard.total_len,
         archive_sum: shard.archive_sum,
@@ -1053,7 +1071,7 @@ fn handle_get_range(
             // read always did.
             let parsed;
             let (source, dtype) = match &cached {
-                Some(index) => (ChunkSource::Verified(index, req.archive), index.dtype()),
+                Some(index) => (ChunkSource::Verified(index, req.archive, 0), index.dtype()),
                 None => {
                     shared.metrics.containers_verified.incr();
                     let (index, arc) = ChunkIndex::verify(req.archive).map_err(pipeline_error)?;

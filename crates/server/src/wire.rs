@@ -4,7 +4,7 @@
 //! ```text
 //! offset size  field
 //! 0      4     magic "CSRP"
-//! 4      2     protocol version (= 5)
+//! 4      2     protocol version (= 6)
 //! 6      1     op (see [`Op`])
 //! 7      1     flags (bit 0: response, bit 1: error response)
 //! 8      8     request id (echoed verbatim in the response)
@@ -35,16 +35,17 @@ pub const WIRE_MAGIC: u32 = 0x5052_5343;
 /// replaced the frame trailer (byte-serial FNV-1a → word-parallel
 /// `wordsum64`), which no older reader can verify. Version 5 moved the
 /// stripe `archive_sum` to `wordsum64` and added the flag byte that
-/// names its function to `get_shard` replies and `list_shards` records;
+/// names its function to `get_shard` replies and `list_shards` records.
+/// Version 6 added the optional byte window to `get_shard` requests;
 /// every other payload is that of version 3 (cluster ops, redirect
 /// tails, `health` identity).
-pub const WIRE_VERSION: u16 = 5;
+pub const WIRE_VERSION: u16 = 6;
 /// Oldest protocol version this build accepts: the same one. Versions
 /// 1–3 differed only by additive payload fields and used to be let in,
 /// but that tolerance only ever ran one way — an older build rejects
 /// every reply whose version exceeds its own `WIRE_VERSION` — so mixed
 /// versions never completed a round trip. One version in, one out.
-pub const WIRE_VERSION_MIN: u16 = 5;
+pub const WIRE_VERSION_MIN: u16 = 6;
 /// Fixed frame header bytes (before the payload).
 pub const FRAME_HEADER_BYTES: usize = 20;
 /// Hard cap on a frame payload (1 GiB). Server configs may lower it.
@@ -1241,7 +1242,7 @@ impl<'a> PutShardRequest<'a> {
     }
 }
 
-/// A `get` request: fetch one stored shard.
+/// A `get` request: fetch one stored shard, or a window of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GetShardRequest {
     /// Archive key.
@@ -1250,15 +1251,29 @@ pub struct GetShardRequest {
     pub shard_idx: u16,
     /// The ring epoch the client routed under.
     pub ring_epoch: u64,
+    /// `(offset, len)`: reply with only these bytes of the shard
+    /// (`None`: the whole shard). The node still verifies the whole
+    /// stored record first; a window past the shard's end is refused.
+    /// Wire: a presence byte (0 or 1), then two `u64`s when present;
+    /// `offset + len` must not overflow.
+    pub window: Option<(u64, u64)>,
 }
 
 impl GetShardRequest {
     /// Serializes for the wire.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.key.len());
+        let mut out = Vec::with_capacity(29 + self.key.len());
         put_str(&mut out, &self.key);
         out.extend_from_slice(&self.shard_idx.to_le_bytes());
         out.extend_from_slice(&self.ring_epoch.to_le_bytes());
+        match self.window {
+            None => out.push(0),
+            Some((offset, len)) => {
+                out.push(1);
+                out.extend_from_slice(&offset.to_le_bytes());
+                out.extend_from_slice(&len.to_le_bytes());
+            }
+        }
         out
     }
 
@@ -1267,10 +1282,24 @@ impl GetShardRequest {
         let mut c = ByteCursor::new(payload);
         let key = c.str()?;
         check_key(&key)?;
+        let shard_idx = c.u16()?;
+        let ring_epoch = c.u64()?;
+        let window = match c.u8()? {
+            0 => None,
+            1 => {
+                let (offset, len) = (c.u64()?, c.u64()?);
+                if offset.checked_add(len).is_none() {
+                    return Err(WireError::BadPayload("shard window overflows u64"));
+                }
+                Some((offset, len))
+            }
+            _ => return Err(WireError::BadPayload("bad shard window tag")),
+        };
         Ok(Self {
             key,
-            shard_idx: c.u16()?,
-            ring_epoch: c.u64()?,
+            shard_idx,
+            ring_epoch,
+            window,
         })
     }
 }
@@ -1641,16 +1670,16 @@ mod tests {
 
     #[test]
     fn exactly_one_version_is_spoken_and_accepted() {
-        assert_eq!((WIRE_VERSION_MIN, WIRE_VERSION), (5, 5));
+        assert_eq!((WIRE_VERSION_MIN, WIRE_VERSION), (6, 6));
         let mut buf = Vec::new();
         write_frame(&mut buf, Op::Ping as u8, 0, 3, b"").unwrap();
-        assert_eq!(buf[4..6], 5u16.to_le_bytes());
+        assert_eq!(buf[4..6], 6u16.to_le_bytes());
         let frame = read_frame(&mut buf.as_slice(), MAX_FRAME_PAYLOAD).unwrap();
         assert_eq!(frame.req_id, 3);
         // Every FNV-trailer generation (1–3), v4 (FNV stripe sums, no
-        // shard flag byte) and anything newer is refused at the header,
-        // before the trailer is looked at.
-        for v in [0u16, 1, 2, 3, 4, WIRE_VERSION + 1] {
+        // shard flag byte), v5 (no shard window) and anything newer is
+        // refused at the header, before the trailer is looked at.
+        for v in [0u16, 1, 2, 3, 4, 5, WIRE_VERSION + 1] {
             let mut bad = buf.clone();
             bad[4..6].copy_from_slice(&v.to_le_bytes());
             assert_eq!(
@@ -1804,8 +1833,37 @@ mod tests {
             key: "climate/tmax".to_string(),
             shard_idx: 2,
             ring_epoch: 7,
+            window: None,
         };
         assert_eq!(GetShardRequest::decode(&get.encode()).unwrap(), get);
+        // A window round-trips, zero length and the largest one included.
+        for window in [(0, 0), (40, 0), (100, 4096), (0, u64::MAX), (u64::MAX, 0)] {
+            let get = GetShardRequest {
+                window: Some(window),
+                ..get.clone()
+            };
+            assert_eq!(GetShardRequest::decode(&get.encode()).unwrap(), get);
+        }
+        // `offset + len` past u64, an unknown tag and a cut window are
+        // typed errors.
+        let overflow = GetShardRequest {
+            window: Some((u64::MAX, 1)),
+            ..get.clone()
+        };
+        assert_eq!(
+            GetShardRequest::decode(&overflow.encode()),
+            Err(WireError::BadPayload("shard window overflows u64"))
+        );
+        let tag_at = 2 + get.key.len() + 2 + 8;
+        let mut bad = get.encode();
+        bad[tag_at] = 2;
+        assert_eq!(
+            GetShardRequest::decode(&bad),
+            Err(WireError::BadPayload("bad shard window tag"))
+        );
+        let cut = overflow.encode();
+        assert!(GetShardRequest::decode(&cut[..cut.len() - 1]).is_err());
+        assert!(GetShardRequest::decode(&get.encode()[..tag_at]).is_err());
 
         for archive_sum_kind in [SumKind::Wordsum64, SumKind::Fnv1a] {
             let resp = GetShardResponse {

@@ -4,9 +4,12 @@
 //! core contract that bytes read back are bit-identical to the bytes
 //! put, healthy or degraded.
 
-use cuszp_core::{Compressor, Config, Dims, ErrorBound, RangeSpec};
-use cuszp_parallel::WorkerPool;
-use cuszp_server::wire::{ErrorCode, GetShardRequest, Op, PutShardRequest};
+use cuszp_core::{
+    slice_field, ChunkIndex, Compressor, Config, CuszpError, Decode, Dims, Element, ErrorBound,
+    RangeSpec,
+};
+use cuszp_parallel::{plan_chunks, WorkerPool};
+use cuszp_server::wire::{ErrorCode, GetShardRequest, GetShardResponse, Op, PutShardRequest};
 use cuszp_server::{
     Client, ClientError, ClusterClient, ClusterConfig, ClusterError, ConnectOptions, NodeInfo,
     Ring, Server, ServerConfig, ServerHandle,
@@ -147,7 +150,7 @@ fn get_range_served_from_the_cluster_matches_local_decode() {
     let bytes = archive(9);
     client.put("ranged", &bytes).expect("put");
     let spec = RangeSpec::new(vec![4..20, 100..400]);
-    let (samples, dims, degraded) = client.get_range("ranged", &spec).expect("get_range");
+    let (samples, dims, degraded) = client.get_range::<f32>("ranged", &spec).expect("get_range");
     assert!(!degraded);
     let (local, local_dims) = cuszp_core::decompress_range(&bytes, &spec).expect("local range");
     assert_eq!(dims, local_dims);
@@ -225,6 +228,7 @@ fn stale_epoch_answers_redirect_and_wrong_owner_answers_not_mine() {
         key: key.into(),
         shard_idx: 0,
         ring_epoch: 7,
+        window: None,
     };
     let err = c2.call(Op::Get, &misrouted.encode()).unwrap_err();
     let ClientError::Server(resp) = err else {
@@ -237,6 +241,7 @@ fn stale_epoch_answers_redirect_and_wrong_owner_answers_not_mine() {
         key: key.into(),
         shard_idx: 0,
         ring_epoch: 7,
+        window: None,
     };
     let err = c.call(Op::Get, &missing.encode()).unwrap_err();
     assert_eq!(err.server_code(), Some(ErrorCode::NotFound));
@@ -341,5 +346,287 @@ fn missing_key_fails_typed_not_enough_shards() {
         matches!(err, ClusterError::NotEnoughShards { have: 0, .. }),
         "unexpected: {err}"
     );
+    cluster.stop();
+}
+
+// ---- Range reads: the key's container verified once, then windows ----
+
+const RANGE_KEY: &str = "ranged/field";
+
+/// A 48 × 512 field in six chunks of eight rows, as `T`; `scale`
+/// multiplies every value (a power of two keeps the archive's length).
+fn field_archive<T: Element>(scale: f64) -> (Vec<u8>, Dims) {
+    let dims = Dims::D2 { ny: 48, nx: 512 };
+    let data: Vec<T> = (0..dims.len())
+        .map(|i| {
+            let x = i as f64 * 0.002;
+            T::from_f64((x.sin() * 40.0 + (i % 13) as f64 * 0.25) * scale)
+        })
+        .collect();
+    let compressor = Compressor::new(Config {
+        error_bound: ErrorBound::Relative(1e-3),
+        ..Config::default()
+    });
+    let bytes = compressor
+        .compress_chunked_with(&data, dims, 8 * 512, &WorkerPool::new(1))
+        .expect("compress")
+        .to_bytes();
+    (bytes, dims)
+}
+
+/// The slow-axis rows of each chunk of [`field_archive`].
+fn chunk_rows() -> Vec<std::ops::Range<usize>> {
+    plan_chunks(&[48, 512], 8 * 512)
+        .chunks
+        .into_iter()
+        .map(|c| c.slow)
+        .collect()
+}
+
+/// The chunk whose bytes cross from data slot 0 into slot 1 (k = 2).
+fn straddling_chunk(bytes: &[u8]) -> usize {
+    let (index, _) = ChunkIndex::verify(bytes).expect("verify");
+    let shard_size = bytes.len().div_ceil(2);
+    (0..index.n_chunks())
+        .find(|&i| {
+            let r = index.chunk_range(i).unwrap();
+            r.start < shard_size && shard_size < r.end
+        })
+        .expect("a chunk straddles the slot boundary")
+}
+
+/// A box in every chunk, a box over each pair of neighbouring chunks,
+/// and one over the whole field.
+fn boxes() -> Vec<RangeSpec> {
+    let rows = chunk_rows();
+    let mut boxes: Vec<RangeSpec> = rows
+        .iter()
+        .map(|r| RangeSpec::new(vec![r.start + 1..r.end - 1, 37..301]))
+        .collect();
+    boxes.extend(
+        rows.windows(2)
+            .map(|w| RangeSpec::new(vec![w[0].end - 2..w[1].start + 3, 0..512])),
+    );
+    boxes.push(RangeSpec::new(vec![0..48, 0..512]));
+    boxes
+}
+
+fn check_range_reads<T: Element + PartialEq + std::fmt::Debug>() {
+    let (bytes, dims) = field_archive::<T>(1.0);
+    let (full, _) = Decode::new(&bytes).strict::<T>().expect("full decode");
+    assert!(chunk_rows().len() >= 4);
+    let straddler = straddling_chunk(&bytes);
+    assert!(straddler > 0 && straddler + 1 < chunk_rows().len());
+    let boxes = boxes();
+    for down in [None, Some(0usize), Some(1), Some(2)] {
+        let cluster = TestCluster::start(3, 2, 1, 1);
+        cluster.client().put(RANGE_KEY, &bytes).expect("put");
+        let data_nodes: Vec<usize> = (0..2)
+            .map(|s| cluster.ring.shard_owner(RANGE_KEY, s).unwrap().id as usize - 1)
+            .collect();
+        let degrades = down.is_some_and(|d| data_nodes.contains(&d));
+        // `warm` reads every box (a first read, then hits) with every
+        // node up; `cold` makes its first read after `down` died.
+        let mut warm = cluster.client();
+        let mut cold = cluster.client();
+        for spec in &boxes {
+            let (got, got_dims, degraded) = warm.get_range::<T>(RANGE_KEY, spec).expect("read");
+            assert_eq!((got, got_dims), slice_field(&full, dims, spec).unwrap());
+            assert!(!degraded);
+        }
+        if let Some(d) = down {
+            cluster.handles[d].shutdown();
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        for spec in &boxes {
+            for (name, client) in [("warm", &mut warm), ("cold", &mut cold)] {
+                let (got, got_dims, degraded) = client
+                    .get_range::<T>(RANGE_KEY, spec)
+                    .unwrap_or_else(|e| panic!("{name} {spec} with {down:?} down: {e}"));
+                assert_eq!(
+                    (got, got_dims),
+                    slice_field(&full, dims, spec).unwrap(),
+                    "{name} {spec} with {down:?} down"
+                );
+                assert_eq!(degraded, degrades, "{name} {spec} with {down:?} down");
+            }
+        }
+        for client in [&warm, &cold] {
+            assert_eq!(client.stats().containers_verified.get(), 1);
+            assert_eq!(client.stats().gets.get(), 1);
+        }
+        // Open connections would hold the nodes' drain.
+        drop((warm, cold));
+        cluster.stop();
+    }
+}
+
+#[test]
+fn range_reads_equal_the_full_decode_healthy_and_with_each_node_down_f32() {
+    check_range_reads::<f32>();
+}
+
+#[test]
+fn range_reads_equal_the_full_decode_healthy_and_with_each_node_down_f64() {
+    check_range_reads::<f64>();
+}
+
+#[test]
+fn a_repeated_range_read_fetches_only_its_chunk_and_verifies_nothing() {
+    let (bytes, _) = field_archive::<f32>(1.0);
+    let (index, _) = ChunkIndex::verify(&bytes).expect("verify");
+    let rows = chunk_rows();
+    let cluster = TestCluster::start(3, 2, 1, 1);
+    let mut client = cluster.client();
+    client.put(RANGE_KEY, &bytes).expect("put");
+    let stats = |c: &ClusterClient| {
+        (
+            c.stats().range_bytes_fetched.get(),
+            c.stats().containers_verified.get(),
+        )
+    };
+    let in_chunk = |i: usize| RangeSpec::new(vec![rows[i].start + 2..rows[i].start + 5, 9..99]);
+
+    // The first read fetches the whole stripe (k shards of
+    // ceil(len / k), padding included) and verifies the container once.
+    client
+        .get_range::<f32>(RANGE_KEY, &in_chunk(0))
+        .expect("first");
+    assert_eq!(stats(&client), (2 * bytes.len().div_ceil(2) as u64, 1));
+    // Each later one-chunk box fetches exactly its chunk's bytes, split
+    // over two slots or not, and verifies nothing whole.
+    for i in 0..rows.len() {
+        let (fetched, _) = stats(&client);
+        client
+            .get_range::<f32>(RANGE_KEY, &in_chunk(i))
+            .expect("hit");
+        let chunk = index.chunk_range(i).unwrap().len() as u64;
+        assert_eq!(stats(&client), (fetched + chunk, 1), "chunk {i}");
+    }
+
+    // The wrong element type is typed on a hit — before any fetch — and
+    // on a first read, which still keeps the index it verified.
+    let before = stats(&client);
+    let err = client
+        .get_range::<f64>(RANGE_KEY, &in_chunk(1))
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClusterError::Pipeline(CuszpError::DtypeMismatch { .. })
+        ),
+        "{err}"
+    );
+    assert_eq!(stats(&client), before);
+    let mut fresh = cluster.client();
+    let err = fresh.get_range::<f64>(RANGE_KEY, &in_chunk(1)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClusterError::Pipeline(CuszpError::DtypeMismatch { .. })
+        ),
+        "{err}"
+    );
+    assert_eq!(fresh.stats().containers_verified.get(), 1);
+    fresh
+        .get_range::<f32>(RANGE_KEY, &in_chunk(1))
+        .expect("f32 hit");
+    assert_eq!(fresh.stats().containers_verified.get(), 1);
+
+    // A put through this client drops the key's index.
+    client.put(RANGE_KEY, &bytes).expect("put again");
+    client
+        .get_range::<f32>(RANGE_KEY, &in_chunk(2))
+        .expect("after put");
+    assert_eq!(stats(&client).1, 2);
+    drop((client, fresh));
+    cluster.stop();
+}
+
+#[test]
+fn a_damaged_chunk_fails_a_read_of_any_other_chunk_on_every_first_read() {
+    let (mut bytes, _) = field_archive::<f32>(1.0);
+    let (index, _) = ChunkIndex::verify(&bytes).expect("verify");
+    let rows = chunk_rows();
+    let damaged = 3;
+    let r = index.chunk_range(damaged).unwrap();
+    bytes[(r.start + r.end) / 2] ^= 0x10;
+    let cluster = TestCluster::start(3, 2, 1, 1);
+    let mut client = cluster.client();
+    client.put(RANGE_KEY, &bytes).expect("put");
+    for (i, slab) in rows.iter().enumerate().filter(|(i, _)| *i != damaged) {
+        let spec = RangeSpec::new(vec![slab.start..slab.start + 2, 0..64]);
+        // Twice: a failed verify keeps no index to read by.
+        for _ in 0..2 {
+            let read: Result<(Vec<f32>, Dims, bool), _> = client.get_range(RANGE_KEY, &spec);
+            assert!(
+                matches!(read, Err(ClusterError::Pipeline(_))),
+                "chunk {i}: {read:?}"
+            );
+        }
+    }
+    drop(client);
+    cluster.stop();
+}
+
+#[test]
+fn a_key_put_again_by_another_client_reads_its_new_values() {
+    let (old, dims) = field_archive::<f32>(1.0);
+    let (new, _) = field_archive::<f32>(2.0);
+    assert_eq!(old.len(), new.len(), "the same codes at twice the scale");
+    assert_ne!(old, new);
+    let (want_new, _) = Decode::new(&new).strict::<f32>().expect("decode new");
+    let spec = RangeSpec::new(vec![9..14, 100..200]);
+    let cluster = TestCluster::start(3, 2, 1, 1);
+    let mut reader = cluster.client();
+    let mut writer = cluster.client();
+    writer.put(RANGE_KEY, &old).expect("put old");
+    // A first read and a repeat: the reader now holds the old index.
+    for _ in 0..2 {
+        let (got, _, _): (Vec<f32>, _, _) = reader.get_range(RANGE_KEY, &spec).expect("read old");
+        let (want, _) = cuszp_core::decompress_range(&old, &spec).expect("local old");
+        assert_eq!(got, want);
+    }
+    writer.put(RANGE_KEY, &new).expect("put new");
+    let (got, got_dims, degraded) = reader.get_range(RANGE_KEY, &spec).expect("read new");
+    assert!(!degraded);
+    assert_eq!(
+        (got, got_dims),
+        slice_field(&want_new, dims, &spec).unwrap()
+    );
+    drop((reader, writer));
+    cluster.stop();
+}
+
+#[test]
+fn a_shard_window_is_served_after_the_whole_record_and_refused_past_its_end() {
+    let cluster = TestCluster::start(3, 2, 1, 1);
+    let mut client = cluster.client();
+    let bytes = archive(4);
+    client.put("windowed", &bytes).expect("put");
+    let shard_size = bytes.len().div_ceil(2) as u64;
+    let owner = cluster.ring.shard_owner("windowed", 0).unwrap().clone();
+    let mut c = Client::connect(&owner.addr as &str).expect("connect owner");
+    let get = |window| GetShardRequest {
+        key: "windowed".into(),
+        shard_idx: 0,
+        ring_epoch: 1,
+        window,
+    };
+    let shard = |payload: Vec<u8>| GetShardResponse::decode(&payload).expect("reply").shard;
+    let whole = shard(c.call(Op::Get, &get(None).encode()).expect("whole"));
+    assert_eq!(whole, bytes[..shard_size as usize]);
+    for (offset, len) in [(0, shard_size), (5, 100), (shard_size, 0), (0, 0)] {
+        let part = shard(
+            c.call(Op::Get, &get(Some((offset, len))).encode())
+                .expect("window"),
+        );
+        assert_eq!(part, whole[offset as usize..(offset + len) as usize]);
+    }
+    for window in [(0, shard_size + 1), (shard_size, 1), (u64::MAX - 1, 1)] {
+        let err = c.call(Op::Get, &get(Some(window)).encode()).unwrap_err();
+        assert_eq!(err.server_code(), Some(ErrorCode::BadRequest), "{window:?}");
+    }
+    drop((client, c));
     cluster.stop();
 }

@@ -460,3 +460,63 @@ fn a_stripe_put_under_fnv1a_reads_degrades_and_scrubs_under_fnv1a() {
         let _ = fs::remove_dir_all(d);
     }
 }
+
+#[test]
+fn a_shard_that_rots_after_its_index_is_cached_is_never_served_wrong() {
+    let ports = free_ports(3);
+    let dirs: Vec<PathBuf> = (0..3).map(|i| temp_dir(&format!("rot-{i}"))).collect();
+    let key = "rot/field";
+    let bytes = archive(6);
+    // Rows 0..8 are chunk 0, whose bytes lie in data slot 0.
+    let spec = RangeSpec::new(vec![1..6, 20..400]);
+    let (want, want_dims) = cuszp_core::decompress_range(&bytes, &spec).expect("local range");
+    let cluster = DurableCluster::start(&ports, &dirs, 1);
+    let mut client = cluster.client();
+    client.put(key, &bytes).expect("put");
+    // A first read and a repeat: the client holds the key's index.
+    for _ in 0..2 {
+        let (samples, dims, degraded) = client.get_range(key, &spec).expect("read");
+        assert!(!degraded);
+        assert_eq!((samples, dims), (want.clone(), want_dims));
+    }
+    // Slot 0's record rots on disk, inside the bytes the box reads.
+    let owner = cluster.ring.shard_owner(key, 0).unwrap().id as usize - 1;
+    let seg = fs::read_dir(&dirs[owner])
+        .expect("read data dir")
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "czl"))
+        .expect("a segment");
+    let mut disk = fs::read(&seg).expect("read segment");
+    let needle = &bytes[200..264];
+    let at = disk
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("slot 0's payload is on disk");
+    disk[at + 10] ^= 0x04;
+    fs::write(&seg, &disk).expect("write rotted segment");
+    // The node drops the record it can no longer verify; the read is
+    // rebuilt from parity bit-identical, or fails typed — never wrong.
+    for _ in 0..2 {
+        let read: Result<(Vec<f32>, cuszp_core::Dims, bool), _> = client.get_range(key, &spec);
+        match read {
+            Ok((samples, dims, degraded)) => {
+                assert!(degraded, "a rotted slot cannot read healthy");
+                assert_eq!((samples, dims), (want.clone(), want_dims));
+            }
+            Err(e) => assert!(
+                matches!(
+                    e,
+                    cuszp_server::ClusterError::NotEnoughShards { .. }
+                        | cuszp_server::ClusterError::Corrupt { .. }
+                        | cuszp_server::ClusterError::Pipeline(_)
+                ),
+                "{e}"
+            ),
+        }
+    }
+    drop(client);
+    cluster.stop();
+    for d in &dirs {
+        let _ = fs::remove_dir_all(d);
+    }
+}

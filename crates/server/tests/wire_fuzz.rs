@@ -29,9 +29,10 @@ fn oracle(bytes: &[u8], cap: usize) -> Result<Frame, WireError> {
         return Err(WireError::BadMagic(magic));
     }
     let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    // CSRP v5 is the only version on the wire: a v1–v3 frame (FNV
-    // trailer) or a v4 one is refused here, whatever its trailer holds.
-    if version != 5 {
+    // CSRP v6 is the only version on the wire: a v1–v3 frame (FNV
+    // trailer), a v4 or a v5 one is refused here, whatever its trailer
+    // holds.
+    if version != 6 {
         return Err(WireError::UnsupportedVersion(version));
     }
     let len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
@@ -82,7 +83,7 @@ proptest! {
     /// random magic can.
     #[test]
     fn structured_headers_classify_exactly(
-        version in 0u16..7,
+        version in 0u16..8,
         op in any::<u8>(),
         flags in any::<u8>(),
         req_id in any::<u64>(),
@@ -121,6 +122,79 @@ proptest! {
         let cut = (cut % (bytes.len() as u64 + 1)) as usize;
         bytes.truncate(cut);
         assert_matches_oracle(&bytes)?;
+    }
+}
+
+/// The `get_shard` window (CSRP v6): a window whose end fits in a
+/// `u64` round-trips, any other is the typed overflow error, and a
+/// damaged or cut request never panics.
+mod shard_windows {
+    use super::*;
+    use cuszp_server::wire::GetShardRequest;
+
+    fn request(window: Option<(u64, u64)>) -> GetShardRequest {
+        GetShardRequest {
+            key: "nyx/baryon_density".into(),
+            shard_idx: 1,
+            ring_epoch: 3,
+            window,
+        }
+    }
+
+    fn expect(offset: u64, len: u64) -> Result<GetShardRequest, WireError> {
+        match offset.checked_add(len) {
+            Some(_) => Ok(request(Some((offset, len)))),
+            None => Err(WireError::BadPayload("shard window overflows u64")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary `(offset, len)`: about half of these overflow.
+        #[test]
+        fn arbitrary_windows_round_trip_or_refuse_typed(
+            offset in any::<u64>(),
+            len in any::<u64>(),
+        ) {
+            let back = GetShardRequest::decode(&request(Some((offset, len))).encode());
+            prop_assert_eq!(back, expect(offset, len));
+        }
+
+        /// Windows ending at or just past `u64::MAX`, zero length
+        /// included.
+        #[test]
+        fn windows_at_the_top_of_u64_split_exactly(
+            below_max in 0u64..4,
+            len in 0u64..8,
+        ) {
+            let offset = u64::MAX - below_max;
+            let back = GetShardRequest::decode(&request(Some((offset, len))).encode());
+            prop_assert_eq!(back, expect(offset, len));
+        }
+
+        /// One byte of damage and/or a cut on a windowed or whole-shard
+        /// request: never a panic, and an undamaged one round-trips.
+        #[test]
+        fn damaged_get_requests_never_panic(
+            windowed in any::<bool>(),
+            offset in 0u64..1 << 20,
+            len in 0u64..1 << 20,
+            hit in any::<u64>(),
+            xor in any::<u8>(),
+            cut in any::<u64>(),
+        ) {
+            let req = request(windowed.then_some((offset, len)));
+            let mut bytes = req.encode();
+            let hit = (hit % bytes.len() as u64) as usize;
+            bytes[hit] ^= xor;
+            let cut = (cut % (bytes.len() as u64 + 1)) as usize;
+            bytes.truncate(cut);
+            let back = GetShardRequest::decode(&bytes);
+            if xor == 0 && cut == req.encode().len() {
+                prop_assert_eq!(back, Ok(req));
+            }
+        }
     }
 }
 
