@@ -27,11 +27,11 @@
 //! that tells the formats apart.
 
 use crate::archive::{v1_declared_len, v1_field};
-use crate::element::{check_dtype, Element};
+use crate::element::Element;
 use crate::engine::{resolve_bound, validate_and_range, PipelineEngine};
 use crate::error::{ArchiveSection, CuszpError};
 use crate::parity::{ParityConfig, ParitySection, PARITY_MAGIC};
-use crate::range::{resolve, RangeSpec, ResolvedRange};
+use crate::range::{resolve, ChunkSource, RangeSpec};
 use crate::stats::ChunkedStats;
 use crate::walk::PlanView;
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
@@ -323,28 +323,15 @@ impl ChunkedArchive {
         self.decode(engine, Some(spec), pool)
     }
 
-    /// The strict policy over the chunk walk: feed the parsed chunks,
-    /// return the first error.
+    /// The strict policy over the chunk walk, on this container's
+    /// parsed chunks ([`ChunkSource::decode`]).
     fn decode<T: Element>(
         &self,
         engine: ReconstructEngine,
         spec: Option<&RangeSpec>,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
-        check_dtype::<T>(self.dtype)?;
-        let plan = self.plan()?;
-        let r = match spec {
-            Some(spec) => resolve(spec, self.dims)?,
-            None => ResolvedRange::full(self.dims),
-        };
-        let mut out = vec![T::default(); r.len()];
-        let results = plan.walk(plan.span(&r), &r, &mut out, pool, |i, seg, eng, scratch| {
-            plan.reconstruct(i, &self.chunks[i], &r, engine, eng, scratch, seg)
-                .map(drop)
-                .map_err(|e| self.place(i, e))
-        });
-        results.into_iter().collect::<Result<(), _>>()?;
-        Ok((out, r.sub_dims(self.dims)))
+        ChunkSource::Parsed(self).decode(engine, spec, &mut PipelineEngine::new(), pool)
     }
 
     /// The header this container serializes with.
@@ -358,12 +345,6 @@ impl ChunkedArchive {
             n_chunks: self.chunks.len(),
             table_offset: CHUNKED_HEADER_BYTES,
         }
-    }
-
-    /// The plan the container header implies
-    /// ([`ChunkedHeader::checked_plan`]).
-    pub(crate) fn plan(&self) -> Result<PlanView, CuszpError> {
-        self.header().checked_plan()
     }
 
     /// Rebases chunk `i`'s chunk-local error to container coordinates,

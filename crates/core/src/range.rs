@@ -18,11 +18,12 @@
 //! [`CuszpError::InvalidRange`] before any decoding starts — no panics,
 //! no partial output.
 
+use crate::archive::Archive;
 use crate::chunked::{ChunkIndex, ChunkedArchive, ChunkedHeader};
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
-use cuszp_parallel::plan_len;
+use cuszp_parallel::{plan_len, WorkerPool};
 use cuszp_predictor::{Dims, ReconstructEngine};
 use std::ops::Range;
 use std::sync::Arc;
@@ -322,6 +323,69 @@ pub enum ChunkSource<'a> {
 }
 
 impl ChunkSource<'_> {
+    /// Decodes the sub-volume `spec` out of this source on `pool`, as
+    /// [`ChunkedArchive::decompress_range`] does: a span of several chunks
+    /// fans out one chunk per job; a span of one chunk runs on this
+    /// thread with `eng`, the caller's reusable engine. The strict
+    /// policy: the first error is returned.
+    pub fn decompress_range<T: Element>(
+        self,
+        engine: ReconstructEngine,
+        spec: &RangeSpec,
+        eng: &mut PipelineEngine,
+        pool: &WorkerPool,
+    ) -> Result<(Vec<T>, Dims), CuszpError> {
+        self.decode(engine, Some(spec), eng, pool)
+    }
+
+    /// The strict policy over the chunk walk: `spec`, or the whole field
+    /// when `None`.
+    pub(crate) fn decode<T: Element>(
+        self,
+        engine: ReconstructEngine,
+        spec: Option<&RangeSpec>,
+        eng: &mut PipelineEngine,
+        pool: &WorkerPool,
+    ) -> Result<(Vec<T>, Dims), CuszpError> {
+        let hdr = self.header();
+        check_dtype::<T>(hdr.dtype)?;
+        let plan = hdr.checked_plan()?;
+        let r = match spec {
+            Some(spec) => resolve(spec, hdr.dims)?,
+            None => ResolvedRange::full(hdr.dims),
+        };
+        let mut out = vec![T::default(); r.len()];
+        let results = plan.walk(
+            plan.span(&r),
+            &r,
+            &mut out,
+            eng,
+            pool,
+            |i, seg, eng, scratch| {
+                self.with_chunk(i, |chunk| {
+                    plan.reconstruct(i, chunk, &r, engine, eng, scratch, seg)
+                        .map(drop)
+                        .map_err(|e| self.place(i, e))
+                })
+            },
+        );
+        results.into_iter().collect::<Result<(), _>>()?;
+        Ok((out, r.sub_dims(hdr.dims)))
+    }
+
+    /// Runs `f` on chunk `i`: the parsed chunk, or the chunk parsed out
+    /// of the window on its own.
+    fn with_chunk<R>(
+        &self,
+        i: usize,
+        f: impl FnOnce(&Archive) -> Result<R, CuszpError>,
+    ) -> Result<R, CuszpError> {
+        match *self {
+            ChunkSource::Parsed(arc) => f(&arc.chunks[i]),
+            ChunkSource::Verified(index, bytes, at) => f(&index.chunk_at(bytes, at, i)?),
+        }
+    }
+
     fn header(&self) -> ChunkedHeader {
         match self {
             ChunkSource::Parsed(arc) => arc.header(),
@@ -371,18 +435,13 @@ pub fn decompress_range_with_fetch<T: Element>(
                 gather_chunk_le(&cached, &slab.slow, &r, seg);
                 continue;
             }
-            let parsed;
-            let chunk = match source {
-                ChunkSource::Parsed(arc) => &arc.chunks[i],
-                ChunkSource::Verified(index, bytes, at) => {
-                    parsed = index.chunk_at(bytes, at, i)?;
-                    &parsed
-                }
-            };
-            let fresh = plan
-                .reconstruct(i, chunk, &r, engine, eng, &mut scratch, seg)
-                .map_err(|e| source.place(i, e))?;
-            store(i, fresh);
+            source.with_chunk(i, |chunk| {
+                let fresh = plan
+                    .reconstruct(i, chunk, &r, engine, eng, &mut scratch, seg)
+                    .map_err(|e| source.place(i, e))?;
+                store(i, fresh);
+                Ok(())
+            })?;
         }
         Ok::<(), CuszpError>(())
     })?;

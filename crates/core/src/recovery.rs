@@ -854,22 +854,30 @@ pub(crate) fn recover<T: Element>(
         )
     })?;
     data.resize(r.len(), fill_value);
-    let outcomes = plan.walk(span.clone(), &r, &mut data, pool, |i, seg, eng, scratch| {
-        let fresh;
-        let framed = match &first_good {
-            Some((good, archive)) if *good == i => Ok(archive),
-            _ => {
-                fresh = frame(i);
-                fresh.as_ref().map_err(Clone::clone)
-            }
-        };
-        evaluate_chunk(framed, i, chunk_base(&table, i), |archive| {
-            plan.reconstruct(i, archive, &r, engine, eng, scratch, seg)
-                .map(drop)
-                // Reconstruction may have partially written the segment.
-                .inspect_err(|_| seg.fill(fill_value))
-        })
-    });
+    let mut eng = PipelineEngine::new();
+    let outcomes = plan.walk(
+        span.clone(),
+        &r,
+        &mut data,
+        &mut eng,
+        pool,
+        |i, seg, eng, scratch| {
+            let fresh;
+            let framed = match &first_good {
+                Some((good, archive)) if *good == i => Ok(archive),
+                _ => {
+                    fresh = frame(i);
+                    fresh.as_ref().map_err(Clone::clone)
+                }
+            };
+            evaluate_chunk(framed, i, chunk_base(&table, i), |archive| {
+                plan.reconstruct(i, archive, &r, engine, eng, scratch, seg)
+                    .map(drop)
+                    // Reconstruction may have partially written the segment.
+                    .inspect_err(|_| seg.fill(fill_value))
+            })
+        },
+    );
     let mut reports = chunk_reports(outcomes, span, &table, &plan);
     if whole {
         push_truncated_tail(&mut reports, &plan, n_geo, r.len());

@@ -165,15 +165,17 @@ impl PlanView {
     /// The walk: runs `step(i, segment, engine, scratch)` for every
     /// chunk of `span` on `pool`, each worker keeping one engine and one
     /// slab scratch across the chunks it drains. Results come back in
-    /// chunk order. A one-chunk container (every v1 archive) has nothing
-    /// to fan out: its chunk runs here with its inner loops left parallel
-    /// (a pool job forces them serial). Decoding is a pure function of
+    /// chunk order. A span of one chunk has nothing to fan out: it runs
+    /// here on `eng`, the caller's engine, with its inner loops serial as
+    /// in a pool job — except in a one-chunk container (every v1
+    /// archive), where they stay parallel. Decoding is a pure function of
     /// the bytes, so no output changes.
     pub fn walk<T, R, F>(
         &self,
         span: Range<usize>,
         r: &ResolvedRange,
         out: &mut [T],
+        eng: &mut PipelineEngine,
         pool: &WorkerPool,
         step: F,
     ) -> Vec<R>
@@ -183,8 +185,12 @@ impl PlanView {
         F: Fn(usize, &mut [T], &mut PipelineEngine, &mut Vec<T>) -> R + Sync,
     {
         let mut parts = self.carve(span, r, out);
-        if let (1, [(i, seg)]) = (self.n, &mut parts[..]) {
-            return vec![step(*i, seg, &mut PipelineEngine::new(), &mut Vec::new())];
+        if let [(i, seg)] = &mut parts[..] {
+            let mut run = || step(*i, seg, eng, &mut Vec::new());
+            return vec![match self.n {
+                1 => run(),
+                _ => cuszp_parallel::with_serial_inner(run),
+            }];
         }
         pool.run_parts_with_state(
             parts,

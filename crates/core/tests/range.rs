@@ -527,3 +527,50 @@ fn a_verified_window_reads_like_the_whole_container() {
         Err(CuszpError::InvalidRange { .. })
     ));
 }
+
+/// `ChunkSource::decompress_range` fans a box of several chunks out over
+/// the pool, and runs a one-chunk box or a v1 archive on the caller's
+/// engine: every way reads the bits the uncached serial decode reads,
+/// from the parsed container or from a window of its bytes.
+#[test]
+fn a_pooled_source_decode_reads_the_serial_bits() {
+    let dims = Dims::D2 { ny: 60, nx: 100 };
+    let data = field_f32(dims.len());
+    let chunked = compressor()
+        .compress_chunked_with(&data, dims, CHUNK_TARGET, &WorkerPool::new(1))
+        .unwrap()
+        .to_bytes();
+    let v1 = compressor().compress(&data, dims).unwrap().to_bytes();
+    let mut eng = PipelineEngine::new();
+    for bytes in [&chunked, &v1] {
+        let (index, parsed) = ChunkIndex::verify(bytes).unwrap();
+        for axes in [vec![5..25, 10..90], vec![0..60, 0..100], vec![33..34, 0..1]] {
+            let spec = RangeSpec::new(axes);
+            let span = index.span_bytes(&spec).unwrap();
+            let (want, want_dims) = read_range(ChunkSource::Parsed(&parsed), &spec).unwrap();
+            let sources = [
+                ChunkSource::Parsed(&parsed),
+                ChunkSource::Verified(&index, &bytes[span.clone()], span.start),
+            ];
+            for (source, workers) in sources.into_iter().zip([2, 1]) {
+                let (got, got_dims) = source
+                    .decompress_range::<f32>(
+                        ReconstructEngine::FinePartialSum,
+                        &spec,
+                        &mut eng,
+                        &WorkerPool::new(workers),
+                    )
+                    .unwrap();
+                assert_eq!(got_dims, want_dims);
+                assert_eq!(bits_f32(&got), bits_f32(&want), "{spec}");
+            }
+        }
+        let wrong = ChunkSource::Parsed(&parsed).decompress_range::<f64>(
+            ReconstructEngine::FinePartialSum,
+            &RangeSpec::new(vec![0..1, 0..1]),
+            &mut eng,
+            &WorkerPool::new(2),
+        );
+        assert!(matches!(wrong, Err(CuszpError::DtypeMismatch { .. })));
+    }
+}

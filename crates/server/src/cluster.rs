@@ -27,11 +27,16 @@
 //! stored record), checks that every reply names the same identity, and
 //! decodes each chunk with its own checksum and plan check. A missing
 //! slot's window is rebuilt from the same columns of any `k` survivors:
-//! Reed–Solomon here is bytewise. The identity is not a cryptographic
-//! key: a writer who forges a stripe with another archive's
-//! `(total_len, archive_sum)` skips the whole-container verify of its
-//! bytes here (each decoded chunk's own checks still run), as DESIGN §12
-//! says for the server's cache.
+//! Reed–Solomon here is bytewise. `get` is the same gather with whole
+//! shards for windows.
+//!
+//! The saving needs repeated reads of a key with no put of it in
+//! between: a put through this client drops the key's index, and other
+//! bytes put through another client name another identity. The identity
+//! is not a cryptographic key: a writer who forges a stripe with another
+//! archive's `(total_len, archive_sum)` skips the whole-container verify
+//! of its bytes here (each decoded chunk's own checks still run), as
+//! DESIGN §12 says for the server's cache.
 //!
 //! Routing errors are first-class: a node answering `Redirect` (stale
 //! ring epoch) or `NotMine` (wrong owner) triggers one topology refresh
@@ -50,12 +55,16 @@ use cuszp_core::{
 };
 use cuszp_ecc::{EccError, ReedSolomon};
 use cuszp_metrics::Counter;
+use cuszp_parallel::WorkerPool;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 /// Keys whose verified chunk index a [`ClusterClient`] keeps for
-/// [`ClusterClient::get_range`]. An index is about 100 bytes plus 16 per
-/// chunk; past this many keys an arbitrary entry is evicted.
+/// [`ClusterClient::get_range`]; past this many keys an arbitrary entry
+/// is evicted. The bound only caps the client's memory: an entry is the
+/// key plus about 100 bytes and 16 per chunk, so 256 entries of an
+/// 8-chunk archive take about 60 KB. A client that range-reads more keys
+/// than this between repeats verifies some of them again.
 const KEY_INDEXES: usize = 256;
 
 /// What names the bytes stored under a key: `(total_len, archive_sum,
@@ -72,6 +81,31 @@ fn any_stale(results: &[Result<GetShardResponse, ClientError>]) -> bool {
         matches!(r, Err(ClientError::Server(e))
             if matches!(e.code, ErrorCode::Redirect | ErrorCode::NotMine))
     })
+}
+
+/// What [`ClusterClient::gather`] read.
+#[derive(Debug)]
+struct Gathered {
+    /// The data slots' windows end to end.
+    bytes: Vec<u8>,
+    /// The stripe identity the replies name.
+    id: StripeId,
+    /// True when a data slot did not answer and was rebuilt.
+    degraded: bool,
+    /// Shard bytes received.
+    received: u64,
+}
+
+impl Gathered {
+    /// A gather stopped by a reply naming `id`, another stripe.
+    fn stopped(id: StripeId, received: u64) -> Gathered {
+        Gathered {
+            bytes: Vec::new(),
+            id,
+            degraded: false,
+            received,
+        }
+    }
 }
 
 /// A key whose container this client verified whole: the stripe it was
@@ -263,16 +297,6 @@ fn split_stripe(bytes: &[u8], k: usize, m: usize) -> Result<(Vec<Vec<u8>>, usize
     Ok((shards, shard_size))
 }
 
-/// Concatenates the `k` data slots and truncates to the archive length.
-fn assemble(data_slots: &[Vec<u8>], total_len: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(total_len as usize);
-    for s in data_slots {
-        out.extend_from_slice(s);
-    }
-    out.truncate(total_len as usize);
-    out
-}
-
 /// A cluster-aware client: routes shard ops by the ring, fans them out
 /// over per-node connections with pipelined send/recv, fails over to
 /// surviving placements, and repairs under-replication on demand.
@@ -286,8 +310,6 @@ pub struct ClusterClient {
     indexes: HashMap<String, KeyIndex>,
     /// Reused across range reads for its scratch arenas.
     engine: PipelineEngine,
-    /// Shard bytes every `get` sub-request has received so far.
-    fetched: u64,
 }
 
 impl ClusterClient {
@@ -301,7 +323,6 @@ impl ClusterClient {
             stats: ClusterStats::default(),
             indexes: HashMap::new(),
             engine: PipelineEngine::new(),
-            fetched: 0,
         }
     }
 
@@ -529,46 +550,168 @@ impl ClusterClient {
     }
 
     /// Fetches the stripe slots named in `slots`, one owner each: the
-    /// whole shard, or the `(offset, len)` window `window(slot)` names.
+    /// whole shard, or the columns `cols` when given.
     fn fetch_slots(
         &mut self,
         key: &str,
         slots: &[u16],
-        window: impl Fn(u16) -> Option<(u64, u64)>,
+        cols: impl Fn(u16) -> Option<Range<u64>>,
     ) -> Vec<Result<GetShardResponse, ClientError>> {
-        let replies: Vec<_> = self
-            .fan_out(
-                key,
-                slots,
-                |slot, epoch| {
-                    GetShardRequest {
-                        key: key.to_string(),
-                        shard_idx: slot,
-                        ring_epoch: epoch,
-                        window: window(slot),
-                    }
-                    .encode()
-                },
-                Op::Get,
-            )
-            .into_iter()
-            .zip(slots)
-            .map(|(r, &slot)| {
-                let resp = GetShardResponse::decode(&r?).map_err(ClientError::Wire)?;
-                match window(slot) {
-                    Some((_, len)) if resp.shard.len() as u64 != len => Err(ClientError::Protocol(
-                        "shard window reply has the wrong length",
-                    )),
-                    _ => Ok(resp),
+        self.fan_out(
+            key,
+            slots,
+            |slot, epoch| {
+                GetShardRequest {
+                    key: key.to_string(),
+                    shard_idx: slot,
+                    ring_epoch: epoch,
+                    window: cols(slot).map(|c| (c.start, c.end - c.start)),
                 }
-            })
-            .collect();
-        self.fetched += replies
-            .iter()
-            .flatten()
-            .map(|r| r.shard.len() as u64)
-            .sum::<u64>();
-        replies
+                .encode()
+            },
+            Op::Get,
+        )
+        .into_iter()
+        .zip(slots)
+        .map(|(r, &slot)| {
+            let resp = GetShardResponse::decode(&r?).map_err(ClientError::Wire)?;
+            match cols(slot) {
+                Some(c) if resp.shard.len() as u64 != c.end - c.start => Err(
+                    ClientError::Protocol("shard window reply has the wrong length"),
+                ),
+                _ => Ok(resp),
+            }
+        })
+        .collect()
+    }
+
+    /// The one stripe read behind [`ClusterClient::get`] and
+    /// [`ClusterClient::get_range`]: column window `windows[s]` of every
+    /// data slot `s` (its whole shard where that is `None`), following a
+    /// stale route once. A slot that does not answer is rebuilt from the
+    /// same columns of `k` survivors — Reed–Solomon here is bytewise over
+    /// GF(256) — and a survivor whose window already holds those columns
+    /// is not asked again. Replies must all name `expect` when it is
+    /// given: the first that does not stops the gather, with its identity
+    /// in [`Gathered::id`] and no bytes.
+    fn gather(
+        &mut self,
+        key: &str,
+        windows: &[Option<Range<u64>>],
+        expect: Option<StripeId>,
+    ) -> Result<Gathered, ClusterError> {
+        let k = self.ring.data_shards as usize;
+        let m = self.ring.parity_shards as usize;
+        let data_slots: Vec<u16> = (0..k as u16).collect();
+        let mut replies = self.fetch_slots(key, &data_slots, |s| windows[s as usize].clone());
+        if any_stale(&replies) {
+            self.stats.redirects_followed.incr();
+            self.refresh_ring()?;
+            replies = self.fetch_slots(key, &data_slots, |s| windows[s as usize].clone());
+        }
+        // Each slot's bytes and the first column they hold.
+        let mut held: Vec<Option<(u64, Vec<u8>)>> = vec![None; k + m];
+        let mut named: Option<StripeId> = None;
+        let mut received = 0u64;
+        for (s, r) in replies.into_iter().enumerate() {
+            let Ok(resp) = r else {
+                self.stats.shard_failures.incr();
+                continue;
+            };
+            received += resp.shard.len() as u64;
+            let id = stripe_id(&resp);
+            if expect.is_some_and(|e| e != id) {
+                return Ok(Gathered::stopped(id, received));
+            }
+            named.get_or_insert(id);
+            held[s] = Some((windows[s].as_ref().map_or(0, |w| w.start), resp.shard));
+        }
+        let missing: Vec<usize> = (0..k).filter(|&s| held[s].is_none()).collect();
+        // One column range covers every missing window (`None`: whole
+        // shards); a missing slot with an empty window needs none.
+        let need = (missing.iter().map(|&s| windows[s].clone()))
+            .filter(|w| w.as_ref().is_none_or(|w| !w.is_empty()))
+            .reduce(|a, b| {
+                a.zip(b)
+                    .map(|(a, b)| a.start.min(b.start)..a.end.max(b.end))
+            });
+        if let Some(cols) = need {
+            let mut columns: Vec<Option<Vec<u8>>> = vec![None; k + m];
+            let mut ask: Vec<u16> = Vec::new();
+            for s in (0..k + m).filter(|s| !missing.contains(s)) {
+                // Only a data slot holds bytes yet.
+                columns[s] = match (&held[s], &cols) {
+                    (Some((_, bytes)), None) if windows[s].is_none() => Some(bytes.clone()),
+                    (Some((at, bytes)), Some(c)) if *at <= c.start => bytes
+                        .get((c.start - at) as usize..(c.end - at) as usize)
+                        .map(<[u8]>::to_vec),
+                    _ => None,
+                };
+                if columns[s].is_none() {
+                    ask.push(s as u16);
+                }
+            }
+            for (&s, r) in ask
+                .iter()
+                .zip(self.fetch_slots(key, &ask, |_| cols.clone()))
+            {
+                let Ok(resp) = r else {
+                    self.stats.shard_failures.incr();
+                    continue;
+                };
+                received += resp.shard.len() as u64;
+                let id = stripe_id(&resp);
+                if expect.is_some_and(|e| e != id) {
+                    return Ok(Gathered::stopped(id, received));
+                }
+                named.get_or_insert(id);
+                columns[s as usize] = Some(resp.shard);
+            }
+            let have = columns.iter().flatten().count();
+            if have < k {
+                return Err(ClusterError::NotEnoughShards {
+                    key: key.to_string(),
+                    have,
+                    need: k,
+                });
+            }
+            let width = columns.iter().flatten().map(Vec::len).max().unwrap_or(0);
+            ReedSolomon::new(k, m)?.reconstruct(&mut columns, width)?;
+            let first = cols.as_ref().map_or(0, |c| c.start);
+            for &s in &missing {
+                held[s] = columns[s].take().map(|col| (first, col));
+            }
+        }
+        let Some(id) = named else {
+            return Err(ClusterError::NotEnoughShards {
+                key: key.to_string(),
+                have: 0,
+                need: k,
+            });
+        };
+        // Data slot windows are consecutive container bytes, in slot
+        // order; a rebuilt slot holds the span of every missing window.
+        let mut bytes = Vec::new();
+        for (window, held) in windows.iter().zip(&held) {
+            match (window, held) {
+                (Some(w), _) if w.is_empty() => {}
+                (None, Some((_, held))) => bytes.extend_from_slice(held),
+                (Some(w), Some((at, held))) => {
+                    bytes.extend_from_slice(&held[(w.start - at) as usize..(w.end - at) as usize])
+                }
+                (_, None) => unreachable!("a wanted window is fetched or rebuilt above"),
+            }
+        }
+        let degraded = !missing.is_empty();
+        if degraded {
+            self.stats.degraded_reads.incr();
+        }
+        Ok(Gathered {
+            bytes,
+            id,
+            degraded,
+            received,
+        })
     }
 
     /// Reads the archive stored under `key`. The healthy path fetches
@@ -577,85 +720,27 @@ impl ClusterClient {
     /// archive checksum, so the returned bytes are bit-identical to
     /// what was put or the call fails typed.
     pub fn get(&mut self, key: &str) -> Result<GetOutcome, ClusterError> {
-        self.get_stripe(key).map(|(got, _)| got)
+        let got = self.get_stripe(key)?;
+        Ok(GetOutcome {
+            bytes: got.bytes,
+            degraded: got.degraded,
+        })
     }
 
-    /// [`ClusterClient::get`], also returning the identity the verified
-    /// stripe names.
-    fn get_stripe(&mut self, key: &str) -> Result<(GetOutcome, StripeId), ClusterError> {
+    /// [`ClusterClient::get`] as a [`Gathered`]: whole data shards,
+    /// truncated to the archive and checked against its sum.
+    fn get_stripe(&mut self, key: &str) -> Result<Gathered, ClusterError> {
         self.stats.gets.incr();
         let k = self.ring.data_shards as usize;
-        let m = self.ring.parity_shards as usize;
-        let mut rerouted = false;
-        loop {
-            let data_slots: Vec<u16> = (0..k as u16).collect();
-            let results = self.fetch_slots(key, &data_slots, |_| None);
-            if any_stale(&results) && !rerouted {
-                rerouted = true;
-                self.stats.redirects_followed.incr();
-                self.refresh_ring()?;
-                continue;
-            }
-            let mut stripe: Vec<Option<Vec<u8>>> = vec![None; k + m];
-            let mut meta: Option<StripeId> = None;
-            let mut misses = 0usize;
-            for (i, r) in results.into_iter().enumerate() {
-                match r {
-                    Ok(resp) => {
-                        meta.get_or_insert(stripe_id(&resp));
-                        stripe[i] = Some(resp.shard);
-                    }
-                    Err(_) => {
-                        self.stats.shard_failures.incr();
-                        misses += 1;
-                    }
-                }
-            }
-            let degraded = misses > 0;
-            if degraded {
-                // Failover: pull parity and rebuild the missing slots.
-                let parity_slots: Vec<u16> = (k as u16..(k + m) as u16).collect();
-                let parity = self.fetch_slots(key, &parity_slots, |_| None);
-                for (i, r) in parity.into_iter().enumerate() {
-                    if let Ok(resp) = r {
-                        meta.get_or_insert(stripe_id(&resp));
-                        stripe[k + i] = Some(resp.shard);
-                    } else {
-                        self.stats.shard_failures.incr();
-                    }
-                }
-                let have = stripe.iter().filter(|s| s.is_some()).count();
-                if have < k {
-                    return Err(ClusterError::NotEnoughShards {
-                        key: key.to_string(),
-                        have,
-                        need: k,
-                    });
-                }
-                let shard_size = stripe.iter().flatten().map(|s| s.len()).max().unwrap_or(0);
-                ReedSolomon::new(k, m)?.reconstruct(&mut stripe, shard_size)?;
-                self.stats.degraded_reads.incr();
-            }
-            let Some(id @ (total_len, archive_sum, kind)) = meta else {
-                return Err(ClusterError::NotEnoughShards {
-                    key: key.to_string(),
-                    have: 0,
-                    need: k,
-                });
-            };
-            let data: Vec<Vec<u8>> = stripe
-                .into_iter()
-                .take(k)
-                .map(|s| s.expect("data slots filled by fetch or reconstruct"))
-                .collect();
-            let bytes = assemble(&data, total_len);
-            if kind.sum(&bytes) != archive_sum {
-                return Err(ClusterError::Corrupt {
-                    key: key.to_string(),
-                });
-            }
-            return Ok((GetOutcome { bytes, degraded }, id));
+        let mut got = self.gather(key, &vec![None; k], None)?;
+        let (total_len, archive_sum, kind) = got.id;
+        got.bytes.truncate(total_len as usize);
+        if kind.sum(&got.bytes) != archive_sum {
+            return Err(ClusterError::Corrupt {
+                key: key.to_string(),
+            });
         }
+        Ok(got)
     }
 
     /// Range-reads the archive stored under `key` in its own element
@@ -670,19 +755,10 @@ impl ClusterClient {
     /// only the box's chunk bytes, one window per data slot, from replies
     /// that must all name the stripe the index was verified from; one
     /// that names another (the key was put again) drops the index, and
-    /// the read starts over as a first read. See the module doc.
+    /// the read starts over as a first read. So the saving needs repeated
+    /// reads of a key with no [`ClusterClient::put`] of it on this client
+    /// in between: that put drops the index too. See the module doc.
     pub fn get_range<T: Element>(
-        &mut self,
-        key: &str,
-        spec: &RangeSpec,
-    ) -> Result<(Vec<T>, Dims, bool), ClusterError> {
-        let before = self.fetched;
-        let read = self.range_read(key, spec);
-        self.stats.range_bytes_fetched.add(self.fetched - before);
-        read
-    }
-
-    fn range_read<T: Element>(
         &mut self,
         key: &str,
         spec: &RangeSpec,
@@ -718,17 +794,18 @@ impl ClusterClient {
         key: &str,
         spec: &RangeSpec,
     ) -> Result<(Vec<T>, Dims, bool), ClusterError> {
-        let (got, id) = self.get_stripe(key)?;
+        let got = self.get_stripe(key)?;
+        self.stats.range_bytes_fetched.add(got.received);
         self.stats.containers_verified.incr();
         let (index, parsed) = ChunkIndex::verify(&got.bytes)?;
-        self.remember(key, KeyIndex { id, index });
+        self.remember(key, KeyIndex { id: got.id, index });
         let (samples, dims) = self.decode(ChunkSource::Parsed(&parsed), spec)?;
         Ok((samples, dims, got.degraded))
     }
 
-    /// A read of a key whose container this client verified: fetches
-    /// the container bytes `bytes` as one window per data slot, and
-    /// decodes the box out of them. `Ok(None)` when a reply names a
+    /// A read of a key whose container this client verified: gathers
+    /// the container bytes `bytes` as one column window per data slot,
+    /// and decodes the box out of them. `Ok(None)` when a reply names a
     /// stripe other than `entry`'s.
     fn read_windows<T: Element>(
         &mut self,
@@ -737,112 +814,46 @@ impl ClusterClient {
         bytes: Range<usize>,
         spec: &RangeSpec,
     ) -> Result<Option<(Vec<T>, Dims, bool)>, ClusterError> {
-        let k = self.ring.data_shards as usize;
-        let m = self.ring.parity_shards as usize;
-        let shard_size = entry.id.0.div_ceil(k as u64);
+        let k = self.ring.data_shards as u64;
+        let shard_size = entry.id.0.div_ceil(k);
         // Data slot `s` holds container bytes from `s * shard_size` on;
         // its window is its share of `bytes`, slot-relative, and empty
         // (0..0) when the box's chunks lie elsewhere. Every data slot is
         // asked, as `get` asks them, so a dead one still shows.
-        let windows: Vec<Range<u64>> = (0..k as u64)
+        let windows: Vec<Option<Range<u64>>> = (0..k)
             .map(|s| {
                 let slot = s * shard_size..(s + 1) * shard_size;
                 let lo = (bytes.start as u64).clamp(slot.start, slot.end);
                 let hi = (bytes.end as u64).clamp(slot.start, slot.end);
-                match lo < hi {
+                Some(match lo < hi {
                     true => lo - slot.start..hi - slot.start,
                     false => 0..0,
-                }
+                })
             })
             .collect();
-        let window_of = |slot: u16| {
-            let w = &windows[slot as usize];
-            Some((w.start, w.end - w.start))
-        };
-        let data_slots: Vec<u16> = (0..k as u16).collect();
-        let mut results = self.fetch_slots(key, &data_slots, window_of);
-        if any_stale(&results) {
-            self.stats.redirects_followed.incr();
-            self.refresh_ring()?;
-            results = self.fetch_slots(key, &data_slots, window_of);
+        let got = self.gather(key, &windows, Some(entry.id))?;
+        self.stats.range_bytes_fetched.add(got.received);
+        if got.id != entry.id {
+            return Ok(None);
         }
-        let mut got: Vec<Option<Vec<u8>>> = vec![None; k];
-        for (s, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(resp) if stripe_id(&resp) != entry.id => return Ok(None),
-                Ok(resp) => got[s] = Some(resp.shard),
-                Err(_) => self.stats.shard_failures.incr(),
-            }
-        }
-        let missing: Vec<usize> = (0..k).filter(|&s| got[s].is_none()).collect();
-        let degraded = !missing.is_empty();
-        if degraded {
-            self.stats.degraded_reads.incr();
-        }
-        // Reed–Solomon is bytewise over GF(256): the same columns of any
-        // `k` survivors rebuild a missing slot's window. One column range
-        // covers every missing window.
-        let rebuild = (missing.iter().map(|&s| windows[s].clone()))
-            .filter(|w| !w.is_empty())
-            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end));
-        if let Some(cols) = rebuild {
-            let survivors: Vec<u16> = (0..(k + m) as u16)
-                .filter(|&s| !missing.contains(&(s as usize)))
-                .collect();
-            let replies = self.fetch_slots(key, &survivors, |_| {
-                Some((cols.start, cols.end - cols.start))
-            });
-            let mut columns: Vec<Option<Vec<u8>>> = vec![None; k + m];
-            for (&s, r) in survivors.iter().zip(replies) {
-                match r {
-                    Ok(resp) if stripe_id(&resp) != entry.id => return Ok(None),
-                    Ok(resp) => columns[s as usize] = Some(resp.shard),
-                    Err(_) => self.stats.shard_failures.incr(),
-                }
-            }
-            let have = columns.iter().flatten().count();
-            if have < k {
-                return Err(ClusterError::NotEnoughShards {
-                    key: key.to_string(),
-                    have,
-                    need: k,
-                });
-            }
-            let width = (cols.end - cols.start) as usize;
-            ReedSolomon::new(k, m)?.reconstruct(&mut columns, width)?;
-            for &s in &missing {
-                let w = &windows[s];
-                let col = columns[s].as_ref().expect("reconstruct fills every slot");
-                got[s] = Some(
-                    col[(w.start - cols.start) as usize..(w.end - cols.start) as usize].to_vec(),
-                );
-            }
-        }
-        // Slot windows are consecutive container bytes, in slot order.
-        let mut window = Vec::with_capacity(bytes.len());
-        for (w, bytes) in windows.iter().zip(&got) {
-            if !w.is_empty() {
-                window.extend_from_slice(bytes.as_deref().expect("fetched or rebuilt above"));
-            }
-        }
-        let source = ChunkSource::Verified(&entry.index, &window, bytes.start);
+        let source = ChunkSource::Verified(&entry.index, &got.bytes, bytes.start);
         let (samples, dims) = self.decode(source, spec)?;
-        Ok(Some((samples, dims, degraded)))
+        Ok(Some((samples, dims, got.degraded)))
     }
 
-    /// Decodes `spec` out of `source` serially on the client's engine.
+    /// Decodes `spec` out of `source` on the client's engine: a box of
+    /// several chunks fans them out over a pool, as a local
+    /// [`cuszp_core::Decode`] does.
     fn decode<T: Element>(
         &mut self,
         source: ChunkSource<'_>,
         spec: &RangeSpec,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
-        cuszp_core::decompress_range_with_fetch(
-            source,
+        source.decompress_range(
             ReconstructEngine::FinePartialSum,
             spec,
             &mut self.engine,
-            &mut |_| None,
-            &mut |_, _| {},
+            &WorkerPool::with_default_workers(),
         )
     }
 
@@ -986,6 +997,16 @@ impl ClusterClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Concatenates the `k` data slots and truncates to the archive length.
+    fn assemble(data_slots: &[Vec<u8>], total_len: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(total_len as usize);
+        for s in data_slots {
+            out.extend_from_slice(s);
+        }
+        out.truncate(total_len as usize);
+        out
+    }
 
     #[test]
     fn stripe_split_and_assemble_roundtrip() {

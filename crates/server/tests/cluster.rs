@@ -539,6 +539,22 @@ fn a_repeated_range_read_fetches_only_its_chunk_and_verifies_nothing() {
         .get_range::<f32>(RANGE_KEY, &in_chunk(2))
         .expect("after put");
     assert_eq!(stats(&client).1, 2);
+
+    // With data slot 1's node dead, a hit on a chunk that lies wholly in
+    // slot 1 fetches that chunk's columns from the k = 2 survivors.
+    let last = rows.len() - 1;
+    let last_range = index.chunk_range(last).unwrap();
+    assert!(last_range.start >= bytes.len().div_ceil(2));
+    let owner = cluster.ring.shard_owner(RANGE_KEY, 1).unwrap().id as usize;
+    cluster.handles[owner - 1].shutdown();
+    std::thread::sleep(Duration::from_millis(50));
+    let (fetched, _) = stats(&client);
+    let (_, _, degraded) = client
+        .get_range::<f32>(RANGE_KEY, &in_chunk(last))
+        .expect("degraded hit");
+    assert!(degraded);
+    let chunk = last_range.len() as u64;
+    assert_eq!(stats(&client), (fetched + 2 * chunk, 2));
     drop((client, fresh));
     cluster.stop();
 }
