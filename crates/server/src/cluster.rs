@@ -5,38 +5,41 @@
 //! An archive put under a key is split into `k` data shards of
 //! `ceil(len / k)` bytes (zero-padded; `total_len` recovers the tail)
 //! plus `m` Reed–Solomon parity shards, and each stripe slot is stored
-//! on the node the [`Ring`] places it on. A get fetches the `k` data
-//! shards fanned out over pipelined send/recv; when a node is dead or a
-//! shard is missing, the read degrades: parity shards are fetched and
-//! the missing slots reconstructed from any `k` of `k + m` via
-//! [`cuszp_ecc::ReedSolomon`]. Either path verifies the whole-archive
-//! checksum recorded at put time, so degraded bytes are bit-identical to
-//! healthy bytes or the call fails typed — never silently wrong. A put
-//! records `wordsum64`; a stripe put before CSRP v5 keeps its FNV-1a
-//! sum, named by [`crate::wire::SHARD_FLAG_FNV_SUM`] on every shard,
-//! and is verified (and re-put by scrub) under that function.
+//! on the node the [`Ring`] places it on. Every shard names its stripe:
+//! `(total_len, archive_sum, kind)`. A put records `wordsum64`; a stripe
+//! put before CSRP v5 keeps its FNV-1a sum, named by
+//! [`crate::wire::SHARD_FLAG_FNV_SUM`] on every shard, and is verified
+//! (and re-put by scrub) under that function.
 //!
-//! A range read verifies a key's container once and then fetches only
-//! the chunks a box touches. The first [`ClusterClient::get_range`] of a
-//! key's bytes is a whole-stripe get plus the strict whole-container
-//! verify ([`ChunkIndex::verify`]); the client keeps the chunk index
-//! under the key, beside the stripe identity `(total_len, archive_sum,
-//! kind)` every shard reply names. A later read maps the box's chunk
-//! bytes to one window per data slot, asks each slot for only its
-//! window (a windowed `get_shard`; the node still verifies the whole
-//! stored record), checks that every reply names the same identity, and
-//! decodes each chunk with its own checksum and plan check. A missing
-//! slot's window is rebuilt from the same columns of any `k` survivors:
-//! Reed–Solomon here is bytewise. `get` is the same gather with whole
-//! shards for windows.
+//! One gather reads every stripe — whole shards for `get` and scrub,
+//! column windows for a range read — from the `k` data slots, fanned out
+//! over pipelined send/recv. A data slot that does not answer is rebuilt
+//! from the same columns of `k` others via [`cuszp_ecc::ReedSolomon`],
+//! bytewise over GF(256), and the read is degraded. When data slots name
+//! different stripes, the parity slots vote too: the stripe `k` slots
+//! name is read, and a slot naming another is rebuilt like a missing
+//! one. With `m < k` at most one stripe reaches `k`, and it is the newest
+//! acknowledged put, so an owner that was down while its key was put
+//! again is outvoted. No single stripe at `k` although `k` slots answered
+//! is a typed [`ClusterError::Conflict`]. `get` then checks the archive
+//! checksum: its bytes are bit-identical to what was put, or it fails
+//! typed. Scrub lists every node's shards, reads each key whose owners
+//! do not all hold one stripe, and re-puts each slot not holding the
+//! stripe read.
 //!
-//! The saving needs repeated reads of a key with no put of it in
-//! between: a put through this client drops the key's index, and other
-//! bytes put through another client name another identity. The identity
-//! is not a cryptographic key: a writer who forges a stripe with another
-//! archive's `(total_len, archive_sum)` skips the whole-container verify
-//! of its bytes here (each decoded chunk's own checks still run), as
-//! DESIGN §12 says for the server's cache.
+//! The first [`ClusterClient::get_range`] of a key's bytes is a `get`
+//! plus the strict whole-container verify ([`ChunkIndex::verify`]), whose
+//! chunk index the client keeps beside the stripe's identity. A later
+//! read asks each data slot for only its share of the box's chunk bytes
+//! (a windowed `get_shard`; the node still verifies the whole record),
+//! goes on while the slots elect the indexed stripe, and decodes each
+//! chunk with its own checksum and plan check. The saving needs repeated
+//! reads of a key with no put of it in between: a put through this
+//! client drops the index, and another client's put names another
+//! identity. The identity is not a cryptographic key: a writer who forges
+//! a stripe with another archive's `(total_len, archive_sum)` skips the
+//! whole-container verify of its bytes here (each decoded chunk's own
+//! checks still run), as DESIGN §12 says for the server's cache.
 //!
 //! Routing errors are first-class: a node answering `Redirect` (stale
 //! ring epoch) or `NotMine` (wrong owner) triggers one topology refresh
@@ -71,16 +74,70 @@ const KEY_INDEXES: usize = 256;
 /// kind)`, the same on every shard of one stripe.
 type StripeId = (u64, u64, SumKind);
 
-fn stripe_id(resp: &GetShardResponse) -> StripeId {
-    (resp.total_len, resp.archive_sum, resp.archive_sum_kind)
+/// True for a `Redirect`/`NotMine` answer: the route is stale.
+fn is_stale(r: &Result<Vec<u8>, ClientError>) -> bool {
+    matches!(
+        r.as_ref().err().and_then(ClientError::server_code),
+        Some(ErrorCode::Redirect | ErrorCode::NotMine)
+    )
 }
 
-/// True when any reply is `Redirect`/`NotMine`: the route is stale.
-fn any_stale(results: &[Result<GetShardResponse, ClientError>]) -> bool {
-    results.iter().any(|r| {
-        matches!(r, Err(ClientError::Server(e))
-            if matches!(e.code, ErrorCode::Redirect | ErrorCode::NotMine))
-    })
+/// One slot's answer to a shard read: the stripe it names and the
+/// columns it holds (`None`: its whole shard).
+#[derive(Clone)]
+struct Held {
+    id: StripeId,
+    cols: Option<Range<u64>>,
+    bytes: Vec<u8>,
+}
+
+impl Held {
+    /// Its bytes at columns `cols` (`None`: the whole shard), when it
+    /// holds them.
+    fn cut(&self, cols: &Option<Range<u64>>) -> Option<&[u8]> {
+        let Some(c) = cols else {
+            return self.cols.is_none().then_some(&self.bytes[..]);
+        };
+        let lo = c
+            .start
+            .checked_sub(self.cols.as_ref().map_or(0, |h| h.start))? as usize;
+        self.bytes.get(lo..lo + (c.end - c.start) as usize)
+    }
+}
+
+/// The one column range covering every non-empty window (`Some(None)`:
+/// whole shards); `None` when every window is empty.
+fn span<'a>(windows: impl Iterator<Item = &'a Option<Range<u64>>>) -> Option<Option<Range<u64>>> {
+    windows
+        .filter(|w| w.as_ref().is_none_or(|w| !w.is_empty()))
+        .cloned()
+        .reduce(|a, b| {
+            a.zip(b)
+                .map(|(a, b)| a.start.min(b.start)..a.end.max(b.end))
+        })
+}
+
+/// The stripe the slots' votes elect: the only one named, else the one
+/// at least `k` slots name. `None` when no single stripe is.
+fn elect(votes: &[Option<StripeId>], k: usize) -> Option<StripeId> {
+    let named: Vec<StripeId> = votes.iter().flatten().copied().collect();
+    let count = |id: &StripeId| named.iter().filter(|v| *v == id).count();
+    let mut won = named
+        .iter()
+        .filter(|id| count(id) == named.len() || count(id) >= k);
+    let first = *won.next()?;
+    won.all(|id| *id == first).then_some(first)
+}
+
+/// Why a read of `key` holds `have < k` usable slots: a `Conflict` when
+/// `k` or more answered naming different stripes, too few otherwise.
+fn shortfall(key: &str, votes: &[Option<StripeId>], have: usize, k: usize) -> ClusterError {
+    let named: Vec<&StripeId> = votes.iter().flatten().collect();
+    let key = key.to_string();
+    match named.len() >= k && named.iter().any(|id| *id != named[0]) {
+        true => ClusterError::Conflict { key },
+        false => ClusterError::NotEnoughShards { key, have, need: k },
+    }
 }
 
 /// What [`ClusterClient::gather`] read.
@@ -88,24 +145,13 @@ fn any_stale(results: &[Result<GetShardResponse, ClientError>]) -> bool {
 struct Gathered {
     /// The data slots' windows end to end.
     bytes: Vec<u8>,
-    /// The stripe identity the replies name.
+    /// The stripe the replies elect.
     id: StripeId,
-    /// True when a data slot did not answer and was rebuilt.
+    /// True when a data slot did not answer or named another stripe,
+    /// and was rebuilt where its window was wanted.
     degraded: bool,
     /// Shard bytes received.
     received: u64,
-}
-
-impl Gathered {
-    /// A gather stopped by a reply naming `id`, another stripe.
-    fn stopped(id: StripeId, received: u64) -> Gathered {
-        Gathered {
-            bytes: Vec::new(),
-            id,
-            degraded: false,
-            received,
-        }
-    }
 }
 
 /// A key whose container this client verified whole: the stripe it was
@@ -133,6 +179,13 @@ pub enum ClusterError {
         /// The archive key.
         key: String,
     },
+    /// At least `k` slots answered, but they name different stripes and
+    /// not exactly one of them is named by `k`: which put is newest is
+    /// not known.
+    Conflict {
+        /// The archive key.
+        key: String,
+    },
     /// Erasure-coding failure (shape mismatch in stored shards).
     Ecc(EccError),
     /// Local pipeline failure decoding the reassembled archive.
@@ -156,6 +209,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Corrupt { key } => {
                 write!(f, "'{key}': reassembled bytes fail the archive checksum")
             }
+            ClusterError::Conflict { key } => write!(f, "'{key}': slots disagree, no put holds k"),
             ClusterError::Ecc(e) => write!(f, "erasure coding error: {e}"),
             ClusterError::Pipeline(e) => write!(f, "pipeline error: {e}"),
             ClusterError::Client(e) => write!(f, "cluster transport error: {e}"),
@@ -185,7 +239,8 @@ impl From<cuszp_core::CuszpError> for ClusterError {
 }
 
 /// Client-side cluster counters ([`cuszp_metrics::Counter`]), the
-/// cluster analogue of [`crate::client::RetryStats`].
+/// cluster analogue of [`crate::client::RetryStats`]. Scrub's reads
+/// count in neither `gets` nor `degraded_reads`.
 #[derive(Debug, Default)]
 pub struct ClusterStats {
     /// `put` calls.
@@ -194,7 +249,8 @@ pub struct ClusterStats {
     /// its key's container).
     pub gets: Counter,
     /// Reads that ran without at least one data shard: gets that rebuilt
-    /// it from parity, and range reads whose data slot did not answer.
+    /// it, and range reads whose data slot did not answer or was
+    /// outvoted.
     pub degraded_reads: Counter,
     /// `Redirect`/`NotMine` answers that triggered a re-route.
     pub redirects_followed: Counter,
@@ -247,32 +303,11 @@ pub struct ScrubReport {
     pub keys: usize,
     /// Shards re-replicated onto their owners.
     pub repaired: u64,
-    /// Missing shards that could not be rebuilt (under-replicated).
+    /// Slots left unrepaired: a re-put that failed, and every reachable
+    /// slot of a key whose read failed.
     pub unrepairable: u64,
     /// Ring members whose inventory could not be read.
     pub unreachable_nodes: u64,
-}
-
-/// How one per-shard sub-request failed.
-enum ShardFailure {
-    /// `Redirect`/`NotMine`: the route is stale, refresh and re-route.
-    StaleRoute,
-    /// The owner answered but does not hold the shard.
-    Missing(String),
-    /// Transport/protocol failure; the connection was dropped.
-    Transport(String),
-}
-
-fn classify(e: ClientError) -> ShardFailure {
-    match &e {
-        ClientError::Server(r) if matches!(r.code, ErrorCode::Redirect | ErrorCode::NotMine) => {
-            ShardFailure::StaleRoute
-        }
-        ClientError::Server(r) if r.code == ErrorCode::NotFound => {
-            ShardFailure::Missing(e.to_string())
-        }
-        _ => ShardFailure::Transport(e.to_string()),
-    }
 }
 
 /// Splits archive bytes into `k` zero-padded data shards plus `m`
@@ -392,54 +427,64 @@ impl ClusterClient {
 
     /// Fans one request per stripe slot out over the slots' owners:
     /// send everything first, then collect every response, so the
-    /// nodes work concurrently. Returns one outcome per requested slot.
+    /// nodes work concurrently. When an answer says the route is stale,
+    /// refreshes the ring and fans out once more. Returns one outcome
+    /// per requested slot.
     fn fan_out(
         &mut self,
         key: &str,
         slots: &[u16],
         mut payload_for: impl FnMut(u16, u64) -> Vec<u8>,
         op: Op,
-    ) -> Vec<Result<Vec<u8>, ClientError>> {
-        let epoch = self.ring.epoch;
-        let owners: Vec<Option<u64>> = slots
-            .iter()
-            .map(|&s| self.ring.shard_owner(key, s).map(|n| n.id))
-            .collect();
-        let mut pending: Vec<Option<(u64, u64)>> = Vec::with_capacity(slots.len());
-        let mut out: Vec<Result<Vec<u8>, ClientError>> = Vec::with_capacity(slots.len());
-        for (i, &slot) in slots.iter().enumerate() {
-            out.push(Err(ClientError::Protocol("shard request not sent")));
-            let Some(owner) = owners[i] else {
-                pending.push(None);
-                out[i] = Err(ClientError::Protocol("stripe slot has no owner"));
-                continue;
-            };
-            let payload = payload_for(slot, epoch);
-            match self.conn(owner).and_then(|c| c.send(op, &payload)) {
-                Ok(id) => pending.push(Some((owner, id))),
-                Err(e) => {
-                    self.conns.remove(&owner);
-                    out[i] = Err(e);
+    ) -> Result<Vec<Result<Vec<u8>, ClientError>>, ClusterError> {
+        let mut rerouted = false;
+        loop {
+            let epoch = self.ring.epoch;
+            let owners: Vec<Option<u64>> = slots
+                .iter()
+                .map(|&s| self.ring.shard_owner(key, s).map(|n| n.id))
+                .collect();
+            let mut pending: Vec<Option<(u64, u64)>> = Vec::with_capacity(slots.len());
+            let mut out: Vec<Result<Vec<u8>, ClientError>> = Vec::with_capacity(slots.len());
+            for (i, &slot) in slots.iter().enumerate() {
+                out.push(Err(ClientError::Protocol("shard request not sent")));
+                let Some(owner) = owners[i] else {
                     pending.push(None);
+                    out[i] = Err(ClientError::Protocol("stripe slot has no owner"));
+                    continue;
+                };
+                let payload = payload_for(slot, epoch);
+                match self.conn(owner).and_then(|c| c.send(op, &payload)) {
+                    Ok(id) => pending.push(Some((owner, id))),
+                    Err(e) => {
+                        self.conns.remove(&owner);
+                        out[i] = Err(e);
+                        pending.push(None);
+                    }
                 }
             }
-        }
-        for (i, p) in pending.into_iter().enumerate() {
-            let Some((owner, id)) = p else { continue };
-            let result = match self.conns.get_mut(&owner) {
-                Some(conn) => Self::recv_match(conn, id),
-                None => Err(ClientError::Protocol("connection lost mid-fan-out")),
-            };
-            if let Err(e) = &result {
-                // A typed server answer leaves the connection usable;
-                // anything else poisons the in-flight stream state.
-                if !matches!(e, ClientError::Server(_)) {
-                    self.conns.remove(&owner);
+            for (i, p) in pending.into_iter().enumerate() {
+                let Some((owner, id)) = p else { continue };
+                let result = match self.conns.get_mut(&owner) {
+                    Some(conn) => Self::recv_match(conn, id),
+                    None => Err(ClientError::Protocol("connection lost mid-fan-out")),
+                };
+                if let Err(e) = &result {
+                    // A typed server answer leaves the connection usable;
+                    // anything else poisons the in-flight stream state.
+                    if !matches!(e, ClientError::Server(_)) {
+                        self.conns.remove(&owner);
+                    }
                 }
+                out[i] = result;
             }
-            out[i] = result;
+            if rerouted || !out.iter().any(is_stale) {
+                return Ok(out);
+            }
+            rerouted = true;
+            self.stats.redirects_followed.incr();
+            self.refresh_ring()?;
         }
-        out
     }
 
     /// Refreshes the topology from any reachable ring member. Adopts
@@ -491,73 +536,74 @@ impl ClusterClient {
         let k = self.ring.data_shards as usize;
         let m = self.ring.parity_shards as usize;
         let (shards, _) = split_stripe(bytes, k, m)?;
-        let total_len = bytes.len() as u64;
-        let archive_sum = wordsum64(bytes);
+        let id = (bytes.len() as u64, wordsum64(bytes), SumKind::Wordsum64);
         let slots: Vec<u16> = (0..(k + m) as u16).collect();
-        let mut rerouted = false;
-        loop {
-            let results = self.fan_out(
-                key,
-                &slots,
-                |slot, epoch| {
-                    PutShardRequest {
-                        key: key.to_string(),
-                        shard_idx: slot,
-                        ring_epoch: epoch,
-                        total_len,
-                        archive_sum,
-                        flags: 0,
-                        shard: &shards[slot as usize],
-                    }
-                    .encode()
-                },
-                Op::Put,
-            );
-            let mut stored = 0usize;
-            let mut failed: Vec<(u16, String)> = Vec::new();
-            let mut stale = false;
-            for (i, r) in results.into_iter().enumerate() {
-                match r {
-                    Ok(_) => stored += 1,
-                    Err(e) => match classify(e) {
-                        ShardFailure::StaleRoute => stale = true,
-                        ShardFailure::Missing(msg) | ShardFailure::Transport(msg) => {
-                            self.stats.shard_failures.incr();
-                            failed.push((slots[i], msg));
-                        }
-                    },
-                }
-            }
-            if stale && !rerouted {
-                rerouted = true;
-                self.stats.redirects_followed.incr();
-                self.refresh_ring()?;
-                continue;
-            }
-            if stored < k {
-                return Err(ClusterError::NotEnoughShards {
-                    key: key.to_string(),
-                    have: stored,
-                    need: k,
-                });
-            }
-            return Ok(PutReport {
-                shards_stored: stored,
-                total_shards: k + m,
-                failed,
+        let failed = self.put_slots(key, &slots, &shards, id, 0)?;
+        let stored = slots.len() - failed.len();
+        if stored < k {
+            return Err(ClusterError::NotEnoughShards {
+                key: key.to_string(),
+                have: stored,
+                need: k,
             });
         }
+        Ok(PutReport {
+            shards_stored: stored,
+            total_shards: k + m,
+            failed,
+        })
     }
 
-    /// Fetches the stripe slots named in `slots`, one owner each: the
-    /// whole shard, or the columns `cols` when given.
+    /// Stores `shards[s]` of the stripe `id` on the owner of each slot
+    /// `s` in `slots`, fanned out, with the put flags `flags`. Returns
+    /// the slots that failed, with the failure rendered.
+    fn put_slots(
+        &mut self,
+        key: &str,
+        slots: &[u16],
+        shards: &[Vec<u8>],
+        (total_len, archive_sum, _): StripeId,
+        flags: u8,
+    ) -> Result<Vec<(u16, String)>, ClusterError> {
+        let results = self.fan_out(
+            key,
+            slots,
+            |slot, epoch| {
+                PutShardRequest {
+                    key: key.to_string(),
+                    shard_idx: slot,
+                    ring_epoch: epoch,
+                    total_len,
+                    archive_sum,
+                    flags,
+                    shard: &shards[slot as usize],
+                }
+                .encode()
+            },
+            Op::Put,
+        )?;
+        let mut failed = Vec::new();
+        for (&slot, r) in slots.iter().zip(results) {
+            if let Err(e) = r {
+                self.stats.shard_failures.incr();
+                failed.push((slot, e.to_string()));
+            }
+        }
+        Ok(failed)
+    }
+
+    /// Asks each slot in `slots` for its columns `cols(slot)` (the whole
+    /// shard where `None`) and files each answer under its slot in
+    /// `into`; a slot that fails is counted and left as it was. Returns
+    /// the shard bytes received.
     fn fetch_slots(
         &mut self,
         key: &str,
         slots: &[u16],
         cols: impl Fn(u16) -> Option<Range<u64>>,
-    ) -> Vec<Result<GetShardResponse, ClientError>> {
-        self.fan_out(
+        into: &mut [Option<Held>],
+    ) -> Result<u64, ClusterError> {
+        let replies = self.fan_out(
             key,
             slots,
             |slot, epoch| {
@@ -570,30 +616,43 @@ impl ClusterClient {
                 .encode()
             },
             Op::Get,
-        )
-        .into_iter()
-        .zip(slots)
-        .map(|(r, &slot)| {
-            let resp = GetShardResponse::decode(&r?).map_err(ClientError::Wire)?;
-            match cols(slot) {
-                Some(c) if resp.shard.len() as u64 != c.end - c.start => Err(
-                    ClientError::Protocol("shard window reply has the wrong length"),
-                ),
-                _ => Ok(resp),
+        )?;
+        let mut received = 0;
+        for (&slot, reply) in slots.iter().zip(replies) {
+            let cols = cols(slot);
+            match reply.and_then(|r| GetShardResponse::decode(&r).map_err(ClientError::Wire)) {
+                // A window of the wrong length is a failed read.
+                Ok(resp)
+                    if cols
+                        .as_ref()
+                        .is_none_or(|c| c.end - c.start == resp.shard.len() as u64) =>
+                {
+                    received += resp.shard.len() as u64;
+                    let id = (resp.total_len, resp.archive_sum, resp.archive_sum_kind);
+                    into[slot as usize] = Some(Held {
+                        id,
+                        cols,
+                        bytes: resp.shard,
+                    });
+                }
+                _ => self.stats.shard_failures.incr(),
             }
-        })
-        .collect()
+        }
+        Ok(received)
     }
 
-    /// The one stripe read behind [`ClusterClient::get`] and
-    /// [`ClusterClient::get_range`]: column window `windows[s]` of every
-    /// data slot `s` (its whole shard where that is `None`), following a
-    /// stale route once. A slot that does not answer is rebuilt from the
-    /// same columns of `k` survivors — Reed–Solomon here is bytewise over
-    /// GF(256) — and a survivor whose window already holds those columns
-    /// is not asked again. Replies must all name `expect` when it is
-    /// given: the first that does not stops the gather, with its identity
-    /// in [`Gathered::id`] and no bytes.
+    /// The one stripe read behind [`ClusterClient::get`],
+    /// [`ClusterClient::get_range`] and [`ClusterClient::scrub`]: column
+    /// window `windows[s]` of every data slot `s` (its whole shard where
+    /// that is `None`). When the data slots name different stripes, every
+    /// slot is asked for the columns of all the windows and votes; see
+    /// the module doc. A data slot that did not answer or is outvoted is
+    /// missing, and its window is rebuilt from the same columns of `k`
+    /// slots naming the elected stripe — Reed–Solomon here is bytewise
+    /// over GF(256) — asking only slots whose bytes do not hold those
+    /// columns yet. When `expect` is given and the elected stripe is
+    /// another, the gather stops there, with that stripe in
+    /// [`Gathered::id`] and no bytes.
     fn gather(
         &mut self,
         key: &str,
@@ -602,110 +661,79 @@ impl ClusterClient {
     ) -> Result<Gathered, ClusterError> {
         let k = self.ring.data_shards as usize;
         let m = self.ring.parity_shards as usize;
-        let data_slots: Vec<u16> = (0..k as u16).collect();
-        let mut replies = self.fetch_slots(key, &data_slots, |s| windows[s as usize].clone());
-        if any_stale(&replies) {
-            self.stats.redirects_followed.incr();
-            self.refresh_ring()?;
-            replies = self.fetch_slots(key, &data_slots, |s| windows[s as usize].clone());
+        let data: Vec<u16> = (0..k as u16).collect();
+        let mut held: Vec<Option<Held>> = vec![None; k + m];
+        let mut received =
+            self.fetch_slots(key, &data, |s| windows[s as usize].clone(), &mut held)?;
+        // More columns: those of every data window when data slots
+        // disagree, else those of the windows that did not answer.
+        let first = held.iter().flatten().next().map(|h| h.id);
+        let cols = match held.iter().flatten().any(|h| Some(h.id) != first) {
+            true => span(windows.iter()),
+            false => span((0..k).filter(|&s| held[s].is_none()).map(|s| &windows[s])),
+        };
+        let mut more: Vec<Option<Held>> = vec![None; k + m];
+        if let Some(cols) = &cols {
+            // A data slot that did not answer is not asked again.
+            let ask: Vec<u16> = (0..(k + m) as u16)
+                .filter(|&s| match &held[s as usize] {
+                    Some(h) => h.cut(cols).is_none(),
+                    None => s as usize >= k,
+                })
+                .collect();
+            received += self.fetch_slots(key, &ask, |_| cols.clone(), &mut more)?;
         }
-        // Each slot's bytes and the first column they hold.
-        let mut held: Vec<Option<(u64, Vec<u8>)>> = vec![None; k + m];
-        let mut named: Option<StripeId> = None;
-        let mut received = 0u64;
-        for (s, r) in replies.into_iter().enumerate() {
-            let Ok(resp) = r else {
-                self.stats.shard_failures.incr();
-                continue;
-            };
-            received += resp.shard.len() as u64;
-            let id = stripe_id(&resp);
-            if expect.is_some_and(|e| e != id) {
-                return Ok(Gathered::stopped(id, received));
-            }
-            named.get_or_insert(id);
-            held[s] = Some((windows[s].as_ref().map_or(0, |w| w.start), resp.shard));
-        }
-        let missing: Vec<usize> = (0..k).filter(|&s| held[s].is_none()).collect();
-        // One column range covers every missing window (`None`: whole
-        // shards); a missing slot with an empty window needs none.
-        let need = (missing.iter().map(|&s| windows[s].clone()))
-            .filter(|w| w.as_ref().is_none_or(|w| !w.is_empty()))
-            .reduce(|a, b| {
-                a.zip(b)
-                    .map(|(a, b)| a.start.min(b.start)..a.end.max(b.end))
+        // Each slot votes for the stripe it named last.
+        let votes: Vec<Option<StripeId>> = (more.iter().zip(&held))
+            .map(|(a, b)| a.as_ref().or(b.as_ref()).map(|h| h.id))
+            .collect();
+        let Some(id) = elect(&votes, k) else {
+            return Err(shortfall(key, &votes, votes.iter().flatten().count(), k));
+        };
+        if expect.is_some_and(|e| e != id) {
+            let bytes = Vec::new();
+            return Ok(Gathered {
+                bytes,
+                id,
+                degraded: false,
+                received,
             });
-        if let Some(cols) = need {
-            let mut columns: Vec<Option<Vec<u8>>> = vec![None; k + m];
-            let mut ask: Vec<u16> = Vec::new();
-            for s in (0..k + m).filter(|s| !missing.contains(s)) {
-                // Only a data slot holds bytes yet.
-                columns[s] = match (&held[s], &cols) {
-                    (Some((_, bytes)), None) if windows[s].is_none() => Some(bytes.clone()),
-                    (Some((at, bytes)), Some(c)) if *at <= c.start => bytes
-                        .get((c.start - at) as usize..(c.end - at) as usize)
-                        .map(<[u8]>::to_vec),
-                    _ => None,
-                };
-                if columns[s].is_none() {
-                    ask.push(s as u16);
-                }
-            }
-            for (&s, r) in ask
-                .iter()
-                .zip(self.fetch_slots(key, &ask, |_| cols.clone()))
-            {
-                let Ok(resp) = r else {
-                    self.stats.shard_failures.incr();
-                    continue;
-                };
-                received += resp.shard.len() as u64;
-                let id = stripe_id(&resp);
-                if expect.is_some_and(|e| e != id) {
-                    return Ok(Gathered::stopped(id, received));
-                }
-                named.get_or_insert(id);
-                columns[s as usize] = Some(resp.shard);
-            }
+        }
+        let missing: Vec<usize> = (0..k).filter(|&s| votes[s] != Some(id)).collect();
+        if let Some(need) = span(missing.iter().map(|&s| &windows[s])) {
+            let mut columns: Vec<Option<Vec<u8>>> = (0..k + m)
+                .map(|s| {
+                    let mut agree = [&more[s], &held[s]]
+                        .into_iter()
+                        .flatten()
+                        .filter(|h| h.id == id);
+                    agree.find_map(|h| h.cut(&need)).map(<[u8]>::to_vec)
+                })
+                .collect();
             let have = columns.iter().flatten().count();
             if have < k {
-                return Err(ClusterError::NotEnoughShards {
-                    key: key.to_string(),
-                    have,
-                    need: k,
-                });
+                return Err(shortfall(key, &votes, have, k));
             }
             let width = columns.iter().flatten().map(Vec::len).max().unwrap_or(0);
             ReedSolomon::new(k, m)?.reconstruct(&mut columns, width)?;
-            let first = cols.as_ref().map_or(0, |c| c.start);
             for &s in &missing {
-                held[s] = columns[s].take().map(|col| (first, col));
+                held[s] = columns[s].take().map(|bytes| Held {
+                    id,
+                    cols: need.clone(),
+                    bytes,
+                });
             }
         }
-        let Some(id) = named else {
-            return Err(ClusterError::NotEnoughShards {
-                key: key.to_string(),
-                have: 0,
-                need: k,
-            });
-        };
         // Data slot windows are consecutive container bytes, in slot
         // order; a rebuilt slot holds the span of every missing window.
         let mut bytes = Vec::new();
-        for (window, held) in windows.iter().zip(&held) {
-            match (window, held) {
-                (Some(w), _) if w.is_empty() => {}
-                (None, Some((_, held))) => bytes.extend_from_slice(held),
-                (Some(w), Some((at, held))) => {
-                    bytes.extend_from_slice(&held[(w.start - at) as usize..(w.end - at) as usize])
-                }
-                (_, None) => unreachable!("a wanted window is fetched or rebuilt above"),
+        for (w, held) in windows.iter().zip(&held) {
+            if w.as_ref().is_none_or(|w| !w.is_empty()) {
+                let cut = held.as_ref().and_then(|h| h.cut(w));
+                bytes.extend_from_slice(cut.expect("a wanted window is fetched or rebuilt above"));
             }
         }
         let degraded = !missing.is_empty();
-        if degraded {
-            self.stats.degraded_reads.incr();
-        }
         Ok(Gathered {
             bytes,
             id,
@@ -715,10 +743,10 @@ impl ClusterClient {
     }
 
     /// Reads the archive stored under `key`. The healthy path fetches
-    /// the `k` data shards; any miss degrades to parity reconstruction
-    /// from the surviving `≥ k` of `k + m`. Both paths verify the
-    /// archive checksum, so the returned bytes are bit-identical to
-    /// what was put or the call fails typed.
+    /// the `k` data shards; a miss or an outvoted slot degrades to
+    /// parity reconstruction from `k` slots of the elected stripe. Both
+    /// paths verify the archive checksum, so the returned bytes are
+    /// bit-identical to what was put or the call fails typed.
     pub fn get(&mut self, key: &str) -> Result<GetOutcome, ClusterError> {
         let got = self.get_stripe(key)?;
         Ok(GetOutcome {
@@ -727,10 +755,17 @@ impl ClusterClient {
         })
     }
 
-    /// [`ClusterClient::get`] as a [`Gathered`]: whole data shards,
-    /// truncated to the archive and checked against its sum.
+    /// [`ClusterClient::get`] as a [`Gathered`], counted.
     fn get_stripe(&mut self, key: &str) -> Result<Gathered, ClusterError> {
         self.stats.gets.incr();
+        let got = self.read_stripe(key)?;
+        self.stats.degraded_reads.add(got.degraded as u64);
+        Ok(got)
+    }
+
+    /// The read of `get` and scrub: whole data shards, truncated to the
+    /// archive and checked against its sum.
+    fn read_stripe(&mut self, key: &str) -> Result<Gathered, ClusterError> {
         let k = self.ring.data_shards as usize;
         let mut got = self.gather(key, &vec![None; k], None)?;
         let (total_len, archive_sum, kind) = got.id;
@@ -747,15 +782,16 @@ impl ClusterClient {
     /// type `T` (`f32` or `f64`; any other is a typed
     /// [`CuszpError::DtypeMismatch`]) and decodes only the chunks the
     /// box touches, locally. The `bool` is true when a data shard did not
-    /// answer and the read ran on the survivors.
+    /// answer or was outvoted, and the read ran on the others.
     ///
     /// The first read of a key's bytes is a [`ClusterClient::get`]
     /// (archive checksum included) plus the strict whole-container
     /// verify, whose chunk index the client keeps. A later read fetches
-    /// only the box's chunk bytes, one window per data slot, from replies
-    /// that must all name the stripe the index was verified from; one
-    /// that names another (the key was put again) drops the index, and
-    /// the read starts over as a first read. So the saving needs repeated
+    /// only the box's chunk bytes, one window per data slot, and goes on
+    /// while the replies elect the stripe the index was verified from;
+    /// when they elect another (the key was put again) it drops the
+    /// index, and the read starts over as a first read. A stale slot
+    /// that is outvoted keeps the index. So the saving needs repeated
     /// reads of a key with no [`ClusterClient::put`] of it on this client
     /// in between: that put drops the index too. See the module doc.
     pub fn get_range<T: Element>(
@@ -805,7 +841,7 @@ impl ClusterClient {
 
     /// A read of a key whose container this client verified: gathers
     /// the container bytes `bytes` as one column window per data slot,
-    /// and decodes the box out of them. `Ok(None)` when a reply names a
+    /// and decodes the box out of them. `Ok(None)` when the replies elect a
     /// stripe other than `entry`'s.
     fn read_windows<T: Element>(
         &mut self,
@@ -836,6 +872,7 @@ impl ClusterClient {
         if got.id != entry.id {
             return Ok(None);
         }
+        self.stats.degraded_reads.add(got.degraded as u64);
         let source = ChunkSource::Verified(&entry.index, &got.bytes, bytes.start);
         let (samples, dims) = self.decode(source, spec)?;
         Ok(Some((samples, dims, got.degraded)))
@@ -870,18 +907,19 @@ impl ClusterClient {
     }
 
     /// Anti-entropy pass: reads every reachable node's verified shard
-    /// inventory, finds stripe slots missing from their owners (dead
-    /// node that came back empty, corrupt shard dropped by the verify),
-    /// rebuilds them from the surviving `≥ k`, and re-replicates with
-    /// the repair flag. Safe to run any time; idempotent when healthy.
+    /// inventory, and for each key whose owner-placed slots are not all
+    /// present naming one stripe (a node that came back empty or stale,
+    /// a corrupt shard dropped by the verify) reads the stripe as `get`
+    /// does and re-puts, with the repair flag, every reachable slot not
+    /// holding the stripe the read elected. Safe to run any time;
+    /// idempotent when healthy.
     pub fn scrub(&mut self) -> Result<ScrubReport, ClusterError> {
         let ids: Vec<u64> = self.ring.nodes().iter().map(|n| n.id).collect();
         let k = self.ring.data_shards as usize;
         let m = self.ring.parity_shards as usize;
         let mut report = ScrubReport::default();
-        // (key, slot) -> present on its owner; key -> metadata.
-        let mut present: HashMap<(String, u16), ()> = HashMap::new();
-        let mut keys: BTreeMap<String, (u64, u64, SumKind)> = BTreeMap::new();
+        // Each key's slots: the stripe its owner lists, if it does.
+        let mut keys: BTreeMap<String, Vec<Option<StripeId>>> = BTreeMap::new();
         let mut reachable: Vec<u64> = Vec::new();
         for id in ids {
             // A pooled connection severed since its last use fails
@@ -892,103 +930,55 @@ impl ClusterClient {
                 self.conns.remove(&id);
                 answer = self.conn(id).and_then(|c| c.call(Op::ListShards, &[]));
             }
-            match answer {
-                Ok(payload) => {
-                    let list = ShardListResponse::decode(&payload).map_err(ClientError::Wire)?;
-                    reachable.push(id);
-                    for r in list.records {
-                        keys.entry(r.key.clone()).or_insert((
-                            r.total_len,
-                            r.archive_sum,
-                            r.archive_sum_kind,
-                        ));
-                        // Only a shard on its *current* owner counts as
-                        // placed; strays are invisible to gets anyway.
-                        if self.ring.shard_owner(&r.key, r.shard_idx).map(|n| n.id) == Some(id) {
-                            present.insert((r.key, r.shard_idx), ());
-                        }
-                    }
-                }
-                Err(e) => {
-                    let _ = e;
-                    self.conns.remove(&id);
-                    report.unreachable_nodes += 1;
+            let Ok(payload) = answer else {
+                self.conns.remove(&id);
+                report.unreachable_nodes += 1;
+                continue;
+            };
+            let list = ShardListResponse::decode(&payload).map_err(ClientError::Wire)?;
+            reachable.push(id);
+            for r in list.records {
+                let listed = keys.entry(r.key.clone()).or_insert(vec![None; k + m]);
+                // Only a shard on its *current* owner counts as placed;
+                // strays are invisible to gets anyway.
+                if self.ring.shard_owner(&r.key, r.shard_idx).map(|n| n.id) == Some(id) {
+                    listed[r.shard_idx as usize] =
+                        Some((r.total_len, r.archive_sum, r.archive_sum_kind));
                 }
             }
         }
         report.keys = keys.len();
-        for (key, (total_len, archive_sum, kind)) in keys {
-            let missing: Vec<u16> = (0..(k + m) as u16)
-                .filter(|&slot| {
-                    let owner = self.ring.shard_owner(&key, slot).map(|n| n.id);
-                    // A slot on an unreachable node cannot be checked
-                    // or repaired this pass.
-                    owner.is_some_and(|o| reachable.contains(&o))
-                        && !present.contains_key(&(key.clone(), slot))
+        for (key, listed) in keys {
+            // A slot on an unreachable node cannot be checked or
+            // repaired this pass.
+            let owned: Vec<u16> = (0..(k + m) as u16)
+                .filter(|&s| {
+                    (self.ring.shard_owner(&key, s)).is_some_and(|n| reachable.contains(&n.id))
                 })
                 .collect();
-            if missing.is_empty() {
+            let first = owned.first().and_then(|&s| listed[s as usize]);
+            if owned
+                .iter()
+                .all(|&s| first.is_some() && listed[s as usize] == first)
+            {
                 continue;
             }
-            // Rebuild the full stripe from whatever survives.
-            let all_slots: Vec<u16> = (0..(k + m) as u16).collect();
-            let mut stripe: Vec<Option<Vec<u8>>> = vec![None; k + m];
-            for (i, r) in self
-                .fetch_slots(&key, &all_slots, |_| None)
+            let read = (self.read_stripe(&key))
+                .and_then(|got| Ok((split_stripe(&got.bytes, k, m)?.0, got.id)));
+            let Ok((shards, id)) = read else {
+                report.unrepairable += owned.len() as u64;
+                continue;
+            };
+            let stale: Vec<u16> = owned
                 .into_iter()
-                .enumerate()
-            {
-                if let Ok(resp) = r {
-                    stripe[i] = Some(resp.shard);
-                }
-            }
-            let have = stripe.iter().filter(|s| s.is_some()).count();
-            if have < k {
-                report.unrepairable += missing.len() as u64;
-                continue;
-            }
-            let shard_size = stripe.iter().flatten().map(|s| s.len()).max().unwrap_or(0);
-            if ReedSolomon::new(k, m)?
-                .reconstruct(&mut stripe, shard_size)
-                .is_err()
-            {
-                report.unrepairable += missing.len() as u64;
-                continue;
-            }
-            for slot in missing {
-                let shard = stripe[slot as usize]
-                    .as_deref()
-                    .expect("reconstruct fills every slot");
-                let payload = PutShardRequest {
-                    key: key.clone(),
-                    shard_idx: slot,
-                    ring_epoch: self.ring.epoch,
-                    total_len,
-                    archive_sum,
-                    // The re-put keeps the function the stripe was put with.
-                    flags: PUT_FLAG_REPAIR | kind.stripe_flags(),
-                    shard,
-                }
-                .encode();
-                let owner = self
-                    .ring
-                    .shard_owner(&key, slot)
-                    .map(|n| n.id)
-                    .expect("slot in range");
-                let answer = self.conn(owner).and_then(|c| c.call(Op::Put, &payload));
-                match answer {
-                    Ok(_) => {
-                        report.repaired += 1;
-                        self.stats.scrub_repairs.incr();
-                    }
-                    Err(e) => {
-                        if !matches!(e, ClientError::Server(_)) {
-                            self.conns.remove(&owner);
-                        }
-                        report.unrepairable += 1;
-                    }
-                }
-            }
+                .filter(|&s| listed[s as usize] != Some(id))
+                .collect();
+            // The re-put keeps the function the stripe was put with.
+            let flags = PUT_FLAG_REPAIR | id.2.stripe_flags();
+            let failed = self.put_slots(&key, &stale, &shards, id, flags)?.len() as u64;
+            report.repaired += stale.len() as u64 - failed;
+            report.unrepairable += failed;
+            self.stats.scrub_repairs.add(stale.len() as u64 - failed);
         }
         Ok(report)
     }

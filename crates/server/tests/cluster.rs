@@ -302,6 +302,27 @@ fn non_cluster_servers_refuse_shard_ops_typed() {
     join.join().unwrap().unwrap();
 }
 
+/// Every shard of `arch-0..arch-{keys}` that node `node + 1` owns, as
+/// its `get_shard` answers: `(key, slot, bytes)`.
+fn shards_on(cluster: &TestCluster, node: usize, keys: usize) -> Vec<(String, u16, Vec<u8>)> {
+    let mut c = Client::connect(cluster.addrs[node]).expect("connect");
+    let owned = (0..keys).flat_map(|i| (0..3u16).map(move |slot| (format!("arch-{i}"), slot)));
+    owned
+        .filter(|(key, slot)| cluster.ring.shard_owner(key, *slot).unwrap().id == node as u64 + 1)
+        .map(|(key, slot)| {
+            let req = GetShardRequest {
+                key: key.clone(),
+                shard_idx: slot,
+                ring_epoch: cluster.ring.epoch,
+                window: None,
+            };
+            let reply = c.call(Op::Get, &req.encode()).expect("get_shard");
+            let shard = GetShardResponse::decode(&reply).expect("reply").shard;
+            (key, slot, shard)
+        })
+        .collect()
+}
+
 #[test]
 fn scrub_heals_a_wiped_node_and_counts_repairs() {
     let cluster = TestCluster::start(3, 2, 1, 1);
@@ -314,6 +335,7 @@ fn scrub_heals_a_wiped_node_and_counts_repairs() {
     let wiped = 1usize;
     let before = cluster.handles[wiped].shard_count();
     assert!(before > 0, "test needs the wiped node to hold shards");
+    let stored = shards_on(&cluster, wiped, archives.len());
     cluster.handles[wiped].clear_shards();
     assert_eq!(cluster.handles[wiped].shard_count(), 0);
     // Scrub finds and re-replicates everything that lived there.
@@ -325,6 +347,9 @@ fn scrub_heals_a_wiped_node_and_counts_repairs() {
     // The repairs are visible in the node's metrics, flagged as such.
     let snap = cluster.handles[wiped].stats();
     assert_eq!(snap.scrub_repairs as usize, before);
+    // Each re-put is the wiped shard byte for byte: splitting the
+    // verified archive again reproduces the stored stripe.
+    assert_eq!(shards_on(&cluster, wiped, archives.len()), stored);
     // A second pass is a no-op: anti-entropy is idempotent.
     let again = client.scrub().expect("second scrub");
     assert_eq!(again.repaired, 0);

@@ -6,15 +6,18 @@
 //! served corrupt), healed end-to-end by cluster-scrub. A stripe
 //! stored before the v2 record format — FNV-1a record trailers and an
 //! FNV-1a stripe checksum — still reads, degrades and scrubs under the
-//! function it was put with.
+//! function it was put with. A key put again while one owner was down
+//! reads its new bytes once that owner returns with its old shard, and
+//! scrub re-puts the stale slot; two puts that each reach `k` slots
+//! fail typed as a conflict.
 
 use cuszp_core::{Compressor, Config, Dims, ErrorBound, RangeSpec};
 use cuszp_ecc::ReedSolomon;
 use cuszp_parallel::WorkerPool;
-use cuszp_server::wire::{ShardListResponse, SumKind};
+use cuszp_server::wire::{wordsum64, ShardListResponse, SumKind};
 use cuszp_server::{
-    Client, ClusterClient, ClusterConfig, ConnectOptions, NodeInfo, Op, Ring, Server, ServerConfig,
-    ServerHandle, StoreBackendConfig,
+    Client, ClusterClient, ClusterConfig, ClusterError, ConnectOptions, NodeInfo, Op, Ring, Server,
+    ServerConfig, ServerHandle, StoreBackendConfig,
 };
 use cuszp_store::{fnv1a, FsyncPolicy, StoreConfig};
 use std::fs;
@@ -74,12 +77,15 @@ fn archive(seed: u32) -> Vec<u8> {
 /// it can be torn down completely and brought back on the same state.
 struct DurableCluster {
     ring: Ring,
+    ports: Vec<u16>,
+    dirs: Vec<PathBuf>,
     handles: Vec<ServerHandle>,
     joins: Vec<std::thread::JoinHandle<std::io::Result<()>>>,
     addrs: Vec<SocketAddr>,
 }
 
-/// The 2+1 ring over `ports`; node `i + 1` listens on `ports[i]`.
+/// The ring of 2 data slots and the rest parity over `ports` (2+1 over
+/// three); node `i + 1` listens on `ports[i]`.
 fn ring_over(ports: &[u16], epoch: u64) -> Ring {
     let nodes: Vec<NodeInfo> = ports
         .iter()
@@ -89,55 +95,57 @@ fn ring_over(ports: &[u16], epoch: u64) -> Ring {
             addr: format!("127.0.0.1:{p}"),
         })
         .collect();
-    Ring::new(epoch, 2, 1, nodes).unwrap()
+    Ring::new(epoch, 2, ports.len() as u16 - 2, nodes).unwrap()
 }
 
 impl DurableCluster {
     fn start(ports: &[u16], dirs: &[PathBuf], epoch: u64) -> DurableCluster {
-        DurableCluster::start_without(ports, dirs, epoch, None)
+        DurableCluster::start_without(ports, dirs, epoch, &[])
     }
 
-    /// Starts every node but `down`, which stays dead: its ring slot
-    /// refuses connections.
+    /// Starts every node but those in `down`, which stay dead: their
+    /// ring slots refuse connections until revived.
     fn start_without(
         ports: &[u16],
         dirs: &[PathBuf],
         epoch: u64,
-        down: Option<usize>,
+        down: &[usize],
     ) -> DurableCluster {
-        let ring = ring_over(ports, epoch);
-        let mut handles = Vec::new();
-        let mut joins = Vec::new();
-        let mut addrs = Vec::new();
-        for (i, p) in ports.iter().enumerate() {
-            if down == Some(i) {
-                continue;
-            }
-            let server = Server::bind_cluster(
-                format!("127.0.0.1:{p}"),
-                ServerConfig::default(),
-                Some(ClusterConfig {
-                    node_id: i as u64 + 1,
-                    ring: ring.clone(),
-                    backend: StoreBackendConfig::Durable(StoreConfig {
-                        dir: dirs[i].clone(),
-                        fsync: FsyncPolicy::EveryNBytes(64 * 1024),
-                        compact_at: 256 * 1024 * 1024,
-                    }),
+        let mut cluster = DurableCluster {
+            ring: ring_over(ports, epoch),
+            ports: ports.to_vec(),
+            dirs: dirs.to_vec(),
+            handles: Vec::new(),
+            joins: Vec::new(),
+            addrs: Vec::new(),
+        };
+        for i in (0..ports.len()).filter(|i| !down.contains(i)) {
+            cluster.revive(i);
+        }
+        cluster
+    }
+
+    /// Starts node `i + 1` on its port and data dir, holding whatever
+    /// its store held when it went down.
+    fn revive(&mut self, i: usize) {
+        let server = Server::bind_cluster(
+            format!("127.0.0.1:{}", self.ports[i]),
+            ServerConfig::default(),
+            Some(ClusterConfig {
+                node_id: i as u64 + 1,
+                ring: self.ring.clone(),
+                backend: StoreBackendConfig::Durable(StoreConfig {
+                    dir: self.dirs[i].clone(),
+                    fsync: FsyncPolicy::EveryNBytes(64 * 1024),
+                    compact_at: 256 * 1024 * 1024,
                 }),
-            )
-            .expect("bind durable cluster node");
-            assert_eq!(server.handle().store_kind(), Some("durable"));
-            addrs.push(server.local_addr().unwrap());
-            handles.push(server.handle());
-            joins.push(std::thread::spawn(move || server.serve()));
-        }
-        DurableCluster {
-            ring,
-            handles,
-            joins,
-            addrs,
-        }
+            }),
+        )
+        .expect("bind durable cluster node");
+        assert_eq!(server.handle().store_kind(), Some("durable"));
+        self.addrs.push(server.local_addr().unwrap());
+        self.handles.push(server.handle());
+        self.joins.push(std::thread::spawn(move || server.serve()));
     }
 
     fn client(&self) -> ClusterClient {
@@ -424,7 +432,7 @@ fn a_stripe_put_under_fnv1a_reads_degrades_and_scrubs_under_fnv1a() {
 
     // Slot 0's owner down: the read rebuilds it from parity, and the
     // rebuilt archive still verifies under FNV-1a.
-    let cluster = DurableCluster::start_without(&ports, &dirs, 1, Some(down));
+    let cluster = DurableCluster::start_without(&ports, &dirs, 1, &[down]);
     let mut client = cluster.client();
     let got = client.get(key).expect("degraded get");
     assert!(got.degraded);
@@ -451,7 +459,7 @@ fn a_stripe_put_under_fnv1a_reads_degrades_and_scrubs_under_fnv1a() {
     // The repaired slot is durable and serves a read of its own: with
     // another node down, slot 0 must come from the repaired copy.
     let other = (down + 1) % 3;
-    let cluster = DurableCluster::start_without(&ports, &dirs, 1, Some(other));
+    let cluster = DurableCluster::start_without(&ports, &dirs, 1, &[other]);
     let mut client = cluster.client();
     let got = client.get(key).expect("get through the repaired slot");
     assert_eq!(got.bytes, bytes);
@@ -514,6 +522,148 @@ fn a_shard_that_rots_after_its_index_is_cached_is_never_served_wrong() {
             ),
         }
     }
+    drop(client);
+    cluster.stop();
+    for d in &dirs {
+        let _ = fs::remove_dir_all(d);
+    }
+}
+
+/// Puts `gen1` under a key, puts `gen2` while the owner of
+/// `stale_slot` is down, and revives that owner holding `gen1`'s slot.
+/// Reads must outvote the stale slot and scrub must re-put it.
+fn a_stale_slot_is_outvoted_then_repaired(stale_slot: u16, tag: &str) {
+    let ports = free_ports(3);
+    let dirs: Vec<PathBuf> = (0..3).map(|i| temp_dir(&format!("{tag}-{i}"))).collect();
+    let ring = ring_over(&ports, 1);
+    let key = "stale/field";
+    let owner = |slot: u16| ring.shard_owner(key, slot).unwrap().id as usize - 1;
+    let (gen1, gen2) = (archive(7), archive(8));
+    // Rows 0..8 are chunk 0, whose bytes lie in data slot 0.
+    let spec = RangeSpec::new(vec![1..6, 20..400]);
+    let (want, want_dims) = cuszp_core::decompress_range(&gen2, &spec).expect("local range");
+    // Only a stale data slot makes a read rebuild.
+    let degrades = stale_slot < 2;
+
+    let cluster = DurableCluster::start(&ports, &dirs, 1);
+    let mut client = cluster.client();
+    assert!(client.put(key, &gen1).expect("put gen1").fully_replicated());
+    drop(client);
+    cluster.stop();
+
+    // gen2 is acknowledged on the two live owners.
+    let mut cluster = DurableCluster::start_without(&ports, &dirs, 1, &[owner(stale_slot)]);
+    let mut client = cluster.client();
+    assert_eq!(client.put(key, &gen2).expect("put gen2").shards_stored, 2);
+    let got = client.get(key).expect("get with the owner down");
+    assert_eq!((got.bytes == gen2, got.degraded), (true, degrades));
+    let read = client
+        .get_range::<f32>(key, &spec)
+        .expect("range with the owner down");
+    assert_eq!(read, (want.clone(), want_dims, degrades));
+
+    // The owner returns with gen1's slot. The index cached from gen2
+    // holds: each range read outvotes the stale slot and verifies no
+    // container again.
+    cluster.revive(owner(stale_slot));
+    for _ in 0..3 {
+        let read = client
+            .get_range::<f32>(key, &spec)
+            .expect("range with a stale slot");
+        assert_eq!(read, (want.clone(), want_dims, degrades));
+    }
+    assert_eq!(client.stats().containers_verified.get(), 1);
+    let got = client.get(key).expect("get with a stale slot");
+    assert_eq!((got.bytes == gen2, got.degraded), (true, degrades));
+
+    // Scrub re-puts exactly the stale slot, and every slot names gen2.
+    let report = client.scrub().expect("scrub");
+    assert_eq!((report.repaired, report.unrepairable), (1, 0));
+    for addr in &cluster.addrs {
+        let slots = listed(*addr, key);
+        assert_eq!(slots.len(), 1, "node {addr}");
+        for (slot, sum, kind) in slots {
+            assert_eq!(
+                (sum, kind),
+                (wordsum64(&gen2), SumKind::Wordsum64),
+                "slot {slot}"
+            );
+        }
+    }
+    let got = client.get(key).expect("get after scrub");
+    assert_eq!((got.bytes == gen2, got.degraded), (true, false));
+    assert_eq!(client.scrub().expect("second scrub").repaired, 0);
+    drop(client);
+    cluster.stop();
+
+    // With a data owner other than the stale one down, the read
+    // rebuilds through the repaired slot.
+    let other = owner(if stale_slot == 0 { 1 } else { 0 });
+    let cluster = DurableCluster::start_without(&ports, &dirs, 1, &[other]);
+    let mut client = cluster.client();
+    let got = client.get(key).expect("get through the repaired slot");
+    assert_eq!((got.bytes == gen2, got.degraded), (true, true));
+    drop(client);
+    cluster.stop();
+    for d in &dirs {
+        let _ = fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn a_stale_data_slot_0_is_outvoted_then_repaired() {
+    a_stale_slot_is_outvoted_then_repaired(0, "stale-d0");
+}
+
+#[test]
+fn a_stale_data_slot_1_is_outvoted_then_repaired() {
+    a_stale_slot_is_outvoted_then_repaired(1, "stale-d1");
+}
+
+#[test]
+fn a_stale_parity_slot_is_repaired() {
+    a_stale_slot_is_outvoted_then_repaired(2, "stale-p");
+}
+
+#[test]
+fn two_puts_that_each_reach_k_slots_fail_typed_as_a_conflict() {
+    let ports = free_ports(4);
+    let dirs: Vec<PathBuf> = (0..4).map(|i| temp_dir(&format!("conflict-{i}"))).collect();
+    let key = "conflict/field";
+    let ring = ring_over(&ports, 1);
+    assert_eq!((ring.data_shards, ring.parity_shards), (2, 2));
+    let (gen1, gen2) = (archive(9), archive(10));
+    let spec = RangeSpec::new(vec![1..6, 20..400]);
+    let cluster = DurableCluster::start(&ports, &dirs, 1);
+    let mut client = cluster.client();
+    assert!(client.put(key, &gen1).expect("put gen1").fully_replicated());
+    drop(client);
+    cluster.stop();
+
+    // gen2 reaches exactly k = 2 slots: data slot 1 and parity slot 1.
+    let down: Vec<usize> = [0u16, 2]
+        .map(|slot| ring.shard_owner(key, slot).unwrap().id as usize - 1)
+        .to_vec();
+    let mut cluster = DurableCluster::start_without(&ports, &dirs, 1, &down);
+    let mut client = cluster.client();
+    assert_eq!(client.put(key, &gen2).expect("put gen2").shards_stored, 2);
+    for &i in &down {
+        cluster.revive(i);
+    }
+    let before: Vec<_> = cluster.addrs.iter().map(|a| listed(*a, key)).collect();
+
+    // Two stripes each hold k slots: neither read guesses.
+    let err = client.get(key).expect_err("get of a split key");
+    assert!(matches!(err, ClusterError::Conflict { .. }), "{err}");
+    let err = client
+        .get_range::<f32>(key, &spec)
+        .expect_err("range of a split key");
+    assert!(matches!(err, ClusterError::Conflict { .. }), "{err}");
+    // Scrub re-puts nothing and counts the key's four slots.
+    let report = client.scrub().expect("scrub");
+    assert_eq!((report.repaired, report.unrepairable), (0, 4));
+    let after: Vec<_> = cluster.addrs.iter().map(|a| listed(*a, key)).collect();
+    assert_eq!(after, before);
     drop(client);
     cluster.stop();
     for d in &dirs {

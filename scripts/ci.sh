@@ -80,7 +80,7 @@ cargo build --release --workspace
 #   placement ring props    -p cuszp-server --test ring_props (purity, distinctness, bounded remap)
 #   durable store engine    -p cuszp-store (codec props, model tests, crash-point campaign)
 #   cluster tier            -p cuszp-server --test cluster (failover, degraded reads, redirects, anti-entropy repair)
-#   durable cluster         -p cuszp-server --test durable_cluster (full restart from disk, damaged-segment scrub heal)
+#   durable cluster         -p cuszp-server --test durable_cluster (full restart from disk, damaged-segment scrub heal, stale owner outvoted and re-put, split put a typed conflict)
 #   node-death campaign     -p cuszp-server --test cluster_death (64 seeded kills, bit-identity under every one)
 echo "==> cargo test (every suite above, once)"
 cargo test --workspace

@@ -11,7 +11,10 @@
 #  kill -9 a node, restart it WITH its data directory, and require
 #  cmp-equal reads with NO scrub at all — the log-structured store's
 #  recovery serves every fsynced shard from disk (scrub then confirms
-#  zero repairs, and `cuszp store-fsck` reports the directory clean).
+#  zero repairs). Then a stale owner: put a key again while a node is
+#  dead, restart it holding the old shard, and require the new bytes,
+#  one scrub repair, and the new bytes again with another node dead.
+#  `cuszp store-fsck` reports every directory clean.
 #
 # Stays fast on a 1-CPU container.
 set -euo pipefail
@@ -206,6 +209,28 @@ echo "==> scrub confirms the restart needed zero repairs"
 grep -q 'scrubbed 3 key(s): 0 shard(s) re-replicated, 0 unrepairable, 0 unreachable' \
     "$WORK/scrub2.out" \
     || { echo "FAIL: durable restart required repairs"; cat "$WORK/scrub2.out"; exit 1; }
+
+echo "==> kill -9 node 2, put arch-1 again with other bytes, restart node 2 with its old shard"
+kill -9 "${PIDS[1]}"
+PIDS[1]=""
+"$CUSZP" cluster put "arch-1" -i "$WORK/arch2.csz" --seeds "$SEEDS" 2> /dev/null
+start_node 2 || { echo "FAIL: node 2 did not restart durably"; cat "$WORK/node2.err"; exit 1; }
+"$CUSZP" cluster get "arch-1" -o "$WORK/stale.csz" --seeds "$SEEDS" 2> "$WORK/stale.err"
+cmp "$WORK/arch2.csz" "$WORK/stale.csz" \
+    || { echo "FAIL: the stale shard hid the new arch-1"; cat "$WORK/stale.err"; exit 1; }
+
+echo "==> scrub re-puts exactly the stale shard"
+"$CUSZP" cluster-scrub --seeds "$SEEDS" > "$WORK/scrub3.out" 2> /dev/null
+grep -q 'scrubbed 3 key(s): 1 shard(s) re-replicated, 0 unrepairable, 0 unreachable' \
+    "$WORK/scrub3.out" \
+    || { echo "FAIL: scrub did not re-put the stale shard"; cat "$WORK/scrub3.out"; exit 1; }
+
+echo "==> kill -9 node 3; the new arch-1 reads through node 2's re-put shard"
+kill -9 "${PIDS[2]}"
+PIDS[2]=""
+"$CUSZP" cluster get "arch-1" -o "$WORK/stale2.csz" --seeds "$SEEDS" 2> /dev/null
+cmp "$WORK/arch2.csz" "$WORK/stale2.csz" \
+    || { echo "FAIL: post-repair read of the new arch-1 differs"; exit 1; }
 
 echo "==> graceful shutdown; store-fsck reports every data dir clean"
 stop_ring
