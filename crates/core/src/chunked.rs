@@ -33,7 +33,7 @@ use crate::error::{ArchiveSection, CuszpError};
 use crate::parity::{ParityConfig, ParitySection, PARITY_MAGIC};
 use crate::range::{resolve, ChunkSource, RangeSpec};
 use crate::stats::ChunkedStats;
-use crate::walk::PlanView;
+use crate::walk::{Lanes, PlanView};
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
 use cuszp_parallel::{plan_chunks, WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::ops::Range;
@@ -154,13 +154,38 @@ impl Compressor {
     }
 
     /// [`Compressor::compress_chunked_with`] also returning the
-    /// aggregated per-chunk statistics ([`ChunkedStats`]).
+    /// aggregated per-chunk statistics ([`ChunkedStats`]): the lanes
+    /// ([`Compressor::compress_chunked_on_lanes`]) are one fresh engine
+    /// per pool worker.
     pub fn compress_chunked_with_stats<T: Element>(
         &self,
         data: &[T],
         dims: Dims,
         target_elems: usize,
         pool: &WorkerPool,
+    ) -> Result<(ChunkedArchive, ChunkedStats), CuszpError> {
+        let mut lanes: Vec<PipelineEngine> =
+            (0..pool.workers()).map(|_| PipelineEngine::new()).collect();
+        self.compress_chunked_on_lanes(data, dims, target_elems, &mut lanes)
+    }
+
+    /// The chunked-compress driver: the plan's chunks fan out over
+    /// `lanes`, one thread per engine ([`WorkerPool::run_parts_on`]),
+    /// and each engine reuses its scratch arenas across the chunks it
+    /// takes — and across calls, when the caller keeps its engines. A
+    /// `cuszp-server` worker lends its own engine plus whatever idle
+    /// helper engines the server holds. Every chunk runs under
+    /// [`cuszp_parallel::with_serial_inner`], so the bytes are the same
+    /// for any number of lanes.
+    ///
+    /// # Panics
+    /// When `lanes` is empty and the plan has a chunk.
+    pub fn compress_chunked_on_lanes<T: Element>(
+        &self,
+        data: &[T],
+        dims: Dims,
+        target_elems: usize,
+        lanes: &mut [PipelineEngine],
     ) -> Result<(ChunkedArchive, ChunkedStats), CuszpError> {
         // One validation + range pass over the whole field; chunks then
         // skip their own scans entirely. Resolving the bound globally
@@ -171,12 +196,9 @@ impl Compressor {
         let eb = resolve_bound(self.config().error_bound, &scan)?;
         let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
         let config = self.config();
-        // Each pool worker keeps ONE engine and reuses its scratch arenas
-        // across every chunk it drains from the queue.
-        let results = pool.run_with_state(plan.len(), PipelineEngine::new, |i, eng| {
-            let spec = &plan.chunks[i];
+        let results = WorkerPool::run_parts_on(lanes, plan.chunks, |_, spec, eng| {
             let chunk_dims = dims.slab(spec.slow_len());
-            eng.compress(config, &data[spec.elems.clone()], chunk_dims, eb)
+            eng.compress(config, &data[spec.elems], chunk_dims, eb)
         });
         let mut chunks = Vec::with_capacity(results.len());
         let mut per_chunk = Vec::with_capacity(results.len());
@@ -220,14 +242,10 @@ impl Compressor {
     }
 
     /// Chunk-sequential compression on a **caller-owned engine**: the
-    /// whole plan runs on `engine`, reusing its scratch arenas across
-    /// chunks *and across calls*. This is the long-lived-service entry
-    /// point — a `cuszp-server` worker owns one engine for its lifetime
-    /// and drives every request through it instead of reallocating
-    /// arenas per request. Each chunk runs under
-    /// [`cuszp_parallel::with_serial_inner`], the same code path pool
-    /// jobs take, so the bytes are identical to the pooled drivers at
-    /// any worker count.
+    /// one-lane case of [`Compressor::compress_chunked_on_lanes`]. The
+    /// whole plan runs on this thread on `engine`, reusing its scratch
+    /// arenas across chunks *and across calls*, and the bytes are
+    /// identical to the pooled drivers at any worker count.
     pub fn compress_chunked_with_engine<T: Element>(
         &self,
         data: &[T],
@@ -235,27 +253,8 @@ impl Compressor {
         target_elems: usize,
         engine: &mut PipelineEngine,
     ) -> Result<ChunkedArchive, CuszpError> {
-        let scan = validate_and_range(data, dims)?;
-        let eb = resolve_bound(self.config().error_bound, &scan)?;
-        let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
-        let config = self.config();
-        let mut chunks = Vec::with_capacity(plan.len());
-        for spec in &plan.chunks {
-            let chunk_dims = dims.slab(spec.slow_len());
-            let (archive, _) = cuszp_parallel::with_serial_inner(|| {
-                engine.compress(config, &data[spec.elems.clone()], chunk_dims, eb)
-            })?;
-            chunks.push(archive);
-        }
-        Ok(ChunkedArchive {
-            dims,
-            dtype: T::DTYPE,
-            eb,
-            chunk_target: target_elems as u64,
-            chunks,
-            parity: None,
-            format: Format::Csz2,
-        })
+        self.compress_chunked_on_lanes(data, dims, target_elems, std::slice::from_mut(engine))
+            .map(|(a, _)| a)
     }
 }
 
@@ -331,7 +330,11 @@ impl ChunkedArchive {
         spec: Option<&RangeSpec>,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
-        ChunkSource::Parsed(self).decode(engine, spec, &mut PipelineEngine::new(), pool)
+        ChunkSource::Parsed(self).decode(
+            engine,
+            spec,
+            Lanes::Pool(&mut PipelineEngine::new(), pool),
+        )
     }
 
     /// The header this container serializes with.

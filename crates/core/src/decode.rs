@@ -18,8 +18,9 @@ use crate::chunked::{open, ChunkedArchive};
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
-use crate::range::RangeSpec;
+use crate::range::{resolve, ChunkSource, RangeSpec};
 use crate::recovery::{recover, FillPolicy, RecoveredField};
+use crate::walk::Lanes;
 use cuszp_parallel::WorkerPool;
 use cuszp_predictor::{Dims, ReconstructEngine};
 
@@ -58,12 +59,38 @@ impl<'a> Decode<'a> {
     /// All-or-nothing decode: any damage anywhere in the archive is an
     /// error. Returns the field (or sub-volume) and its shape.
     pub fn strict<T: Element>(self) -> Result<(Vec<T>, Dims), CuszpError> {
-        let arc = ChunkedArchive::from_bytes(self.bytes)?;
         let pool = WorkerPool::with_default_workers();
-        match self.range {
-            Some(spec) => arc.decompress_range(self.engine, spec, &pool),
-            None => arc.decompress(self.engine, &pool),
-        }
+        self.strict_walk(Lanes::Pool(&mut PipelineEngine::new(), &pool))
+    }
+
+    /// [`Decode::strict`] on engines the caller keeps: the chunks fan
+    /// out over `lanes`, one thread per engine, and a one-chunk decode
+    /// runs on the first. This is how a long-lived service decodes on
+    /// the engines it keeps; the field is the same at any lane count.
+    ///
+    /// # Panics
+    /// When `lanes` is empty and the decode has a chunk to walk.
+    pub fn strict_on<T: Element>(
+        self,
+        lanes: &mut [PipelineEngine],
+    ) -> Result<(Vec<T>, Dims), CuszpError> {
+        self.strict_walk(Lanes::Lent(lanes))
+    }
+
+    fn strict_walk<T: Element>(self, lanes: Lanes<'_>) -> Result<(Vec<T>, Dims), CuszpError> {
+        let arc = ChunkedArchive::from_bytes(self.bytes)?;
+        ChunkSource::Parsed(&arc).decode(self.engine, self.range, lanes)
+    }
+
+    /// How many chunks this decode walks, read from the fixed header
+    /// alone: the most lanes [`Decode::strict_on`] can keep busy.
+    pub fn chunks(&self) -> Result<usize, CuszpError> {
+        let hdr = open(self.bytes)?;
+        let plan = hdr.checked_plan()?;
+        Ok(match self.range {
+            Some(spec) => plan.span(&resolve(spec, hdr.dims)?).len(),
+            None => plan.n,
+        })
     }
 
     /// Fault-isolated decode: undamaged chunks reconstruct bit-identically

@@ -23,6 +23,7 @@ use crate::chunked::{ChunkIndex, ChunkedArchive, ChunkedHeader};
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
+use crate::walk::Lanes;
 use cuszp_parallel::{plan_len, WorkerPool};
 use cuszp_predictor::{Dims, ReconstructEngine};
 use std::ops::Range;
@@ -335,17 +336,16 @@ impl ChunkSource<'_> {
         eng: &mut PipelineEngine,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
-        self.decode(engine, Some(spec), eng, pool)
+        self.decode(engine, Some(spec), Lanes::Pool(eng, pool))
     }
 
-    /// The strict policy over the chunk walk: `spec`, or the whole field
-    /// when `None`.
+    /// The strict policy over the chunk walk on `lanes`: `spec`, or the
+    /// whole field when `None`.
     pub(crate) fn decode<T: Element>(
         self,
         engine: ReconstructEngine,
         spec: Option<&RangeSpec>,
-        eng: &mut PipelineEngine,
-        pool: &WorkerPool,
+        lanes: Lanes<'_>,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
         let hdr = self.header();
         check_dtype::<T>(hdr.dtype)?;
@@ -359,8 +359,7 @@ impl ChunkSource<'_> {
             plan.span(&r),
             &r,
             &mut out,
-            eng,
-            pool,
+            lanes,
             |i, seg, eng, scratch| {
                 self.with_chunk(i, |chunk| {
                     plan.reconstruct(i, chunk, &r, engine, eng, scratch, seg)

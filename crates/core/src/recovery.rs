@@ -38,7 +38,7 @@ use crate::parity::{
     parse_parity_layout, ParityConfig, ParitySection, PARITY_HEADER_BYTES, PARITY_MAGIC,
 };
 use crate::range::{resolve, RangeSpec, ResolvedRange};
-use crate::walk::PlanView;
+use crate::walk::{Lanes, PlanView};
 use crate::{Archive, CodecPlan, Dims, Dtype, ReconstructEngine};
 use cuszp_checksum::fnv1a;
 use cuszp_ecc::ReedSolomon;
@@ -859,8 +859,7 @@ pub(crate) fn recover<T: Element>(
         span.clone(),
         &r,
         &mut data,
-        &mut eng,
-        pool,
+        Lanes::Pool(&mut eng, pool),
         |i, seg, eng, scratch| {
             let fresh;
             let framed = match &first_good {

@@ -11,8 +11,8 @@
 //!   container header is the authority for a chunk's element type, slab
 //!   shape *and error bound*;
 //! * [`PlanView::walk`] / [`PlanView::reconstruct`] — carve the output
-//!   into one segment per in-span chunk, fan out over the pool with a
-//!   per-worker engine and scratch, and reconstruct each checked chunk.
+//!   into one segment per in-span chunk, fan out over [`Lanes`] with a
+//!   per-lane engine and scratch, and reconstruct each checked chunk.
 //!
 //! A whole-field decode is the range "everything"
 //! ([`ResolvedRange::full`]): a chunk whose rows are all requested
@@ -163,20 +163,19 @@ impl PlanView {
     }
 
     /// The walk: runs `step(i, segment, engine, scratch)` for every
-    /// chunk of `span` on `pool`, each worker keeping one engine and one
+    /// chunk of `span` on `lanes`, each lane keeping one engine and one
     /// slab scratch across the chunks it drains. Results come back in
     /// chunk order. A span of one chunk has nothing to fan out: it runs
-    /// here on `eng`, the caller's engine, with its inner loops serial as
-    /// in a pool job — except in a one-chunk container (every v1
-    /// archive), where they stay parallel. Decoding is a pure function of
-    /// the bytes, so no output changes.
+    /// here on the first engine `lanes` holds, with its inner loops
+    /// serial as in a pool job — except in a one-chunk container (every
+    /// v1 archive), where they stay parallel. Decoding is a pure
+    /// function of the bytes, so no output changes.
     pub fn walk<T, R, F>(
         &self,
         span: Range<usize>,
         r: &ResolvedRange,
         out: &mut [T],
-        eng: &mut PipelineEngine,
-        pool: &WorkerPool,
+        lanes: Lanes<'_>,
         step: F,
     ) -> Vec<R>
     where
@@ -185,17 +184,35 @@ impl PlanView {
         F: Fn(usize, &mut [T], &mut PipelineEngine, &mut Vec<T>) -> R + Sync,
     {
         let mut parts = self.carve(span, r, out);
+        let mut fresh = Vec::new();
+        let lanes = match lanes {
+            Lanes::Lent(engines) => engines,
+            Lanes::Pool(eng, _) if parts.len() == 1 => std::slice::from_mut(eng),
+            Lanes::Pool(_, pool) => {
+                fresh.resize_with(pool.workers(), PipelineEngine::new);
+                &mut fresh[..]
+            }
+        };
         if let [(i, seg)] = &mut parts[..] {
-            let mut run = || step(*i, seg, eng, &mut Vec::new());
+            let mut run = || step(*i, seg, &mut lanes[0], &mut Vec::new());
             return vec![match self.n {
                 1 => run(),
                 _ => cuszp_parallel::with_serial_inner(run),
             }];
         }
-        pool.run_parts_with_state(
-            parts,
-            || (PipelineEngine::new(), Vec::new()),
-            |_, (i, seg), (eng, scratch)| step(i, seg, eng, scratch),
-        )
+        let mut states: Vec<_> = lanes.iter_mut().map(|eng| (eng, Vec::new())).collect();
+        WorkerPool::run_parts_on(&mut states, parts, |_, (i, seg), (eng, scratch)| {
+            step(i, seg, eng, scratch)
+        })
     }
+}
+
+/// The engines a walk's chunks run on.
+pub(crate) enum Lanes<'a> {
+    /// In-process: a one-chunk span on the caller's engine, more on one
+    /// fresh engine per worker of the pool.
+    Pool(&'a mut PipelineEngine, &'a WorkerPool),
+    /// Engines the caller keeps: a one-chunk span on the first, more
+    /// fanned out over all of them.
+    Lent(&'a mut [PipelineEngine]),
 }

@@ -9,7 +9,8 @@
 //! first one's allocations.
 
 use cuszp_core::{
-    ChunkedArchive, Compressor, Config, Dims, ErrorBound, Predictor, ReconstructEngine,
+    ChunkedArchive, Compressor, Config, Dims, ErrorBound, PipelineEngine, Predictor,
+    ReconstructEngine,
 };
 use cuszp_parallel::WorkerPool;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,7 +68,7 @@ fn make_field(n: usize) -> Vec<f32> {
 
 /// Runs `f` once to warm every cache and arena, then again under the
 /// counter, and asserts the counted run stays within the budget.
-fn assert_per_chunk_budget<R>(what: &str, n_chunks: u64, f: impl Fn() -> R) -> R {
+fn assert_per_chunk_budget<R>(what: &str, n_chunks: u64, mut f: impl FnMut() -> R) -> R {
     drop(f());
     let before = ALLOCS.load(Ordering::Relaxed);
     let r = f();
@@ -120,5 +121,14 @@ fn chunked_compress_and_decompress_stay_within_the_allocation_budget() {
     });
     assert_per_chunk_budget("lorenzo decompress", n_chunks, || {
         decompress(&lorenzo_archive)
+    });
+    // Lanes a caller keeps (a server's engines) are warm from the first
+    // call: the second stays within the budget, in the same bytes.
+    let mut lanes: Vec<PipelineEngine> = (0..2).map(|_| PipelineEngine::new()).collect();
+    assert_per_chunk_budget("lorenzo compress on reused lanes", n_chunks, || {
+        let (archive, _) = lorenzo
+            .compress_chunked_on_lanes(&data, dims, CHUNK_TARGET, &mut lanes)
+            .unwrap();
+        assert!(archive == lorenzo_archive);
     });
 }

@@ -18,6 +18,7 @@
 
 use crate::num_workers;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A fixed-width pool executing indexed jobs on scoped threads.
 #[derive(Debug, Clone, Copy)]
@@ -74,49 +75,7 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(usize, &mut S) -> R + Sync,
     {
-        if jobs == 0 {
-            return Vec::new();
-        }
-        if self.workers == 1 || jobs == 1 {
-            let mut state = init();
-            return (0..jobs)
-                .map(|i| crate::with_serial_inner(|| f(i, &mut state)))
-                .collect();
-        }
-        let threads = self.workers.min(jobs);
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(jobs, || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let init = &init;
-                    let f = &f;
-                    s.spawn(move || {
-                        let mut state = init();
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs {
-                                break;
-                            }
-                            local.push((i, crate::with_serial_inner(|| f(i, &mut state))));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("pool worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every job index executed exactly once"))
-            .collect()
+        self.run_parts_with_state(vec![(); jobs], init, |i, (), s| f(i, s))
     }
 
     /// Like [`Self::run`], but each job takes ownership of its item —
@@ -133,7 +92,8 @@ impl WorkerPool {
 
     /// [`Self::run_parts`] with the per-worker reusable state of
     /// [`Self::run_with_state`]: each job receives its owned item plus
-    /// `&mut` access to the worker's state.
+    /// `&mut` access to the worker's state. The states are fresh, one
+    /// per thread the jobs can use, and run on [`Self::run_parts_on`].
     pub fn run_parts_with_state<T, S, R, I, F>(&self, parts: Vec<T>, init: I, f: F) -> Vec<R>
     where
         T: Send,
@@ -142,58 +102,86 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(usize, T, &mut S) -> R + Sync,
     {
+        if parts.is_empty() {
+            return Vec::new();
+        }
+        let mut states: Vec<S> = (0..self.workers.min(parts.len())).map(|_| init()).collect();
+        Self::run_parts_on(&mut states, parts, f)
+    }
+
+    /// The scheduler every pool entry point runs on: the jobs fan out
+    /// over **caller-owned states**, one thread per state, and each job
+    /// receives its owned item plus `&mut` access to the state of the
+    /// thread that took it. The first state works on the calling thread;
+    /// every other one gets a scoped thread, so `states.len()` bounds the
+    /// threads in use, and a state is only ever used by one thread at a
+    /// time. States outlive the call, which is how a long-lived service
+    /// lends the engines it keeps to one request.
+    ///
+    /// With one state (or one job) every job runs here, in order. Each
+    /// job runs under [`crate::with_serial_inner`] at any width, and
+    /// results come back in item order. A panicking job panics the
+    /// caller after every thread has stopped.
+    ///
+    /// # Panics
+    /// When there are jobs but no state to run them on.
+    pub fn run_parts_on<T, S, R, F>(states: &mut [S], parts: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        S: Send,
+        R: Send,
+        F: Fn(usize, T, &mut S) -> R + Sync,
+    {
         let jobs = parts.len();
         if jobs == 0 {
             return Vec::new();
         }
-        if self.workers == 1 || jobs == 1 {
-            let mut state = init();
+        let threads = states.len().min(jobs);
+        assert!(threads > 0, "jobs need at least one state to run on");
+        if threads == 1 {
+            let state = &mut states[0];
             return parts
                 .into_iter()
                 .enumerate()
-                .map(|(i, p)| crate::with_serial_inner(|| f(i, p, &mut state)))
+                .map(|(i, p)| crate::with_serial_inner(|| f(i, p, state)))
                 .collect();
         }
-        let threads = self.workers.min(jobs);
         let cursor = AtomicUsize::new(0);
         // Items are parked in per-index cells so stealing workers can take
         // ownership without holding one lock across all of them.
-        let cells: Vec<std::sync::Mutex<Option<T>>> = parts
-            .into_iter()
-            .map(|p| std::sync::Mutex::new(Some(p)))
-            .collect();
+        let cells: Vec<Mutex<Option<T>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+        let drain = |state: &mut S| {
+            let mut local: Vec<(usize, R)> = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs {
+                    return local;
+                }
+                let part = cells[i]
+                    .lock()
+                    .expect("part cell poisoned")
+                    .take()
+                    .expect("each part taken exactly once");
+                local.push((i, crate::with_serial_inner(|| f(i, part, state))));
+            }
+        };
         let mut slots: Vec<Option<R>> = Vec::new();
         slots.resize_with(jobs, || None);
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let cells = &cells;
-                    let init = &init;
-                    let f = &f;
-                    s.spawn(move || {
-                        let mut state = init();
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs {
-                                break;
-                            }
-                            let part = cells[i]
-                                .lock()
-                                .expect("part cell poisoned")
-                                .take()
-                                .expect("each part taken exactly once");
-                            local.push((i, crate::with_serial_inner(|| f(i, part, &mut state))));
-                        }
-                        local
-                    })
-                })
+            let (mine, theirs) = states[..threads]
+                .split_first_mut()
+                .expect("at least two states");
+            let drain = &drain;
+            let handles: Vec<_> = theirs
+                .iter_mut()
+                .map(|state| s.spawn(move || drain(state)))
                 .collect();
+            let mut done = drain(mine);
             for h in handles {
-                for (i, r) in h.join().expect("pool worker panicked") {
-                    slots[i] = Some(r);
-                }
+                done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            for (i, r) in done {
+                slots[i] = Some(r);
             }
         });
         slots
@@ -282,5 +270,74 @@ mod tests {
         assert_eq!(WorkerPool::new(0).workers(), 1);
         assert_eq!(WorkerPool::new(5).workers(), 5);
         assert!(WorkerPool::with_default_workers().workers() >= 1);
+    }
+
+    #[test]
+    fn lanes_return_results_in_item_order_at_any_width() {
+        for lanes in [1usize, 2, 5, 40] {
+            let mut states = vec![0usize; lanes];
+            let parts: Vec<u64> = (0..17).collect();
+            let out = WorkerPool::run_parts_on(&mut states, parts, |i, p, jobs| {
+                *jobs += 1;
+                (i as u64, p * p)
+            });
+            let expect: Vec<(u64, u64)> = (0..17).map(|i| (i, i * i)).collect();
+            assert_eq!(out, expect, "lanes = {lanes}");
+            // Every job ran on exactly one lane, and the states outlive
+            // the call with what the jobs left in them.
+            assert_eq!(states.iter().sum::<usize>(), 17, "lanes = {lanes}");
+        }
+        let mut none: Vec<u8> = Vec::new();
+        let out: Vec<u8> = WorkerPool::run_parts_on(&mut none, Vec::<u8>::new(), |_, p, _| p);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_lane_state_is_used_by_one_thread_at_a_time() {
+        use std::sync::atomic::AtomicBool;
+        use std::thread::ThreadId;
+        struct Lane {
+            busy: AtomicBool,
+            thread: Option<ThreadId>,
+        }
+        let mut states: Vec<Lane> = (0..3)
+            .map(|_| Lane {
+                busy: AtomicBool::new(false),
+                thread: None,
+            })
+            .collect();
+        let caller = std::thread::current().id();
+        let ran_here = WorkerPool::run_parts_on(&mut states, vec![(); 30], |_, (), lane| {
+            assert!(!lane.busy.swap(true, Ordering::SeqCst), "state shared");
+            let me = std::thread::current().id();
+            assert_eq!(*lane.thread.get_or_insert(me), me, "state migrated");
+            assert!(crate::inner_parallelism_disabled());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            lane.busy.store(false, Ordering::SeqCst);
+            me == caller
+        });
+        // The first lane works on the calling thread.
+        assert!(ran_here.iter().any(|&here| here));
+        assert_eq!(states[0].thread, Some(caller));
+        assert!(!crate::inner_parallelism_disabled());
+    }
+
+    #[test]
+    fn a_panicking_job_on_a_lane_panics_the_caller() {
+        for lanes in [1usize, 3] {
+            let mut states = vec![(); lanes];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                WorkerPool::run_parts_on(&mut states, (0..9).collect(), |i, p: usize, ()| {
+                    assert_ne!(i, 7, "job 7 fails");
+                    p
+                })
+            }));
+            let payload = caught.expect_err("the panic reaches the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains("job 7 fails"), "lanes = {lanes}: {msg:?}");
+        }
     }
 }

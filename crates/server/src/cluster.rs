@@ -59,7 +59,7 @@ use cuszp_core::{
 use cuszp_ecc::{EccError, ReedSolomon};
 use cuszp_metrics::Counter;
 use cuszp_parallel::WorkerPool;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
 /// Keys whose verified chunk index a [`ClusterClient`] keeps for
@@ -427,9 +427,11 @@ impl ClusterClient {
 
     /// Fans one request per stripe slot out over the slots' owners:
     /// send everything first, then collect every response, so the
-    /// nodes work concurrently. When an answer says the route is stale,
-    /// refreshes the ring and fans out once more. Returns one outcome
-    /// per requested slot.
+    /// nodes work concurrently. A slot that fails with a transport error
+    /// on a connection pooled before this fan-out (its node may have
+    /// restarted since) is sent once more on a fresh connection. When an
+    /// answer says the route is stale, refreshes the ring and fans out
+    /// once more. Returns one outcome per requested slot.
     fn fan_out(
         &mut self,
         key: &str,
@@ -437,6 +439,7 @@ impl ClusterClient {
         mut payload_for: impl FnMut(u16, u64) -> Vec<u8>,
         op: Op,
     ) -> Result<Vec<Result<Vec<u8>, ClientError>>, ClusterError> {
+        let mut pooled: HashSet<u64> = self.conns.keys().copied().collect();
         let mut rerouted = false;
         loop {
             let epoch = self.ring.epoch;
@@ -444,39 +447,52 @@ impl ClusterClient {
                 .iter()
                 .map(|&s| self.ring.shard_owner(key, s).map(|n| n.id))
                 .collect();
-            let mut pending: Vec<Option<(u64, u64)>> = Vec::with_capacity(slots.len());
             let mut out: Vec<Result<Vec<u8>, ClientError>> = Vec::with_capacity(slots.len());
-            for (i, &slot) in slots.iter().enumerate() {
-                out.push(Err(ClientError::Protocol("shard request not sent")));
-                let Some(owner) = owners[i] else {
-                    pending.push(None);
-                    out[i] = Err(ClientError::Protocol("stripe slot has no owner"));
-                    continue;
-                };
-                let payload = payload_for(slot, epoch);
-                match self.conn(owner).and_then(|c| c.send(op, &payload)) {
-                    Ok(id) => pending.push(Some((owner, id))),
-                    Err(e) => {
-                        self.conns.remove(&owner);
-                        out[i] = Err(e);
-                        pending.push(None);
+            out.resize_with(slots.len(), || {
+                Err(ClientError::Protocol("shard request not sent"))
+            });
+            let mut todo: Vec<usize> = (0..slots.len()).collect();
+            while !todo.is_empty() {
+                // (slot index, owner, request id, sent on a pooled connection)
+                let mut pending = Vec::with_capacity(todo.len());
+                let mut retry = Vec::new();
+                for &i in &todo {
+                    let Some(owner) = owners[i] else {
+                        out[i] = Err(ClientError::Protocol("stripe slot has no owner"));
+                        continue;
+                    };
+                    let was_pooled = pooled.contains(&owner);
+                    let payload = payload_for(slots[i], epoch);
+                    match self.conn(owner).and_then(|c| c.send(op, &payload)) {
+                        Ok(id) => pending.push((i, owner, id, was_pooled)),
+                        Err(e) => {
+                            self.drop_conn(owner, &mut pooled);
+                            if was_pooled {
+                                retry.push(i);
+                            }
+                            out[i] = Err(e);
+                        }
                     }
                 }
-            }
-            for (i, p) in pending.into_iter().enumerate() {
-                let Some((owner, id)) = p else { continue };
-                let result = match self.conns.get_mut(&owner) {
-                    Some(conn) => Self::recv_match(conn, id),
-                    None => Err(ClientError::Protocol("connection lost mid-fan-out")),
-                };
-                if let Err(e) = &result {
+                for (i, owner, id, was_pooled) in pending {
+                    let result = match self.conns.get_mut(&owner) {
+                        Some(conn) => Self::recv_match(conn, id),
+                        None => Err(ClientError::Protocol("connection lost mid-fan-out")),
+                    };
                     // A typed server answer leaves the connection usable;
                     // anything else poisons the in-flight stream state.
-                    if !matches!(e, ClientError::Server(_)) {
-                        self.conns.remove(&owner);
+                    if result
+                        .as_ref()
+                        .is_err_and(|e| !matches!(e, ClientError::Server(_)))
+                    {
+                        self.drop_conn(owner, &mut pooled);
+                        if was_pooled {
+                            retry.push(i);
+                        }
                     }
+                    out[i] = result;
                 }
-                out[i] = result;
+                todo = retry;
             }
             if rerouted || !out.iter().any(is_stale) {
                 return Ok(out);
@@ -484,7 +500,15 @@ impl ClusterClient {
             rerouted = true;
             self.stats.redirects_followed.incr();
             self.refresh_ring()?;
+            // A refreshed ring may have dropped every connection.
+            pooled.retain(|id| self.conns.contains_key(id));
         }
+    }
+
+    /// Drops a node's connection; one opened later is not pooled.
+    fn drop_conn(&mut self, node_id: u64, pooled: &mut HashSet<u64>) {
+        self.conns.remove(&node_id);
+        pooled.remove(&node_id);
     }
 
     /// Refreshes the topology from any reachable ring member. Adopts

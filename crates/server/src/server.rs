@@ -3,30 +3,41 @@
 //!
 //! ```text
 //!            accept()            bounded queue             workers
-//!  clients ───────────▶ acceptor ─────────────▶ [conn conn] ─▶ pool job 0 (engine)
-//!                        │  full? reject with Busy           ─▶ pool job 1 (engine)
-//!                        ▼                                      …
-//!                     metrics
+//!  clients ───────────▶ acceptor ─────────────▶ [conn conn] ─▶ thread 0 (engine) ─┐
+//!                        │  full? reject with Busy           ─▶ thread 1 (engine) ─┤ lanes
+//!                        ▼                                      …                  │
+//!                     metrics                   idle helper engines [eng eng …] ◀──┘
 //! ```
 //!
-//! The worker side runs on [`cuszp_parallel::WorkerPool::run_with_state`]:
-//! each pool job is one worker loop owning a long-lived
+//! Each worker is a scoped thread owning a long-lived
 //! [`PipelineEngine`], so every request a worker serves reuses the same
-//! scratch arenas (the PR 3 engine contract, extended from
-//! chunks-within-one-call to requests-within-one-process). Backpressure
-//! is explicit — when the connection queue is full the acceptor answers
-//! a typed `Busy` error frame instead of queueing unboundedly — and a
-//! malformed frame is answered with a typed error and at worst a closed
-//! connection, never a dead process. Shutdown is cooperative: the
-//! `shutdown` op (or [`ServerHandle::shutdown`]) flips a flag and wakes
-//! the acceptor out of its blocking `accept()` with a loopback
-//! connection to itself; the acceptor stops accepting, and workers
-//! drain queued + in-flight connections until a drain deadline.
+//! scratch arenas (the engine contract, extended from
+//! chunks-within-one-call to requests-within-one-process). A worker
+//! runs with nested parallel primitives forced serial; a compress or a
+//! strict decompress instead fans its chunks out over **lanes**: the
+//! worker's own engine plus whatever idle helper engines it can take,
+//! without waiting, from one server-wide stack of
+//! `cuszp_parallel::num_workers() − 1`, each on a scoped thread of its
+//! own, and gives them back when the request is done. A lone request
+//! gets every core; on a saturated server the stack is empty and each
+//! request runs on its own engine alone. Engines and threads stay
+//! bounded by `workers + num_workers() − 1`, and since every chunk runs
+//! under [`cuszp_parallel::with_serial_inner`] no archive byte depends
+//! on how many lanes a request got.
+//!
+//! Backpressure is explicit — when the connection queue is full the
+//! acceptor answers a typed `Busy` error frame instead of queueing
+//! unboundedly — and a malformed frame is answered with a typed error
+//! and at worst a closed connection, never a dead process. Shutdown is
+//! cooperative: the `shutdown` op (or [`ServerHandle::shutdown`]) flips
+//! a flag and wakes the acceptor out of its blocking `accept()` with a
+//! loopback connection to itself; the acceptor stops accepting, and
+//! workers drain queued + in-flight connections until a drain deadline.
 
 use crate::cache::{ArchiveKey, SlabCache};
 use crate::metrics::ServiceMetrics;
 use crate::ring::Ring;
-use crate::store::{ShardBackend, StoreBackendConfig};
+use crate::store::{ShardBackend, StoreBackendConfig, StoreOpError};
 use crate::wire::{
     parse_header, read_frame, wordsum64, write_frame, ClusterIdentity, CompressRequest,
     DecompressMode, DecompressRequest, DecompressResponse, ErrorCode, ErrorResponse,
@@ -39,7 +50,7 @@ use cuszp_core::{
     Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, LosslessStage, PipelineEngine,
     Predictor, RangeSpec, ReconstructEngine, RecoveredField, ScanReport,
 };
-use cuszp_parallel::{WorkerPool, DEFAULT_CHUNK_ELEMS};
+use cuszp_parallel::{num_workers, plan_len, with_serial_inner, WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -133,6 +144,8 @@ struct Shared {
     cache: Mutex<SlabCache>,
     /// `Some` when serving as a cluster node: shard ops route here.
     cluster: Option<ClusterCtx>,
+    /// Idle helper engines a request may add to its own as lanes.
+    helpers: Mutex<Vec<PipelineEngine>>,
 }
 
 impl Shared {
@@ -176,6 +189,31 @@ impl Shared {
                 Err(_) => std::thread::sleep(POLL_INTERVAL),
             }
         }
+    }
+
+    /// Runs `f` on the lanes of a request of `jobs` chunks: the
+    /// worker's own `engine` first, then up to `jobs − 1` idle helper
+    /// engines taken without waiting, all given back afterwards.
+    fn with_lanes<R>(
+        &self,
+        engine: &mut PipelineEngine,
+        jobs: usize,
+        f: impl FnOnce(&mut [PipelineEngine]) -> R,
+    ) -> R {
+        let mut lanes = vec![std::mem::take(engine)];
+        if jobs > 1 {
+            let mut idle = self.helpers.lock().expect("helper lock poisoned");
+            let keep = idle.len().saturating_sub(jobs - 1);
+            lanes.extend(idle.drain(keep..));
+        }
+        let out = f(&mut lanes);
+        let mut lanes = lanes.into_iter();
+        *engine = lanes.next().expect("the worker's own lane");
+        self.helpers
+            .lock()
+            .expect("helper lock poisoned")
+            .extend(lanes);
+        out
     }
 
     fn drain_expired(&self) -> bool {
@@ -335,6 +373,7 @@ impl Server {
                 slot_cv: Condvar::new(),
                 cache: Mutex::new(SlabCache::new(config.cache_bytes)),
                 cluster: cluster_ctx,
+                helpers: Mutex::new((1..num_workers()).map(|_| PipelineEngine::new()).collect()),
             }),
         })
     }
@@ -350,17 +389,19 @@ impl Server {
     }
 
     /// Runs the service until graceful shutdown completes. The acceptor
-    /// runs on the calling thread's scope; request workers run as pool
-    /// jobs, each owning one reusable [`PipelineEngine`].
+    /// and the request workers are scoped threads; each worker owns one
+    /// reusable [`PipelineEngine`] and runs its requests with nested
+    /// parallelism forced serial, except where they fan out on lanes.
     pub fn serve(self) -> std::io::Result<()> {
         let shared = &self.shared;
         let listener = &self.listener;
         std::thread::scope(|s| {
             let acceptor = s.spawn(move || accept_loop(listener, shared));
-            let pool = WorkerPool::new(shared.config.workers);
-            pool.run_with_state(shared.config.workers, PipelineEngine::new, |_, engine| {
-                worker_loop(shared, engine)
-            });
+            for _ in 0..shared.config.workers {
+                s.spawn(move || {
+                    with_serial_inner(|| worker_loop(shared, &mut PipelineEngine::new()))
+                });
+            }
             acceptor.join().expect("acceptor panicked")
         });
         Ok(())
@@ -728,7 +769,7 @@ fn handle_op(
             .encode())
         }
         Op::Compress => handle_compress(payload, shared, engine),
-        Op::Decompress => handle_decompress(payload),
+        Op::Decompress => handle_decompress(payload, shared, engine),
         Op::Scan => Ok(cuszp_core::scan(payload)
             .map_err(pipeline_error)?
             .to_bytes()),
@@ -826,13 +867,25 @@ fn handle_get_shard(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, ErrorRes
     check_shard_route(cluster, shared, &req.key, req.shard_idx, req.ring_epoch)?;
     // The store lock covers the read only: the reply is encoded after
     // it is released, so other shard ops on this node need not wait.
-    let stored = cluster
-        .store
-        .lock()
-        .expect("store lock poisoned")
-        .get(&req.key, req.shard_idx);
-    let mut shard = stored
-        .map_err(|e| ErrorResponse::new(ErrorCode::Pipeline, e.to_string()))?
+    // The store checks the whole record, then hands out only the
+    // window's bytes.
+    let stored =
+        cluster
+            .store
+            .lock()
+            .expect("store lock poisoned")
+            .get(&req.key, req.shard_idx, req.window);
+    let shard = stored
+        .map_err(|e| {
+            let code = match e {
+                StoreOpError::WindowPastEnd { .. } => ErrorCode::BadRequest,
+                _ => ErrorCode::Pipeline,
+            };
+            ErrorResponse::new(
+                code,
+                format!("shard {} of '{}': {e}", req.shard_idx, req.key),
+            )
+        })?
         .ok_or_else(|| {
             ErrorResponse::new(
                 ErrorCode::NotFound,
@@ -842,24 +895,6 @@ fn handle_get_shard(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, ErrorRes
                 ),
             )
         })?;
-    // The store checked the whole record above; a window then ships
-    // only its own bytes.
-    if let Some((offset, len)) = req.window {
-        let stored_len = shard.bytes.len() as u64;
-        // `decode` refused an `offset + len` past u64.
-        let end = offset + len;
-        if end > stored_len {
-            return Err(ErrorResponse::new(
-                ErrorCode::BadRequest,
-                format!(
-                    "window {offset}..{end} lies past the end of shard {} of '{}' ({stored_len} bytes)",
-                    req.shard_idx, req.key
-                ),
-            ));
-        }
-        shard.bytes.truncate(end as usize);
-        shard.bytes.drain(..offset as usize);
-    }
     Ok(GetShardResponse {
         total_len: shard.total_len,
         archive_sum: shard.archive_sum,
@@ -902,19 +937,19 @@ fn recovered_response<T: Element>(rf: RecoveredField<T>) -> Vec<u8> {
     field_response(dims, Some(report), &data)
 }
 
-/// Decodes the request's raw field as `T` and compresses it on the
-/// worker's engine.
+/// Decodes the request's raw field as `T` and compresses it on `lanes`.
 fn compress_field<T: Element>(
     compressor: &Compressor,
     req: &CompressRequest<'_>,
     target: usize,
-    engine: &mut PipelineEngine,
+    lanes: &mut [PipelineEngine],
 ) -> Result<ChunkedArchive, ErrorResponse> {
     // The length comes from a peer: a refused allocation is a typed error.
     let data = scalars_from_le::<T>(req.data)
         .map_err(|_| ErrorResponse::new(ErrorCode::Pipeline, "field allocation refused"))?;
     compressor
-        .compress_chunked_with_engine(&data, req.dims, target, engine)
+        .compress_chunked_on_lanes(&data, req.dims, target, lanes)
+        .map(|(arc, _)| arc)
         .map_err(pipeline_error)
 }
 
@@ -941,10 +976,11 @@ fn handle_compress(
         usize::try_from(req.chunk_target)
             .map_err(|_| ErrorResponse::new(ErrorCode::BadRequest, "chunk target too large"))?
     };
-    let mut arc = match req.dtype {
-        Dtype::F32 => compress_field::<f32>(&compressor, &req, target, engine),
-        Dtype::F64 => compress_field::<f64>(&compressor, &req, target, engine),
-    }?;
+    let jobs = plan_len(&[req.dims.slow_extent(), req.dims.elems_per_slow()], target);
+    let mut arc = shared.with_lanes(engine, jobs, |lanes| match req.dtype {
+        Dtype::F32 => compress_field::<f32>(&compressor, &req, target, lanes),
+        Dtype::F64 => compress_field::<f64>(&compressor, &req, target, lanes),
+    })?;
     for chunk in &arc.chunks {
         let plan = chunk.plan();
         match plan.predictor {
@@ -956,8 +992,9 @@ fn handle_compress(
         }
     }
     if let Some(parity) = req.parity {
-        // Inside a pool job the default pool degrades to one worker;
-        // parity bytes are width-independent either way.
+        // A worker runs with nested parallelism forced serial, so the
+        // default pool is one worker here; parity bytes are
+        // width-independent either way.
         arc.add_parity(parity, &WorkerPool::with_default_workers());
     }
     Ok(arc.to_bytes())
@@ -965,16 +1002,22 @@ fn handle_compress(
 
 /// Decodes `archive` (or its `range`) in the archive's own element type
 /// — read from the fixed header, so the archive itself is parsed and
-/// checksummed once — and encodes the response.
+/// checksummed once — and encodes the response. A strict decode runs on
+/// `lanes`.
 fn decode_response(
     archive: &[u8],
     range: Option<&RangeSpec>,
     mode: DecompressMode,
+    lanes: &mut [PipelineEngine],
 ) -> Result<Vec<u8>, ErrorResponse> {
-    fn run<T: Element>(decode: Decode<'_>, mode: DecompressMode) -> Result<Vec<u8>, CuszpError> {
+    fn run<T: Element>(
+        decode: Decode<'_>,
+        mode: DecompressMode,
+        lanes: &mut [PipelineEngine],
+    ) -> Result<Vec<u8>, CuszpError> {
         match mode {
             DecompressMode::Strict => decode
-                .strict::<T>()
+                .strict_on::<T>(lanes)
                 .map(|(data, dims)| field_response(dims, None, &data)),
             DecompressMode::Recover(fill) => decode.resilient::<T>(fill).map(recovered_response),
         }
@@ -982,15 +1025,28 @@ fn decode_response(
     let decode = Decode::new(archive);
     let decode = range.map_or(decode, |spec| decode.range(spec));
     match stored_dtype(archive).map_err(pipeline_error)? {
-        Dtype::F32 => run::<f32>(decode, mode),
-        Dtype::F64 => run::<f64>(decode, mode),
+        Dtype::F32 => run::<f32>(decode, mode, lanes),
+        Dtype::F64 => run::<f64>(decode, mode, lanes),
     }
     .map_err(pipeline_error)
 }
 
-fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
+/// A strict decompress fans its chunks out on lanes; a resilient one
+/// runs on this worker alone.
+fn handle_decompress(
+    payload: &[u8],
+    shared: &Shared,
+    engine: &mut PipelineEngine,
+) -> Result<Vec<u8>, ErrorResponse> {
     let req = DecompressRequest::decode(payload).map_err(wire_error)?;
-    decode_response(req.archive, None, req.mode)
+    let jobs = match req.mode {
+        // A header that does not parse fails the decode itself.
+        DecompressMode::Strict => Decode::new(req.archive).chunks().unwrap_or(1),
+        DecompressMode::Recover(_) => 1,
+    };
+    shared.with_lanes(engine, jobs, |lanes| {
+        decode_response(req.archive, None, req.mode, lanes)
+    })
 }
 
 /// Serves a chunked-archive range read through the hot-slab cache.
@@ -1096,7 +1152,12 @@ fn handle_get_range(
         }
         // Damaged archives must never seed the cache: the resilient path
         // decodes uncached and reports per-chunk outcomes.
-        mode => decode_response(req.archive, Some(&req.spec), mode),
+        mode => decode_response(
+            req.archive,
+            Some(&req.spec),
+            mode,
+            std::slice::from_mut(engine),
+        ),
     }
 }
 

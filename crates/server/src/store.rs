@@ -21,6 +21,7 @@
 //! v2 record format.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::wire::{wordsum64, ShardRecord, SumKind};
 
@@ -37,6 +38,9 @@ pub enum StoreOpError {
     Alloc,
     /// The durable backend hit an I/O or validation failure.
     Backend(String),
+    /// A read window `offset..end` reaches past the stored shard's
+    /// `len` bytes.
+    WindowPastEnd { offset: u64, end: u64, len: u64 },
 }
 
 impl std::fmt::Display for StoreOpError {
@@ -44,6 +48,9 @@ impl std::fmt::Display for StoreOpError {
         match self {
             StoreOpError::Alloc => write!(f, "shard allocation refused"),
             StoreOpError::Backend(msg) => write!(f, "shard store: {msg}"),
+            StoreOpError::WindowPastEnd { offset, end, len } => {
+                write!(f, "window {offset}..{end} lies past the end ({len} bytes)")
+            }
         }
     }
 }
@@ -68,9 +75,16 @@ pub trait ShardBackend: Send + std::fmt::Debug {
         flags: u8,
     ) -> Result<(), StoreOpError>;
 
-    /// Fetches a stripe slot. `Ok(None)` means not stored (or dropped
-    /// as corrupt by a checksum-gated read).
-    fn get(&mut self, key: &str, shard_idx: u16) -> Result<Option<StoredShard>, StoreOpError>;
+    /// Fetches a stripe slot, or only the `(offset, len)` window of its
+    /// bytes (`checksum` stays the whole shard's). `Ok(None)` means not
+    /// stored (or dropped as corrupt by a checksum-gated read); a window
+    /// past the end is [`StoreOpError::WindowPastEnd`].
+    fn get(
+        &mut self,
+        key: &str,
+        shard_idx: u16,
+        window: Option<(u64, u64)>,
+    ) -> Result<Option<StoredShard>, StoreOpError>;
 
     /// Number of live slots.
     fn len(&self) -> usize;
@@ -95,6 +109,23 @@ pub trait ShardBackend: Send + std::fmt::Debug {
     fn recovery_summary(&self) -> Option<String> {
         None
     }
+}
+
+/// The bytes the `(offset, len)` window names in a shard of `len`
+/// bytes: all of them when there is no window.
+fn window_range(window: Option<(u64, u64)>, len: usize) -> Result<Range<usize>, StoreOpError> {
+    let Some((offset, n)) = window else {
+        return Ok(0..len);
+    };
+    let end = offset.saturating_add(n);
+    if end > len as u64 {
+        return Err(StoreOpError::WindowPastEnd {
+            offset,
+            end,
+            len: len as u64,
+        });
+    }
+    Ok(offset as usize..end as usize)
 }
 
 #[derive(Debug)]
@@ -192,8 +223,23 @@ impl ShardBackend for ShardStore {
             .map_err(|_| StoreOpError::Alloc)
     }
 
-    fn get(&mut self, key: &str, shard_idx: u16) -> Result<Option<StoredShard>, StoreOpError> {
-        Ok(ShardStore::get(self, key, shard_idx).cloned())
+    /// Copies only the window's bytes.
+    fn get(
+        &mut self,
+        key: &str,
+        shard_idx: u16,
+        window: Option<(u64, u64)>,
+    ) -> Result<Option<StoredShard>, StoreOpError> {
+        let Some(shard) = ShardStore::get(self, key, shard_idx) else {
+            return Ok(None);
+        };
+        let cut = window_range(window, shard.bytes.len())?;
+        let mut bytes = Vec::new();
+        bytes
+            .try_reserve_exact(cut.len())
+            .map_err(|_| StoreOpError::Alloc)?;
+        bytes.extend_from_slice(&shard.bytes[cut]);
+        Ok(Some(StoredShard { bytes, ..*shard }))
     }
 
     fn len(&self) -> usize {
@@ -285,8 +331,20 @@ impl ShardBackend for DurableShardStore {
             .map_err(map_store_err)
     }
 
-    fn get(&mut self, key: &str, shard_idx: u16) -> Result<Option<StoredShard>, StoreOpError> {
-        self.inner.get(key, shard_idx).map_err(map_store_err)
+    /// Reads and verifies the whole record, then cuts the window.
+    fn get(
+        &mut self,
+        key: &str,
+        shard_idx: u16,
+        window: Option<(u64, u64)>,
+    ) -> Result<Option<StoredShard>, StoreOpError> {
+        let mut shard = self.inner.get(key, shard_idx).map_err(map_store_err)?;
+        if let Some(shard) = &mut shard {
+            let cut = window_range(window, shard.bytes.len())?;
+            shard.bytes.truncate(cut.end);
+            shard.bytes.drain(..cut.start);
+        }
+        Ok(shard)
     }
 
     fn len(&self) -> usize {
@@ -454,12 +512,12 @@ mod tests {
             "backends must produce the same inventory"
         );
         for b in &mut backends {
-            let got = b.get("k", 0).unwrap().unwrap();
+            let got = b.get("k", 0, None).unwrap().unwrap();
             assert_eq!(got.bytes, b"over");
             assert_eq!(got.archive_sum, 12);
-            let old = b.get("old", 0).unwrap().unwrap();
+            let old = b.get("old", 0, None).unwrap().unwrap();
             assert_eq!(old.archive_sum_kind, SumKind::Fnv1a);
-            assert!(b.get("nope", 0).unwrap().is_none());
+            assert!(b.get("nope", 0, None).unwrap().is_none());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -12,7 +12,7 @@ use cuszp_parallel::{plan_chunks, WorkerPool};
 use cuszp_server::wire::{ErrorCode, GetShardRequest, GetShardResponse, Op, PutShardRequest};
 use cuszp_server::{
     Client, ClientError, ClusterClient, ClusterConfig, ClusterError, ConnectOptions, NodeInfo,
-    Ring, Server, ServerConfig, ServerHandle,
+    Ring, Server, ServerConfig, ServerHandle, StoreBackendConfig,
 };
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -39,6 +39,17 @@ struct TestCluster {
 impl TestCluster {
     /// Starts `n` cluster nodes sharing one ring (k data + m parity).
     fn start(n: usize, k: u16, m: u16, epoch: u64) -> TestCluster {
+        TestCluster::start_with(n, k, m, epoch, |_| StoreBackendConfig::Memory)
+    }
+
+    /// [`TestCluster::start`] with node `i + 1` storing on `backend(i)`.
+    fn start_with(
+        n: usize,
+        k: u16,
+        m: u16,
+        epoch: u64,
+        backend: impl Fn(usize) -> StoreBackendConfig,
+    ) -> TestCluster {
         let ports = free_ports(n);
         let nodes: Vec<NodeInfo> = ports
             .iter()
@@ -59,7 +70,7 @@ impl TestCluster {
                 Some(ClusterConfig {
                     node_id: i as u64 + 1,
                     ring: ring.clone(),
-                    backend: cuszp_server::StoreBackendConfig::Memory,
+                    backend: backend(i),
                 }),
             )
             .expect("bind cluster node");
@@ -641,33 +652,53 @@ fn a_key_put_again_by_another_client_reads_its_new_values() {
 
 #[test]
 fn a_shard_window_is_served_after_the_whole_record_and_refused_past_its_end() {
-    let cluster = TestCluster::start(3, 2, 1, 1);
-    let mut client = cluster.client();
-    let bytes = archive(4);
-    client.put("windowed", &bytes).expect("put");
-    let shard_size = bytes.len().div_ceil(2) as u64;
-    let owner = cluster.ring.shard_owner("windowed", 0).unwrap().clone();
-    let mut c = Client::connect(&owner.addr as &str).expect("connect owner");
-    let get = |window| GetShardRequest {
-        key: "windowed".into(),
-        shard_idx: 0,
-        ring_epoch: 1,
-        window,
+    let dir = std::env::temp_dir().join(format!("cuszp-cluster-window-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let memory = |_| StoreBackendConfig::Memory;
+    let durable = |i: usize| {
+        StoreBackendConfig::Durable(cuszp_store::StoreConfig::new(dir.join(i.to_string())))
     };
-    let shard = |payload: Vec<u8>| GetShardResponse::decode(&payload).expect("reply").shard;
-    let whole = shard(c.call(Op::Get, &get(None).encode()).expect("whole"));
-    assert_eq!(whole, bytes[..shard_size as usize]);
-    for (offset, len) in [(0, shard_size), (5, 100), (shard_size, 0), (0, 0)] {
-        let part = shard(
-            c.call(Op::Get, &get(Some((offset, len))).encode())
-                .expect("window"),
-        );
-        assert_eq!(part, whole[offset as usize..(offset + len) as usize]);
+    let backends: [(&str, &dyn Fn(usize) -> StoreBackendConfig); 2] =
+        [("memory", &memory), ("durable", &durable)];
+    for (kind, backend) in backends {
+        let cluster = TestCluster::start_with(3, 2, 1, 1, backend);
+        assert_eq!(cluster.handles[0].store_kind(), Some(kind));
+        let mut client = cluster.client();
+        let bytes = archive(4);
+        client.put("windowed", &bytes).expect("put");
+        let shard_size = bytes.len().div_ceil(2) as u64;
+        let owner = cluster.ring.shard_owner("windowed", 0).unwrap().clone();
+        let mut c = Client::connect(&owner.addr as &str).expect("connect owner");
+        let get = |window| GetShardRequest {
+            key: "windowed".into(),
+            shard_idx: 0,
+            ring_epoch: 1,
+            window,
+        };
+        let shard = |payload: Vec<u8>| GetShardResponse::decode(&payload).expect("reply").shard;
+        let whole = shard(c.call(Op::Get, &get(None).encode()).expect("whole"));
+        assert_eq!(whole, bytes[..shard_size as usize], "{kind}");
+        for (offset, len) in [(0, shard_size), (5, 100), (shard_size, 0), (0, 0)] {
+            let part = shard(
+                c.call(Op::Get, &get(Some((offset, len))).encode())
+                    .expect("window"),
+            );
+            assert_eq!(
+                part,
+                whole[offset as usize..(offset + len) as usize],
+                "{kind}"
+            );
+        }
+        for window in [(0, shard_size + 1), (shard_size, 1), (u64::MAX - 1, 1)] {
+            let err = c.call(Op::Get, &get(Some(window)).encode()).unwrap_err();
+            assert_eq!(
+                err.server_code(),
+                Some(ErrorCode::BadRequest),
+                "{kind} {window:?}"
+            );
+        }
+        drop((client, c));
+        cluster.stop();
     }
-    for window in [(0, shard_size + 1), (shard_size, 1), (u64::MAX - 1, 1)] {
-        let err = c.call(Op::Get, &get(Some(window)).encode()).unwrap_err();
-        assert_eq!(err.server_code(), Some(ErrorCode::BadRequest), "{window:?}");
-    }
-    drop((client, c));
-    cluster.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }

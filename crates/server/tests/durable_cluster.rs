@@ -148,6 +148,21 @@ impl DurableCluster {
         self.joins.push(std::thread::spawn(move || server.serve()));
     }
 
+    /// Stops node `i + 1` and starts it again on its port and data dir.
+    /// `i` indexes the nodes in start order, so every node must have
+    /// started with none down.
+    fn restart(&mut self, i: usize) {
+        self.handles.remove(i).shutdown();
+        let join = self.joins.remove(i);
+        join.join().expect("serve thread panicked").expect("serve");
+        self.addrs.remove(i);
+        self.revive(i);
+        // `revive` appends: move the node back to its place.
+        self.addrs[i..].rotate_right(1);
+        self.handles[i..].rotate_right(1);
+        self.joins[i..].rotate_right(1);
+    }
+
     fn client(&self) -> ClusterClient {
         ClusterClient::with_ring(self.ring.clone(), opts())
     }
@@ -664,6 +679,42 @@ fn two_puts_that_each_reach_k_slots_fail_typed_as_a_conflict() {
     assert_eq!((report.repaired, report.unrepairable), (0, 4));
     let after: Vec<_> = cluster.addrs.iter().map(|a| listed(*a, key)).collect();
     assert_eq!(after, before);
+    drop(client);
+    cluster.stop();
+    for d in &dirs {
+        let _ = fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn the_first_read_after_a_node_restart_reconnects_instead_of_degrading() {
+    let ports = free_ports(3);
+    let dirs: Vec<PathBuf> = (0..3)
+        .map(|i| temp_dir(&format!("reconnect-{i}")))
+        .collect();
+    let key = "reconnect/field";
+    let bytes = archive(11);
+    let spec = RangeSpec::new(vec![1..6, 20..400]);
+    let (want, want_dims) = cuszp_core::decompress_range(&bytes, &spec).expect("local range");
+    let mut cluster = DurableCluster::start(&ports, &dirs, 1);
+    // The owner of data slot 0: every read of the key asks it.
+    let node = cluster.ring.shard_owner(key, 0).unwrap().id as usize - 1;
+    let mut client = cluster.client();
+    assert!(client.put(key, &bytes).expect("put").fully_replicated());
+    // Pool a connection to every owner and cache the key's range index.
+    let read = client.get_range::<f32>(key, &spec).expect("first range");
+    assert_eq!(read, (want.clone(), want_dims, false));
+
+    // The client's pooled connection to the node dies with it.
+    cluster.restart(node);
+    let got = client.get(key).expect("first get after a restart");
+    assert_eq!((got.bytes == bytes, got.degraded), (true, false));
+
+    cluster.restart(node);
+    let read = client
+        .get_range::<f32>(key, &spec)
+        .expect("first range after a restart");
+    assert_eq!(read, (want, want_dims, false));
     drop(client);
     cluster.stop();
     for d in &dirs {

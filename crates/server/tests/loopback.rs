@@ -113,6 +113,50 @@ fn served_bytes_match_local_goldens_at_any_worker_count() {
 }
 
 #[test]
+fn concurrent_clients_contending_for_helper_lanes_get_local_bytes() {
+    let data = test_field(DIMS.len());
+    let raw = as_bytes(&data);
+    let golden = local_golden(&data, None);
+    let (want, _) = cuszp_core::Decode::new(&golden)
+        .strict::<f32>()
+        .expect("local decode");
+    let want = as_bytes(&want);
+
+    for workers in [1usize, 2, 8] {
+        let (addr, _handle, join) = start_server(ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        });
+        // Four clients, each with several requests in a row: requests
+        // start while others hold the helper engines, or have just
+        // given them back.
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (raw, golden, want) = (&raw, &golden, &want);
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    for round in 0..3 {
+                        let served = client.compress(&request(raw, None)).expect("compress");
+                        assert!(
+                            served == *golden,
+                            "client {t} round {round}: served bytes diverged at {workers} workers"
+                        );
+                        let field = client
+                            .decompress(&served, DecompressMode::Strict)
+                            .expect("decompress");
+                        assert!(
+                            field.data == *want,
+                            "client {t} round {round}: served field diverged at {workers} workers"
+                        );
+                    }
+                });
+            }
+        });
+        stop_server(addr, join);
+    }
+}
+
+#[test]
 fn remote_roundtrip_respects_the_bound_and_reports_geometry() {
     let data = test_field(DIMS.len());
     let raw = as_bytes(&data);

@@ -72,6 +72,7 @@ cargo build --release --workspace
 #   range battery           -p cuszp-core --test range (ranges bit-equal full-decompress slices at any worker count)
 #   ratio regression        --test ratio_regression (auto codec plan vs forced lorenzo+huffman)
 #   lossless stage props    -p cuszp-lossless --test lz77_props --test proptests (round-trip, bounded decode)
+#   served lanes            -p cuszp-server --test loopback (served bytes = local at any worker count; concurrent clients contending for helper lanes)
 #   hot-slab cache          -p cuszp-server --test cache (hits, eviction, invalidation, concurrency)
 #   targeted range damage   -p cuszp-server --test range_damage (heal/report/ignore through get-range)
 #   wire-header fuzzing     -p cuszp-server --test wire_fuzz (arbitrary frames classify as exactly one WireError)
@@ -80,7 +81,7 @@ cargo build --release --workspace
 #   placement ring props    -p cuszp-server --test ring_props (purity, distinctness, bounded remap)
 #   durable store engine    -p cuszp-store (codec props, model tests, crash-point campaign)
 #   cluster tier            -p cuszp-server --test cluster (failover, degraded reads, redirects, anti-entropy repair)
-#   durable cluster         -p cuszp-server --test durable_cluster (full restart from disk, damaged-segment scrub heal, stale owner outvoted and re-put, split put a typed conflict)
+#   durable cluster         -p cuszp-server --test durable_cluster (full restart from disk, damaged-segment scrub heal, stale owner outvoted and re-put, split put a typed conflict, a restarted node's pooled connection retried once)
 #   node-death campaign     -p cuszp-server --test cluster_death (64 seeded kills, bit-identity under every one)
 echo "==> cargo test (every suite above, once)"
 cargo test --workspace

@@ -52,6 +52,28 @@ echo "==> served bytes match the local chunked compressor"
 cmp "$WORK/field.csz" "$WORK/local.csz" \
     || { echo "FAIL: served archive differs from local bytes"; exit 1; }
 
+echo "==> two concurrent remote compresses of a 3-chunk field match local bytes"
+# Both requests fan their chunks out over lanes: each worker's own engine
+# plus whatever helper engine is idle, so they contend for the helpers.
+"$CUSZP" gen -o "$WORK/hacc.f32" --dataset hacc --field x 2> /dev/null
+cat "$WORK/hacc.f32" "$WORK/hacc.f32" "$WORK/hacc.f32" > "$WORK/hacc3.f32"
+"$CUSZP" compress -i "$WORK/hacc3.f32" -o "$WORK/hacc3_local.csz" -d 6291456 -e 1e-3 \
+    --threads 2 2> /dev/null
+PIDS=()
+for n in 1 2; do
+    "$CUSZP" remote compress -s "$ADDR" -i "$WORK/hacc3.f32" -o "$WORK/hacc3_$n.csz" \
+        -d 6291456 -e 1e-3 2> /dev/null &
+    PIDS+=($!)
+done
+for pid in "${PIDS[@]}"; do
+    wait "$pid" || { echo "FAIL: a concurrent remote compress failed"; exit 1; }
+done
+for n in 1 2; do
+    cmp "$WORK/hacc3_$n.csz" "$WORK/hacc3_local.csz" \
+        || { echo "FAIL: concurrent served archive $n differs from local bytes"; exit 1; }
+done
+rm -f "$WORK"/hacc*.f32
+
 echo "==> remote decompress + local verification"
 "$CUSZP" remote decompress "$WORK/field.csz" -s "$ADDR" -o "$WORK/recon.f32" 2> /dev/null
 "$CUSZP" decompress -i "$WORK/field.csz" -o /dev/null --verify "$WORK/field.f32" 2> /dev/null
