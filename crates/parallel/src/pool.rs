@@ -4,7 +4,9 @@
 //! number of scoped threads and returns the results **in job-index
 //! order**, whatever order the workers finished in. Scheduling is
 //! work-stealing-by-counter: workers race on an atomic cursor, so a
-//! slow chunk never stalls the rest of the queue behind it.
+//! slow chunk never stalls the rest of the queue behind it. Every entry
+//! point runs on one scheduler, [`WorkerPool::run_parts_on`], which
+//! also takes per-thread states a caller keeps across calls.
 //!
 //! Two properties matter for deterministic archives:
 //!
