@@ -654,14 +654,13 @@ fn a_key_put_again_by_another_client_reads_its_new_values() {
 fn a_shard_window_is_served_after_the_whole_record_and_refused_past_its_end() {
     let dir = std::env::temp_dir().join(format!("cuszp-cluster-window-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let memory = |_| StoreBackendConfig::Memory;
-    let durable = |i: usize| {
-        StoreBackendConfig::Durable(cuszp_store::StoreConfig::new(dir.join(i.to_string())))
-    };
-    let backends: [(&str, &dyn Fn(usize) -> StoreBackendConfig); 2] =
-        [("memory", &memory), ("durable", &durable)];
-    for (kind, backend) in backends {
-        let cluster = TestCluster::start_with(3, 2, 1, 1, backend);
+    for kind in ["memory", "durable"] {
+        let cluster = TestCluster::start_with(3, 2, 1, 1, |i| match kind {
+            "memory" => StoreBackendConfig::Memory,
+            _ => {
+                StoreBackendConfig::Durable(cuszp_store::StoreConfig::new(dir.join(i.to_string())))
+            }
+        });
         assert_eq!(cluster.handles[0].store_kind(), Some(kind));
         let mut client = cluster.client();
         let bytes = archive(4);
