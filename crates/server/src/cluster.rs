@@ -50,7 +50,7 @@ use crate::client::{Client, ClientError, ConnectOptions};
 use crate::ring::Ring;
 use crate::wire::{
     wordsum64, ErrorCode, ErrorResponse, GetShardRequest, GetShardResponse, Op, PutShardRequest,
-    ShardListResponse, SumKind, PUT_FLAG_REPAIR,
+    ShardListResponse, SumKind, WireError, PUT_FLAG_REPAIR,
 };
 use cuszp_core::{
     ChunkIndex, ChunkSource, CuszpError, Dims, Element, PipelineEngine, RangeSpec,
@@ -59,7 +59,7 @@ use cuszp_core::{
 use cuszp_ecc::{EccError, ReedSolomon};
 use cuszp_metrics::Counter;
 use cuszp_parallel::WorkerPool;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 /// Keys whose verified chunk index a [`ClusterClient`] keeps for
@@ -81,6 +81,32 @@ fn is_stale(r: &Result<Vec<u8>, ClientError>) -> bool {
         Some(ErrorCode::Redirect | ErrorCode::NotMine)
     )
 }
+
+/// True when `e` says the connection itself is gone: the peer closed
+/// or reset it (a restarted node), or it was dropped earlier in this
+/// fan-out. A timeout is not: the node may be hung, and a fresh
+/// connection would only wait out a second timeout.
+fn connection_lost(e: &ClientError) -> bool {
+    use std::io::ErrorKind::{
+        BrokenPipe, ConnectionAborted, ConnectionReset, NotConnected, UnexpectedEof,
+    };
+    let lost = |kind| {
+        matches!(
+            kind,
+            BrokenPipe | ConnectionAborted | ConnectionReset | NotConnected | UnexpectedEof
+        )
+    };
+    match e {
+        ClientError::Io(e) => lost(e.kind()),
+        ClientError::Wire(WireError::Closed | WireError::Truncated) => true,
+        ClientError::Wire(WireError::Io(kind)) => lost(*kind),
+        ClientError::Protocol(what) => *what == LOST_MID_FAN_OUT,
+        _ => false,
+    }
+}
+
+/// Why a slot failed whose connection an earlier slot's failure dropped.
+const LOST_MID_FAN_OUT: &str = "connection lost mid-fan-out";
 
 /// One slot's answer to a shard read: the stripe it names and the
 /// columns it holds (`None`: its whole shard).
@@ -427,9 +453,10 @@ impl ClusterClient {
 
     /// Fans one request per stripe slot out over the slots' owners:
     /// send everything first, then collect every response, so the
-    /// nodes work concurrently. A slot that fails with a transport error
-    /// on a connection pooled before this fan-out (its node may have
-    /// restarted since) is sent once more on a fresh connection. When an
+    /// nodes work concurrently. A slot whose connection, pooled before
+    /// this fan-out, turns out closed or reset (its node may have
+    /// restarted since) is sent once more on a fresh connection; one
+    /// that timed out is not. When an
     /// answer says the route is stale, refreshes the ring and fans out
     /// once more. Returns one outcome per requested slot.
     fn fan_out(
@@ -439,7 +466,9 @@ impl ClusterClient {
         mut payload_for: impl FnMut(u16, u64) -> Vec<u8>,
         op: Op,
     ) -> Result<Vec<Result<Vec<u8>, ClientError>>, ClusterError> {
-        let mut pooled: HashSet<u64> = self.conns.keys().copied().collect();
+        // Nodes whose connection this fan-out opened: only one pooled
+        // before it can be stale.
+        let mut opened: Vec<u64> = Vec::new();
         let mut rerouted = false;
         loop {
             let epoch = self.ring.epoch;
@@ -461,13 +490,17 @@ impl ClusterClient {
                         out[i] = Err(ClientError::Protocol("stripe slot has no owner"));
                         continue;
                     };
-                    let was_pooled = pooled.contains(&owner);
+                    let held = self.conns.contains_key(&owner);
+                    if !held {
+                        opened.push(owner);
+                    }
+                    let was_pooled = held && !opened.contains(&owner);
                     let payload = payload_for(slots[i], epoch);
                     match self.conn(owner).and_then(|c| c.send(op, &payload)) {
                         Ok(id) => pending.push((i, owner, id, was_pooled)),
                         Err(e) => {
-                            self.drop_conn(owner, &mut pooled);
-                            if was_pooled {
+                            self.conns.remove(&owner);
+                            if was_pooled && connection_lost(&e) {
                                 retry.push(i);
                             }
                             out[i] = Err(e);
@@ -477,7 +510,7 @@ impl ClusterClient {
                 for (i, owner, id, was_pooled) in pending {
                     let result = match self.conns.get_mut(&owner) {
                         Some(conn) => Self::recv_match(conn, id),
-                        None => Err(ClientError::Protocol("connection lost mid-fan-out")),
+                        None => Err(ClientError::Protocol(LOST_MID_FAN_OUT)),
                     };
                     // A typed server answer leaves the connection usable;
                     // anything else poisons the in-flight stream state.
@@ -485,8 +518,8 @@ impl ClusterClient {
                         .as_ref()
                         .is_err_and(|e| !matches!(e, ClientError::Server(_)))
                     {
-                        self.drop_conn(owner, &mut pooled);
-                        if was_pooled {
+                        self.conns.remove(&owner);
+                        if was_pooled && result.as_ref().is_err_and(connection_lost) {
                             retry.push(i);
                         }
                     }
@@ -500,15 +533,7 @@ impl ClusterClient {
             rerouted = true;
             self.stats.redirects_followed.incr();
             self.refresh_ring()?;
-            // A refreshed ring may have dropped every connection.
-            pooled.retain(|id| self.conns.contains_key(id));
         }
-    }
-
-    /// Drops a node's connection; one opened later is not pooled.
-    fn drop_conn(&mut self, node_id: u64, pooled: &mut HashSet<u64>) {
-        self.conns.remove(&node_id);
-        pooled.remove(&node_id);
     }
 
     /// Refreshes the topology from any reachable ring member. Adopts
@@ -1056,5 +1081,90 @@ mod tests {
                 assert_eq!(assemble(&data, bytes.len() as u64), bytes, "kill {a},{b}");
             }
         }
+    }
+
+    /// What a fake node does with a connection's second frame.
+    #[derive(Clone, Copy)]
+    enum Second {
+        /// Close the connection, as a restarted node's old socket does.
+        Close,
+        /// Never answer, as a hung node does.
+        Hang,
+    }
+
+    /// A node that answers each connection's first frame with a typed
+    /// `NotFound` (the connection stays pooled), then does `second`.
+    /// Returns its address and a count of the connections it accepted.
+    fn fake_node(second: Second) -> (String, std::sync::Arc<std::sync::atomic::AtomicUsize>) {
+        use crate::wire::{read_frame, write_frame, FLAG_ERROR, FLAG_RESPONSE};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let accepts = std::sync::Arc::new(AtomicUsize::new(0));
+        let counted = accepts.clone();
+        std::thread::spawn(move || {
+            for mut stream in listener.incoming().map_while(Result::ok) {
+                counted.fetch_add(1, Ordering::SeqCst);
+                std::thread::spawn(move || {
+                    let Ok(frame) = read_frame(&mut stream, 1 << 20) else {
+                        return;
+                    };
+                    let err = ErrorResponse::new(ErrorCode::NotFound, "no such shard").encode();
+                    let flags = FLAG_RESPONSE | FLAG_ERROR;
+                    if write_frame(&mut stream, frame.op, flags, frame.req_id, &err).is_err() {
+                        return;
+                    }
+                    if let Second::Hang = second {
+                        // Read on until the client hangs up; answer nothing.
+                        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+                    }
+                });
+            }
+        });
+        (addr, accepts)
+    }
+
+    /// Two fan-outs of one slot to a fake node: the first pools its
+    /// connection, the second meets the node's `second` behaviour.
+    /// Returns the second outcome and the connections accepted.
+    fn second_fan_out(second: Second) -> (Result<Vec<u8>, ClientError>, usize) {
+        let (addr, accepts) = fake_node(second);
+        let nodes = (1..=2)
+            .map(|id| crate::ring::NodeInfo {
+                id,
+                addr: addr.clone(),
+            })
+            .collect();
+        let opts = ConnectOptions {
+            read_timeout: Some(std::time::Duration::from_millis(200)),
+            ..ConnectOptions::default()
+        };
+        let mut client = ClusterClient::with_ring(Ring::new(1, 1, 1, nodes).unwrap(), opts);
+        let fan_out = |c: &mut ClusterClient| {
+            c.fan_out("k", &[0], |_, _| Vec::new(), Op::Get)
+                .unwrap()
+                .remove(0)
+        };
+        let first = fan_out(&mut client);
+        assert!(matches!(first, Err(ClientError::Server(_))), "{first:?}");
+        let second = fan_out(&mut client);
+        (second, accepts.load(std::sync::atomic::Ordering::SeqCst))
+    }
+
+    #[test]
+    fn a_closed_pooled_connection_is_sent_again_once() {
+        let (second, accepts) = second_fan_out(Second::Close);
+        assert!(matches!(second, Err(ClientError::Server(_))), "{second:?}");
+        assert_eq!(accepts, 2, "the slot is re-sent on one fresh connection");
+    }
+
+    #[test]
+    fn a_timed_out_pooled_slot_is_not_sent_again() {
+        let (second, accepts) = second_fan_out(Second::Hang);
+        assert!(
+            second.as_ref().is_err_and(|e| !connection_lost(e)),
+            "{second:?}"
+        );
+        assert_eq!(accepts, 1, "a hung node's slot is not re-sent");
     }
 }
