@@ -33,9 +33,9 @@ use crate::error::{ArchiveSection, CuszpError};
 use crate::parity::{ParityConfig, ParitySection, PARITY_MAGIC};
 use crate::range::{resolve, ChunkSource, RangeSpec};
 use crate::stats::ChunkedStats;
-use crate::walk::{Lanes, PlanView};
+use crate::walk::{plan_extents, Lanes, PlanView};
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
-use cuszp_parallel::{plan_chunks, WorkerPool, DEFAULT_CHUNK_ELEMS};
+use cuszp_parallel::{plan_chunks, plan_len, WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::ops::Range;
 
 pub(crate) const CHUNKED_MAGIC: u32 = 0x325A_5343; // "CSZ2"
@@ -93,6 +93,13 @@ impl Format {
             table_offset: 0,
         })
     }
+}
+
+/// How many chunks a chunked compress of a `dims` field at
+/// `target_elems` writes: the most lanes
+/// [`Compressor::compress_chunked_on_lanes`] can keep busy.
+pub fn chunk_count(dims: Dims, target_elems: usize) -> usize {
+    plan_len(&plan_extents(dims), target_elems)
 }
 
 /// The open step every reader starts with: sniff once, read the header.
@@ -194,7 +201,7 @@ impl Compressor {
         // quality and for plan-independent bytes.
         let scan = validate_and_range(data, dims)?;
         let eb = resolve_bound(self.config().error_bound, &scan)?;
-        let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
+        let plan = plan_chunks(&plan_extents(dims), target_elems);
         let config = self.config();
         let results = WorkerPool::run_parts_on(lanes, plan.chunks, |_, spec, eng| {
             let chunk_dims = dims.slab(spec.slow_len());

@@ -18,7 +18,7 @@ use crate::chunked::{open, ChunkedArchive};
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
-use crate::range::{resolve, ChunkSource, RangeSpec};
+use crate::range::{ChunkSource, RangeSpec};
 use crate::recovery::{recover, FillPolicy, RecoveredField};
 use crate::walk::Lanes;
 use cuszp_parallel::WorkerPool;
@@ -82,17 +82,6 @@ impl<'a> Decode<'a> {
         ChunkSource::Parsed(&arc).decode(self.engine, self.range, lanes)
     }
 
-    /// How many chunks this decode walks, read from the fixed header
-    /// alone: the most lanes [`Decode::strict_on`] can keep busy.
-    pub fn chunks(&self) -> Result<usize, CuszpError> {
-        let hdr = open(self.bytes)?;
-        let plan = hdr.checked_plan()?;
-        Ok(match self.range {
-            Some(spec) => plan.span(&resolve(spec, hdr.dims)?).len(),
-            None => plan.n,
-        })
-    }
-
     /// Fault-isolated decode: undamaged chunks reconstruct bit-identically
     /// to [`Decode::strict`], shards covered by parity are healed first,
     /// lost slabs hold `fill`, and every (in-range) chunk is reported.
@@ -129,6 +118,13 @@ pub fn decompress_archive<T: Element>(
 /// bad-magic input is the same typed error the full parsers give.
 pub fn stored_dtype(bytes: &[u8]) -> Result<Dtype, CuszpError> {
     open(bytes).map(|hdr| hdr.dtype)
+}
+
+/// How many chunks an archive stores (1 for v1), read from its fixed
+/// header only: the most lanes a whole-field [`Decode::strict_on`] can
+/// keep busy.
+pub fn stored_chunks(bytes: &[u8]) -> Result<usize, CuszpError> {
+    open(bytes)?.checked_plan().map(|plan| plan.n)
 }
 
 #[cfg(test)]
@@ -169,6 +165,17 @@ mod tests {
             }
             assert_eq!(stored_dtype(&bad), Ok(dtype));
         }
+    }
+
+    #[test]
+    fn stored_chunks_is_the_count_the_compress_planned() {
+        let planned = crate::chunk_count(Dims::D1(6000), 2000);
+        assert_eq!(planned, 3);
+        let counts: Vec<usize> = archives()
+            .iter()
+            .map(|(bytes, _)| stored_chunks(bytes).unwrap())
+            .collect();
+        assert_eq!(counts, [1, 1, planned, planned]);
     }
 
     #[test]

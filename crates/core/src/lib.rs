@@ -51,9 +51,11 @@ mod walk;
 mod workflow;
 
 pub use archive::{Archive, Dtype};
-pub use chunked::{is_chunked_archive, ChunkIndex, ChunkedArchive};
+pub use chunked::{chunk_count, is_chunked_archive, ChunkIndex, ChunkedArchive};
 pub use cursor::{put_str, ByteCursor, CursorError};
-pub use decode::{decompress, decompress_archive, decompress_range, stored_dtype, Decode};
+pub use decode::{
+    decompress, decompress_archive, decompress_range, stored_chunks, stored_dtype, Decode,
+};
 pub use element::{read_raw, scalars_from_le, scalars_to_le, write_raw, Element};
 pub use engine::PipelineEngine;
 pub use error::{ArchiveSection, CuszpError, ParseFault};

@@ -33,6 +33,12 @@ use cuszp_parallel::{plan_chunk_spec, plan_len, ChunkSpec, WorkerPool};
 use cuszp_predictor::{Dims, ReconstructEngine};
 use std::ops::Range;
 
+/// The extents a `dims` field is chunked over: its slow axis, and the
+/// elements per slow-axis unit.
+pub(crate) fn plan_extents(dims: Dims) -> [usize; 2] {
+    [dims.slow_extent(), dims.elems_per_slow()]
+}
+
 /// Lazy view of the plan a container header implies: chunk count and
 /// per-chunk specs in O(1). A corrupted extent or chunk target can claim
 /// billions of chunks; nothing here costs memory until a chunk is
@@ -51,7 +57,7 @@ impl PlanView {
     /// The plan of a container declaring `dims`, `dtype`, `eb` and
     /// `chunk_target`.
     pub fn new(dims: Dims, dtype: Dtype, eb: f64, chunk_target: u64) -> Self {
-        let extents = [dims.slow_extent(), dims.elems_per_slow()];
+        let extents = plan_extents(dims);
         let target = usize::try_from(chunk_target).unwrap_or(usize::MAX);
         Self {
             dims,

@@ -19,8 +19,12 @@
 //! without waiting, from one server-wide stack of
 //! `cuszp_parallel::num_workers() − 1`, each on a scoped thread of its
 //! own, and gives them back when the request is done. A lone request
-//! gets every core; on a saturated server the stack is empty and each
-//! request runs on its own engine alone. Engines and threads stay
+//! gets every core. Each request takes whatever helpers are idle when
+//! it starts, so a server with every worker busy keeps up to
+//! `workers + num_workers() − 1` lanes running on `num_workers()`
+//! cores; with 2 or 4 clients contending on 2 cores that served
+//! 0.88–0.98× the throughput of one engine per request (EXPERIMENTS,
+//! "Served compress under contention"). Engines and threads stay
 //! bounded by `workers + num_workers() − 1`, and since every chunk runs
 //! under [`cuszp_parallel::with_serial_inner`] no archive byte depends
 //! on how many lanes a request got.
@@ -46,11 +50,12 @@ use crate::wire::{
     PUT_FLAG_REPAIR,
 };
 use cuszp_core::{
-    scalars_from_le, scalars_to_le, stored_dtype, ChunkIndex, ChunkSource, ChunkedArchive,
-    Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, LosslessStage, PipelineEngine,
-    Predictor, RangeSpec, ReconstructEngine, RecoveredField, ScanReport,
+    chunk_count, scalars_from_le, scalars_to_le, stored_chunks, stored_dtype, ChunkIndex,
+    ChunkSource, ChunkedArchive, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element,
+    LosslessStage, PipelineEngine, Predictor, RangeSpec, ReconstructEngine, RecoveredField,
+    ScanReport,
 };
-use cuszp_parallel::{num_workers, plan_len, with_serial_inner, WorkerPool, DEFAULT_CHUNK_ELEMS};
+use cuszp_parallel::{num_workers, with_serial_inner, WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -976,7 +981,7 @@ fn handle_compress(
         usize::try_from(req.chunk_target)
             .map_err(|_| ErrorResponse::new(ErrorCode::BadRequest, "chunk target too large"))?
     };
-    let jobs = plan_len(&[req.dims.slow_extent(), req.dims.elems_per_slow()], target);
+    let jobs = chunk_count(req.dims, target);
     let mut arc = shared.with_lanes(engine, jobs, |lanes| match req.dtype {
         Dtype::F32 => compress_field::<f32>(&compressor, &req, target, lanes),
         Dtype::F64 => compress_field::<f64>(&compressor, &req, target, lanes),
@@ -1041,7 +1046,7 @@ fn handle_decompress(
     let req = DecompressRequest::decode(payload).map_err(wire_error)?;
     let jobs = match req.mode {
         // A header that does not parse fails the decode itself.
-        DecompressMode::Strict => Decode::new(req.archive).chunks().unwrap_or(1),
+        DecompressMode::Strict => stored_chunks(req.archive).unwrap_or(1),
         DecompressMode::Recover(_) => 1,
     };
     shared.with_lanes(engine, jobs, |lanes| {

@@ -62,11 +62,11 @@ pub use cuszp_zfp as zfp;
 
 // The everyday API, flattened.
 pub use cuszp_core::{
-    decompress, decompress_archive, decompress_range, is_chunked_archive, json_escape, read_raw,
-    repair, repair_with, scalars_from_le, scalars_to_le, scan, scan_with, stored_dtype, write_raw,
-    Archive, ArchiveSection, ChunkReport, ChunkStatus, ChunkedArchive, CodecPlan, CompressionStats,
-    Compressor, Config, CuszpError, Decode, Dims, Dtype, Element, ErrorBound, FillPolicy,
-    LosslessMode, LosslessStage, ParityConfig, ParityReport, ParitySection, ParseFault, Predictor,
-    PredictorMode, RangeSpec, ReconstructEngine, RecoveredField, RepairOutcome, ScanReport,
-    Snapshot, SnapshotEntry, StripeStatus, WorkflowChoice, WorkflowMode,
+    chunk_count, decompress, decompress_archive, decompress_range, is_chunked_archive, json_escape,
+    read_raw, repair, repair_with, scalars_from_le, scalars_to_le, scan, scan_with, stored_chunks,
+    stored_dtype, write_raw, Archive, ArchiveSection, ChunkReport, ChunkStatus, ChunkedArchive,
+    CodecPlan, CompressionStats, Compressor, Config, CuszpError, Decode, Dims, Dtype, Element,
+    ErrorBound, FillPolicy, LosslessMode, LosslessStage, ParityConfig, ParityReport, ParitySection,
+    ParseFault, Predictor, PredictorMode, RangeSpec, ReconstructEngine, RecoveredField,
+    RepairOutcome, ScanReport, Snapshot, SnapshotEntry, StripeStatus, WorkflowChoice, WorkflowMode,
 };
