@@ -33,7 +33,7 @@ use crate::error::{ArchiveSection, CuszpError};
 use crate::parity::{ParityConfig, ParitySection, PARITY_MAGIC};
 use crate::range::{resolve, ChunkSource, RangeSpec};
 use crate::stats::ChunkedStats;
-use crate::walk::{plan_extents, Lanes, PlanView};
+use crate::walk::{plan_extents, PlanView};
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
 use cuszp_parallel::{plan_chunks, plan_len, WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::ops::Range;
@@ -171,9 +171,8 @@ impl Compressor {
         target_elems: usize,
         pool: &WorkerPool,
     ) -> Result<(ChunkedArchive, ChunkedStats), CuszpError> {
-        let mut lanes: Vec<PipelineEngine> =
-            (0..pool.workers()).map(|_| PipelineEngine::new()).collect();
-        self.compress_chunked_on_lanes(data, dims, target_elems, &mut lanes)
+        let lanes = &mut PipelineEngine::per_worker(pool);
+        self.compress_chunked_on_lanes(data, dims, target_elems, lanes)
     }
 
     /// The chunked-compress driver: the plan's chunks fan out over
@@ -337,11 +336,8 @@ impl ChunkedArchive {
         spec: Option<&RangeSpec>,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
-        ChunkSource::Parsed(self).decode(
-            engine,
-            spec,
-            Lanes::Pool(&mut PipelineEngine::new(), pool),
-        )
+        let lanes = &mut PipelineEngine::per_worker(pool);
+        ChunkSource::Parsed(self).decode(engine, spec, lanes, |_| None, |_, _| {})
     }
 
     /// The header this container serializes with.

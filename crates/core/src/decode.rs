@@ -20,7 +20,6 @@ use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
 use crate::range::{ChunkSource, RangeSpec};
 use crate::recovery::{recover, FillPolicy, RecoveredField};
-use crate::walk::Lanes;
 use cuszp_parallel::WorkerPool;
 use cuszp_predictor::{Dims, ReconstructEngine};
 
@@ -59,8 +58,8 @@ impl<'a> Decode<'a> {
     /// All-or-nothing decode: any damage anywhere in the archive is an
     /// error. Returns the field (or sub-volume) and its shape.
     pub fn strict<T: Element>(self) -> Result<(Vec<T>, Dims), CuszpError> {
-        let pool = WorkerPool::with_default_workers();
-        self.strict_walk(Lanes::Pool(&mut PipelineEngine::new(), &pool))
+        let lanes = &mut PipelineEngine::per_worker(&WorkerPool::with_default_workers());
+        self.strict_on(lanes)
     }
 
     /// [`Decode::strict`] on engines the caller keeps: the chunks fan
@@ -74,12 +73,8 @@ impl<'a> Decode<'a> {
         self,
         lanes: &mut [PipelineEngine],
     ) -> Result<(Vec<T>, Dims), CuszpError> {
-        self.strict_walk(Lanes::Lent(lanes))
-    }
-
-    fn strict_walk<T: Element>(self, lanes: Lanes<'_>) -> Result<(Vec<T>, Dims), CuszpError> {
         let arc = ChunkedArchive::from_bytes(self.bytes)?;
-        ChunkSource::Parsed(&arc).decode(self.engine, self.range, lanes)
+        ChunkSource::Parsed(&arc).decode(self.engine, self.range, lanes, |_| None, |_, _| {})
     }
 
     /// Fault-isolated decode: undamaged chunks reconstruct bit-identically
@@ -229,6 +224,38 @@ mod tests {
             match dtype {
                 Dtype::F32 => assert_every_finisher_refuses::<f64>(&bytes),
                 Dtype::F64 => assert_every_finisher_refuses::<f32>(&bytes),
+            }
+        }
+    }
+
+    fn resilient_lane_sweep<T: Element>(bytes: &[u8]) {
+        let spec = RangeSpec::parse("1500:4500").unwrap();
+        let (full, dims) = Decode::new(bytes).strict::<T>().unwrap();
+        let (want, _) = crate::slice_field(&full, dims, &spec).unwrap();
+        for lanes in [1, 2, 5] {
+            let pool = WorkerPool::new(lanes);
+            let engine = ReconstructEngine::FinePartialSum;
+            for (range, want) in [(None, &full), (Some(&spec), &want)] {
+                let rf = recover::<T>(bytes, range, FillPolicy::Nan, engine, &pool).unwrap();
+                assert!(rf.reports.iter().all(|r| r.status.is_ok()));
+                assert_eq!(
+                    crate::scalars_to_le(&rf.data),
+                    crate::scalars_to_le(want),
+                    "{lanes} lanes"
+                );
+            }
+        }
+    }
+
+    /// The resilient read walks its chunks on one fresh lane per pool
+    /// worker, as the strict one does: on 1, 2 and 5 lanes (more than
+    /// the container's chunks) it reads what the strict decode reads.
+    #[test]
+    fn resilient_reads_the_same_bits_on_any_number_of_lanes() {
+        for (bytes, dtype) in archives() {
+            match dtype {
+                Dtype::F32 => resilient_lane_sweep::<f32>(&bytes),
+                Dtype::F64 => resilient_lane_sweep::<f64>(&bytes),
             }
         }
     }

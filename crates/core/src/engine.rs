@@ -28,6 +28,7 @@ use crate::stats::CompressionStats;
 use crate::workflow::{encode_codes_from, WorkflowMode};
 use crate::{Config, ErrorBound, LosslessMode, Predictor, PredictorMode};
 use cuszp_analysis::{analyze_with_histogram, score_predictors, PredictorChoice};
+use cuszp_parallel::WorkerPool;
 use cuszp_predictor::{Dims, ReconstructEngine, Scalar};
 
 /// Prefix of the bitshuffled section the lossless probe trial-compresses
@@ -66,6 +67,12 @@ impl PipelineEngine {
     /// field seen and stay allocated.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The lanes an in-process call fans its chunks out over: one fresh
+    /// engine per worker of `pool`.
+    pub(crate) fn per_worker(pool: &WorkerPool) -> Vec<Self> {
+        (0..pool.workers()).map(|_| Self::new()).collect()
     }
 
     /// Compresses one field through the full pipeline.

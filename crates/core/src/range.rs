@@ -13,6 +13,12 @@
 //! computed in O(1) per endpoint by inverting the balanced split, never
 //! by materializing the plan.
 //!
+//! [`ChunkSource::decompress_range`] is the strict range read, over
+//! parsed chunks or verified bytes, on engines the caller keeps. It is
+//! one step of the chunk walk every decoder uses (`crate::walk`): each
+//! chunk of the span is offered to the caller's slab cache first and
+//! decoded only when the cache has no slab of the right length.
+//!
 //! Validation is strict and typed: a spec with the wrong rank, an
 //! inverted or empty axis, or an out-of-bounds end is rejected with
 //! [`CuszpError::InvalidRange`] before any decoding starts — no panics,
@@ -23,8 +29,7 @@ use crate::chunked::{ChunkIndex, ChunkedArchive, ChunkedHeader};
 use crate::element::{check_dtype, Element};
 use crate::engine::PipelineEngine;
 use crate::error::CuszpError;
-use crate::walk::Lanes;
-use cuszp_parallel::{plan_len, WorkerPool};
+use cuszp_parallel::plan_len;
 use cuszp_predictor::{Dims, ReconstructEngine};
 use std::ops::Range;
 use std::sync::Arc;
@@ -324,28 +329,41 @@ pub enum ChunkSource<'a> {
 }
 
 impl ChunkSource<'_> {
-    /// Decodes the sub-volume `spec` out of this source on `pool`, as
-    /// [`ChunkedArchive::decompress_range`] does: a span of several chunks
-    /// fans out one chunk per job; a span of one chunk runs on this
-    /// thread with `eng`, the caller's reusable engine. The strict
-    /// policy: the first error is returned.
+    /// The strict range read: decodes the sub-volume `spec` out of this
+    /// source, its chunks fanned out over `lanes` (one thread per
+    /// engine; a one-chunk span runs on the first), and returns the
+    /// first error in chunk order. Each chunk of the span is offered to
+    /// `fetch(i)` once: a slab it returns as the little-endian bytes
+    /// [`crate::scalars_to_le`] writes is gathered from, and any other
+    /// chunk — none returned, or a slab of the wrong length — is decoded
+    /// and handed to `store(i, slab)`. This is the serving tier's
+    /// building block: a cache that keeps the index and the slabs of an
+    /// archive it has seen makes a repeated read
+    /// ([`ChunkSource::Verified`]) skip both the container parse and the
+    /// decoder. Callers without a cache pass `|_| None` and `|_, _| {}`.
+    ///
+    /// # Panics
+    /// When `lanes` is empty and `spec` is valid.
     pub fn decompress_range<T: Element>(
         self,
         engine: ReconstructEngine,
         spec: &RangeSpec,
-        eng: &mut PipelineEngine,
-        pool: &WorkerPool,
+        lanes: &mut [PipelineEngine],
+        fetch: impl Fn(usize) -> Option<Arc<Vec<u8>>> + Sync,
+        store: impl Fn(usize, &[T]) + Sync,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
-        self.decode(engine, Some(spec), Lanes::Pool(eng, pool))
+        self.decode(engine, Some(spec), lanes, fetch, store)
     }
 
-    /// The strict policy over the chunk walk on `lanes`: `spec`, or the
-    /// whole field when `None`.
+    /// The strict policy over the chunk walk: `spec`, or the whole field
+    /// when `None` ([`ChunkSource::decompress_range`]).
     pub(crate) fn decode<T: Element>(
         self,
         engine: ReconstructEngine,
         spec: Option<&RangeSpec>,
-        lanes: Lanes<'_>,
+        lanes: &mut [PipelineEngine],
+        fetch: impl Fn(usize) -> Option<Arc<Vec<u8>>> + Sync,
+        store: impl Fn(usize, &[T]) + Sync,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
         let hdr = self.header();
         check_dtype::<T>(hdr.dtype)?;
@@ -361,10 +379,19 @@ impl ChunkSource<'_> {
             &mut out,
             lanes,
             |i, seg, eng, scratch| {
+                let slab = plan.spec(i);
+                // A cached slab of the wrong length is stale garbage;
+                // decode fresh rather than trusting it.
+                if let Some(hit) = fetch(i).filter(|s| s.len() == slab.len() * T::BYTES) {
+                    gather_chunk_le(&hit, &slab.slow, &r, seg);
+                    return Ok(());
+                }
                 self.with_chunk(i, |chunk| {
-                    plan.reconstruct(i, chunk, &r, engine, eng, scratch, seg)
-                        .map(drop)
-                        .map_err(|e| self.place(i, e))
+                    let fresh = plan
+                        .reconstruct(i, chunk, &r, engine, eng, scratch, seg)
+                        .map_err(|e| self.place(i, e))?;
+                    store(i, fresh);
+                    Ok(())
                 })
             },
         );
@@ -398,53 +425,6 @@ impl ChunkSource<'_> {
             ChunkSource::Verified(index, ..) => index.place(i, e),
         }
     }
-}
-
-/// Range decompression with caller-provided slab caching: `fetch(i)`
-/// may return chunk `i`'s previously decoded slab as the little-endian
-/// bytes [`crate::scalars_to_le`] writes, and `store(i, slab)` is called
-/// for every slab decoded fresh. This is the serving tier's building
-/// block — a cache that keeps the index and the slabs of an archive it
-/// has seen makes a repeated range read ([`ChunkSource::Verified`]) skip
-/// both the container parse and the decoder. Decoding runs serially on
-/// `eng` (the caller's reusable engine) from any thread, a pool job or
-/// not; cache hits cost only the gather.
-pub fn decompress_range_with_fetch<T: Element>(
-    source: ChunkSource<'_>,
-    engine: ReconstructEngine,
-    spec: &RangeSpec,
-    eng: &mut PipelineEngine,
-    fetch: &mut dyn FnMut(usize) -> Option<Arc<Vec<u8>>>,
-    store: &mut dyn FnMut(usize, &[T]),
-) -> Result<(Vec<T>, Dims), CuszpError> {
-    let hdr = source.header();
-    check_dtype::<T>(hdr.dtype)?;
-    let plan = hdr.checked_plan()?;
-    let r = resolve(spec, hdr.dims)?;
-    let mut out = vec![T::default(); r.len()];
-    let mut scratch = Vec::new();
-    // Outside a pool job the inner loops would each spawn scoped
-    // threads; a pool job's decode runs them serially, and so does this.
-    cuszp_parallel::with_serial_inner(|| {
-        for (i, seg) in plan.carve(plan.span(&r), &r, &mut out) {
-            let slab = plan.spec(i);
-            // A cached slab of the wrong length is stale garbage; decode
-            // fresh rather than trusting it.
-            if let Some(cached) = fetch(i).filter(|s| s.len() == slab.len() * T::BYTES) {
-                gather_chunk_le(&cached, &slab.slow, &r, seg);
-                continue;
-            }
-            source.with_chunk(i, |chunk| {
-                let fresh = plan
-                    .reconstruct(i, chunk, &r, engine, eng, &mut scratch, seg)
-                    .map_err(|e| source.place(i, e))?;
-                store(i, fresh);
-                Ok(())
-            })?;
-        }
-        Ok::<(), CuszpError>(())
-    })?;
-    Ok((out, r.sub_dims(hdr.dims)))
 }
 
 /// Slices a fully decoded field to `spec` (the reference the range

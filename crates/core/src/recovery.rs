@@ -38,7 +38,7 @@ use crate::parity::{
     parse_parity_layout, ParityConfig, ParitySection, PARITY_HEADER_BYTES, PARITY_MAGIC,
 };
 use crate::range::{resolve, RangeSpec, ResolvedRange};
-use crate::walk::{Lanes, PlanView};
+use crate::walk::PlanView;
 use crate::{Archive, CodecPlan, Dims, Dtype, ReconstructEngine};
 use cuszp_checksum::fnv1a;
 use cuszp_ecc::ReedSolomon;
@@ -854,12 +854,11 @@ pub(crate) fn recover<T: Element>(
         )
     })?;
     data.resize(r.len(), fill_value);
-    let mut eng = PipelineEngine::new();
     let outcomes = plan.walk(
         span.clone(),
         &r,
         &mut data,
-        Lanes::Pool(&mut eng, pool),
+        &mut PipelineEngine::per_worker(pool),
         |i, seg, eng, scratch| {
             let fresh;
             let framed = match &first_good {

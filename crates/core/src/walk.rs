@@ -11,18 +11,22 @@
 //!   container header is the authority for a chunk's element type, slab
 //!   shape *and error bound*;
 //! * [`PlanView::walk`] / [`PlanView::reconstruct`] — carve the output
-//!   into one segment per in-span chunk, fan out over [`Lanes`] with a
-//!   per-lane engine and scratch, and reconstruct each checked chunk.
+//!   into one segment per in-span chunk, fan out over lanes (a slice of
+//!   engines: the caller's own, or one fresh engine per pool worker from
+//!   [`PipelineEngine::per_worker`]) with a per-lane scratch, and
+//!   reconstruct each checked chunk.
 //!
 //! A whole-field decode is the range "everything"
 //! ([`ResolvedRange::full`]): a chunk whose rows are all requested
 //! reconstructs straight into its segment, any other into scratch with
 //! the requested rows gathered out. The decoders differ only in where a
 //! chunk comes from and what an error means — strict
-//! ([`crate::ChunkedArchive`]) feeds parsed chunks and returns the first
-//! error; resilient (`crate::recovery`) frames chunks from the length
-//! table, fills and reports. A v1 archive is walked as a container of
-//! one chunk ([`PlanView::single`]).
+//! ([`crate::ChunkSource`]) takes parsed chunks or parses each out of
+//! verified bytes, may take a chunk's slab from a caller's cache
+//! instead of decoding it, and returns the first error in chunk order;
+//! resilient (`crate::recovery`) frames chunks from the length table,
+//! fills and reports. A v1 archive is walked as a container of one
+//! chunk ([`PlanView::single`]).
 
 use crate::archive::{Archive, Dtype};
 use crate::element::Element;
@@ -119,7 +123,7 @@ impl PlanView {
     /// stops short of `r`'s last chunk — into one contiguous segment per
     /// chunk of `span`: chunks tile the slow axis in order, so a chunk's
     /// requested rows are consecutive in the output.
-    pub fn carve<'o, T>(
+    fn carve<'o, T>(
         &self,
         span: Range<usize>,
         r: &ResolvedRange,
@@ -169,19 +173,23 @@ impl PlanView {
     }
 
     /// The walk: runs `step(i, segment, engine, scratch)` for every
-    /// chunk of `span` on `lanes`, each lane keeping one engine and one
-    /// slab scratch across the chunks it drains. Results come back in
-    /// chunk order. A span of one chunk has nothing to fan out: it runs
-    /// here on the first engine `lanes` holds, with its inner loops
-    /// serial as in a pool job — except in a one-chunk container (every
-    /// v1 archive), where they stay parallel. Decoding is a pure
-    /// function of the bytes, so no output changes.
+    /// chunk of `span`, fanned out over `lanes` (one thread per engine),
+    /// each lane keeping its engine and one slab scratch across the
+    /// chunks it drains. Results come back in chunk order. A span of one
+    /// chunk has nothing to fan out: it runs here on the first engine,
+    /// with its inner loops serial as in a lane — except in a one-chunk
+    /// container (every v1 archive), where they stay parallel. Decoding
+    /// is a pure function of the bytes, so no output depends on the
+    /// number of lanes.
+    ///
+    /// # Panics
+    /// When `lanes` is empty and `span` is not.
     pub fn walk<T, R, F>(
         &self,
         span: Range<usize>,
         r: &ResolvedRange,
         out: &mut [T],
-        lanes: Lanes<'_>,
+        lanes: &mut [PipelineEngine],
         step: F,
     ) -> Vec<R>
     where
@@ -190,15 +198,6 @@ impl PlanView {
         F: Fn(usize, &mut [T], &mut PipelineEngine, &mut Vec<T>) -> R + Sync,
     {
         let mut parts = self.carve(span, r, out);
-        let mut fresh = Vec::new();
-        let lanes = match lanes {
-            Lanes::Lent(engines) => engines,
-            Lanes::Pool(eng, _) if parts.len() == 1 => std::slice::from_mut(eng),
-            Lanes::Pool(_, pool) => {
-                fresh.resize_with(pool.workers(), PipelineEngine::new);
-                &mut fresh[..]
-            }
-        };
         if let [(i, seg)] = &mut parts[..] {
             let mut run = || step(*i, seg, &mut lanes[0], &mut Vec::new());
             return vec![match self.n {
@@ -211,14 +210,4 @@ impl PlanView {
             step(i, seg, eng, scratch)
         })
     }
-}
-
-/// The engines a walk's chunks run on.
-pub(crate) enum Lanes<'a> {
-    /// In-process: a one-chunk span on the caller's engine, more on one
-    /// fresh engine per worker of the pool.
-    Pool(&'a mut PipelineEngine, &'a WorkerPool),
-    /// Engines the caller keeps: a one-chunk span on the first, more
-    /// fanned out over all of them.
-    Lent(&'a mut [PipelineEngine]),
 }

@@ -9,12 +9,13 @@
 //! first one's allocations.
 
 use cuszp_core::{
-    ChunkedArchive, Compressor, Config, Dims, ErrorBound, PipelineEngine, Predictor,
-    ReconstructEngine,
+    scalars_to_le, ChunkSource, ChunkedArchive, Compressor, Config, Dims, ErrorBound,
+    PipelineEngine, Predictor, RangeSpec, ReconstructEngine,
 };
 use cuszp_parallel::WorkerPool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -53,6 +54,11 @@ const CHUNK_TARGET: usize = 2 * 1024 * 1024;
 /// for encoder-internal churn while still failing loudly long before a
 /// regression returns to the old per-chunk re-allocation pattern.
 const MAX_ALLOCS_PER_CHUNK: u64 = 2_500;
+
+/// Allocations a whole read may make when every slab comes from the
+/// cache: the output, the walk's bookkeeping and its second lane's
+/// thread, a fixed few (13 on this field's 8 chunks) and none per chunk.
+const MAX_ALLOCS_ALL_HITS: u64 = 32;
 
 fn make_field(n: usize) -> Vec<f32> {
     // Smooth waves plus a mild deterministic hash ripple: compressible,
@@ -131,4 +137,41 @@ fn chunked_compress_and_decompress_stay_within_the_allocation_budget() {
             .unwrap();
         assert!(archive == lorenzo_archive);
     });
+
+    // The strict range read walks the same lanes: a whole-span read on
+    // the two reused lanes stays within the budget and reads what the
+    // decompress reads.
+    let fine = ReconstructEngine::FinePartialSum;
+    let whole = RangeSpec::parse(&format!("0:{N}")).unwrap();
+    let source = ChunkSource::Parsed(&lorenzo_archive);
+    let (full, _) = decompress(&lorenzo_archive);
+    assert_per_chunk_budget("lorenzo range read on reused lanes", n_chunks, || {
+        let (got, _) = source
+            .decompress_range::<f32>(fine, &whole, &mut lanes, |_| None, |_, _| {})
+            .unwrap();
+        assert!(got == full);
+    });
+    // A read whose every slab hits gathers and never decodes.
+    let slabs: Vec<Arc<Vec<u8>>> = full
+        .chunks(CHUNK_TARGET)
+        .map(|slab| Arc::new(scalars_to_le(slab)))
+        .collect();
+    assert_eq!(slabs.len() as u64, n_chunks);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let (got, _) = source
+        .decompress_range::<f32>(
+            fine,
+            &whole,
+            &mut lanes,
+            |i| Some(slabs[i].clone()),
+            |i, _| panic!("chunk {i} decoded although its slab was cached"),
+        )
+        .unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    eprintln!("all-hit range read: {allocs} allocations over {n_chunks} chunks");
+    assert!(
+        allocs <= MAX_ALLOCS_ALL_HITS,
+        "an all-hit read made {allocs} allocations, over {MAX_ALLOCS_ALL_HITS}"
+    );
+    assert!(got == full);
 }

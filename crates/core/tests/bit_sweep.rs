@@ -10,10 +10,9 @@
 //! chunk off by one quantum — and the container's `chunk_target`.
 
 use cuszp_core::{
-    decompress_range_with_fetch, scan, ChunkIndex, ChunkReport, ChunkSource, ChunkStatus,
-    ChunkedArchive, Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy,
-    ParityConfig, PipelineEngine, Predictor, PredictorMode, RangeSpec, ReconstructEngine,
-    WorkflowChoice, WorkflowMode,
+    scan, ChunkIndex, ChunkReport, ChunkSource, ChunkStatus, ChunkedArchive, Compressor, Config,
+    CuszpError, Decode, Dims, ErrorBound, FillPolicy, ParityConfig, PipelineEngine, Predictor,
+    PredictorMode, RangeSpec, ReconstructEngine, WorkflowChoice, WorkflowMode,
 };
 use cuszp_parallel::WorkerPool;
 use std::ops::Range;
@@ -130,16 +129,16 @@ fn a_chunk_eb_that_differs_from_the_containers_is_caught_by_every_finisher() {
         .decompress_range::<f32>(fine, &spec, &pool)
         .unwrap_err();
     assert!(is_eb_fault(&e, 1, at), "{e}");
-    let fetch_range = |source| {
-        decompress_range_with_fetch::<f32>(
-            source,
-            fine,
-            &spec,
-            &mut PipelineEngine::new(),
-            &mut |_| None,
-            &mut |_, _| {},
-        )
-        .unwrap_err()
+    let fetch_range = |source: ChunkSource| {
+        source
+            .decompress_range::<f32>(
+                fine,
+                &spec,
+                &mut [PipelineEngine::new()],
+                |_| None,
+                |_, _| {},
+            )
+            .unwrap_err()
     };
     let e = fetch_range(ChunkSource::Parsed(&tampered));
     assert!(is_eb_fault(&e, 1, at), "{e}");

@@ -4,14 +4,15 @@
 //! reject bad specs with typed errors instead of panicking.
 
 use cuszp_core::{
-    decompress_range, decompress_range_with_fetch, scalars_to_le, slice_field, ChunkIndex,
-    ChunkSource, ChunkStatus, Compressor, Config, CuszpError, Decode, Dims, ErrorBound, FillPolicy,
-    PipelineEngine, RangeSpec, ReconstructEngine,
+    decompress_range, scalars_to_le, slice_field, ChunkIndex, ChunkSource, ChunkStatus, Compressor,
+    Config, CuszpError, Decode, Dims, Element, ErrorBound, FillPolicy, PipelineEngine, RangeSpec,
+    ReconstructEngine,
 };
 use cuszp_parallel::WorkerPool;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Small enough that the test shapes split into several chunks.
 const CHUNK_TARGET: usize = 1_000;
@@ -371,6 +372,50 @@ fn a_v1_range_report_covers_the_whole_field() {
     assert_eq!(rf.reports[0].byte_range, Some(0..bytes.len()));
 }
 
+/// A slab cache behind the range read's hooks, counting every fetch
+/// and every store.
+#[derive(Default)]
+struct Slabs {
+    held: Mutex<HashMap<usize, Arc<Vec<u8>>>>,
+    fetches: AtomicUsize,
+    stores: AtomicUsize,
+}
+
+impl Slabs {
+    fn read<T: Element>(
+        &self,
+        source: ChunkSource,
+        spec: &RangeSpec,
+        lanes: &mut [PipelineEngine],
+    ) -> Result<(Vec<T>, Dims), CuszpError> {
+        source.decompress_range(
+            ReconstructEngine::FinePartialSum,
+            spec,
+            lanes,
+            |i| {
+                self.fetches.fetch_add(1, Ordering::Relaxed);
+                self.held.lock().unwrap().get(&i).cloned()
+            },
+            |i, slab: &[T]| {
+                self.stores.fetch_add(1, Ordering::Relaxed);
+                let slab = Arc::new(scalars_to_le(slab));
+                self.held.lock().unwrap().insert(i, slab);
+            },
+        )
+    }
+
+    fn counts(&self) -> (usize, usize) {
+        (
+            self.fetches.load(Ordering::Relaxed),
+            self.stores.load(Ordering::Relaxed),
+        )
+    }
+}
+
+fn lanes(n: usize) -> Vec<PipelineEngine> {
+    (0..n).map(|_| PipelineEngine::new()).collect()
+}
+
 /// The serving-tier hook: a fetch/store pair acting as a slab cache must
 /// see one store per intersecting chunk on a cold read, zero decodes on
 /// a warm read, and identical bytes both times.
@@ -384,42 +429,23 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
     let bytes = arc.to_bytes();
     let (index, parsed) = ChunkIndex::verify(&bytes).unwrap();
     let spec = RangeSpec::new(vec![5..25, 10..90]);
-    let mut cache: HashMap<usize, Arc<Vec<u8>>> = HashMap::new();
-    let mut eng = PipelineEngine::new();
+    let cache = Slabs::default();
+    let eng = &mut lanes(1);
 
     // The first read decodes from the verifying parse's chunks, as a
     // server's first read of an archive does; later ones from the bytes.
     let cold_source = ChunkSource::Parsed(&parsed);
     let warm_source = ChunkSource::Verified(&index, &bytes, 0);
-    let mut stores = 0;
-    let run = |source: ChunkSource,
-               cache: &mut HashMap<usize, Arc<Vec<u8>>>,
-               stores: &mut usize,
-               eng: &mut PipelineEngine| {
-        let mut fetch = |i: usize| cache.get(&i).cloned();
-        let mut local: Vec<(usize, Vec<u8>)> = Vec::new();
-        let mut store = |i: usize, slab: &[f32]| local.push((i, scalars_to_le(slab)));
-        let out = decompress_range_with_fetch(
-            source,
-            ReconstructEngine::FinePartialSum,
-            &spec,
-            eng,
-            &mut fetch,
-            &mut store,
-        )
-        .unwrap();
-        *stores += local.len();
-        for (i, slab) in local {
-            cache.insert(i, Arc::new(slab));
-        }
-        out
-    };
 
-    let (cold, cold_dims) = run(cold_source, &mut cache, &mut stores, &mut eng);
-    let cold_stores = stores;
+    let (cold, cold_dims) = cache.read::<f32>(cold_source, &spec, eng).unwrap();
+    let (_, cold_stores) = cache.counts();
     assert!(cold_stores >= 2, "range must span several chunks");
-    let (warm, warm_dims) = run(warm_source, &mut cache, &mut stores, &mut eng);
-    assert_eq!(stores, cold_stores, "warm read must not decode anything");
+    let (warm, warm_dims) = cache.read::<f32>(warm_source, &spec, eng).unwrap();
+    assert_eq!(
+        cache.counts().1,
+        cold_stores,
+        "warm read must not decode anything"
+    );
     assert_eq!(cold_dims, warm_dims);
     assert_eq!(bits_f32(&cold), bits_f32(&warm));
     // And both agree with the uncached path.
@@ -428,22 +454,94 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
         .unwrap();
     assert_eq!(bits_f32(&cold), bits_f32(&want));
     // A cached slab of the wrong length is ignored, not trusted.
-    let poisoned_key = *cache.keys().next().unwrap();
-    cache.insert(poisoned_key, Arc::new(vec![0; 12]));
-    let (healed, _) = run(warm_source, &mut cache, &mut stores, &mut eng);
+    {
+        let mut held = cache.held.lock().unwrap();
+        let poisoned_key = *held.keys().next().unwrap();
+        held.insert(poisoned_key, Arc::new(vec![0; 12]));
+    }
+    let (healed, _) = cache.read::<f32>(warm_source, &spec, eng).unwrap();
     assert_eq!(bits_f32(&healed), bits_f32(&want));
-    assert_eq!(stores, cold_stores + 1, "bad entry must be re-decoded");
+    assert_eq!(
+        cache.counts().1,
+        cold_stores + 1,
+        "bad entry must be re-decoded"
+    );
 }
 
 fn read_range(source: ChunkSource, spec: &RangeSpec) -> Result<(Vec<f32>, Dims), CuszpError> {
-    decompress_range_with_fetch::<f32>(
-        source,
+    source.decompress_range(
         ReconstructEngine::FinePartialSum,
         spec,
-        &mut PipelineEngine::new(),
-        &mut |_| None,
-        &mut |_, _| {},
+        &mut lanes(1),
+        |_| None,
+        |_, _| {},
     )
+}
+
+/// The one walk is width-independent: on 1, 2 and 5 lanes (5 is more
+/// than the box's chunks), a whole-field strict decode, a strict range
+/// read with no-op hooks and one with half its slabs cached read exactly
+/// what `slice_field` cuts out of the full decode, and so does the
+/// resilient read. Fetch runs once per chunk of the span, store once
+/// per slab it did not hold.
+#[test]
+fn the_one_walk_reads_the_same_bits_on_any_number_of_lanes() {
+    lane_sweep(&field_f32(6_000));
+    lane_sweep(&field_f64(6_000));
+}
+
+fn lane_sweep<T: Element>(data: &[T]) {
+    let dims = Dims::D2 { ny: 60, nx: 100 };
+    let bytes = compressor()
+        .compress_chunked_with(data, dims, CHUNK_TARGET, &WorkerPool::new(2))
+        .unwrap()
+        .to_bytes();
+    let (index, parsed) = ChunkIndex::verify(&bytes).unwrap();
+    // 10-row slabs of 1 000 elements: rows 5..35 are chunks 0..4.
+    assert_eq!(index.n_chunks(), 6);
+    let span = 0..4;
+    let slab = |full: &[T], i: usize| Arc::new(scalars_to_le(&full[i * 1_000..(i + 1) * 1_000]));
+    let (full, _) = Decode::new(&bytes).strict::<T>().unwrap();
+    let spec = RangeSpec::new(vec![5..35, 10..90]);
+    let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
+    let want = scalars_to_le(&want);
+    for n in [1, 2, 5] {
+        let lanes = &mut lanes(n);
+        let (whole, _) = Decode::new(&bytes).strict_on::<T>(lanes).unwrap();
+        assert_eq!(scalars_to_le(&whole), scalars_to_le(&full), "{n} lanes");
+        let sources = [
+            ChunkSource::Parsed(&parsed),
+            ChunkSource::Verified(&index, &bytes, 0),
+        ];
+        for source in sources {
+            let (got, got_dims) = source
+                .decompress_range::<T>(
+                    ReconstructEngine::FinePartialSum,
+                    &spec,
+                    lanes,
+                    |_| None,
+                    |_, _| {},
+                )
+                .unwrap();
+            assert_eq!(got_dims, want_dims);
+            assert_eq!(scalars_to_le(&got), want, "{n} lanes, no-op hooks");
+            let cache = Slabs::default();
+            for i in span.clone().step_by(2) {
+                cache.held.lock().unwrap().insert(i, slab(&full, i));
+            }
+            let (got, _) = cache.read::<T>(source, &spec, lanes).unwrap();
+            assert_eq!(scalars_to_le(&got), want, "{n} lanes, half cached");
+            assert_eq!(cache.counts(), (span.len(), span.len() / 2), "{n} lanes");
+            let held = cache.held.lock().unwrap();
+            assert!(span.clone().all(|i| *held[&i] == *slab(&full, i)));
+        }
+    }
+    let rf = Decode::new(&bytes)
+        .range(&spec)
+        .resilient::<T>(FillPolicy::Nan)
+        .unwrap();
+    assert_eq!(rf.dims, want_dims);
+    assert_eq!(scalars_to_le(&rf.data), want);
 }
 
 /// The fetch hook decodes with its inner loops serial from any thread: a
@@ -529,9 +627,9 @@ fn a_verified_window_reads_like_the_whole_container() {
 }
 
 /// `ChunkSource::decompress_range` fans a box of several chunks out over
-/// the pool, and runs a one-chunk box or a v1 archive on the caller's
-/// engine: every way reads the bits the uncached serial decode reads,
-/// from the parsed container or from a window of its bytes.
+/// its lanes, and runs a one-chunk box or a v1 archive on the first:
+/// every way reads the bits the one-lane decode reads, from the parsed
+/// container or from a window of its bytes.
 #[test]
 fn a_pooled_source_decode_reads_the_serial_bits() {
     let dims = Dims::D2 { ny: 60, nx: 100 };
@@ -541,7 +639,6 @@ fn a_pooled_source_decode_reads_the_serial_bits() {
         .unwrap()
         .to_bytes();
     let v1 = compressor().compress(&data, dims).unwrap().to_bytes();
-    let mut eng = PipelineEngine::new();
     for bytes in [&chunked, &v1] {
         let (index, parsed) = ChunkIndex::verify(bytes).unwrap();
         for axes in [vec![5..25, 10..90], vec![0..60, 0..100], vec![33..34, 0..1]] {
@@ -552,13 +649,14 @@ fn a_pooled_source_decode_reads_the_serial_bits() {
                 ChunkSource::Parsed(&parsed),
                 ChunkSource::Verified(&index, &bytes[span.clone()], span.start),
             ];
-            for (source, workers) in sources.into_iter().zip([2, 1]) {
+            for (source, n) in sources.into_iter().zip([2, 1]) {
                 let (got, got_dims) = source
                     .decompress_range::<f32>(
                         ReconstructEngine::FinePartialSum,
                         &spec,
-                        &mut eng,
-                        &WorkerPool::new(workers),
+                        &mut lanes(n),
+                        |_| None,
+                        |_, _| {},
                     )
                     .unwrap();
                 assert_eq!(got_dims, want_dims);
@@ -568,8 +666,9 @@ fn a_pooled_source_decode_reads_the_serial_bits() {
         let wrong = ChunkSource::Parsed(&parsed).decompress_range::<f64>(
             ReconstructEngine::FinePartialSum,
             &RangeSpec::new(vec![0..1, 0..1]),
-            &mut eng,
-            &WorkerPool::new(2),
+            &mut lanes(2),
+            |_| None,
+            |_, _| {},
         );
         assert!(matches!(wrong, Err(CuszpError::DtypeMismatch { .. })));
     }

@@ -237,80 +237,99 @@ impl Client {
         }
         Ok(frame.payload)
     }
+}
 
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call(Op::Ping, &[]).map(|_| ())
-    }
+/// The typed ops, written once for both clients: each builds its
+/// request, makes one round trip through `$call` ([`Client::call`], or
+/// [`RetryingClient::call_with_retry`] under its policy) and decodes the
+/// reply. `$stats` names the metrics op: `stats` on a [`Client`], and
+/// `server_stats` on a [`RetryingClient`], whose `stats` are its own
+/// counters.
+macro_rules! typed_ops {
+    ($call:ident, $stats:ident) => {
+        /// Liveness probe.
+        pub fn ping(&mut self) -> Result<(), ClientError> {
+            self.$call(Op::Ping, &[]).map(|_| ())
+        }
 
-    /// Compresses a raw field server-side; returns the archive bytes.
-    pub fn compress(&mut self, req: &CompressRequest<'_>) -> Result<Vec<u8>, ClientError> {
-        self.call(Op::Compress, &req.encode())
-    }
+        /// Compresses a raw field server-side; returns the archive bytes.
+        pub fn compress(&mut self, req: &CompressRequest<'_>) -> Result<Vec<u8>, ClientError> {
+            self.$call(Op::Compress, &req.encode())
+        }
 
-    /// Decompresses an archive server-side. In
-    /// [`DecompressMode::Recover`] the response carries a per-chunk
-    /// recovery report.
-    pub fn decompress(
-        &mut self,
-        archive: &[u8],
-        mode: DecompressMode,
-    ) -> Result<DecompressResponse, ClientError> {
-        let req = DecompressRequest { mode, archive };
-        let payload = self.call(Op::Decompress, &req.encode())?;
-        Ok(DecompressResponse::decode(&payload)?)
-    }
+        /// Decompresses an archive server-side. In
+        /// [`DecompressMode::Recover`] the response carries a per-chunk
+        /// recovery report.
+        pub fn decompress(
+            &mut self,
+            archive: &[u8],
+            mode: DecompressMode,
+        ) -> Result<DecompressResponse, ClientError> {
+            let req = DecompressRequest { mode, archive };
+            let payload = self.$call(Op::Decompress, &req.encode())?;
+            Ok(DecompressResponse::decode(&payload)?)
+        }
 
-    /// Decompresses only the requested sub-volume of an archive
-    /// server-side. The response's `dims` describe the sub-volume. Hot
-    /// chunks are served from the server's slab cache; in
-    /// [`DecompressMode::Recover`] the read bypasses the cache and the
-    /// response carries per-chunk reports for the intersecting chunks.
-    pub fn get_range(
-        &mut self,
-        archive: &[u8],
-        spec: &cuszp_core::RangeSpec,
-        mode: DecompressMode,
-    ) -> Result<DecompressResponse, ClientError> {
-        let req = GetRangeRequest {
-            mode,
-            spec: spec.clone(),
-            archive,
-        };
-        let payload = self.call(Op::GetRange, &req.encode())?;
-        Ok(DecompressResponse::decode(&payload)?)
-    }
+        /// Decompresses only the requested sub-volume of an archive
+        /// server-side. The response's `dims` describe the sub-volume.
+        /// Hot chunks are served from the server's slab cache; in
+        /// [`DecompressMode::Recover`] the read bypasses the cache and
+        /// the response carries per-chunk reports for the intersecting
+        /// chunks.
+        pub fn get_range(
+            &mut self,
+            archive: &[u8],
+            spec: &cuszp_core::RangeSpec,
+            mode: DecompressMode,
+        ) -> Result<DecompressResponse, ClientError> {
+            let req = GetRangeRequest {
+                mode,
+                spec: spec.clone(),
+                archive,
+            };
+            let payload = self.$call(Op::GetRange, &req.encode())?;
+            Ok(DecompressResponse::decode(&payload)?)
+        }
 
-    /// Validates an archive chunk-by-chunk (fsck over the wire).
-    pub fn scan(&mut self, archive: &[u8]) -> Result<ScanReport, ClientError> {
-        let payload = self.call(Op::Scan, archive)?;
-        ScanReport::from_bytes(&payload).map_err(|_| ClientError::Protocol("malformed scan report"))
-    }
+        /// Validates an archive chunk-by-chunk (fsck over the wire).
+        pub fn scan(&mut self, archive: &[u8]) -> Result<ScanReport, ClientError> {
+            let payload = self.$call(Op::Scan, archive)?;
+            ScanReport::from_bytes(&payload)
+                .map_err(|_| ClientError::Protocol("malformed scan report"))
+        }
 
-    /// Describes an archive without decoding it.
-    pub fn info(&mut self, archive: &[u8]) -> Result<RemoteInfo, ClientError> {
-        let payload = self.call(Op::Info, archive)?;
-        Ok(RemoteInfo::decode(&payload)?)
-    }
+        /// Describes an archive without decoding it.
+        pub fn info(&mut self, archive: &[u8]) -> Result<RemoteInfo, ClientError> {
+            let payload = self.$call(Op::Info, archive)?;
+            Ok(RemoteInfo::decode(&payload)?)
+        }
 
-    /// Samples the server's live metrics.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        let payload = self.call(Op::Stats, &[])?;
-        Ok(StatsSnapshot::decode(&payload)?)
-    }
+        /// Samples the server's live metrics.
+        pub fn $stats(&mut self) -> Result<StatsSnapshot, ClientError> {
+            let payload = self.$call(Op::Stats, &[])?;
+            Ok(StatsSnapshot::decode(&payload)?)
+        }
 
-    /// Cheap load/liveness probe: queue depth and drain state, answered
-    /// without touching a pipeline engine.
-    pub fn health(&mut self) -> Result<HealthResponse, ClientError> {
-        let payload = self.call(Op::Health, &[])?;
-        Ok(HealthResponse::decode(&payload)?)
-    }
+        /// Cheap load/liveness probe: queue depth and drain state,
+        /// answered without touching a pipeline engine.
+        pub fn health(&mut self) -> Result<HealthResponse, ClientError> {
+            let payload = self.$call(Op::Health, &[])?;
+            Ok(HealthResponse::decode(&payload)?)
+        }
 
-    /// Asks the server to shut down gracefully. The server acks before
-    /// it begins draining.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.call(Op::Shutdown, &[]).map(|_| ())
-    }
+        /// Asks the server to shut down gracefully. The server acks
+        /// before it begins draining. Never retried: `shutdown` is the
+        /// one non-idempotent op ([`Op::is_idempotent`]), and re-issuing
+        /// it after an ambiguous failure could hit a *different*
+        /// (restarted) server.
+        pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
+            self.$call(Op::Shutdown, &[]).map(|_| ())
+        }
+    };
+}
+
+impl Client {
+    typed_ops!(call, stats);
 }
 
 // ---------------------------------------------------------------------
@@ -557,84 +576,10 @@ impl RetryingClient {
         )?;
         conn.call(op, payload)
     }
+}
 
-    /// Liveness probe, with retries.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call_with_retry(Op::Ping, &[]).map(|_| ())
-    }
-
-    /// Compresses a raw field server-side, with retries.
-    pub fn compress(&mut self, req: &CompressRequest<'_>) -> Result<Vec<u8>, ClientError> {
-        self.call_with_retry(Op::Compress, &req.encode())
-    }
-
-    /// Decompresses an archive server-side, with retries.
-    pub fn decompress(
-        &mut self,
-        archive: &[u8],
-        mode: DecompressMode,
-    ) -> Result<DecompressResponse, ClientError> {
-        let req = DecompressRequest { mode, archive };
-        let payload = self.call_with_retry(Op::Decompress, &req.encode())?;
-        Ok(DecompressResponse::decode(&payload)?)
-    }
-
-    /// Range-reads an archive server-side, with retries.
-    pub fn get_range(
-        &mut self,
-        archive: &[u8],
-        spec: &cuszp_core::RangeSpec,
-        mode: DecompressMode,
-    ) -> Result<DecompressResponse, ClientError> {
-        let req = GetRangeRequest {
-            mode,
-            spec: spec.clone(),
-            archive,
-        };
-        let payload = self.call_with_retry(Op::GetRange, &req.encode())?;
-        Ok(DecompressResponse::decode(&payload)?)
-    }
-
-    /// Validates an archive chunk-by-chunk, with retries.
-    pub fn scan(&mut self, archive: &[u8]) -> Result<ScanReport, ClientError> {
-        let payload = self.call_with_retry(Op::Scan, archive)?;
-        ScanReport::from_bytes(&payload).map_err(|_| ClientError::Protocol("malformed scan report"))
-    }
-
-    /// Describes an archive without decoding it, with retries.
-    pub fn info(&mut self, archive: &[u8]) -> Result<RemoteInfo, ClientError> {
-        let payload = self.call_with_retry(Op::Info, archive)?;
-        Ok(RemoteInfo::decode(&payload)?)
-    }
-
-    /// Samples the server's live metrics, with retries.
-    pub fn server_stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        let payload = self.call_with_retry(Op::Stats, &[])?;
-        Ok(StatsSnapshot::decode(&payload)?)
-    }
-
-    /// Health probe, with retries.
-    pub fn health(&mut self) -> Result<HealthResponse, ClientError> {
-        let payload = self.call_with_retry(Op::Health, &[])?;
-        Ok(HealthResponse::decode(&payload)?)
-    }
-
-    /// Asks the server to shut down. Never retried: `shutdown` is the
-    /// one non-idempotent op, and re-issuing it after an ambiguous
-    /// failure could hit a *different* (restarted) server.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.stats.calls.incr();
-        self.stats.attempts.incr();
-        let deadline_at = Instant::now() + self.policy.deadline;
-        let out = self.attempt(Op::Shutdown, &[], deadline_at).map(|_| ());
-        if let Err(e) = &out {
-            if connection_is_suspect(e) {
-                self.conn = None;
-            }
-            self.stats.failed_terminal.incr();
-        }
-        out
-    }
+impl RetryingClient {
+    typed_ops!(call_with_retry, server_stats);
 }
 
 /// True when the connection's stream state is unknown or known-dead

@@ -58,7 +58,7 @@ use cuszp_core::{
 };
 use cuszp_ecc::{EccError, ReedSolomon};
 use cuszp_metrics::Counter;
-use cuszp_parallel::WorkerPool;
+use cuszp_parallel::num_workers;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
@@ -369,8 +369,9 @@ pub struct ClusterClient {
     stats: ClusterStats,
     /// Verified chunk indexes by key, at most [`KEY_INDEXES`].
     indexes: HashMap<String, KeyIndex>,
-    /// Reused across range reads for its scratch arenas.
-    engine: PipelineEngine,
+    /// The lanes range reads decode on, [`num_workers`] of them, kept
+    /// across reads for their scratch arenas.
+    lanes: Vec<PipelineEngine>,
 }
 
 impl ClusterClient {
@@ -383,7 +384,7 @@ impl ClusterClient {
             conns: HashMap::new(),
             stats: ClusterStats::default(),
             indexes: HashMap::new(),
-            engine: PipelineEngine::new(),
+            lanes: (0..num_workers()).map(|_| PipelineEngine::new()).collect(),
         }
     }
 
@@ -927,9 +928,9 @@ impl ClusterClient {
         Ok(Some((samples, dims, got.degraded)))
     }
 
-    /// Decodes `spec` out of `source` on the client's engine: a box of
-    /// several chunks fans them out over a pool, as a local
-    /// [`cuszp_core::Decode`] does.
+    /// Decodes `spec` out of `source` on the client's lanes: a box of
+    /// several chunks fans them out over all of them, a one-chunk box
+    /// runs on the first.
     fn decode<T: Element>(
         &mut self,
         source: ChunkSource<'_>,
@@ -938,8 +939,9 @@ impl ClusterClient {
         source.decompress_range(
             ReconstructEngine::FinePartialSum,
             spec,
-            &mut self.engine,
-            &WorkerPool::with_default_workers(),
+            &mut self.lanes,
+            |_| None,
+            |_, _| {},
         )
     }
 

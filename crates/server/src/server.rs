@@ -1054,12 +1054,14 @@ fn handle_decompress(
     })
 }
 
-/// Serves a chunked-archive range read through the hot-slab cache.
+/// Serves a chunked-archive range read through the hot-slab cache: the
+/// strict range read ([`ChunkSource::decompress_range`]) with the
+/// worker's engine as its only lane, so the read stays serial on this
+/// worker.
 ///
-/// The fetch/store hooks given to [`cuszp_core::decompress_range_with_fetch`]
-/// lock the cache only for the lookup/insert itself — a miss parses and
-/// decodes the chunk with the worker's engine *outside* the lock, so a
-/// slow decode never blocks other workers' hits. Slabs are stored as
+/// The fetch/store hooks lock the cache only for the lookup/insert
+/// itself — a miss parses and decodes the chunk *outside* the lock, so
+/// a slow decode never blocks other workers' hits. Slabs are stored as
 /// little-endian scalar bytes (the wire encoding), and a hit gathers
 /// only the requested elements out of them.
 fn serve_cached_range<T: Element>(
@@ -1070,7 +1072,7 @@ fn serve_cached_range<T: Element>(
     engine: &mut PipelineEngine,
 ) -> Result<Vec<u8>, CuszpError> {
     let caching = shared.config.cache_bytes > 0;
-    let mut fetch = |i: usize| -> Option<Arc<Vec<u8>>> {
+    let fetch = |i: usize| -> Option<Arc<Vec<u8>>> {
         if !caching {
             return None;
         }
@@ -1085,7 +1087,7 @@ fn serve_cached_range<T: Element>(
         }
         hit
     };
-    let mut store = |i: usize, slab: &[T]| {
+    let store = |i: usize, slab: &[T]| {
         if !caching {
             return;
         }
@@ -1096,13 +1098,12 @@ fn serve_cached_range<T: Element>(
             .insert_slab(key, i as u32, Arc::new(scalars_to_le(slab)));
         shared.metrics.cache_evictions.add(evicted);
     };
-    let (data, dims) = cuszp_core::decompress_range_with_fetch(
-        source,
+    let (data, dims) = source.decompress_range(
         ReconstructEngine::FinePartialSum,
         spec,
-        engine,
-        &mut fetch,
-        &mut store,
+        std::slice::from_mut(engine),
+        fetch,
+        store,
     )?;
     Ok(field_response(dims, None, &data))
 }

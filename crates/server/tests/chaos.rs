@@ -452,6 +452,43 @@ fn refusing_proxy_ends_calls_in_typed_deadline_exceeded() {
 }
 
 #[test]
+fn a_failed_retrying_shutdown_makes_one_attempt() {
+    // Through a proxy that refuses every connection, and through one
+    // that cuts every request after its first byte, the shutdown never
+    // reaches the server. The failure is one an idempotent op would
+    // retry; shutdown is not one, so the call ends on its one attempt as
+    // a terminal failure.
+    let (addr, join) = start_server();
+    let refuse = ChaosPolicy {
+        refuse_per_mille: 1000,
+        ..ChaosPolicy::clean()
+    };
+    let cut = ChaosPolicy {
+        cut_request_per_mille: 1000,
+        cut_request_window: 1,
+        ..ChaosPolicy::clean()
+    };
+    for (policy, label) in [(refuse, "refuse"), (cut, "cut")] {
+        let mut proxy = ChaosProxy::start(addr, policy, SEED).expect("proxy");
+        let mut client = RetryingClient::new(proxy.local_addr().to_string(), soak_policy());
+        let err = client.shutdown_server().expect_err("nothing gets through");
+        assert!(err.is_retryable(), "{label}: {err}");
+        let s = client.stats();
+        assert_eq!(s.calls.get(), 1, "{label}");
+        assert_eq!(s.attempts.get(), 1, "{label}: shutdown makes one attempt");
+        assert_eq!(s.attempts.get(), s.calls.get() + s.retries.get(), "{label}");
+        assert_eq!(s.failed_terminal.get(), 1, "{label}");
+        assert_eq!(s.exhausted.get() + s.deadline_exceeded.get(), 0, "{label}");
+        proxy.stop();
+    }
+    // The server never saw a shutdown: it is still serving.
+    let mut probe = Client::connect(addr).expect("probe connect");
+    assert!(!probe.health().expect("health").draining);
+    drop(probe);
+    stop_server(addr, join);
+}
+
+#[test]
 fn shutdown_is_never_retried_and_draining_sheds_unavailable() {
     // Direct connections (no proxy): this exercises the load-shedding
     // half of the contract. After shutdown begins, heavy ops get a

@@ -15,10 +15,12 @@ if grep -rnE "pub fn \w+_f64" crates/core/src crates/server/src ||
     exit 1
 fi
 
-echo "==> API-surface guard (one chunk walk: crates/core/src/walk.rs reconstructs and checks every CSZ2 chunk)"
+echo "==> API-surface guard (one chunk walk on one kind of lanes: crates/core/src/walk.rs carves, reconstructs and checks every CSZ2 chunk)"
 if grep -rn "decompress_into(" crates/core/src --include='*.rs' | grep -v "^crates/core/src/\(engine\|walk\)\.rs:" ||
-    grep -rnE "fn (validate_chunk_geometry|recover_field|recover_range)\b" crates/core/src; then
-    echo "error: a second chunk decoder or chunk-vs-container check grew back beside the walk" >&2
+    grep -rn "\.carve(" crates/core/src --include='*.rs' | grep -v "^crates/core/src/walk\.rs:" ||
+    grep -rnE "fn (validate_chunk_geometry|recover_field|recover_range)\b" crates/core/src ||
+    grep -rnE --include='*.rs' "enum Lanes\b|decompress_range_with_fetch" crates src tests examples; then
+    echo "error: a second chunk decoder, chunk walk, kind of lanes or chunk-vs-container check grew back beside the walk" >&2
     exit 1
 fi
 
